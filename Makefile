@@ -18,9 +18,8 @@ test:
 # then run the large-scale projection — the standard 32–1024 grid plus
 # the 2048–16384 scaling envelope and the 1024–16384 crossbar-vs-fat-tree
 # topology sweep — and record kernel performance (events/sec,
-# allocs/event, peak heap, microbenchmark and sweep numbers vs. the
-# recorded pre-overhaul baselines) plus the topology table in
-# BENCH_kernel.json. Both commands draw clusters from the reuse pool
+# allocs/event, peak heap, microbenchmark and sweep numbers) plus the
+# topology table in BENCH_kernel.json. Both commands draw clusters from the reuse pool
 # (-reuse, on by default). -engine flow adds the flow-engine scaling
 # grid (65536–1048576 nodes, recorded as flow_sweep); -jobs adds the
 # multi-tenant sweep (concurrent jobs × oversubscription × placement,

@@ -67,9 +67,8 @@
 //
 // -benchjson records the kernel's execution metrics —
 // events/sec, allocs/event and peak heap for each sweep, plus the fixed
-// 32-node kernel microbenchmark, the standard grid's pre-reuse baseline
-// and the topology-sweep table — to FILE (the committed
-// BENCH_kernel.json is produced this way via make bench).
+// 32-node kernel microbenchmark and the topology-sweep table — to FILE
+// (the committed BENCH_kernel.json is produced this way via make bench).
 package main
 
 import (
@@ -126,21 +125,62 @@ func entry(name string, sizes []int, iters int, reuse bool, p sweep.Perf) perfEn
 	}
 }
 
-// parseSizes parses a comma-separated node-count list ("" = empty).
-func parseSizes(flagName, v string) []int {
-	var sizes []int
-	if v == "" {
+// parseInts parses a comma-separated integer list whose entries must be
+// at least floor: 2 for node counts, 1 for job counts, oversubscription
+// ratios and LP counts (where 1 is the single-LP reference point).
+// allowEmpty lets "" mean an empty list, which skips the sweep the flag
+// feeds; otherwise "" is a bad entry.
+func parseInts(flagName, v string, floor int, allowEmpty bool) []int {
+	if v == "" && allowEmpty {
 		return nil
 	}
+	var out []int
 	for _, f := range strings.Split(v, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 2 {
+		if err != nil || n < floor {
 			fmt.Fprintf(os.Stderr, "abscale: bad %s entry %q\n", flagName, f)
 			os.Exit(2)
 		}
-		sizes = append(sizes, n)
+		out = append(out, n)
 	}
-	return sizes
+	return out
+}
+
+// lpHostDoc is the machine context both PDES sweeps record next to
+// their speedup column. When the LP count exceeds the machine's cores
+// that column measures goroutine scheduling, not parallelism, so the doc
+// carries a machine-readable disclaimer: oversubscribed,
+// speedup_claim_valid and note.
+type lpHostDoc struct {
+	Cores             int    `json:"cores"`   // GOMAXPROCS — speedup ceiling context
+	NumCPU            int    `json:"num_cpu"` // physical cores the OS reports
+	Oversubscribed    bool   `json:"oversubscribed"`
+	SpeedupClaimValid bool   `json:"speedup_claim_valid"`
+	Note              string `json:"note,omitempty"`
+}
+
+// lpHost fills the disclaimer for a sweep over lpsList (given by
+// flagName) whose speedup is recorded under column, warning on stderr
+// when the largest LP count does not fit the machine.
+func lpHost(flagName, column string, lpsList []int) lpHostDoc {
+	maxLPs := 0
+	for _, l := range lpsList {
+		if l > maxLPs {
+			maxLPs = l
+		}
+	}
+	cores := runtime.NumCPU()
+	d := lpHostDoc{Cores: runtime.GOMAXPROCS(0), NumCPU: cores, SpeedupClaimValid: maxLPs <= cores}
+	if maxLPs > cores {
+		d.Oversubscribed = true
+		d.Note = fmt.Sprintf("max LP count %d exceeds the machine's %d core(s); "+
+			"wall-clock %s measures goroutine scheduling, not parallel execution",
+			maxLPs, cores, column)
+		fmt.Fprintf(os.Stderr, "abscale: warning: %s goes up to %d LPs on %d core(s); "+
+			"speedup numbers are scheduling artifacts and are annotated as invalid claims\n",
+			flagName, maxLPs, cores)
+	}
+	return d
 }
 
 func main() {
@@ -196,6 +236,17 @@ func main() {
 		os.Exit(2)
 	}
 
+	// -topo is only an error for the sweeps that use it: routed exits
+	// with what's usage message unless it names a routed fabric.
+	ft, topoErr := topo.ParseSpec(*topoFlag)
+	routed := func(what string) topo.Spec {
+		if topoErr != nil || ft.Kind == topo.Crossbar {
+			fmt.Fprintf(os.Stderr, "abscale: "+what+"\n", *topoFlag)
+			os.Exit(2)
+		}
+		return ft
+	}
+
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "abscale: %v\n", err)
@@ -203,7 +254,7 @@ func main() {
 	}
 	defer stopProf()
 
-	sizes := parseSizes("-sizes", *sizesFlag)
+	sizes := parseInts("-sizes", *sizesFlag, 2, true)
 	if sizes == nil {
 		for n := 8; n <= *max; n *= 2 {
 			sizes = append(sizes, n)
@@ -245,17 +296,13 @@ func main() {
 		}
 	}
 	runGrid("", sizes, *iters)
-	if big := parseSizes("-bigsizes", *bigSizes); len(big) > 0 {
+	if big := parseInts("-bigsizes", *bigSizes, 2, true); len(big) > 0 {
 		runGrid("large-n ", big, *bigIters)
 	}
 
 	var topoDoc *topoSweepDoc
-	if ts := parseSizes("-toposizes", *topoSizes); len(ts) > 0 {
-		ft, err := topo.ParseSpec(*topoFlag)
-		if err != nil || ft.Kind == topo.Crossbar {
-			fmt.Fprintf(os.Stderr, "abscale: -topo %q is not a routed fabric\n", *topoFlag)
-			os.Exit(2)
-		}
+	if ts := parseInts("-toposizes", *topoSizes, 2, true); len(ts) > 0 {
+		ft := routed("-topo %q is not a routed fabric")
 		t := bench.TopoSweep(ts, ft, *skew, *count,
 			bench.Opts{Iters: *topoIters, Seed: *seed, Workers: *parallel, Pool: pool,
 				Fault: fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}},
@@ -274,32 +321,12 @@ func main() {
 
 	var pdesDoc *pdesSweepDoc
 	if *pdesSize > 1 {
-		ft, err := topo.ParseSpec(*topoFlag)
-		if err != nil || ft.Kind == topo.Crossbar {
-			fmt.Fprintf(os.Stderr, "abscale: -pdessize needs a routed -topo, got %q\n", *topoFlag)
-			os.Exit(2)
-		}
-		lpsList := parseLPs("-pdeslps", *pdesLPs)
-		maxLPs := 0
-		for _, l := range lpsList {
-			if l > maxLPs {
-				maxLPs = l
-			}
-		}
-		cores := runtime.NumCPU()
+		ft := routed("-pdessize needs a routed -topo, got %q")
+		lpsList := parseInts("-pdeslps", *pdesLPs, 1, false)
 		points := bench.PDESSweep(*pdesSize, ft, *skew, *count, *pdesIters, *seed, lpsList)
 		pdesDoc = &pdesSweepDoc{Fabric: ft.String(), Nodes: *pdesSize, Iters: *pdesIters,
-			MaxSkew: skew.String(), Elements: *count, Cores: runtime.GOMAXPROCS(0),
-			NumCPU: cores, Points: points, SpeedupClaimValid: maxLPs <= cores}
-		if maxLPs > cores {
-			pdesDoc.Oversubscribed = true
-			pdesDoc.Note = fmt.Sprintf("max LP count %d exceeds the machine's %d core(s); "+
-				"wall-clock speedup_vs_first measures goroutine scheduling, not parallel execution",
-				maxLPs, cores)
-			fmt.Fprintf(os.Stderr, "abscale: warning: -pdeslps goes up to %d LPs on %d core(s); "+
-				"speedup numbers are scheduling artifacts and are annotated as invalid claims\n",
-				maxLPs, cores)
-		}
+			MaxSkew: skew.String(), Elements: *count, Points: points,
+			lpHostDoc: lpHost("-pdeslps", "speedup_vs_first", lpsList)}
 		base := points[0].WallMS
 		fmt.Printf("PDES speedup sweep — %d nodes on %s, %d iters, %d cores\n",
 			*pdesSize, ft, *pdesIters, pdesDoc.Cores)
@@ -314,10 +341,9 @@ func main() {
 
 	var flowDoc *flowSweepDoc
 	if engine == cluster.EngineFlow {
-		if fs := parseSizes("-flowsizes", *flowSizes); len(fs) > 0 {
-			ft, err := topo.ParseSpec(*topoFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "abscale: bad -topo %q: %v\n", *topoFlag, err)
+		if fs := parseInts("-flowsizes", *flowSizes, 2, true); len(fs) > 0 {
+			if topoErr != nil {
+				fmt.Fprintf(os.Stderr, "abscale: bad -topo %q: %v\n", *topoFlag, topoErr)
 				os.Exit(2)
 			}
 			points := bench.FlowSweep(fs, ft, *skew, *count, *flowIters, *seed)
@@ -336,38 +362,17 @@ func main() {
 	}
 
 	var flowPdesDoc *flowPdesSweepDoc
-	if fps := parseSizes("-flowpdessizes", *flowPdesSizes); len(fps) > 0 {
+	if fps := parseInts("-flowpdessizes", *flowPdesSizes, 2, true); len(fps) > 0 {
 		if engine != cluster.EngineFlow {
 			fmt.Fprintln(os.Stderr, "abscale: -flowpdessizes needs -engine flow")
 			os.Exit(2)
 		}
-		ft, err := topo.ParseSpec(*topoFlag)
-		if err != nil || ft.Kind == topo.Crossbar {
-			fmt.Fprintf(os.Stderr, "abscale: -flowpdessizes needs a routed -topo, got %q\n", *topoFlag)
-			os.Exit(2)
-		}
-		lpsList := parseLPs("-flowpdeslps", *flowPdesLPs)
-		maxLPs := 0
-		for _, l := range lpsList {
-			if l > maxLPs {
-				maxLPs = l
-			}
-		}
-		cores := runtime.NumCPU()
+		ft := routed("-flowpdessizes needs a routed -topo, got %q")
+		lpsList := parseInts("-flowpdeslps", *flowPdesLPs, 1, false)
 		points := bench.FlowPDESSweep(fps, ft, *skew, *count, *flowPdesIters, *seed, lpsList)
 		flowPdesDoc = &flowPdesSweepDoc{Fabric: ft.String(), MaxSkew: skew.String(),
-			Elements: *count, Iters: *flowPdesIters, Cores: runtime.GOMAXPROCS(0),
-			NumCPU: cores, LPCounts: lpsList, Points: points,
-			SpeedupClaimValid: maxLPs <= cores}
-		if maxLPs > cores {
-			flowPdesDoc.Oversubscribed = true
-			flowPdesDoc.Note = fmt.Sprintf("max LP count %d exceeds the machine's %d core(s); "+
-				"wall-clock speedup_vs_first_lps measures goroutine scheduling, not parallel execution",
-				maxLPs, cores)
-			fmt.Fprintf(os.Stderr, "abscale: warning: -flowpdeslps goes up to %d LPs on %d core(s); "+
-				"speedup numbers are scheduling artifacts and are annotated as invalid claims\n",
-				maxLPs, cores)
-		}
+			Elements: *count, Iters: *flowPdesIters, LPCounts: lpsList, Points: points,
+			lpHostDoc: lpHost("-flowpdeslps", "speedup_vs_first_lps", lpsList)}
 		// Per-size speedup against that size's first LP-count cell.
 		base := map[int]float64{}
 		fmt.Printf("Parallel flow sweep — %s, max skew %v, %d elements, %d iters, min of %d reps\n",
@@ -387,13 +392,9 @@ func main() {
 	}
 
 	var tenancyDoc *tenancySweepDoc
-	if jobCounts := parseCounts("-jobs", *jobsFlag); len(jobCounts) > 0 {
-		ft, err := topo.ParseSpec(*topoFlag)
-		if err != nil || ft.Kind == topo.Crossbar {
-			fmt.Fprintf(os.Stderr, "abscale: the tenancy sweep needs a routed -topo, got %q\n", *topoFlag)
-			os.Exit(2)
-		}
-		oversubs := parseCounts("-oversub", *oversubFlag)
+	if jobCounts := parseInts("-jobs", *jobsFlag, 1, true); len(jobCounts) > 0 {
+		ft := routed("the tenancy sweep needs a routed -topo, got %q")
+		oversubs := parseInts("-oversub", *oversubFlag, 1, true)
 		if len(oversubs) == 0 {
 			fmt.Fprintln(os.Stderr, "abscale: -oversub must name at least one ratio")
 			os.Exit(2)
@@ -435,44 +436,6 @@ func main() {
 	}
 }
 
-// parseCounts parses a comma-separated positive-integer list ("" =
-// empty) — job counts and oversubscription ratios, where 1 is a valid
-// entry so parseSizes' ≥ 2 floor doesn't apply.
-func parseCounts(flagName, v string) []int {
-	var out []int
-	if v == "" {
-		return nil
-	}
-	for _, f := range strings.Split(v, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "abscale: bad %s entry %q\n", flagName, f)
-			os.Exit(2)
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
-// parseLPs parses an LP-count list (entries ≥ 1; "1" is the monolithic
-// reference point, so parseSizes' ≥ 2 floor doesn't apply).
-func parseLPs(flagName, v string) []int {
-	var out []int
-	for _, f := range strings.Split(v, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "abscale: bad %s entry %q\n", flagName, f)
-			os.Exit(2)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		fmt.Fprintf(os.Stderr, "abscale: %s must name at least one LP count\n", flagName)
-		os.Exit(2)
-	}
-	return out
-}
-
 // topoSweepDoc is the topology sweep's record in -benchjson output: the
 // full crossbar-vs-fat-tree table, so the committed BENCH_kernel.json
 // carries the hop-latency and uplink-contention numbers.
@@ -490,23 +453,16 @@ type topoSweepDoc struct {
 // -benchjson output: the same large routed simulation run at each LP
 // count, with wall-clock speedup relative to the first (monolithic)
 // point. Virtual-time columns (events, avg_cpu_us, signals) pin each
-// LP count's deterministic result. When the LP count exceeds the
-// machine's cores the speedup column measures goroutine scheduling, not
-// parallelism, so the doc carries a machine-readable disclaimer:
-// oversubscribed, speedup_claim_valid and note.
+// LP count's deterministic result.
 type pdesSweepDoc struct {
-	Fabric            string            `json:"fabric"`
-	Nodes             int               `json:"nodes"`
-	MaxSkew           string            `json:"max_skew"`
-	Elements          int               `json:"elements"`
-	Iters             int               `json:"iters"`
-	Cores             int               `json:"cores"`   // GOMAXPROCS — speedup ceiling context
-	NumCPU            int               `json:"num_cpu"` // physical cores the OS reports
-	Oversubscribed    bool              `json:"oversubscribed"`
-	SpeedupClaimValid bool              `json:"speedup_claim_valid"`
-	Note              string            `json:"note,omitempty"`
-	Points            []bench.PDESPoint `json:"points"`
-	Speedup           []float64         `json:"speedup_vs_first"`
+	Fabric   string `json:"fabric"`
+	Nodes    int    `json:"nodes"`
+	MaxSkew  string `json:"max_skew"`
+	Elements int    `json:"elements"`
+	Iters    int    `json:"iters"`
+	lpHostDoc
+	Points  []bench.PDESPoint `json:"points"`
+	Speedup []float64         `json:"speedup_vs_first"`
 }
 
 // flowSweepDoc is the flow-engine scaling grid's record in -benchjson
@@ -528,20 +484,15 @@ type flowSweepDoc struct {
 // the wall. speedup_vs_first_lps compares each cell against its size's
 // first LP-count cell; the monolithic flow_sweep baselines recorded
 // before the engine was sharded stay in flow_sweep for comparison.
-// Carries the same oversubscription disclaimer as pdes_sweep.
 type flowPdesSweepDoc struct {
-	Fabric            string                `json:"fabric"`
-	MaxSkew           string                `json:"max_skew"`
-	Elements          int                   `json:"elements"`
-	Iters             int                   `json:"iters"`
-	Cores             int                   `json:"cores"`
-	NumCPU            int                   `json:"num_cpu"`
-	Oversubscribed    bool                  `json:"oversubscribed"`
-	SpeedupClaimValid bool                  `json:"speedup_claim_valid"`
-	Note              string                `json:"note,omitempty"`
-	LPCounts          []int                 `json:"lp_counts"`
-	Points            []bench.FlowPDESPoint `json:"points"`
-	Speedup           []float64             `json:"speedup_vs_first_lps"`
+	Fabric   string `json:"fabric"`
+	MaxSkew  string `json:"max_skew"`
+	Elements int    `json:"elements"`
+	Iters    int    `json:"iters"`
+	lpHostDoc
+	LPCounts []int                 `json:"lp_counts"`
+	Points   []bench.FlowPDESPoint `json:"points"`
+	Speedup  []float64             `json:"speedup_vs_first_lps"`
 }
 
 // tenancySweepDoc is the multi-tenant sweep's record in -benchjson
@@ -560,51 +511,15 @@ type tenancySweepDoc struct {
 	Points    []bench.TenancyPoint `json:"points"`
 }
 
-// sameSizes reports whether two size grids are identical.
-func sameSizes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // writeBenchJSON records the scaling sweeps' execution metrics plus the
-// fixed kernel microbenchmark, side by side with the recorded
-// pre-overhaul kernel baseline and the pre-reuse sweep baseline.
+// fixed kernel microbenchmark.
 func writeBenchJSON(path string, sizes []int, iters int, entries []perfEntry, topoDoc *topoSweepDoc, pdesDoc *pdesSweepDoc, flowDoc *flowSweepDoc, flowPdesDoc *flowPdesSweepDoc, tenancyDoc *tenancySweepDoc) error {
-	micro := bench.KernelMicrobench(bench.AppBypass, 50, 20030701)
-	microNab := bench.KernelMicrobench(bench.NonAppBypass, 50, 20030701)
 	doc := struct {
-		Workload string `json:"workload"`
-		Sizes    []int  `json:"sizes"`
-		Iters    int    `json:"iters"`
-		Baseline struct {
-			EventsPerSec   float64 `json:"events_per_sec"`
-			AllocsPerEvent float64 `json:"allocs_per_event"`
-		} `json:"kernel_microbench_baseline"`
-		Micro       bench.KernelMicrobenchResult `json:"kernel_microbench_ab"`
-		MicroNab    bench.KernelMicrobenchResult `json:"kernel_microbench_nab"`
-		SpeedupX    float64                      `json:"microbench_speedup_vs_baseline"`
-		AllocRatioX float64                      `json:"microbench_alloc_reduction_vs_baseline"`
-
-		// The standard grid's recorded pre-reuse performance (build a
-		// cluster per cell) and the current run's improvement over it;
-		// ratios are only emitted when this run used the same grid.
-		SweepBaseline struct {
-			Sizes                []int   `json:"sizes"`
-			Iters                int     `json:"iters"`
-			SkewedWallMS         float64 `json:"skewed_wall_ms"`
-			SkewedAllocsPerEvent float64 `json:"skewed_allocs_per_event"`
-			NoSkewWallMS         float64 `json:"noskew_wall_ms"`
-			NoSkewAllocsPerEvent float64 `json:"noskew_allocs_per_event"`
-		} `json:"scaling_sweep_baseline"`
-		SweepWallSpeedup    float64 `json:"sweep_wall_speedup_vs_baseline,omitempty"`
-		SweepAllocReduction float64 `json:"sweep_alloc_reduction_vs_baseline,omitempty"`
+		Workload string                       `json:"workload"`
+		Sizes    []int                        `json:"sizes"`
+		Iters    int                          `json:"iters"`
+		Micro    bench.KernelMicrobenchResult `json:"kernel_microbench_ab"`
+		MicroNab bench.KernelMicrobenchResult `json:"kernel_microbench_nab"`
 
 		ScalingPerf   []perfEntry       `json:"scaling_sweeps"`
 		TopoSweep     *topoSweepDoc     `json:"topo_sweep,omitempty"`
@@ -613,30 +528,11 @@ func writeBenchJSON(path string, sizes []int, iters int, entries []perfEntry, to
 		FlowPDESSweep *flowPdesSweepDoc `json:"flow_pdes_sweep,omitempty"`
 		TenancySweep  *tenancySweepDoc  `json:"tenancy_sweep,omitempty"`
 	}{Workload: "32-node Fig. 6 CPU-utilization workload (count=4, skew=1ms, iters=50, seed=20030701)",
-		Sizes: sizes, Iters: iters, Micro: micro, MicroNab: microNab,
+		Sizes: sizes, Iters: iters,
+		Micro:       bench.KernelMicrobench(bench.AppBypass, 50, 20030701),
+		MicroNab:    bench.KernelMicrobench(bench.NonAppBypass, 50, 20030701),
 		ScalingPerf: entries, TopoSweep: topoDoc, PDESSweep: pdesDoc, FlowSweep: flowDoc,
 		FlowPDESSweep: flowPdesDoc, TenancySweep: tenancyDoc}
-	doc.Baseline.EventsPerSec = bench.BaselineEventsPerSec
-	doc.Baseline.AllocsPerEvent = bench.BaselineAllocsPerEvent
-	if doc.Baseline.EventsPerSec > 0 {
-		doc.SpeedupX = micro.EventsPerSec / doc.Baseline.EventsPerSec
-	}
-	if micro.AllocsPerEvent > 0 {
-		doc.AllocRatioX = doc.Baseline.AllocsPerEvent / micro.AllocsPerEvent
-	}
-	doc.SweepBaseline.Sizes = bench.BaselineSweepSizes
-	doc.SweepBaseline.Iters = bench.BaselineSweepIters
-	doc.SweepBaseline.SkewedWallMS = bench.BaselineSweepSkewedWallMS
-	doc.SweepBaseline.SkewedAllocsPerEvent = bench.BaselineSweepSkewedAllocsPerEvent
-	doc.SweepBaseline.NoSkewWallMS = bench.BaselineSweepNoSkewWallMS
-	doc.SweepBaseline.NoSkewAllocsPerEvent = bench.BaselineSweepNoSkewAllocsPerEvent
-	for _, e := range entries {
-		if e.Sweep == "skewed" && sameSizes(e.Sizes, bench.BaselineSweepSizes) &&
-			e.Iters == bench.BaselineSweepIters && e.WallMS > 0 && e.AllocsPerEvent > 0 {
-			doc.SweepWallSpeedup = bench.BaselineSweepSkewedWallMS / e.WallMS
-			doc.SweepAllocReduction = bench.BaselineSweepSkewedAllocsPerEvent / e.AllocsPerEvent
-		}
-	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

@@ -222,20 +222,7 @@ func CPUUtil(cfg Config) CPUUtilResult {
 	cl, release := cfg.acquire()
 	defer release()
 
-	// Pre-generate per-(iteration, rank) skews so results are
-	// independent of execution interleaving. One flat slab, sliced per
-	// iteration: 2 allocations instead of Iters+1, same draw order.
-	rng := cl.K.NewRNG()
-	flat := make([]sim.Time, cfg.Iters*size)
-	skews := make([][]sim.Time, cfg.Iters)
-	for it := range skews {
-		skews[it] = flat[it*size : (it+1)*size]
-		if cfg.MaxSkew > 0 {
-			for r := range skews[it] {
-				skews[it][r] = sim.Time(rng.Int63n(int64(cfg.MaxSkew) + 1))
-			}
-		}
-	}
+	skews := skewMatrix(cl, cfg)
 
 	// Conservative reduction-latency estimate for the catch-up delay:
 	// depth * (per-hop cost) with generous slack, like the paper's
@@ -307,6 +294,27 @@ func CPUUtil(cfg Config) CPUUtilResult {
 		LinkWait:  waitTime,
 		Elapsed:   end,
 	}
+}
+
+// skewMatrix pre-generates the per-(iteration, rank) skews from the
+// cluster's first kernel, so results are independent of execution
+// interleaving and a given (seed, size, iters) skews both engines
+// identically. One flat slab, sliced per iteration: 2 allocations
+// instead of Iters+1.
+func skewMatrix(cl *cluster.Cluster, cfg Config) [][]sim.Time {
+	size := len(cfg.Specs)
+	rng := cl.K.NewRNG()
+	flat := make([]sim.Time, cfg.Iters*size)
+	skews := make([][]sim.Time, cfg.Iters)
+	for it := range skews {
+		skews[it] = flat[it*size : (it+1)*size]
+		if cfg.MaxSkew > 0 {
+			for r := range skews[it] {
+				skews[it][r] = sim.Time(rng.Int63n(int64(cfg.MaxSkew) + 1))
+			}
+		}
+	}
+	return skews
 }
 
 // reduceOnce dispatches to the implementation under test.

@@ -35,19 +35,7 @@ func flowCPUUtil(cfg Config) CPUUtilResult {
 	m := cl.FlowM
 	m.SampleFCT(true)
 
-	// The skew matrix: identical draw order to the packet path, so a
-	// given (seed, size, iters) pair skews both engines identically.
-	rng := cl.K.NewRNG()
-	flat := make([]sim.Time, cfg.Iters*size)
-	skews := make([][]sim.Time, cfg.Iters)
-	for it := range skews {
-		skews[it] = flat[it*size : (it+1)*size]
-		if cfg.MaxSkew > 0 {
-			for r := range skews[it] {
-				skews[it][r] = sim.Time(rng.Int63n(int64(cfg.MaxSkew) + 1))
-			}
-		}
-	}
+	skews := skewMatrix(cl, cfg)
 	catchup := cfg.MaxSkew + estimateLatency(size, cfg.Count)
 
 	fc := coll.NewFlowColl(m, size, cfg.Root, cfg.Count)
@@ -95,10 +83,8 @@ func flowCPUUtil(cfg Config) CPUUtilResult {
 	for _, s := range fc.Signals {
 		signals += s
 	}
-	_, delayed, delayTotal := netDelays(m)
-	hostStalls, recvStalls, expRetr := m.Tokens()
-	_ = hostStalls
-	_ = recvStalls
+	_, _, delayed, delayTotal := m.NetStats()
+	_, _, expRetr := m.Tokens()
 	return CPUUtilResult{
 		AvgCPU:    total / sim.Time(size),
 		PerNode:   perNode,
@@ -111,12 +97,6 @@ func flowCPUUtil(cfg Config) CPUUtilResult {
 		Elapsed:   end,
 		FCT:       stats.Summarize(m.FCTs()),
 	}
-}
-
-// netDelays unpacks the Net contention counters, shard-summed.
-func netDelays(m *flow.Machine) (started uint64, delayed uint64, delayTotal sim.Time) {
-	started, _, delayed, delayTotal = m.NetStats()
-	return started, delayed, delayTotal
 }
 
 // flowRankState is one rank's position in the benchmark loop.

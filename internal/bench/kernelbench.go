@@ -7,36 +7,6 @@ import (
 	"abred/internal/model"
 )
 
-// Recorded performance of the kernel microbenchmark workload before the
-// kernel hot-path overhaul (container/heap + closure events + goroutine
-// NIC daemons), measured on the same 32-node Fig. 6 workload this file
-// runs: KernelMicrobench(AppBypass, 50, 20030701). BENCH_kernel.json
-// reports current numbers next to these so the speedup is auditable.
-const (
-	BaselineEventsPerSec   = 1165776
-	BaselineAllocsPerEvent = 2.102
-)
-
-// Recorded performance of abscale's standard scaling grid (sizes
-// 32,128,512,1024 × iters 100, serial) before the cluster-reuse and
-// slab-allocation work, when every grid cell rebuilt its cluster from
-// scratch. BENCH_kernel.json reports the current reuse-path numbers
-// next to these so the large-N fast-path win stays auditable.
-const (
-	BaselineSweepSkewedWallMS         = 5386.88
-	BaselineSweepSkewedAllocsPerEvent = 0.09267
-	BaselineSweepNoSkewWallMS         = 6741.08
-	BaselineSweepNoSkewAllocsPerEvent = 0.09415
-)
-
-// BaselineSweepSizes and BaselineSweepIters identify the workload the
-// scaling-sweep baseline constants were measured on; improvement ratios
-// are only reported for a matching run.
-var BaselineSweepSizes = []int{32, 128, 512, 1024}
-
-// BaselineSweepIters is the iteration count of the recorded baseline.
-const BaselineSweepIters = 100
-
 // KernelMicrobenchResult is one measured run of the kernel
 // microbenchmark: raw simulation throughput and allocation cost on a
 // fixed workload.
@@ -56,9 +26,7 @@ type KernelMicrobenchResult struct {
 // run populates the event, packet and request pools; the measured run is
 // then timed with the process-wide Mallocs delta taken around it.
 //
-// The workload is fixed so numbers are comparable across commits; the
-// pre-overhaul measurement is recorded in BaselineEventsPerSec and
-// BaselineAllocsPerEvent.
+// The workload is fixed so numbers are comparable across commits.
 func KernelMicrobench(mode Mode, iters int, seed int64) KernelMicrobenchResult {
 	cfg := Config{Specs: model.PaperCluster32(), Count: 4, Mode: mode,
 		MaxSkew: time.Millisecond, Iters: iters, Seed: seed}

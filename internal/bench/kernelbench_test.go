@@ -25,8 +25,8 @@ func TestKernelMicrobench(t *testing.T) {
 
 // BenchmarkKernelEventsPerSec is the committed kernel throughput
 // benchmark: simulated events per wall-clock second on the Fig. 6
-// 32-node workload. Compare against BaselineEventsPerSec (the
-// pre-overhaul kernel) when touching kernel hot paths.
+// 32-node workload. Compare parent and change with it when touching
+// kernel hot paths.
 func BenchmarkKernelEventsPerSec(b *testing.B) {
 	cfg := Config{Specs: model.PaperCluster32(), Count: 4, Mode: AppBypass,
 		MaxSkew: time.Millisecond, Iters: 10, Seed: 20030701}

@@ -41,7 +41,7 @@ type Node struct {
 
 // Cluster is a simulated machine room.
 type Cluster struct {
-	K      *sim.Kernel // kernel of LP 0 — the only kernel when unpartitioned
+	K      *sim.Kernel // kernel of LP 0 — the only kernel of a 1-LP cluster
 	Costs  model.Costs
 	Fabric *fabric.Fabric
 	Topo   *topo.Topology // built interconnect graph; crossbar by default
@@ -56,13 +56,14 @@ type Cluster struct {
 
 	flowSpecs []model.NodeSpec // spec table of a flow cluster (no Nodes)
 
-	// Partitioned (parallel) execution state: Ks holds every logical
-	// process's kernel (length 1 when monolithic; Ks[0] == K), LPs the
-	// actual partition count after clamping to the topology's pods.
+	// Partition state: Ks holds every logical process's kernel
+	// (Ks[0] == K), LPs the actual partition count after clamping to the
+	// topology's pods, and lpset the window loop that drives them (a
+	// plain Kernel.Run when there is one).
 	Ks     []*sim.Kernel
 	LPs    int
 	reqLPs int     // normalized requested count; pool/Reset matching
-	pmap   []int32 // node -> LP, nil when monolithic
+	pmap   []int32 // node -> LP, nil when every node is on LP 0
 	lpset  *sim.LPSet
 
 	program Program // body of the Run in progress
@@ -98,10 +99,10 @@ type Config struct {
 	// split along the topology's pod boundaries, each with its own
 	// kernel, run in parallel under conservative windows (sim.LPSet).
 	// The count is clamped to the topology's pod count, so a crossbar —
-	// which has one pod — always runs monolithic. 0 or 1 keeps the
-	// historical single-kernel path, byte-identical to every prior
-	// build. Like Topo this is a construction-time shape property: Reset
-	// refuses a different count and Pool keys on it.
+	// which has one pod — always runs as one LP. 0 or 1 is the 1-LP
+	// partition: one kernel, byte-identical to every build before
+	// partitioning existed. Like Topo this is a construction-time shape
+	// property: Reset refuses a different count and Pool keys on it.
 	LPs int
 }
 
@@ -120,7 +121,7 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// normLPs normalizes a requested LP count: 0 and 1 both mean monolithic.
+// normLPs normalizes a requested LP count: 0 and 1 both mean one LP.
 func normLPs(n int) int {
 	if n < 1 {
 		return 1
@@ -130,7 +131,8 @@ func normLPs(n int) int {
 
 // lpSeed derives LP i's kernel seed. LP 0 keeps the configured seed
 // exactly, so pre-run NewRNG draws (skew matrices and the like, always
-// taken from the first kernel) match a monolithic run bit for bit.
+// taken from the first kernel) and LP 0's fault plan match a 1-LP run
+// bit for bit.
 func lpSeed(seed int64, i int) int64 {
 	return seed ^ int64(i)*0x1E3779B97F4A7C15
 }
@@ -152,7 +154,7 @@ func packetPoolCap(n int) int {
 	return c
 }
 
-// New builds a cluster: kernel, fabric and NICs. MPI processes appear
+// New builds a cluster: kernels, fabric and NICs. MPI processes appear
 // when Run starts a program. Node and NIC storage is slab-allocated
 // (one backing array each) and nodes with identical hardware share one
 // derived cost table, so construction cost and footprint scale with the
@@ -164,18 +166,12 @@ func New(cfg Config) *Cluster {
 	if cfg.Costs == (model.Costs{}) {
 		cfg.Costs = model.DefaultCosts()
 	}
-	if cfg.Engine == EngineFlow {
-		return newFlow(cfg)
-	}
-	k := sim.New(cfg.Seed)
-	fab := fabric.New(k, len(cfg.Specs), cfg.Costs)
 	tp := topo.Build(cfg.Topo, len(cfg.Specs))
-	fab.SetTopology(tp)
-	c := &Cluster{K: k, Costs: cfg.Costs, Fabric: fab, Topo: tp,
+	c := &Cluster{Costs: cfg.Costs, Topo: tp, Engine: cfg.Engine,
 		reqLPs: normLPs(cfg.LPs), key: keyOf(cfg)}
 
 	// Partition along pod boundaries when a parallel run was requested;
-	// the clamp leaves crossbars (one pod) monolithic.
+	// the clamp leaves crossbars (one pod) on one LP.
 	c.LPs = 1
 	if c.reqLPs > 1 {
 		c.pmap, c.LPs = tp.Partition(c.reqLPs)
@@ -184,24 +180,25 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	c.Ks = make([]*sim.Kernel, c.LPs)
-	c.Ks[0] = k
-	for i := 1; i < c.LPs; i++ {
+	for i := range c.Ks {
 		c.Ks[i] = sim.New(lpSeed(cfg.Seed, i))
 	}
-	if c.LPs > 1 {
-		fab.SetPartition(c.pmap, c.Ks)
-		c.lpset = sim.NewLPSet(c.Ks, fab.Lookahead(), fab.Exchange)
+	c.K = c.Ks[0]
+	cms := model.SharedCostModels(cfg.Specs, cfg.Costs)
+	if cfg.Engine == EngineFlow {
+		c.buildFlow(cfg, cms)
+		return c
 	}
 
+	fab := fabric.New(c.K, len(cfg.Specs), cfg.Costs)
+	fab.SetTopology(tp)
+	fab.SetPartition(c.pmap, c.Ks)
+	c.Fabric = fab
+	c.lpset = sim.NewLPSet(c.Ks, fab.Lookahead(), fab.Exchange)
+
 	reliable := c.installFaults(cfg.Fault)
-	cms := model.SharedCostModels(cfg.Specs, cfg.Costs)
-	var nics []*gm.NIC
-	if c.LPs > 1 {
-		nics = gm.NewNICsPart(c.Ks, c.pmap, cms, fab)
-		fab.Reown = gm.ReownHook(nics)
-	} else {
-		nics = gm.NewNICs(k, cms, fab)
-	}
+	nics := gm.NewNICs(c.Ks, c.pmap, cms, fab)
+	fab.Reown = gm.ReownHook(nics)
 	poolCap := packetPoolCap(len(cfg.Specs))
 	nodes := make([]Node, len(cfg.Specs))
 	c.Nodes = make([]*Node, len(cfg.Specs))
@@ -225,35 +222,49 @@ func New(cfg Config) *Cluster {
 
 // installFaults compiles and installs cfg's fault plan, reporting
 // whether NICs need reliable delivery. Each cluster compiles its own
-// Plan (Plans hold mutable RNG state, and the sweep engine runs
-// clusters concurrently) and installs the gm pool hooks so dropped and
-// duplicated frames keep packet accounting balanced. A partitioned
-// cluster compiles one Plan per LP from a derived fault seed: Judge
-// mutates stream state, and since every frame on a directed link is
-// judged by its source's LP, each per-LP plan still sees its links'
-// complete frame sequences (scripted Nth-frame drops stay exact).
+// Plans (Plans hold mutable RNG state, and the sweep engine runs
+// clusters concurrently), one per LP from a derived fault seed, and
+// installs the gm pool hooks so dropped and duplicated frames keep
+// packet accounting balanced. Judge mutates stream state, and since
+// every frame on a directed link is judged by its source's LP, each
+// per-LP plan still sees its links' complete frame sequences (scripted
+// Nth-frame drops stay exact).
 func (c *Cluster) installFaults(fc fault.Config) bool {
-	if c.LPs > 1 {
-		if !fc.Enabled() {
-			return false
-		}
-		plans := make([]fabric.Injector, c.LPs)
-		for i := range plans {
-			pfc := fc
-			pfc.Seed = lpSeed(fc.Seed, i)
-			plans[i] = fault.New(pfc)
-		}
-		c.Fabric.SetInjectors(plans)
-		c.Fabric.OnDrop, c.Fabric.ClonePayload = gm.FaultHooks()
-		return true
-	}
-	plan := fault.New(fc)
-	if plan == nil {
+	if !fc.Enabled() {
 		return false
 	}
-	c.Fabric.Inject = plan
+	plans := make([]fabric.Injector, len(c.Ks))
+	for i := range plans {
+		pfc := fc
+		pfc.Seed = lpSeed(fc.Seed, i)
+		plans[i] = fault.New(pfc)
+	}
+	c.Fabric.SetInjectors(plans)
 	c.Fabric.OnDrop, c.Fabric.ClonePayload = gm.FaultHooks()
 	return true
+}
+
+// shapeDiff names the first construction-time property in which cfg
+// differs from the cluster c was built as, "" when it is the same shape.
+func (c *Cluster) shapeDiff(cfg Config) string {
+	switch {
+	case cfg.Engine != c.Engine:
+		return fmt.Sprintf("engine %v on a %v cluster", cfg.Engine, c.Engine)
+	case len(cfg.Specs) != c.Size():
+		return fmt.Sprintf("%d specs on a %d-node cluster", len(cfg.Specs), c.Size())
+	case cfg.Costs != c.Costs:
+		return "different costs"
+	case cfg.Topo.Norm() != c.Topo.Spec():
+		return fmt.Sprintf("topology %v on a %v cluster", cfg.Topo, c.Topo.Spec())
+	case normLPs(cfg.LPs) != c.reqLPs:
+		return fmt.Sprintf("%d LPs on a %d-LP cluster", normLPs(cfg.LPs), c.reqLPs)
+	}
+	for i, s := range cfg.Specs {
+		if s != c.spec(i) {
+			return fmt.Sprintf("different spec for node %d", i)
+		}
+	}
+	return ""
 }
 
 // Reset returns the cluster to its just-built state under cfg's seed and
@@ -268,34 +279,18 @@ func (c *Cluster) Reset(cfg Config) {
 	if cfg.Costs == (model.Costs{}) {
 		cfg.Costs = model.DefaultCosts()
 	}
-	if cfg.Engine != c.Engine {
-		panic(fmt.Sprintf("cluster: Reset with engine %v on a %v cluster", cfg.Engine, c.Engine))
-	}
-	if c.Engine == EngineFlow {
-		c.resetFlow(cfg)
-		return
-	}
-	if len(cfg.Specs) != len(c.Nodes) {
-		panic(fmt.Sprintf("cluster: Reset with %d specs on a %d-node cluster", len(cfg.Specs), len(c.Nodes)))
-	}
-	if cfg.Costs != c.Costs {
-		panic("cluster: Reset with different costs")
-	}
-	if cfg.Topo.Norm() != c.Topo.Spec() {
-		panic(fmt.Sprintf("cluster: Reset with topology %v on a %v cluster",
-			cfg.Topo, c.Topo.Spec()))
-	}
-	if normLPs(cfg.LPs) != c.reqLPs {
-		panic(fmt.Sprintf("cluster: Reset with %d LPs on a %d-LP cluster",
-			normLPs(cfg.LPs), c.reqLPs))
-	}
-	for i, n := range c.Nodes {
-		if cfg.Specs[i] != n.Spec {
-			panic(fmt.Sprintf("cluster: Reset with different spec for node %d", i))
-		}
+	if d := c.shapeDiff(cfg); d != "" {
+		panic("cluster: Reset with " + d)
 	}
 	for i, k := range c.Ks {
 		k.Reset(lpSeed(cfg.Seed, i))
+	}
+	if c.Engine == EngineFlow {
+		c.FlowM.Reset()
+		if err := c.FlowM.SetFaults(cfg.Fault); err != nil {
+			panic("cluster: " + err.Error())
+		}
+		return
 	}
 	c.Fabric.Reset()
 	reliable := c.installFaults(cfg.Fault)
@@ -347,18 +342,10 @@ func (c *Cluster) Run(program Program) sim.Time {
 		panic("cluster: a flow-engine cluster has no per-rank processes; drive the flow collective API (bench/workload flow paths)")
 	}
 	c.program = program
-	var end sim.Time
-	if c.lpset != nil {
-		for _, n := range c.Nodes {
-			c.Ks[c.pmap[n.ID]].Spawn(n.pname, n.spawnFn)
-		}
-		end = c.lpset.Run()
-	} else {
-		for _, n := range c.Nodes {
-			c.K.Spawn(n.pname, n.spawnFn)
-		}
-		end = c.K.Run()
+	for _, n := range c.Nodes {
+		c.kernelOf(n.ID).Spawn(n.pname, n.spawnFn)
 	}
+	end := c.lpset.Run()
 	for _, n := range c.Nodes {
 		if err := n.NIC.RelError(); err != nil {
 			// Graceful degradation for a dead link: the reliability
@@ -370,17 +357,19 @@ func (c *Cluster) Run(program Program) sim.Time {
 	return end
 }
 
-// Drain runs the already-scheduled event population to quiescence and
-// returns the final virtual time: the LPSet window loop when the
-// cluster is partitioned, the single kernel otherwise. This is how the
-// flow-engine drivers (bench, workload) run a cluster — they seed
-// events through the flow API rather than spawning processes.
-func (c *Cluster) Drain() sim.Time {
-	if c.lpset != nil {
-		return c.lpset.Run()
+// kernelOf returns the kernel of the LP that owns node id.
+func (c *Cluster) kernelOf(id int) *sim.Kernel {
+	if c.pmap == nil {
+		return c.K
 	}
-	return c.K.Run()
+	return c.Ks[c.pmap[id]]
 }
+
+// Drain runs the already-scheduled event population to quiescence and
+// returns the final virtual time. This is how the flow-engine drivers
+// (bench, workload) run a cluster — they seed events through the flow
+// API rather than spawning processes.
+func (c *Cluster) Drain() sim.Time { return c.lpset.Run() }
 
 // Events returns the number of simulated events executed, summed over
 // every logical process's kernel.

@@ -6,7 +6,6 @@ import (
 	"abred/internal/flow"
 	"abred/internal/model"
 	"abred/internal/sim"
-	"abred/internal/topo"
 )
 
 // Engine selects the simulation engine a cluster is built around.
@@ -43,73 +42,21 @@ func ParseEngine(s string) (Engine, error) {
 	return EnginePacket, fmt.Errorf("unknown engine %q (packet|flow)", s)
 }
 
-// newFlow builds a flow-engine cluster: the topology graph, shared
-// cost tables and the flow machine — no fabric, NICs or per-node
+// buildFlow finishes a flow-engine cluster: shared cost tables and the
+// flow machine over the topology graph — no fabric, NICs or per-node
 // structs, so construction and footprint stay flat arrays even at a
-// million nodes. When LPs requests a partitioned run, the machine is
-// sharded along the topology's pods (same clamp as the packet engine)
-// and the shards couple through sim.LPSet windows.
-func newFlow(cfg Config) *Cluster {
-	k := sim.New(cfg.Seed)
-	tp := topo.Build(cfg.Topo, len(cfg.Specs))
-	c := &Cluster{
-		K: k, Costs: cfg.Costs, Topo: tp,
-		Engine: EngineFlow, flowSpecs: cfg.Specs,
-		reqLPs: normLPs(cfg.LPs), key: keyOf(cfg),
-	}
-	c.LPs = 1
-	if c.reqLPs > 1 {
-		c.pmap, c.LPs = tp.Partition(c.reqLPs)
-		if c.LPs == 1 {
-			c.pmap = nil
-		}
-	}
-	c.Ks = make([]*sim.Kernel, c.LPs)
-	c.Ks[0] = k
-	for i := 1; i < c.LPs; i++ {
-		c.Ks[i] = sim.New(lpSeed(cfg.Seed, i))
-	}
-	cms := model.SharedCostModels(cfg.Specs, cfg.Costs)
-	m := flow.NewMachines(c.Ks, c.pmap, tp, cms, cfg.Costs)
+// million nodes. The machine is sharded over the cluster's LPs (the
+// same pod partition as the packet engine) and the shards couple
+// through sim.LPSet windows.
+func (c *Cluster) buildFlow(cfg Config, cms []model.CostModel) {
+	c.flowSpecs = cfg.Specs
+	m := flow.NewMachines(c.Ks, c.pmap, c.Topo, cms, cfg.Costs)
 	if err := m.SetFaults(cfg.Fault); err != nil {
 		panic("cluster: " + err.Error())
 	}
 	c.FlowM = m
-	if c.LPs > 1 {
-		par := m.Par()
-		c.lpset = sim.NewLPSet(c.Ks, par.Lookahead(), par.Exchange)
-	}
-	return c
-}
-
-// resetFlow is Reset for a flow cluster: same shape checks, then kernel
-// and machine state back to just-built under the new seed and faults.
-func (c *Cluster) resetFlow(cfg Config) {
-	if len(cfg.Specs) != len(c.flowSpecs) {
-		panic(fmt.Sprintf("cluster: Reset with %d specs on a %d-node cluster", len(cfg.Specs), len(c.flowSpecs)))
-	}
-	if cfg.Costs != c.Costs {
-		panic("cluster: Reset with different costs")
-	}
-	if cfg.Topo.Norm() != c.Topo.Spec() {
-		panic(fmt.Sprintf("cluster: Reset with topology %v on a %v cluster", cfg.Topo, c.Topo.Spec()))
-	}
-	if normLPs(cfg.LPs) != c.reqLPs {
-		panic(fmt.Sprintf("cluster: Reset with %d LPs on a %d-LP cluster",
-			normLPs(cfg.LPs), c.reqLPs))
-	}
-	for i, s := range c.flowSpecs {
-		if cfg.Specs[i] != s {
-			panic(fmt.Sprintf("cluster: Reset with different spec for node %d", i))
-		}
-	}
-	for i, k := range c.Ks {
-		k.Reset(lpSeed(cfg.Seed, i))
-	}
-	c.FlowM.Reset()
-	if err := c.FlowM.SetFaults(cfg.Fault); err != nil {
-		panic("cluster: " + err.Error())
-	}
+	par := m.Par()
+	c.lpset = sim.NewLPSet(c.Ks, par.Lookahead(), par.Exchange)
 }
 
 // Size returns the node count, engine-independent.
@@ -118,4 +65,12 @@ func (c *Cluster) Size() int {
 		return len(c.flowSpecs)
 	}
 	return len(c.Nodes)
+}
+
+// spec returns node i's hardware spec, engine-independent.
+func (c *Cluster) spec(i int) model.NodeSpec {
+	if c.Engine == EngineFlow {
+		return c.flowSpecs[i]
+	}
+	return c.Nodes[i].Spec
 }

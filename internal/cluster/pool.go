@@ -98,31 +98,7 @@ func keyOf(cfg Config) poolKey {
 }
 
 // matches reports whether c was built with exactly this shape.
-func (c *Cluster) matches(cfg Config) bool {
-	if cfg.Engine != c.Engine {
-		return false
-	}
-	if len(cfg.Specs) != c.Size() || cfg.Costs != c.Costs || cfg.Topo.Norm() != c.Topo.Spec() {
-		return false
-	}
-	if normLPs(cfg.LPs) != c.reqLPs {
-		return false
-	}
-	if c.Engine == EngineFlow {
-		for i, s := range c.flowSpecs {
-			if cfg.Specs[i] != s {
-				return false
-			}
-		}
-		return true
-	}
-	for i, n := range c.Nodes {
-		if cfg.Specs[i] != n.Spec {
-			return false
-		}
-	}
-	return true
-}
+func (c *Cluster) matches(cfg Config) bool { return c.shapeDiff(cfg) == "" }
 
 // Get returns a cluster for cfg: a pooled one Reset under cfg's seed
 // and fault plan if a matching shape is available, a freshly built one

@@ -56,7 +56,6 @@ type Injector interface {
 
 // Fabric connects n nodes through one switch.
 type Fabric struct {
-	k         *sim.Kernel
 	costs     model.Costs
 	nsPerByte float64 // serialization cost per byte, hoisted from the per-frame path
 	sinks     []func(Frame)
@@ -66,19 +65,19 @@ type Fabric struct {
 
 	// Multi-stage routing, nil for the single crossbar: frames then
 	// traverse topo's routed links, each with its own FIFO egress queue
-	// in linkFree. The crossbar keeps its historical nil-check-free
-	// arithmetic and stays byte-identical.
+	// in linkFree.
 	topo     *topo.Topology
 	linkFree []sim.Time // inter-switch link busy-until, indexed by link id
 
-	// Logical-process partition (SetPartition), nil for the monolithic
-	// fabric. pmap maps node -> LP; shards hold each LP's kernel and its
-	// private counters, pools and cross-LP outbox, so concurrent windows
-	// never write shared fabric state. Link and port occupancy arrays
-	// stay shared but are partitioned by ownership: injectFree[src],
-	// up-links and a cross-route's outbox belong to the source LP;
-	// down-links, ejectFree[dst] and delivery belong to the destination
-	// LP, reached only through the barrier exchange.
+	// Logical-process partition (SetPartition). pmap maps node -> LP; nil
+	// puts every node on shard 0, the one shard New builds. shards hold
+	// each LP's kernel and its private counters, pools and cross-LP
+	// outbox, so concurrent windows never write shared fabric state. Link
+	// and port occupancy arrays stay shared but are partitioned by
+	// ownership: injectFree[src], up-links and a cross-route's outbox
+	// belong to the source LP; down-links, ejectFree[dst] and delivery
+	// belong to the destination LP, reached only through the barrier
+	// exchange.
 	pmap   []int32
 	shards []lpShard
 	xbuf   []xmsg // exchange scratch: all shards' outboxes, merge-sorted
@@ -89,22 +88,11 @@ type Fabric struct {
 	// construction-time property like the topology, surviving Reset.
 	Reown func(payload any, dst int)
 
-	dfree []*delivery // recycled in-flight frame records
-
-	frames       uint64
-	bytes        uint64
-	dropped      uint64
-	duplicated   uint64
-	linkWaits    uint64      // routed frames that blocked on a busy inter-switch link
-	linkWaitTime sim.Time    // total time spent so blocked
-	OnDeliver    func(Frame) // optional trace hook, called at delivery time
+	OnDeliver func(Frame) // optional trace hook, called at delivery time
 	// OnHop observes each inter-switch link occupancy of a routed frame:
 	// the frame holds link for [start, end). Never called on a crossbar.
 	OnHop func(fr Frame, link int32, start, end sim.Time)
 
-	// Inject, when non-nil, is consulted once per Send; the nil path is
-	// allocation-free and byte-identical to a fault-free fabric.
-	Inject Injector
 	// OnDrop observes frames the injector discards, so the owner can
 	// recycle pooled payloads that will never reach a sink.
 	OnDrop func(Frame)
@@ -114,10 +102,10 @@ type Fabric struct {
 	ClonePayload func(any) any
 }
 
-// New builds a fabric for n nodes.
+// New builds a fabric for n nodes, all on one LP shard driven by k.
 func New(k *sim.Kernel, n int, costs model.Costs) *Fabric {
 	return &Fabric{
-		k:          k,
+		shards:     []lpShard{{k: k}},
 		costs:      costs,
 		nsPerByte:  float64(sim.Time(1e9)) / (costs.WireMBps * 1e6),
 		sinks:      make([]func(Frame), n),
@@ -139,11 +127,8 @@ func (f *Fabric) Reset() {
 	for i := range f.linkFree {
 		f.linkFree[i] = 0
 	}
-	f.frames, f.bytes, f.dropped, f.duplicated = 0, 0, 0, 0
-	f.linkWaits, f.linkWaitTime = 0, 0
 	f.OnDeliver = nil
 	f.OnHop = nil
-	f.Inject = nil
 	f.OnDrop = nil
 	f.ClonePayload = nil
 	for i := range f.shards {
@@ -196,7 +181,6 @@ func (f *Fabric) Hops(src, dst int) int {
 // how many link occupancies had to wait for a busy link and the total
 // time so spent. Both zero on the crossbar.
 func (f *Fabric) TopoStats() (waits uint64, waitTime sim.Time) {
-	waits, waitTime = f.linkWaits, f.linkWaitTime
 	for i := range f.shards {
 		waits += f.shards[i].linkWaits
 		waitTime += f.shards[i].linkWaitTime
@@ -207,7 +191,7 @@ func (f *Fabric) TopoStats() (waits uint64, waitTime sim.Time) {
 // delivery is one frame in flight: a pooled sim.Runner, so scheduling a
 // delivery allocates nothing in steady state (the old closure-per-frame
 // was two heap allocations: the closure and the escaped frame). sh is
-// the owning LP shard on a partitioned fabric, nil monolithic.
+// the destination's LP shard, whose pool the record returns to.
 type delivery struct {
 	f  *Fabric
 	sh *lpShard
@@ -220,11 +204,7 @@ func (d *delivery) RunEvent() {
 	// Recycle before invoking the sink: the sink may send a new frame,
 	// which can then reuse this record.
 	d.fr = Frame{}
-	if d.sh != nil {
-		d.sh.dfree = append(d.sh.dfree, d)
-	} else {
-		f.dfree = append(f.dfree, d)
-	}
+	d.sh.dfree = append(d.sh.dfree, d)
 	if f.OnDeliver != nil {
 		f.OnDeliver(fr)
 	}
@@ -238,16 +218,17 @@ func (d *delivery) RunEvent() {
 // Exchange / Stats) between windows.
 type lpShard struct {
 	k      *sim.Kernel
-	inject Injector
+	lp     int32    // this shard's index, the merge key's middle term
+	inject Injector // consulted once per Send when non-nil
 
 	frames       uint64
 	bytes        uint64
 	dropped      uint64
 	duplicated   uint64
-	linkWaits    uint64
-	linkWaitTime sim.Time
+	linkWaits    uint64   // routed frames that blocked on a busy inter-switch link
+	linkWaitTime sim.Time // total time spent so blocked
 
-	dfree  []*delivery
+	dfree  []*delivery // recycled in-flight frame records
 	cfree  []*crossing
 	outbox []xmsg
 	seq    uint64 // per-shard cross-LP send counter, part of the merge key
@@ -269,8 +250,8 @@ type xmsg struct {
 
 // crossing resumes a cross-LP frame on its destination LP: a pooled
 // Runner scheduled at the handoff time, which walks the down-links and
-// charges the ejection port exactly as the monolithic traverse would
-// have at that same instant.
+// charges the ejection port exactly as an intra-LP walk would have at
+// that same instant.
 type crossing struct {
 	f     *Fabric
 	sh    *lpShard // destination shard
@@ -287,23 +268,9 @@ func (c *crossing) RunEvent() {
 	c.fr = Frame{}
 	sh.cfree = append(sh.cfree, c)
 
-	head := sh.k.Now()
 	var p topo.Path
 	f.topo.Route(fr.Src, fr.Dst, &p)
-	for i := p.N / 2; i < p.N; i++ {
-		li := p.Links[i]
-		if free := f.linkFree[li]; free > head {
-			sh.linkWaits++
-			sh.linkWaitTime += free - head
-			head = free
-		}
-		end := head + ser
-		f.linkFree[li] = end
-		if f.OnHop != nil {
-			f.OnHop(fr, li, head, end)
-		}
-		head += f.costs.WireProp + f.costs.SwitchHop
-	}
+	head := f.walk(sh, fr, &p, p.N/2, p.N, sh.k.Now(), ser)
 	f.finishEject(sh, fr, head, ser, extra)
 }
 
@@ -324,11 +291,22 @@ func (f *Fabric) serialize(n int) sim.Time {
 	return sim.Time(f.nsPerByte * float64(n))
 }
 
+// lpOf returns the LP shard that owns node.
+func (f *Fabric) lpOf(node int) int32 {
+	if f.pmap == nil {
+		return 0
+	}
+	return f.pmap[node]
+}
+
 // Send injects a frame. Delivery is scheduled for
 // max(now, injection-link free) + serialization + propagation + switch
 // hop, further delayed if the destination's ejection link is busy: the
 // frame's head waits for the link, then the frame serializes onto it,
 // so N senders to one node contend for the ejection link's bandwidth.
+// All state Send mutates is either owned by the source LP (injection
+// link, up-links, shard counters) or reached through the handoff
+// (everything at the destination).
 func (f *Fabric) Send(frame Frame) {
 	if frame.Src < 0 || frame.Src >= len(f.sinks) || frame.Dst < 0 || frame.Dst >= len(f.sinks) {
 		panic(fmt.Sprintf("fabric: bad route %d -> %d", frame.Src, frame.Dst))
@@ -336,11 +314,8 @@ func (f *Fabric) Send(frame Frame) {
 	if f.sinks[frame.Dst] == nil {
 		panic(fmt.Sprintf("fabric: node %d not connected", frame.Dst))
 	}
-	if f.pmap != nil {
-		f.sendLP(frame)
-		return
-	}
-	now := f.k.Now()
+	sh := &f.shards[f.lpOf(frame.Src)]
+	now := sh.k.Now()
 	frame.SentAt = now
 
 	depart := now
@@ -351,85 +326,77 @@ func (f *Fabric) Send(frame Frame) {
 	depart += ser
 	f.injectFree[frame.Src] = depart
 
-	f.frames++
-	f.bytes += uint64(frame.Size)
+	sh.frames++
+	sh.bytes += uint64(frame.Size)
 
-	if f.Inject != nil {
-		v := f.Inject.Judge(frame.Src, frame.Dst)
+	var v Verdict
+	if sh.inject != nil {
+		v = sh.inject.Judge(frame.Src, frame.Dst)
 		if v.Drop {
 			// The frame occupied the injection link but dies in the
 			// switch: no ejection occupancy, no delivery.
-			f.dropped++
+			sh.dropped++
 			if f.OnDrop != nil {
 				f.OnDrop(frame)
 			}
 			return
 		}
-		f.eject(frame, now, depart, ser, v.Delay)
-		if v.Dup {
-			dup := frame
-			if f.ClonePayload != nil {
-				dup.Payload = f.ClonePayload(frame.Payload)
-			}
-			f.duplicated++
-			f.eject(dup, now, depart, ser, v.Delay)
-		}
-		return
 	}
-	f.eject(frame, now, depart, ser, 0)
+	f.eject(sh, frame, depart, ser, v.Delay)
+	if v.Dup {
+		dup := frame
+		if f.ClonePayload != nil {
+			dup.Payload = f.ClonePayload(frame.Payload)
+		}
+		sh.duplicated++
+		f.eject(sh, dup, depart, ser, v.Delay)
+	}
 }
 
-// eject charges the destination's ejection link and schedules delivery.
-// The frame's head reaches the link ser before its injection finished,
-// plus propagation and one switch hop (zero on loopback); it then waits
-// for the link to free and serializes onto it. For an uncontended flow
-// this reduces to the classic depart + prop + hop arrival. extra delays
-// delivery without holding the link, so later frames can overtake.
-func (f *Fabric) eject(frame Frame, now, depart, ser, extra sim.Time) {
+// eject walks the frame's head as far as the source LP owns it. The
+// head reaches the switch ser before its injection finished, plus the
+// host cable's propagation and one switch hop (zero on loopback); on a
+// routed topology it then walks the inter-switch links. An intra-LP
+// frame goes on to the ejection link; a cross-LP frame walks only its
+// up-links (source-pod property) and parks in the shard outbox at the
+// instant its head would enter the first down-link, to be resumed on
+// the destination LP at that time via Exchange.
+func (f *Fabric) eject(sh *lpShard, frame Frame, depart, ser, extra sim.Time) {
 	head := depart - ser
 	if frame.Src != frame.Dst {
+		head += f.costs.WireProp + f.costs.SwitchHop
 		if f.topo != nil {
-			head = f.traverse(frame, head, ser)
-		} else {
-			head += f.costs.WireProp + f.costs.SwitchHop
+			var p topo.Path
+			f.topo.Route(frame.Src, frame.Dst, &p)
+			if f.lpOf(frame.Dst) != sh.lp {
+				head = f.walk(sh, frame, &p, 0, p.N/2, head, ser)
+				sh.outbox = append(sh.outbox, xmsg{t: head, fr: frame, ser: ser,
+					extra: extra, lp: sh.lp, seq: sh.seq})
+				sh.seq++
+				return
+			}
+			head = f.walk(sh, frame, &p, 0, p.N, head, ser)
 		}
 	}
-	if f.ejectFree[frame.Dst] > head {
-		head = f.ejectFree[frame.Dst]
-	}
-	arrive := head + ser
-	f.ejectFree[frame.Dst] = arrive
-
-	var dl *delivery
-	if n := len(f.dfree); n > 0 {
-		dl = f.dfree[n-1]
-		f.dfree[n-1] = nil
-		f.dfree = f.dfree[:n-1]
-	} else {
-		dl = &delivery{f: f}
-	}
-	dl.fr = frame
-	f.k.AfterRunner(arrive+extra-now, dl)
+	f.finishEject(sh, frame, head, ser, extra)
 }
 
-// traverse walks the frame's head through the routed inter-switch
-// links. Each link is an egress port with a FIFO queue: the head waits
-// until the link frees, holds it for one serialization (cut-through —
-// the tail streams behind the head, so a switch forwards after one
-// header, not one full frame), and pays cable propagation plus a
-// crossbar stage per crossing. The first hop (host cable into the leaf
-// switch) has no shared queue — the injection link already serialized
-// it — so it only pays latency. With zero routed links this reduces
-// exactly to the crossbar's prop + hop charge.
-func (f *Fabric) traverse(frame Frame, head, ser sim.Time) sim.Time {
-	head += f.costs.WireProp + f.costs.SwitchHop
-	var p topo.Path
-	f.topo.Route(frame.Src, frame.Dst, &p)
-	for i := 0; i < p.N; i++ {
+// walk moves the frame's head through routed links p.Links[lo:hi],
+// all owned by sh's LP, and returns the head's time past the last one.
+// Each link is an egress port with a FIFO queue: the head waits until
+// the link frees, holds it for one serialization (cut-through — the
+// tail streams behind the head, so a switch forwards after one header,
+// not one full frame), and pays cable propagation plus a crossbar stage
+// per crossing. The host cable into the leaf switch is not in p — the
+// injection link already serialized it — so eject charges only its
+// latency. With zero routed links this reduces exactly to the
+// crossbar's prop + hop charge.
+func (f *Fabric) walk(sh *lpShard, frame Frame, p *topo.Path, lo, hi int, head, ser sim.Time) sim.Time {
+	for i := lo; i < hi; i++ {
 		li := p.Links[i]
 		if free := f.linkFree[li]; free > head {
-			f.linkWaits++
-			f.linkWaitTime += free - head
+			sh.linkWaits++
+			sh.linkWaitTime += free - head
 			head = free
 		}
 		end := head + ser
@@ -443,9 +410,9 @@ func (f *Fabric) traverse(frame Frame, head, ser sim.Time) sim.Time {
 }
 
 // SetPartition installs a logical-process partition: pmap maps each
-// node to an LP in [0, len(ks)), and ks[i] is LP i's kernel. A
-// single-kernel (or nil) partition restores the monolithic path.
-// Partitioning requires a routed topology whose pod boundaries pmap
+// node to an LP in [0, len(ks)), and ks[i] is LP i's kernel. With one
+// kernel pmap may be nil: every node is on LP 0, as New leaves it. More
+// than one LP requires a routed topology whose pod boundaries pmap
 // follows (see topo.Partition): the conservative handoff relies on
 // every inter-LP route crossing the full climb, so its up-links belong
 // to the source pod and its down-links to the destination pod. The
@@ -453,29 +420,26 @@ func (f *Fabric) traverse(frame Frame, head, ser sim.Time) sim.Time {
 // hooks (OnDeliver, OnHop) fire on LP goroutines when partitioned; they
 // are meant for single-LP diagnostics.
 func (f *Fabric) SetPartition(pmap []int32, ks []*sim.Kernel) {
-	if len(ks) <= 1 {
-		f.pmap = nil
-		f.shards = nil
-		return
-	}
-	if f.topo == nil {
+	if len(ks) > 1 && f.topo == nil {
 		panic("fabric: partition requires a routed topology")
 	}
-	if len(pmap) != len(f.sinks) {
-		panic(fmt.Sprintf("fabric: partition map for %d nodes on a %d-node fabric",
-			len(pmap), len(f.sinks)))
+	if len(pmap) != len(f.sinks) && (pmap != nil || len(ks) != 1) {
+		panic(fmt.Sprintf("fabric: partition map for %d nodes over %d LPs on a %d-node fabric",
+			len(pmap), len(ks), len(f.sinks)))
 	}
 	f.pmap = pmap
 	f.shards = make([]lpShard, len(ks))
 	for i := range f.shards {
-		f.shards[i].k = ks[i]
+		f.shards[i].k, f.shards[i].lp = ks[i], int32(i)
 	}
 }
 
-// SetInjectors installs one fault injector per LP shard. A partitioned
-// fabric must not share one injector: Judge mutates stream state, and
-// every send on a link (src, dst) originates on LP(src), so a per-LP
-// plan still sees each link's complete frame sequence in order.
+// SetInjectors installs one fault injector per LP shard; a nil entry
+// leaves that shard's sends unjudged, allocation-free and byte-identical
+// to a fault-free fabric. Shards must not share one injector: Judge
+// mutates stream state, and every send on a link (src, dst) originates
+// on LP(src), so a per-LP plan still sees each link's complete frame
+// sequence in order.
 func (f *Fabric) SetInjectors(injs []Injector) {
 	if len(injs) != len(f.shards) {
 		panic(fmt.Sprintf("fabric: %d injectors for %d LP shards", len(injs), len(f.shards)))
@@ -502,113 +466,6 @@ func (f *Fabric) MaxHops() int {
 		return 1
 	}
 	return 2*(f.topo.Levels()-1) + 1
-}
-
-// sendLP is Send on a partitioned fabric: identical arithmetic, but all
-// mutable state is either owned by the source LP (injection link,
-// up-links, shard counters) or reached through the handoff (everything
-// at the destination).
-func (f *Fabric) sendLP(frame Frame) {
-	sh := &f.shards[f.pmap[frame.Src]]
-	now := sh.k.Now()
-	frame.SentAt = now
-
-	depart := now
-	if f.injectFree[frame.Src] > depart {
-		depart = f.injectFree[frame.Src]
-	}
-	ser := f.serialize(frame.Size)
-	depart += ser
-	f.injectFree[frame.Src] = depart
-
-	sh.frames++
-	sh.bytes += uint64(frame.Size)
-
-	if sh.inject != nil {
-		v := sh.inject.Judge(frame.Src, frame.Dst)
-		if v.Drop {
-			sh.dropped++
-			if f.OnDrop != nil {
-				f.OnDrop(frame)
-			}
-			return
-		}
-		f.ejectLP(sh, frame, depart, ser, v.Delay)
-		if v.Dup {
-			dup := frame
-			if f.ClonePayload != nil {
-				dup.Payload = f.ClonePayload(frame.Payload)
-			}
-			sh.duplicated++
-			f.ejectLP(sh, dup, depart, ser, v.Delay)
-		}
-		return
-	}
-	f.ejectLP(sh, frame, depart, ser, 0)
-}
-
-// ejectLP walks the frame's head as far as the source LP owns it. An
-// intra-LP frame completes exactly like the monolithic path; a cross-LP
-// frame traverses its up-links (source-pod property) and parks in the
-// shard outbox at the instant its head would enter the first down-link,
-// to be resumed on the destination LP at that time via Exchange.
-func (f *Fabric) ejectLP(sh *lpShard, frame Frame, depart, ser, extra sim.Time) {
-	head := depart - ser
-	if frame.Src != frame.Dst {
-		dstLP := f.pmap[frame.Dst]
-		if f.pmap[frame.Src] != dstLP {
-			head += f.costs.WireProp + f.costs.SwitchHop
-			var p topo.Path
-			f.topo.Route(frame.Src, frame.Dst, &p)
-			for i := 0; i < p.N/2; i++ {
-				li := p.Links[i]
-				if free := f.linkFree[li]; free > head {
-					sh.linkWaits++
-					sh.linkWaitTime += free - head
-					head = free
-				}
-				end := head + ser
-				f.linkFree[li] = end
-				if f.OnHop != nil {
-					f.OnHop(frame, li, head, end)
-				}
-				head += f.costs.WireProp + f.costs.SwitchHop
-			}
-			sh.outbox = append(sh.outbox, xmsg{t: head, fr: frame, ser: ser,
-				extra: extra, lp: f.pmap[frame.Src], seq: sh.seq})
-			sh.seq++
-			return
-		}
-		if f.topo != nil {
-			head = f.traverseLP(sh, frame, head, ser)
-		} else {
-			head += f.costs.WireProp + f.costs.SwitchHop
-		}
-	}
-	f.finishEject(sh, frame, head, ser, extra)
-}
-
-// traverseLP is traverse with contention accounting on the shard; every
-// link an intra-LP route touches belongs to this LP's pods.
-func (f *Fabric) traverseLP(sh *lpShard, frame Frame, head, ser sim.Time) sim.Time {
-	head += f.costs.WireProp + f.costs.SwitchHop
-	var p topo.Path
-	f.topo.Route(frame.Src, frame.Dst, &p)
-	for i := 0; i < p.N; i++ {
-		li := p.Links[i]
-		if free := f.linkFree[li]; free > head {
-			sh.linkWaits++
-			sh.linkWaitTime += free - head
-			head = free
-		}
-		end := head + ser
-		f.linkFree[li] = end
-		if f.OnHop != nil {
-			f.OnHop(frame, li, head, end)
-		}
-		head += f.costs.WireProp + f.costs.SwitchHop
-	}
-	return head
 }
 
 // finishEject charges the destination's ejection link and schedules
@@ -682,9 +539,8 @@ func (f *Fabric) Exchange() {
 }
 
 // Stats reports total frames and bytes injected so far, summed across
-// LP shards on a partitioned fabric.
+// LP shards.
 func (f *Fabric) Stats() (frames, bytes uint64) {
-	frames, bytes = f.frames, f.bytes
 	for i := range f.shards {
 		frames += f.shards[i].frames
 		bytes += f.shards[i].bytes
@@ -692,10 +548,9 @@ func (f *Fabric) Stats() (frames, bytes uint64) {
 	return frames, bytes
 }
 
-// FaultStats reports frames the injector dropped or duplicated, summed
-// across LP shards on a partitioned fabric.
+// FaultStats reports frames the injectors dropped or duplicated, summed
+// across LP shards.
 func (f *Fabric) FaultStats() (dropped, duplicated uint64) {
-	dropped, duplicated = f.dropped, f.duplicated
 	for i := range f.shards {
 		dropped += f.shards[i].dropped
 		duplicated += f.shards[i].duplicated

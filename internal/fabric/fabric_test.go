@@ -200,7 +200,7 @@ func (s *scriptInj) Judge(src, dst int) Verdict {
 
 func TestInjectorDrop(t *testing.T) {
 	k, f, got := build(2)
-	f.Inject = &scriptInj{verdicts: []Verdict{{Drop: true}, {}}}
+	f.SetInjectors([]Injector{&scriptInj{verdicts: []Verdict{{Drop: true}, {}}}})
 	var droppedPayload any
 	f.OnDrop = func(fr Frame) { droppedPayload = fr.Payload }
 	k.After(0, func() {
@@ -221,7 +221,7 @@ func TestInjectorDrop(t *testing.T) {
 
 func TestInjectorDupClonesPayload(t *testing.T) {
 	k, f, got := build(2)
-	f.Inject = &scriptInj{verdicts: []Verdict{{Dup: true}}}
+	f.SetInjectors([]Injector{&scriptInj{verdicts: []Verdict{{Dup: true}}}})
 	f.ClonePayload = func(p any) any { return p.(int) + 100 }
 	k.After(0, func() {
 		f.Send(Frame{Src: 0, Dst: 1, Size: 100, Payload: 1})
@@ -242,7 +242,7 @@ func TestInjectorDupClonesPayload(t *testing.T) {
 // holding the ejection link, so a later clean frame overtakes.
 func TestInjectorDelayAllowsOvertake(t *testing.T) {
 	k, f, got := build(2)
-	f.Inject = &scriptInj{verdicts: []Verdict{{Delay: 50 * us}, {}}}
+	f.SetInjectors([]Injector{&scriptInj{verdicts: []Verdict{{Delay: 50 * us}, {}}}})
 	k.After(0, func() {
 		f.Send(Frame{Src: 0, Dst: 1, Size: 100, Payload: 1})
 		f.Send(Frame{Src: 0, Dst: 1, Size: 100, Payload: 2})

@@ -54,8 +54,9 @@ type Config struct {
 }
 
 // Enabled reports whether the config injects any fault at all — the
-// cluster leaves fabric.Inject nil (the allocation-free, byte-identical
-// fast path) when it returns false.
+// cluster installs no injectors (fabric.SetInjectors), leaving every
+// shard's Send allocation-free and byte-identical to a fault-free
+// fabric, when it returns false.
 func (c Config) Enabled() bool {
 	if c.Rule != (Rule{}) || len(c.Scripts) > 0 {
 		return true

@@ -32,7 +32,7 @@ const HeaderBytes = 48
 // future (host chains extend past the current event) but never in the
 // past.
 type Machine struct {
-	K   *sim.Kernel // shard 0's kernel (the only one when monolithic)
+	K   *sim.Kernel // shard 0's kernel (the only one on a 1-LP machine)
 	Net *Net        // shard 0's net
 	CMs []model.CostModel
 
@@ -66,9 +66,9 @@ type Machine struct {
 
 	ks   []*sim.Kernel
 	nets []*Net
-	pmap []int32 // host -> owning LP, nil when monolithic
+	pmap []int32 // host -> owning LP, nil when every host is on LP 0
 	sh   []mshard
-	par  *Par // nil when monolithic
+	par  *Par
 }
 
 // mshard is one LP's mutable scalars and event pools; indexed by the
@@ -95,7 +95,7 @@ func NewMachine(k *sim.Kernel, t *topo.Topology, cms []model.CostModel, c model.
 
 // NewMachines builds the per-node layer LP-partitioned over one kernel
 // per shard, with pmap assigning each rank to a shard (topo.Partition).
-// A single kernel with a nil pmap is the monolithic engine.
+// A single kernel with a nil pmap is the 1-LP partition.
 func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.CostModel, c model.Costs) *Machine {
 	n := len(cms)
 	m := &Machine{
@@ -118,8 +118,8 @@ func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.C
 	m.Net = m.nets[0]
 	if len(ks) > 1 {
 		m.pmap = pmap
-		m.par = NewPar(m.nets)
 	}
+	m.par = NewPar(m.nets)
 	return m
 }
 
@@ -134,11 +134,10 @@ func (m *Machine) lpr(r int32) int32 {
 // LP returns the logical process rank r's events run on.
 func (m *Machine) LP(r int) int { return int(m.lpr(int32(r))) }
 
-// LPs returns the shard count (1 when monolithic).
+// LPs returns the shard count.
 func (m *Machine) LPs() int { return len(m.ks) }
 
-// Par returns the window-barrier coupling for sim.LPSet, nil when
-// monolithic.
+// Par returns the window-barrier coupling for sim.LPSet.
 func (m *Machine) Par() *Par { return m.par }
 
 // SetFaults installs the flow engine's degraded loss model from a fault

@@ -188,6 +188,7 @@ func NewNet(k *sim.Kernel, t *topo.Topology, n int, c model.Costs) *Net {
 	}
 	nt.capBns = c.WireMBps * 1e6 / 1e9
 	nt.hopLat = c.WireProp + c.SwitchHop
+	nt.la = 2 * nt.hopLat
 	nt.head = make([]int32, nlinks)
 	for i := range nt.head {
 		nt.head[i] = -1

@@ -262,7 +262,7 @@ func NewNets(ks []*sim.Kernel, pmap []int32, t *topo.Topology, n int, c model.Co
 			nts[i] = &Net{
 				K: ks[i], T: b.T,
 				n: b.n, base: b.base, capBns: b.capBns,
-				hopLat: b.hopLat, maxRoute: b.maxRoute,
+				hopLat: b.hopLat, la: b.la, maxRoute: b.maxRoute,
 				head: b.head, nf: b.nf, lmark: b.lmark, lslot: b.lslot,
 			}
 		}
@@ -272,7 +272,6 @@ func NewNets(ks []*sim.Kernel, pmap []int32, t *topo.Topology, n int, c model.Co
 		nt.pmap = pmap
 		nt.lpOf = lpOf
 		nt.peers = nts
-		nt.la = 2 * b.hopLat
 		nt.stubs = make(map[xkey]int32)
 	}
 	return nts

@@ -226,35 +226,28 @@ func NewNIC(k *sim.Kernel, node int, cm model.CostModel, fab *fabric.Fabric) *NI
 // NewNICs creates the NICs of a whole cluster as one slab: one backing
 // allocation for all N NIC structs (queues, conditions and control
 // daemons are embedded by value) instead of N separate ones, which both
-// speeds construction and keeps per-node state contiguous.
-func NewNICs(k *sim.Kernel, cms []model.CostModel, fab *fabric.Fabric) []*NIC {
+// speeds construction and keeps per-node state contiguous. Each NIC
+// runs on the kernel of its node's logical process (ks[pmap[i]]; a nil
+// pmap puts every NIC on ks[0]), so its control program, queues and
+// reliability daemon all live where the node's events execute.
+func NewNICs(ks []*sim.Kernel, pmap []int32, cms []model.CostModel, fab *fabric.Fabric) []*NIC {
 	slab := make([]NIC, len(cms))
 	nics := make([]*NIC, len(cms))
 	for i := range slab {
+		k := ks[0]
+		if pmap != nil {
+			k = ks[pmap[i]]
+		}
 		slab[i].init(k, i, cms[i], fab)
 		nics[i] = &slab[i]
 	}
 	return nics
 }
 
-// NewNICsPart is NewNICs for a partitioned cluster: one slab, but each
-// NIC runs on the kernel of its node's logical process (ks[pmap[i]]),
-// so its control program, queues and reliability daemon all live where
-// the node's events execute.
-func NewNICsPart(ks []*sim.Kernel, pmap []int32, cms []model.CostModel, fab *fabric.Fabric) []*NIC {
-	slab := make([]NIC, len(cms))
-	nics := make([]*NIC, len(cms))
-	for i := range slab {
-		slab[i].init(ks[pmap[i]], i, cms[i], fab)
-		nics[i] = &slab[i]
-	}
-	return nics
-}
-
-// ReownHook returns the fabric Reown hook for a partitioned cluster:
-// a pooled packet crossing LPs is transferred to its destination's NIC
-// pool, so PutPacket at the consumer never touches a pool owned by
-// another LP. Literal (unpooled) packets pass through untouched.
+// ReownHook returns the fabric Reown hook: a pooled packet crossing LPs
+// is transferred to its destination's NIC pool, so PutPacket at the
+// consumer never touches a pool owned by another LP. Literal (unpooled)
+// packets pass through untouched.
 func ReownHook(nics []*NIC) func(payload any, dst int) {
 	return func(payload any, dst int) {
 		if pkt, ok := payload.(*Packet); ok && pkt.owner != nil {

@@ -16,7 +16,7 @@ func lossyPair(seed int64, cfg fault.Config) (*sim.Kernel, *NIC, *NIC) {
 	costs := model.DefaultCosts()
 	fab := fabric.New(k, 2, costs)
 	if plan := fault.New(cfg); plan != nil {
-		fab.Inject = plan
+		fab.SetInjectors([]fabric.Injector{plan})
 		fab.OnDrop, fab.ClonePayload = FaultHooks()
 	}
 	cm := model.NewCostModel(model.Uniform(1)[0], costs)

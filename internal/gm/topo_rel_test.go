@@ -19,7 +19,7 @@ func lossyFatTree(n int, spec topo.Spec, seed int64, cfg fault.Config) (*sim.Ker
 	fab := fabric.New(k, n, costs)
 	fab.SetTopology(topo.Build(spec, n))
 	if plan := fault.New(cfg); plan != nil {
-		fab.Inject = plan
+		fab.SetInjectors([]fabric.Injector{plan})
 		fab.OnDrop, fab.ClonePayload = FaultHooks()
 	}
 	cm := model.NewCostModel(model.Uniform(1)[0], costs)

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -67,8 +70,24 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
+// sealLen is the length of a disk entry's integrity footer.
+const sealLen = 1 + 2*sha256.Size
+
+// seal returns the footer Put appends to a disk entry: a newline and
+// the hex SHA-256 of key ‖ body. It binds the bytes to the key they
+// were stored under, so a truncated or damaged file, or one copied
+// under another key, does not verify.
+func seal(key string, body []byte) []byte {
+	h := sha256.New()
+	h.Write([]byte(key))
+	h.Write(body)
+	return hex.AppendEncode([]byte{'\n'}, h.Sum(nil))
+}
+
 // Get returns the cached body for key. Memory first; on a miss the
-// disk store is consulted and a hit is promoted into memory.
+// disk store is consulted and a hit is promoted into memory. A disk
+// entry whose footer does not verify is removed and counts as a miss,
+// so the scenario recomputes instead of serving damaged bytes.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if e, ok := c.byKey[key]; ok {
@@ -80,12 +99,18 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	}
 	c.mu.Unlock()
 	if c.dir != "" && keyPat.MatchString(key) {
-		if body, err := os.ReadFile(c.path(key)); err == nil {
-			c.mu.Lock()
-			c.diskHits++
-			c.insert(key, body)
-			c.mu.Unlock()
-			return body, true
+		if data, err := os.ReadFile(c.path(key)); err == nil {
+			if n := len(data) - sealLen; n >= 0 && bytes.Equal(data[n:], seal(key, data[:n])) {
+				body := data[:n:n]
+				c.mu.Lock()
+				c.diskHits++
+				c.insert(key, body)
+				c.mu.Unlock()
+				return body, true
+			}
+			// Best-effort: a file that cannot be removed is rejected
+			// again on the next lookup, or replaced by the next Put.
+			_ = os.Remove(c.path(key))
 		}
 	}
 	c.mu.Lock()
@@ -111,9 +136,9 @@ func (c *Cache) insert(key string, body []byte) {
 	}
 }
 
-// Put stores a computed body. The disk write is atomic (tmp + rename)
-// and best-effort: a full disk degrades the store to memory-only
-// rather than failing the request.
+// Put stores a computed body. The disk write (body plus its seal) is
+// atomic (tmp + rename) and best-effort: a full disk degrades the store
+// to memory-only rather than failing the request.
 func (c *Cache) Put(key string, body []byte) {
 	c.mu.Lock()
 	c.puts++
@@ -121,7 +146,8 @@ func (c *Cache) Put(key string, body []byte) {
 	c.mu.Unlock()
 	if c.dir != "" && keyPat.MatchString(key) {
 		tmp := c.path(key) + ".tmp"
-		if err := os.WriteFile(tmp, body, 0o644); err == nil {
+		data := append(body[:len(body):len(body)], seal(key, body)...)
+		if err := os.WriteFile(tmp, data, 0o644); err == nil {
 			_ = os.Rename(tmp, c.path(key))
 		}
 	}

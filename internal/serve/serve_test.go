@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -283,32 +285,78 @@ func TestFlowScenario(t *testing.T) {
 	}
 }
 
+// TestDiskCache: a fresh server over a populated cache directory
+// answers an intact entry from disk, byte-identically and without
+// re-simulating; an entry that was truncated, or copied under another
+// key, is detected, removed and recomputed instead of being served.
 func TestDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	s1 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
-	w1 := post(t, s1.Handler(), smallSpec)
-	if w1.Code != http.StatusOK {
-		t.Fatalf("status %d", w1.Code)
-	}
+	const otherSpec = `{"nodes":8,"cluster":"uniform","iters":4,"minreps":2,"maxreps":3,"seed":7}`
+	for _, tc := range []struct {
+		name string
+		// damage edits the stored entry of smallSpec (file) given the
+		// intact entry of otherSpec; nil leaves the store as written.
+		damage func(t *testing.T, file, other string)
+	}{
+		{"intact", nil},
+		{"truncated", func(t *testing.T, file, _ string) {
+			st, err := os.Stat(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(file, st.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"wrong-key", func(t *testing.T, file, other string) {
+			b, err := os.ReadFile(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+			w1 := post(t, s1.Handler(), smallSpec)
+			wo := post(t, s1.Handler(), otherSpec)
+			if w1.Code != http.StatusOK || wo.Code != http.StatusOK {
+				t.Fatalf("status %d, %d", w1.Code, wo.Code)
+			}
+			file := filepath.Join(dir, w1.Header().Get("X-Scenario-Key")+".json")
+			wantCache, wantRuns, want := "hit", uint64(0), CacheStats{DiskHits: 1, Entries: 1}
+			if tc.damage != nil {
+				tc.damage(t, file, filepath.Join(dir, wo.Header().Get("X-Scenario-Key")+".json"))
+				wantCache, wantRuns, want = "miss", 1, CacheStats{Misses: 1, Entries: 1, Puts: 1}
+			}
 
-	// A fresh server over the same directory answers from disk without
-	// re-simulating, byte-identically.
-	s2 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
-	w2 := post(t, s2.Handler(), smallSpec)
-	if w2.Code != http.StatusOK {
-		t.Fatalf("status %d", w2.Code)
-	}
-	if got := w2.Header().Get("X-Cache"); got != "hit" {
-		t.Fatalf("X-Cache = %q, want hit (from disk)", got)
-	}
-	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
-		t.Fatalf("disk-cached body differs")
-	}
-	if s2.runs.Load() != 0 {
-		t.Fatalf("second server re-simulated")
-	}
-	if st := s2.cache.Stats(); st.DiskHits != 1 {
-		t.Fatalf("disk hits = %d, want 1 (%+v)", st.DiskHits, st)
+			s2 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+			w2 := post(t, s2.Handler(), smallSpec)
+			if w2.Code != http.StatusOK {
+				t.Fatalf("status %d", w2.Code)
+			}
+			if got := w2.Header().Get("X-Cache"); got != wantCache {
+				t.Errorf("X-Cache = %q, want %q", got, wantCache)
+			}
+			if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
+				t.Errorf("body after restart differs from the computed one")
+			}
+			if got := s2.runs.Load(); got != wantRuns {
+				t.Errorf("second server ran %d scenarios, want %d", got, wantRuns)
+			}
+			if st := s2.cache.Stats(); st != want {
+				t.Errorf("cache stats %+v, want %+v", st, want)
+			}
+
+			// Whatever the first lookup found, the store now holds an
+			// intact entry again: a third server answers from disk.
+			s3 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+			if got := post(t, s3.Handler(), smallSpec).Header().Get("X-Cache"); got != "hit" {
+				t.Errorf("after repair X-Cache = %q, want hit", got)
+			}
+		})
 	}
 }
 
