@@ -43,10 +43,13 @@ profile:
 		-cpuprofile abscale.cpu.pprof -memprofile abscale.mem.pprof
 	@echo "wrote abscale.cpu.pprof and abscale.mem.pprof"
 
-# The kernel throughput benchmark alone (Go benchmark form).
+# The kernel throughput benchmark alone (Go benchmark form), then the
+# process-park microbenchmarks of internal/sim at 1 and 2 Ps: a switch
+# that took a round trip through the Go scheduler would read slower at 2.
 .PHONY: bench-kernel
 bench-kernel:
 	go test ./internal/bench -run '^$$' -bench BenchmarkKernelEventsPerSec -benchtime 3x -count 1
+	go test ./internal/sim -run '^$$' -bench 'BenchmarkProc(Switch|SelfResume)' -cpu 1,2 -count 1
 
 # Run the scenario service locally (POST specs to :8080/run).
 .PHONY: serve

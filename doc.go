@@ -24,7 +24,7 @@
 //		r.Barrier()
 //	})
 //
-// Everything runs in virtual time: Run executes one goroutine per rank
+// Everything runs in virtual time: Run executes one coroutine per rank
 // under a strict one-at-a-time scheduler, so results (including every
 // reported duration) are bit-for-bit reproducible for a given seed.
 package abred

@@ -1,3 +1,3 @@
 module abred
 
-go 1.22
+go 1.23

@@ -1,13 +1,12 @@
 package sim
 
-// Daemon is a goroutine-free simulated service: a state machine whose
-// step function runs in scheduler context each time the daemon becomes
-// runnable. It replaces the Spawn-a-goroutine pattern for always-on
+// Daemon is a stackless simulated service: a state machine whose step
+// function runs in scheduler context each time the daemon becomes
+// runnable. It replaces the Spawn-a-process pattern for always-on
 // background services (NIC control programs above all), where the
-// goroutine's only job was to park on a work queue: a callback daemon
-// costs no goroutine, no resume/parked channel pair, and no context
-// switches — at N nodes that removes N goroutines and two switches per
-// serviced work item.
+// process's only job was to park on a work queue: a callback daemon
+// costs no coroutine, no stack, and no context switches — at N nodes
+// that removes N stacks and two switches per serviced work item.
 //
 // Contract: the step function must not park (it has no process). It is
 // invoked when a Wake or Sleep event fires, drains whatever work it

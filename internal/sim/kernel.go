@@ -1,17 +1,19 @@
 // Package sim implements a deterministic discrete-event simulation kernel
 // with coroutine-style processes.
 //
-// A Kernel owns a virtual clock and an event queue. Simulated processes
-// (Proc) run in their own goroutines, but the kernel resumes exactly one
-// process at a time: a process runs until it parks on a virtual-time event
-// (Sleep, Queue.Get, Cond.Wait, ...), then control returns to the scheduler.
-// Background services that never need to park mid-computation are better
-// served by callback Daemons, which run entirely in scheduler context with
-// no goroutine at all. Combined with seeded random number streams this
-// makes entire cluster simulations bit-for-bit reproducible, independent
-// of GOMAXPROCS or OS scheduling.
+// A Kernel owns a virtual clock and an event queue. Each simulated process
+// (Proc) is a runtime coroutine (iter.Pull) with its own stack, and the
+// kernel resumes exactly one at a time: a process runs until it parks on a
+// virtual-time event (Sleep, Queue.Get, Cond.Wait, ...), then control
+// returns to the scheduler. Switching between processes is a direct
+// coroutine switch on the calling OS thread; the Go scheduler's run queue
+// is never involved. Background services that never need to park
+// mid-computation are better served by callback Daemons, which run
+// entirely in scheduler context with no stack of their own. Combined with
+// seeded random number streams this makes entire cluster simulations
+// bit-for-bit reproducible, independent of GOMAXPROCS or OS scheduling.
 //
-// All sim API calls must be made either from a running Proc's goroutine or
+// All sim API calls must be made either from a running Proc's body or
 // from a closure scheduled with Kernel.After; the kernel is not safe for
 // use from free-running goroutines. Distinct kernels share nothing, so
 // whole simulations may run concurrently (one kernel per goroutine); the
@@ -20,6 +22,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
@@ -42,16 +45,13 @@ type Kernel struct {
 	nexec     uint64 // events executed since New
 
 	procs   map[int]*Proc
-	pfree   []*Proc // recycled Proc structs and their channel pairs
+	pfree   []*Proc // recycled Proc structs
 	daemons []*Daemon
 	nextID  int
 	running *Proc // proc currently executing, nil while in scheduler
+	nextp   *Proc // proc whose wake fired; the root loop resumes it (see loop)
 	ndCount int   // live non-daemon processes
 	ndEver  bool  // a non-daemon process has existed
-
-	// runDone carries control back to the Run goroutine when the event
-	// loop goes quiet on a process's goroutine (see dispatch/handoff).
-	runDone chan struct{}
 
 	seed    int64
 	rng     *rand.Rand
@@ -77,10 +77,9 @@ type Kernel struct {
 // New returns a kernel whose random streams derive from seed.
 func New(seed int64) *Kernel {
 	return &Kernel{
-		procs:   make(map[int]*Proc),
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
-		runDone: make(chan struct{}),
+		procs: make(map[int]*Proc),
+		seed:  seed,
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -132,48 +131,47 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.nextID++
 	var p *Proc
 	if n := len(k.pfree); n > 0 {
-		// Reuse a finished process's struct and channel pair (the old
-		// goroutine is gone; a fresh one blocks on the same channels).
+		// Reuse a finished process's struct (its coroutine has returned).
 		p = k.pfree[n-1]
 		k.pfree[n-1] = nil
 		k.pfree = k.pfree[:n-1]
-		*p = Proc{k: k, id: k.nextID, name: name,
-			resume: p.resume, parked: p.parked, intr: p.intr[:0]}
+		*p = Proc{k: k, id: k.nextID, name: name, intr: p.intr[:0]}
 	} else {
-		p = &Proc{
-			k:      k,
-			id:     k.nextID,
-			name:   name,
-			resume: make(chan struct{}),
-			parked: make(chan struct{}),
-		}
+		p = &Proc{k: k, id: k.nextID, name: name}
 	}
+	// The coroutine starts at the first next, when the start event below
+	// fires; stop before that ends it without ever calling fn.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	k.procs[p.id] = p
 	k.ndCount++
 	k.ndEver = true
-	go p.run(fn)
 	k.scheduleWake(k.now, p)
 	return p
 }
 
-// releaseProc returns a finished process's struct (and channel pair) to
-// the spawn pool. Pooling is skipped while a wake event is still
-// pending: a stale wake finding the struct reincarnated as a different
-// process would resume it spuriously, so such structs are simply left
-// for the GC. (In practice a process that ran to completion has no
-// pending wake — wakeAt is the sole scheduler of proc events and the
-// wake clears when it fires.)
+// releaseProc returns a finished process's struct to the spawn pool.
+// Pooling is skipped while a wake event is still pending: a stale wake
+// finding the struct reincarnated as a different process would resume it
+// spuriously, so such structs are simply left for the GC. (In practice a
+// process that ran to completion has no pending wake — wakeAt is the sole
+// scheduler of proc events and the wake clears when it fires.)
 func (k *Kernel) releaseProc(p *Proc) {
 	if p.wake.valid() {
 		return
 	}
+	// Drop the coroutine handles: they hold the process body's closure,
+	// which a pooled struct would otherwise pin until its next Spawn.
+	p.next, p.yield, p.stop = nil, nil, nil
 	k.pfree = append(k.pfree, p)
 }
 
-// dispatch outcomes: the loop went quiet (queue drained, Stop, panic
-// captured, or only daemons remain), the calling process's own wake
-// fired (control stays on this goroutine, no switch at all), or another
-// process was resumed over its channel.
+// dispatch outcomes: the loop went quiet (queue drained, horizon reached,
+// Stop, panic captured, or only daemons remain), the calling process's own
+// wake fired (control stays on its stack, no switch at all), or another
+// process's wake fired and k.nextp names it for the root loop to resume.
 const (
 	dispatchQuiet = iota
 	dispatchSelf
@@ -181,18 +179,19 @@ const (
 )
 
 // dispatch runs the event loop until control must leave it. It runs on
-// whichever goroutine currently holds the scheduler token: the Run
-// goroutine at bootstrap, and thereafter the goroutine of each process
-// that parks or finishes. self is the parking process driving the loop
-// (nil from Run or a finished process): when its own wake event fires the
-// loop simply returns, so a Sleep/Spin with no intervening process switch
-// costs no goroutine switch, and handing control to a different process
-// costs one switch where a dedicated scheduler goroutine would cost two.
+// the root loop's stack (self == nil) and on the stack of each process
+// that parks (self == that process): when the parking process's own wake
+// is the next process event the loop simply returns, so a Sleep/Spin with
+// no intervening process switch costs no coroutine switch at all. When
+// another process's wake fires, dispatch records it in k.nextp and
+// returns; the parking process then yields to the root loop, which
+// resumes k.nextp — two coroutine switches, neither through the Go
+// scheduler.
 //
 // A panic in a scheduler-context callback is captured into k.panicked
-// rather than propagated, so it surfaces from Run no matter which
-// goroutine the loop happened to be running on (dispatchQuiet is the
-// zero value the recovery path returns).
+// rather than propagated, so it surfaces from Run no matter which stack
+// the loop happened to be running on (dispatchQuiet is the zero value the
+// recovery path returns).
 func (k *Kernel) dispatch(self *Proc) (res int) {
 	defer func() {
 		if r := recover(); r != nil && k.panicked == nil {
@@ -231,7 +230,7 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 			if p == self {
 				return dispatchSelf
 			}
-			p.resume <- struct{}{}
+			k.nextp = p
 			return dispatchOther
 		case ev.run != nil:
 			r := ev.run
@@ -254,35 +253,35 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 	return dispatchQuiet
 }
 
-// handoff continues the event loop from a process goroutine that is
-// giving up control (park or completion). It reports whether control
-// came straight back to the caller (its own wake was next). If no
-// process can run — queue drained, Stop called, a panic captured, or
-// only daemons remain — it wakes the Run goroutine, which owns the
-// final verdict.
-func (k *Kernel) handoff(self *Proc) bool {
-	if k.panicked == nil && !k.ndExit() {
-		switch k.dispatch(self) {
-		case dispatchSelf:
-			return true
-		case dispatchOther:
-			return false
+// loop is the root of every run, shared by Run and RunWindow: it drives
+// the event loop until a process must run, resumes that process, and
+// takes over again when the process yields (because another process's
+// wake came up, or the loop went quiet under it) or returns. Every
+// reason for going quiet is state the next dispatch(nil) sees again, so
+// a process that parks into a quiet loop needs no signal back: it just
+// yields.
+func (k *Kernel) loop() {
+	for k.panicked == nil && !k.ndExit() && k.dispatch(nil) == dispatchOther {
+		for k.nextp != nil {
+			p := k.nextp
+			k.nextp = nil
+			p.next()
 		}
 	}
-	k.runDone <- struct{}{}
-	return false
 }
 
 // Run drains the event queue. It returns the virtual time at which the
 // simulation went quiet. If any live processes remain parked with no
 // pending events, Run panics with a deadlock report naming each stuck
 // process and its park reason.
+//
+// A runtime.Goexit inside a process body (t.Fatal from a rank closure)
+// ends the goroutine that called Run, after the body's deferred
+// functions: a coroutine's Goexit is its resumer's. That is what t.Fatal
+// wants on a single kernel; under an LPSet the resumer is a window
+// worker, and LPSet.Run reports it as a panic instead.
 func (k *Kernel) Run() Time {
-	if k.dispatch(nil) == dispatchOther {
-		// Control lives with the processes now; each parking process
-		// drives the loop onward and the last one hands control back.
-		<-k.runDone
-	}
+	k.loop()
 	if k.panicked != nil {
 		panic(k.panicked)
 	}
@@ -337,22 +336,48 @@ func (k *Kernel) ScheduleRunnerAt(t Time, r Runner) { k.scheduleRunner(t, r) }
 // owns those, aggregated across all LPs.
 func (k *Kernel) RunWindow(horizon Time) {
 	k.lphorizon = horizon
-	if k.dispatch(nil) == dispatchOther {
-		<-k.runDone
-	}
+	k.loop()
 	k.lphorizon = 0
 }
 
 // Stop makes Run return after the current event completes. Parked
-// processes stay parked; call Shutdown to release their goroutines.
+// processes stay parked; call Shutdown to release their coroutines.
 func (k *Kernel) Stop() { k.stopped = true }
+
+// procIDs returns the ids of the live processes in ascending order.
+func (k *Kernel) procIDs() []int {
+	ids := make([]int, 0, len(k.procs))
+	for id := range k.procs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// killProcs ends every leftover process in ascending id, so the deferred
+// functions of abandoned rank bodies run in the same order every time. A
+// parked process unwinds out of park (see Proc.park) and runs its defers;
+// one that never started just never runs. (The map is normally empty:
+// ranks that ran to completion removed themselves.)
+func (k *Kernel) killProcs() {
+	if len(k.procs) == 0 {
+		return
+	}
+	for _, id := range k.procIDs() {
+		p := k.procs[id]
+		p.killed = true
+		p.stop()
+		p.done = true
+		delete(k.procs, id)
+	}
+}
 
 // Shutdown terminates every live process — daemons included, and any
 // process abandoned mid-park by Stop or end-of-Run — releasing their
-// goroutines. Without it, each finished simulation leaks one parked
-// goroutine per surviving process, which adds up across the thousands of
-// independent simulations a single bench process runs. (Callback Daemons
-// have no goroutine and need no release.)
+// coroutines. Without it, each finished simulation leaks one parked
+// coroutine (a goroutine and its stack) per surviving process, which adds
+// up across the thousands of independent simulations a single bench
+// process runs. (Callback Daemons have no stack and need no release.)
 //
 // Shutdown must be called from outside the simulation, after Run has
 // returned (or panicked). The kernel is dead afterwards: Run must not be
@@ -361,14 +386,7 @@ func (k *Kernel) Shutdown() {
 	if k.running != nil {
 		panic("sim: Shutdown from inside a running process")
 	}
-	for id, p := range k.procs {
-		if !p.done {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-p.parked
-		}
-		delete(k.procs, id)
-	}
+	k.killProcs()
 	k.ndCount = 0
 	k.events = nil
 	k.free = nil
@@ -393,14 +411,7 @@ func (k *Kernel) Reset(seed int64) {
 	if k.running != nil {
 		panic("sim: Reset from inside a running process")
 	}
-	for id, p := range k.procs {
-		if !p.done {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-p.parked
-		}
-		delete(k.procs, id)
-	}
+	k.killProcs()
 	for i, ev := range k.events {
 		ev.index = -1
 		k.recycle(ev)
@@ -437,16 +448,11 @@ const maxStuckLines = 32
 // idle callback daemons so hangs involving background services are
 // diagnosable too.
 func (k *Kernel) stuckReport() string {
-	ids := make([]int, 0, len(k.procs))
-	for id := range k.procs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var b strings.Builder
 	daemons := 0
 	var dsample []string
 	shown, omitted := 0, 0
-	for _, id := range ids {
+	for _, id := range k.procIDs() {
 		p := k.procs[id]
 		if p.daemon {
 			daemons++
@@ -460,7 +466,7 @@ func (k *Kernel) stuckReport() string {
 			continue
 		}
 		shown++
-		fmt.Fprintf(&b, "  proc %d%s %q parked on %q for %v\n", p.id, k.lptag, p.name, p.reason, k.now-p.parkedAt)
+		fmt.Fprintf(&b, "  proc %d%s %q parked on %q for %v\n", p.id, k.lptag, p.name, p.reason, k.now-p.parkAt)
 	}
 	if omitted > 0 {
 		fmt.Fprintf(&b, "  (+%d more procs parked)\n", omitted)

@@ -67,12 +67,11 @@ func (s *LPSet) Run() Time {
 	done := make(chan struct{}, n)
 	for i := range s.ks {
 		start[i] = make(chan Time)
-		go func(i int) {
-			for h := range start[i] {
-				s.ks[i].RunWindow(h)
-				done <- struct{}{}
+		go func(k *Kernel, start <-chan Time) {
+			for h := range start {
+				runWindow(k, h, done)
 			}
-		}(i)
+		}(s.ks[i], start[i])
 	}
 	defer func() {
 		for i := range start {
@@ -115,6 +114,24 @@ func (s *LPSet) Run() Time {
 		}
 	}
 	return s.maxNow()
+}
+
+// runWindow runs one window of k on its worker goroutine and signals
+// done however the window ends. A runtime.Goexit inside a process body
+// (t.Fatal from a rank closure) is propagated by the coroutine to the
+// goroutine that resumed it, which is this worker: without the deferred
+// signal the coordinator would wait on done forever. The exit is
+// recorded as the LP's panic, so checkPanicked raises it at the barrier.
+func runWindow(k *Kernel, horizon Time, done chan<- struct{}) {
+	returned := false
+	defer func() {
+		if !returned && k.panicked == nil {
+			k.panicked = "sim: LP goroutine exited inside a window" + k.lptag
+		}
+		done <- struct{}{}
+	}()
+	k.RunWindow(horizon)
+	returned = true
 }
 
 // checkPanicked re-raises the first captured panic in LP order.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +205,74 @@ func TestLPSetPanicPropagates(t *testing.T) {
 		}
 	}()
 	NewLPSet(h.ks, 10*time.Microsecond, h.exchange).Run()
+}
+
+// TestLPSetGoexitInProcPanics: a runtime.Goexit inside a process body
+// (t.Fatal from a rank closure) is propagated by the coroutine to the
+// window worker that resumed it. The worker still signals the barrier,
+// and LPSet.Run raises the exit as a panic instead of waiting forever.
+func TestLPSetGoexitInProcPanics(t *testing.T) {
+	h := newLPHarness(2, 1)
+	h.ks[0].Spawn("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
+	deferred := false
+	h.ks[1].Spawn("quitter", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Sleep(time.Microsecond)
+		runtime.Goexit()
+	})
+	res := make(chan any, 1)
+	go func() {
+		defer func() { res <- recover() }()
+		NewLPSet(h.ks, 10*time.Microsecond, h.exchange).Run()
+	}()
+	select {
+	case r := <-res:
+		if s, ok := r.(string); !ok || !strings.Contains(s, "LP goroutine exited inside a window [lp1]") {
+			t.Errorf("LPSet.Run raised %v, want the LP-exit panic", r)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("LPSet.Run still waiting at the barrier after an LP's goroutine exited")
+	}
+	if !deferred {
+		t.Error("the exiting body's deferred function did not run")
+	}
+	for _, k := range h.ks {
+		k.Shutdown()
+	}
+}
+
+// TestLPSetDaemonProcAcrossRuns: a daemon process on LP 1 stays parked
+// between LPSet.Run calls and is resumed correctly by each one. Every Run
+// starts fresh worker goroutines, so the coroutine is resumed from a
+// different goroutine than the one it last yielded to.
+func TestLPSetDaemonProcAcrossRuns(t *testing.T) {
+	const L = 10 * time.Microsecond
+	h := newLPHarness(2, 1)
+	work := NewQueue[int]("work")
+	var got []int
+	d := h.ks[1].Spawn("svc", func(p *Proc) {
+		for {
+			got = append(got, work.Get(p))
+		}
+	})
+	d.SetDaemon(true)
+	set := NewLPSet(h.ks, L, h.exchange)
+	for run := 0; run < 3; run++ {
+		h.ks[0].Spawn("client", func(p *Proc) {
+			h.post(0, 1, p.Now()+L, func() { work.Put(run) })
+			p.Sleep(3 * L) // outlive the delivery
+		})
+		set.Run()
+		if len(got) != run+1 || got[run] != run {
+			t.Fatalf("after run %d the daemon has served %v", run, got)
+		}
+		if d.done || d.reason == "" {
+			t.Fatalf("after run %d the daemon is done=%v parked on %q, want parked on its queue", run, d.done, d.reason)
+		}
+	}
+	for _, k := range h.ks {
+		k.Shutdown()
+	}
 }
 
 // TestQueueGetTimeoutVsCrossLPPut: a Put delivered from another LP

@@ -1,28 +1,29 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
-// Proc is a simulated process. Its function runs on a dedicated goroutine,
-// but the kernel guarantees only one Proc executes at a time; every
-// blocking call (Sleep, Spin, Queue.Get, Cond.Wait) parks the goroutine
+// Proc is a simulated process. Its function runs on a coroutine of its
+// own, and the kernel guarantees only one Proc executes at a time; every
+// blocking call (Sleep, Spin, Queue.Get, Cond.Wait) parks the coroutine
 // and returns control to the scheduler until a wake event fires.
 type Proc struct {
 	k    *Kernel
 	id   int
 	name string
 
-	resume chan struct{}
-	parked chan struct{}
+	// The coroutine's three handles (iter.Pull): the kernel's root loop
+	// calls next to switch into the process, the process calls yield to
+	// switch back when it parks, and stop ends it (see Kernel.killProcs).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	done     bool
 	daemon   bool
-	killed   bool // Kernel.Shutdown: exit instead of resuming
+	killed   bool // Kernel.killProcs: ended from outside, not by returning
 	panicked any
 	reason   string // what the proc is parked on, for deadlock reports
-	parkedAt Time   // when the proc parked, for deadlock reports
+	parkAt   Time   // when the proc parked, for deadlock reports
 
 	wake evref  // pending wake event, if parked on one
 	wpos uint64 // position in a Queue's waiter ring (see queue.go)
@@ -76,20 +77,28 @@ func (p *Proc) Busy() Time { return p.busy }
 // attribute the wait as CPU time.
 func (p *Proc) AddBusy(d Time) { p.busy += d }
 
-// run executes the process body, catching panics so they surface from
-// Kernel.Run instead of killing a bare goroutine. The deferred handler
-// also runs when Kernel.Shutdown kills the process mid-park (park exits
-// via runtime.Goexit): killed processes hand-shake with Shutdown on
-// p.parked, while normal completion keeps the scheduler token and drives
-// the event loop onward from this goroutine (see Kernel.dispatch).
+// procKilled is the panic value park raises to unwind a process that
+// Kernel.killProcs stopped. It is a panic and not runtime.Goexit because
+// a coroutine's Goexit is propagated to whoever resumed it, which would
+// end the goroutine calling Reset or Shutdown.
+type procKilled struct{}
+
+// run executes the process body on its coroutine, catching panics so they
+// surface from Kernel.Run. The deferred handler also runs when
+// Kernel.killProcs unwinds the process mid-park (procKilled is swallowed
+// here): a killed process leaves the bookkeeping to killProcs, while one
+// that completed removes itself. Either way returning from run ends the
+// coroutine and control is back in whoever resumed it: the root loop,
+// which dispatches onward, or killProcs.
 func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.panicked = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
+			if _, kill := r.(procKilled); !kill {
+				p.panicked = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
+			}
 		}
 		p.done = true
 		if p.killed {
-			p.parked <- struct{}{}
 			return
 		}
 		k := p.k
@@ -101,37 +110,32 @@ func (p *Proc) run(fn func(p *Proc)) {
 			k.panicked = p.panicked
 		}
 		k.running = nil
-		// The struct is dead from here on: pool it for the next Spawn
-		// before this goroutine drives the event loop onward (which may
-		// itself Spawn and reincarnate it on a fresh goroutine).
+		// The struct is dead from here on: pool it for a later Spawn.
 		k.releaseProc(p)
-		k.handoff(nil)
 	}()
-	<-p.resume
-	if p.killed {
-		return
-	}
 	fn(p)
 }
 
 // park returns control to the scheduler until a wake event resumes this
-// process: the event loop continues on this goroutine until another
-// process must run, at which point control transfers directly to it.
-// reason appears in deadlock reports. If the kernel is shutting down,
-// park never returns: the goroutine exits through its deferred
-// completion handler.
+// process. The event loop first continues on this stack (dispatch with
+// self == p): if this process's own wake is the next process event, park
+// returns without any switch. Otherwise the process yields to the root
+// loop, which resumes whichever process dispatch named, or finds the loop
+// quiet. reason appears in deadlock reports. If the process is killed
+// while parked, park does not return: it unwinds the body with a
+// procKilled panic, running the body's deferred functions.
 func (p *Proc) park(reason string) {
-	if p.k.running != p {
+	k := p.k
+	if k.running != p {
 		panic(fmt.Sprintf("sim: park of %q from outside its own context", p.name))
 	}
 	p.reason = reason
-	p.parkedAt = p.k.now
-	p.k.running = nil
-	if !p.k.handoff(p) {
-		// Control went elsewhere; block until a wake event resumes us.
-		<-p.resume
-		if p.killed {
-			runtime.Goexit()
+	p.parkAt = k.now
+	k.running = nil
+	if k.panicked != nil || k.ndExit() || k.dispatch(p) != dispatchSelf {
+		// Control goes elsewhere; a wake event brings it back.
+		if !p.yield(struct{}{}) {
+			panic(procKilled{})
 		}
 	}
 	p.reason = ""
