@@ -4,19 +4,20 @@
 //
 // Usage:
 //
-//	abbench [-fig 6|7|8|9|10|loss|topo|tenancy|flowpdes|all] [-ablations] [-iters N] [-seed N]
-//	        [-loss P] [-faultseed N] [-topo SPEC] [-parallel N] [-reuse=bool]
-//	        [-cpuprofile FILE] [-memprofile FILE] [-csv] [-sweepjson FILE]
+//	abbench [-fig 6|7|8|9|10|loss|topo|tenancy|all] [-ablations] [-iters N] [-seed N]
+//	        [-loss P] [-faultseed N] [-topo SPEC] [-parallel N]
+//	        [-cpuprofile FILE] [-memprofile FILE] [-csv]
 //
 // Each figure prints as an aligned table; -csv switches to CSV for
 // plotting. Every figure is a grid of independent simulations, so
-// -parallel N runs its cells on an N-worker pool (0 means GOMAXPROCS);
-// the printed tables are byte-identical for every worker count. The
-// sweep's own execution metrics — wall-clock, serial-equivalent time,
-// speedup, simulated-event throughput — go to -sweepjson (default
-// BENCH_sweep.json, empty to disable). The defaults (200 iterations)
-// give stable virtual-time averages in seconds of wall time; the
-// paper's 10,000 iterations also work if you have the patience.
+// -parallel N runs its cells on an N-worker pool (0 means GOMAXPROCS),
+// each cell drawing its cluster from a reuse pool; the printed tables
+// are virtual time, byte-identical for every worker count and to fresh
+// builds (the determinism tests enforce both). Wall-clock numbers come
+// from `go run ./benchmark`, not from here. The defaults (200
+// iterations) give stable virtual-time averages in seconds of wall
+// time; the paper's 10,000 iterations also work if you have the
+// patience.
 //
 // -loss P makes the fabric drop each frame with probability P and
 // switches GM to reliable delivery; -faultseed seeds the dedicated
@@ -29,26 +30,17 @@
 // reducing on its own sub-communicator, random scatter vs greedy
 // locality packing (a routed -topo picks the fabric).
 //
-// -fig flowpdes runs the parallel flow-engine figure: one mid-size fat
-// tree simulated by the flow engine at 1, 2 and 4 logical processes,
-// reporting wall clock with a 95% confidence half-width alongside the
-// virtual-time columns that pin each LP count's determinism.
-//
 // -topo SPEC (crossbar, fattree:K or leafspine:R) replaces the ideal
 // single crossbar with a routed multi-stage fabric for every figure;
 // frames pay per-hop latency and queue at shared uplinks. -fig topo
 // runs the crossbar-vs-fat-tree comparison sweep instead, including
 // bypass with the topology-aware reduction tree.
 //
-// -reuse (on by default) draws simulated clusters from a reuse pool
-// instead of rebuilding one per grid cell; printed tables are
-// byte-identical either way (the reuse determinism tests enforce it),
-// only wall clock and allocations change. -cpuprofile/-memprofile write
-// standard pprof profiles of the whole run.
+// -cpuprofile/-memprofile write standard pprof profiles of the whole
+// run.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -62,33 +54,8 @@ import (
 	"abred/internal/topo"
 )
 
-// sweepEntry is one figure's execution record in BENCH_sweep.json.
-type sweepEntry struct {
-	Figure       string  `json:"figure"`
-	Jobs         int     `json:"jobs"`
-	Workers      int     `json:"workers"`
-	WallMS       float64 `json:"wall_ms"`
-	JobWallMS    float64 `json:"job_wall_ms"`
-	Speedup      float64 `json:"speedup"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-func entry(p sweep.Perf) sweepEntry {
-	return sweepEntry{
-		Figure:       p.Name,
-		Jobs:         p.Jobs,
-		Workers:      p.Workers,
-		WallMS:       float64(p.Wall) / float64(time.Millisecond),
-		JobWallMS:    float64(p.JobWall) / float64(time.Millisecond),
-		Speedup:      p.Speedup(),
-		Events:       p.Events,
-		EventsPerSec: p.EventsPerSec(),
-	}
-}
-
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, 10, loss, topo, tenancy, flowpdes or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, 10, loss, topo, tenancy or all")
 	ablations := flag.Bool("ablations", false, "also run the delay-heuristic and NIC-reduction studies")
 	iters := flag.Int("iters", 200, "benchmark iterations per data point")
 	seed := flag.Int64("seed", 20030701, "simulation seed (results are exactly reproducible per seed)")
@@ -96,11 +63,9 @@ func main() {
 	faultSeed := flag.Int64("faultseed", 0, "seed of the dedicated fault-decision stream")
 	topoFlag := flag.String("topo", "crossbar", "interconnect: crossbar, fattree:K or leafspine:R")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	reuse := flag.Bool("reuse", true, "reuse built clusters across grid cells (pool + Reset)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	sweepJSON := flag.String("sweepjson", "BENCH_sweep.json", "write per-figure sweep metrics here (empty to disable)")
 	flag.Parse()
 	if *loss < 0 || *loss >= 1 {
 		fmt.Fprintf(os.Stderr, "abbench: -loss %v outside [0, 1)\n", *loss)
@@ -119,16 +84,12 @@ func main() {
 	}
 	defer stopProf()
 
-	var pool *cluster.Pool
-	if *reuse {
-		pool = cluster.NewPool()
-		defer pool.Drain()
-	}
+	pool := cluster.NewPool()
+	defer pool.Drain()
 
 	o := bench.Opts{Iters: *iters, Seed: *seed, Workers: *parallel, Pool: pool, Topo: topoSpec,
 		Fault: fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}}
 
-	var entries []sweepEntry
 	emit := func(t *bench.Table) {
 		if *csv {
 			t.WriteCSV(os.Stdout)
@@ -136,7 +97,6 @@ func main() {
 		} else {
 			t.Write(os.Stdout)
 		}
-		entries = append(entries, entry(t.Perf))
 	}
 
 	want := func(f string) bool { return *fig == "all" || *fig == f }
@@ -180,13 +140,6 @@ func main() {
 		emit(bench.TenancyFigure(o))
 		ran++
 	}
-	if *fig == "flowpdes" {
-		// Parallel flow-engine figure: the flow engine partitions and
-		// times itself serially (each LP-count cell may use several
-		// cores), so the worker pool and cluster reuse pool don't apply.
-		emit(bench.FlowPDESFigure(o))
-		ran++
-	}
 	if *fig == "topo" {
 		// The sweep sets its own per-job topologies (crossbar baseline in
 		// half its cells), so a routed -topo would be contradictory here;
@@ -203,7 +156,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "abbench: unknown figure %q (want 6, 7, 8, 9, 10, loss, topo, tenancy, flowpdes or all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "abbench: unknown figure %q (want 6, 7, 8, 9, 10, loss, topo, tenancy or all)\n", *fig)
 		os.Exit(2)
 	}
 
@@ -215,45 +168,8 @@ func main() {
 		emit(bench.AblationRendezvousAB(16, 800*time.Microsecond, bench.Opts{Iters: *iters/4 + 1, Seed: *seed, Workers: *parallel, Pool: pool}))
 	}
 
-	if *sweepJSON != "" {
-		if err := writeSweepJSON(*sweepJSON, entries, time.Since(start)); err != nil {
-			fmt.Fprintf(os.Stderr, "abbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	if !*csv {
 		fmt.Printf("%d figure runs in %v (iters=%d, seed=%d, workers=%d)\n",
 			ran, time.Since(start).Round(time.Millisecond), *iters, *seed, sweep.Workers(*parallel, 1<<30))
 	}
-}
-
-// writeSweepJSON records each figure's sweep metrics plus totals.
-func writeSweepJSON(path string, entries []sweepEntry, elapsed time.Duration) error {
-	var total sweepEntry
-	total.Figure = "total"
-	var jobWall, wall float64
-	for _, e := range entries {
-		total.Jobs += e.Jobs
-		total.Workers = e.Workers
-		total.Events += e.Events
-		wall += e.WallMS
-		jobWall += e.JobWallMS
-	}
-	total.WallMS = wall
-	total.JobWallMS = jobWall
-	if wall > 0 {
-		total.Speedup = jobWall / wall
-		total.EventsPerSec = float64(total.Events) / (wall / 1000)
-	}
-	doc := struct {
-		ElapsedMS float64      `json:"elapsed_ms"`
-		Figures   []sweepEntry `json:"figures"`
-		Total     sweepEntry   `json:"total"`
-	}{float64(elapsed) / float64(time.Millisecond), entries, total}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -73,24 +73,3 @@ func firstDiff(a, b string) string {
 	}
 	return a[lo:hi]
 }
-
-// TestSweepPerfReported: figure tables carry their sweep's execution
-// metrics so callers (cmd/abbench's BENCH_sweep.json) can report
-// speedup and event throughput.
-func TestSweepPerfReported(t *testing.T) {
-	tab := AblationHeterogeneity(4, 4, Opts{Iters: 2, Seed: 3, Workers: 2})
-	p := tab.Perf
-	if p.Jobs != 4 || p.Workers != 2 {
-		t.Errorf("perf jobs/workers = %d/%d, want 4/2", p.Jobs, p.Workers)
-	}
-	if p.Events == 0 || p.Wall <= 0 || p.JobWall <= 0 {
-		t.Errorf("perf not populated: %+v", p)
-	}
-	// The rendered table must not leak run-dependent perf data.
-	var b strings.Builder
-	tab.Write(&b)
-	tab.WriteCSV(&b)
-	if strings.Contains(b.String(), "speedup") || strings.Contains(b.String(), "wall") {
-		t.Error("perf metadata leaked into rendered table")
-	}
-}

@@ -18,10 +18,9 @@ import (
 // cluster specs — as a list of independent sweep jobs (one simulation
 // per cell) and hands it to the sweep engine, which executes the cells
 // on a worker pool and reassembles rows in declaration order. Tables are
-// therefore byte-identical for any worker count; only Table.Perf (wall
-// clock, speedup, event throughput) reflects how the sweep ran. Iters
-// trades precision for run time; the paper used 10,000, which also works
-// here but is not needed for stable virtual-time averages.
+// therefore byte-identical for any worker count. Iters trades precision
+// for run time; the paper used 10,000, which also works here but is not
+// needed for stable virtual-time averages.
 
 // Opts parameterizes figure regeneration.
 type Opts struct {
@@ -102,13 +101,11 @@ func latJob(name string, cfg Config) sweep.Job[[]float64] {
 // per x) through the sweep engine and assembles each row with mk.
 func runGrid(t *Table, xs []float64, jobs []sweep.Job[[]float64], mk func(cells [][]float64) []float64, workers int) *Table {
 	per := len(jobs) / len(xs)
-	res := sweep.Run(t.Title, jobs, workers)
-	vals := res.Values()
+	vals := sweep.Run(t.Title, jobs, workers).Values()
 	for i, x := range xs {
 		t.X = append(t.X, x)
 		t.Rows = append(t.Rows, mk(vals[i*per:(i+1)*per]))
 	}
-	t.Perf = res.Perf
 	return t
 }
 

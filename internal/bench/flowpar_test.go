@@ -3,9 +3,11 @@ package bench
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"abred/internal/cluster"
 	"abred/internal/model"
+	"abred/internal/sim"
 	"abred/internal/topo"
 )
 
@@ -72,7 +74,10 @@ func TestFlowGoldenFingerprints(t *testing.T) {
 // TestFlowLPsDeterministic pins the partitioned flow engine's
 // reproducibility: for every topology and LP count, a fresh build, a
 // second fresh build, a Reset reuse and a warm-pool run must produce
-// identical output.
+// identical output. The sweep driver is one more input: FlowSweep must
+// hand Opts.LPs to the cluster, so LPs 0 and 1 agree on every
+// virtual-time column, and LPs 2 repeats itself while counting the
+// stub/grant protocol events a monolithic run never executes.
 func TestFlowLPsDeterministic(t *testing.T) {
 	topos := []struct {
 		name string
@@ -104,6 +109,25 @@ func TestFlowLPsDeterministic(t *testing.T) {
 			})
 		}
 	}
+	t.Run("sweep", func(t *testing.T) {
+		run := func(lps int) FlowPoint {
+			p := FlowSweep([]int{4096}, topo.Spec{Kind: topo.FatTree, K: 16}, sim.Time(time.Millisecond), 4,
+				Opts{Iters: 2, Seed: 20030701, LPs: lps})[0]
+			p.WallMS, p.HeapPeak = 0, 0 // host-dependent
+			return p
+		}
+		mono := run(0)
+		if one := run(1); one != mono {
+			t.Errorf("lps=1 diverged from lps=0:\n got %+v\nwant %+v", one, mono)
+		}
+		two := run(2)
+		if again := run(2); again != two {
+			t.Errorf("lps=2 repetition diverged:\n got %+v\nwant %+v", again, two)
+		}
+		if two.Events == mono.Events {
+			t.Errorf("lps=2 executed the monolithic event count %d; Opts.LPs did not reach the cluster", mono.Events)
+		}
+	})
 }
 
 // TestFlowLPsCrossbarClamps pins the clamp: a crossbar has one pod, so

@@ -32,24 +32,26 @@ type FlowPoint struct {
 // the interlaced heterogeneous node mix on the routed fabric, skewed,
 // non-bypass versus bypass (with the topology-aware tree). Each size's
 // two runs share a pooled cluster and execute serially so the wall and
-// heap columns describe that size alone.
-func FlowSweep(sizes []int, ft topo.Spec, maxSkew sim.Time, count, iters int, seed int64) []FlowPoint {
+// heap columns describe that size alone; of o, Iters, Seed and LPs
+// apply (LPs shards the max-min substrate along ft's pods).
+func FlowSweep(sizes []int, ft topo.Spec, maxSkew sim.Time, count int, o Opts) []FlowPoint {
+	o = o.withDefaults()
 	points := make([]FlowPoint, 0, len(sizes))
 	for _, n := range sizes {
 		pool := cluster.NewPool()
 		specs := model.PaperCluster(n)
 		mk := func(mode Mode, topoAware bool) Config {
 			return Config{Specs: specs, Count: count, Mode: mode, MaxSkew: maxSkew,
-				Iters: iters, Seed: seed, Topo: ft, TopoAware: topoAware,
-				Engine: cluster.EngineFlow, Pool: pool}
+				Iters: o.Iters, Seed: o.Seed, Topo: ft, TopoAware: topoAware,
+				Engine: cluster.EngineFlow, LPs: o.LPs, Pool: pool}
 		}
 		var nab, ab CPUUtilResult
 		res := sweep.Run(fmt.Sprintf("flow/n=%d", n), []sweep.Job[int]{
-			{Name: fmt.Sprintf("flow/nab/n=%d", n), Seed: seed, Run: func() (int, uint64) {
+			{Name: fmt.Sprintf("flow/nab/n=%d", n), Seed: o.Seed, Run: func() (int, uint64) {
 				nab = CPUUtil(mk(NonAppBypass, false))
 				return 0, nab.Events
 			}},
-			{Name: fmt.Sprintf("flow/ab/n=%d", n), Seed: seed, Run: func() (int, uint64) {
+			{Name: fmt.Sprintf("flow/ab/n=%d", n), Seed: o.Seed, Run: func() (int, uint64) {
 				ab = CPUUtil(mk(AppBypass, true))
 				return 0, ab.Events
 			}},

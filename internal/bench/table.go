@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"abred/internal/sweep"
 )
 
 // Table is one regenerated figure: named columns of float series keyed
@@ -17,12 +15,6 @@ type Table struct {
 	X     []float64
 	Rows  [][]float64 // Rows[i][j] is the value of Cols[j] at X[i]
 	Notes []string
-
-	// Perf records how the sweep that produced the table executed
-	// (wall-clock, speedup, simulated-event throughput). It is
-	// deliberately excluded from Write/WriteCSV so rendered tables stay
-	// byte-identical across worker counts.
-	Perf sweep.Perf
 }
 
 // Write renders the table as aligned text.

@@ -11,7 +11,7 @@
 // Points[i] always belongs to Jobs[i] no matter which worker computed it
 // or in what order jobs finished. With pure jobs, output is bit-for-bit
 // identical for any worker count, including 1 (serial). Only the Perf
-// block — wall-clock, throughput — varies between runs.
+// block — wall-clock, peak heap — varies between runs.
 package sweep
 
 import (
@@ -30,58 +30,24 @@ type Job[T any] struct {
 	Run  func() (T, uint64)
 }
 
-// Point is one completed job: its value plus the engine's measurements.
+// Point is one completed job: its value plus the events it executed.
 type Point[T any] struct {
 	Value  T
-	Events uint64        // simulated events the job executed
-	Wall   time.Duration // real time the job took
+	Events uint64 // simulated events the job executed
 }
 
-// Perf summarizes how a sweep executed; it is reporting-only and never
-// part of rendered tables (which must stay byte-identical across worker
-// counts).
+// Perf summarizes what a sweep cost to execute; it is reporting-only and
+// never part of rendered tables (which must stay byte-identical across
+// worker counts).
 type Perf struct {
-	Name    string
-	Jobs    int
-	Workers int
-	Wall    time.Duration // elapsed wall-clock for the whole sweep
-	JobWall time.Duration // sum of per-job wall-clock (serial equivalent)
-	Events  uint64        // simulated events across all jobs
-	Allocs  uint64        // heap allocations during the sweep (all workers)
+	Wall   time.Duration // elapsed wall-clock for the whole sweep
+	Events uint64        // simulated events across all jobs
 
 	// HeapPeak is the largest live-heap sample observed while the sweep
 	// ran (HeapAlloc, sampled every 25 ms plus once at each end). It
 	// bounds the sweep's real memory footprint — the number that decides
-	// whether a 16384-node point fits on the machine at all.
+	// whether a 1M-node point fits on the machine at all.
 	HeapPeak uint64
-}
-
-// Speedup is the sweep's parallel speedup: serial-equivalent time over
-// elapsed time.
-func (p Perf) Speedup() float64 {
-	if p.Wall <= 0 {
-		return 0
-	}
-	return float64(p.JobWall) / float64(p.Wall)
-}
-
-// EventsPerSec is simulated-event throughput over the sweep's wall time.
-func (p Perf) EventsPerSec() float64 {
-	if p.Wall <= 0 {
-		return 0
-	}
-	return float64(p.Events) / p.Wall.Seconds()
-}
-
-// AllocsPerEvent is the sweep's heap-allocation cost per simulated event
-// — the kernel hot path's headline efficiency number. It includes the
-// per-job setup allocations (cluster construction), so long-running jobs
-// approach the kernel's steady-state cost from above.
-func (p Perf) AllocsPerEvent() float64 {
-	if p.Events == 0 {
-		return 0
-	}
-	return float64(p.Allocs) / float64(p.Events)
 }
 
 // Result pairs a sweep's points (in job order) with its execution
@@ -128,7 +94,6 @@ func (s Sweep[T]) Run(workers int) *Result[T] {
 	points := make([]Point[T], len(s.Jobs))
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	mallocs0 := ms.Mallocs
 	heapPeak := ms.HeapAlloc
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
@@ -174,17 +139,15 @@ func (s Sweep[T]) Run(workers int) *Result[T] {
 		close(idx)
 		wg.Wait()
 	}
-	perf := Perf{Name: s.Name, Jobs: len(s.Jobs), Workers: workers, Wall: time.Since(start)}
+	perf := Perf{Wall: time.Since(start)}
 	close(stopWatch)
 	<-watchDone
 	runtime.ReadMemStats(&ms)
-	perf.Allocs = ms.Mallocs - mallocs0
 	if ms.HeapAlloc > heapPeak {
 		heapPeak = ms.HeapAlloc
 	}
 	perf.HeapPeak = heapPeak
 	for i := range points {
-		perf.JobWall += points[i].Wall
 		perf.Events += points[i].Events
 	}
 	return &Result[T]{Points: points, Perf: perf}
@@ -195,9 +158,8 @@ func Run[T any](name string, jobs []Job[T], workers int) *Result[T] {
 	return Sweep[T]{Name: name, Jobs: jobs}.Run(workers)
 }
 
-// runJob executes one job, timing it.
+// runJob executes one job.
 func runJob[T any](j Job[T]) Point[T] {
-	t0 := time.Now()
 	v, events := j.Run()
-	return Point[T]{Value: v, Events: events, Wall: time.Since(t0)}
+	return Point[T]{Value: v, Events: events}
 }
