@@ -2,13 +2,18 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"abred/internal/coll"
 	"abred/internal/fault"
 	"abred/internal/model"
 	"abred/internal/mpi"
 	"abred/internal/sim"
+	"abred/internal/topo"
 )
 
 // fingerprint runs the skewed AB-reduce workload on c and renders every
@@ -81,6 +86,9 @@ func TestResetDeterminism(t *testing.T) {
 // Reset cycles on one cluster: the lossy replay must stay identical to a
 // fresh lossy build (same retransmissions, same acks), and the clean
 // replay must match a fresh clean build (reliability fully quiesced).
+// The sequence ends lossy → clean → lossy → lossy: the reliability
+// engine is stashed, revived and then cleared in place, and each of
+// those must leave it exactly as a fresh build has it.
 func TestResetTogglesFaultPlan(t *testing.T) {
 	specs := model.PaperCluster(8)
 	clean := Config{Specs: specs, Seed: 5}
@@ -104,7 +112,7 @@ func TestResetTogglesFaultPlan(t *testing.T) {
 		want string
 	}{
 		{clean, wantClean}, {lossy, wantLossy},
-		{clean, wantClean}, {lossy, wantLossy},
+		{clean, wantClean}, {lossy, wantLossy}, {lossy, wantLossy},
 	} {
 		if cycle > 0 {
 			c.Reset(step.cfg)
@@ -210,6 +218,98 @@ func TestResetAllocsPerNode(t *testing.T) {
 	t.Logf("reset: %.0f allocs for %d nodes", allocs, size)
 	if allocs > size/4 {
 		t.Fatalf("Reset of a %d-node cluster allocates %.0f objects; reuse regression?", size, allocs)
+	}
+
+	// The same budget with reliable GM in play: Reset returns the links
+	// a run opened to per-NIC free lists, and the rerun contacts the
+	// same peers. (That the rerun draws every link from the free list
+	// is pinned where links are visible: gm's TestResetReusesLinks.)
+	t.Run("lossy", func(t *testing.T) {
+		cfg := Config{Specs: specs, Seed: 1,
+			Fault: fault.Config{Seed: 3, Rule: fault.Rule{Drop: 0.01}}}
+		c := New(cfg)
+		defer c.Close()
+		first := relPeers(c)
+		allocs := testing.AllocsPerRun(5, func() { c.Reset(cfg) })
+		t.Logf("lossy reset: %.0f allocs for %d nodes", allocs, size)
+		if allocs > size/4 {
+			t.Fatalf("lossy Reset of a %d-node cluster allocates %.0f objects; reuse regression?", size, allocs)
+		}
+		for i, got := range relPeers(c) {
+			if got != first[i] || got == 0 {
+				t.Fatalf("node %d: RelPeers %d on the rerun, %d on the first run", i, got, first[i])
+			}
+		}
+	})
+}
+
+// relPeers runs one reduce + barrier on c and returns every NIC's
+// RelPeers: the number of peers it holds reliability state for.
+func relPeers(c *Cluster) []uint64 {
+	const count = 4
+	c.Run(func(n *Node, w *mpi.Comm) {
+		in := mpi.Float64sToBytes(rankInput(n.ID, count))
+		out := make([]byte, count*8)
+		n.Engine.Reduce(w, in, out, count, mpi.Float64, mpi.OpSum, 0)
+		coll.Barrier(w)
+	})
+	peers := make([]uint64, len(c.Nodes))
+	for i, n := range c.Nodes {
+		peers[i] = n.NIC.Stats().RelPeers
+	}
+	return peers
+}
+
+// lossyFatTree is the shape of the benchmark's lossy cells: the paper's
+// heterogeneous cluster on a radix-16 fat tree, two LPs, 0.5 % loss.
+func lossyFatTree(size int) Config {
+	return Config{Specs: model.PaperCluster(size), Seed: 1, LPs: 2,
+		Topo:  topo.Spec{Kind: topo.FatTree, K: 16},
+		Fault: fault.Config{Seed: 1, Rule: fault.Rule{Drop: 0.005}}}
+}
+
+// TestLossyConstructionBytes: building a lossy cluster costs what
+// building a clean one does. Reliable GM keeps link state per contacted
+// peer, so construction allocates none; a dense per-NIC table put this
+// 4096-node build at 1.43 GB.
+func TestLossyConstructionBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are calibrated without -race instrumentation")
+	}
+	cfg := lossyFatTree(4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	c := New(cfg)
+	wall := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	defer c.Close()
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("lossy %d-node construction: %.1f MB in %v", len(cfg.Specs), float64(bytes)/1e6, wall)
+	if bytes > 32<<20 {
+		t.Fatalf("lossy %d-node construction allocates %d bytes (> 32 MB); per-NIC state sized by the cluster?",
+			len(cfg.Specs), bytes)
+	}
+}
+
+// TestLossyPeerCount: a reduction tree plus a barrier talk to O(log N)
+// peers, and reliable GM must hold state for those and no others.
+func TestLossyPeerCount(t *testing.T) {
+	const size = 1024
+	c := New(lossyFatTree(size))
+	defer c.Close()
+	peers := relPeers(c)
+	most := slices.Max(peers)
+	var sum uint64
+	for _, p := range peers {
+		sum += p
+	}
+	t.Logf("%d nodes: at most %d peers per NIC, %d links in all", size, most, sum)
+	if limit := uint64(2 * bits.Len(size-1)); most > limit {
+		t.Errorf("a NIC holds link state for %d peers (> 2·log₂N = %d)", most, limit)
+	}
+	if sum >= 4*size {
+		t.Errorf("%d links cluster-wide (≥ 4N = %d)", sum, 4*size)
 	}
 }
 

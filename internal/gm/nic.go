@@ -26,6 +26,7 @@ type Stats struct {
 	RelDupsDropped uint64 // duplicate / out-of-order arrivals discarded
 	RelOverflow    uint64 // sends past the retransmit-ring bound
 	RelPortErrors  uint64 // peers declared dead after the retry budget
+	RelPeers       uint64 // peers with sequenced or acked traffic since Reset (live link state)
 }
 
 // nicEvent multiplexes the two work sources of the LANai control program.

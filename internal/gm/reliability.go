@@ -77,6 +77,8 @@ type relEntry struct {
 
 // relLink is the reliability state for one peer, both directions.
 type relLink struct {
+	peer int // node at the other end
+
 	// Sender side.
 	nextSeq uint64      // last sequence number assigned
 	ring    []*relEntry // unacked packets, in sequence order
@@ -108,11 +110,21 @@ func (l *relLink) deadline() sim.Time {
 
 // relState is one NIC's reliability engine: per-peer link state plus
 // the timer daemon that drives delayed acks and retransmissions.
+//
+// A link exists only for a peer this NIC has exchanged traffic with: a
+// reduction tree plus a barrier touch O(log N) peers, so per-NIC state
+// grows with the traffic pattern, not with the cluster. Each link is
+// its own allocation, made on first contact and never moved — accept,
+// onAck, step and retransmit hold a *relLink while further links may
+// open — and is found through tab. All of it belongs to this NIC, so
+// only the kernel of the NIC's logical process ever touches it.
 type relState struct {
 	n      *NIC
 	d      *sim.Daemon
-	links  []relLink
-	active []int // peers with a pending deadline
+	links  []*relLink // contacted peers, in first-contact order
+	tab    []*relLink // the same links, open-addressed by peer; see find
+	lfree  []*relLink // cleared links awaiting reuse, ring capacity kept
+	active []*relLink // links with a pending deadline
 	efree  []*relEntry
 
 	// rto0 is the hop-scaled base retransmit timeout, indexed by routed
@@ -135,12 +147,12 @@ func (n *NIC) EnableReliability() {
 	if n.relIdle != nil {
 		// A reused cluster re-enabling reliability: revive the stashed
 		// engine (its timer daemon is still registered) instead of
-		// registering a second one.
+		// registering a second one. setReliability cleared it on the
+		// way into the stash.
 		n.rel, n.relIdle = n.relIdle, nil
-		n.rel.reset()
 		return
 	}
-	r := &relState{n: n, links: make([]relLink, n.fab.Nodes())}
+	r := &relState{n: n, tab: make([]*relLink, relTabMin)}
 	r.rto0 = make([]sim.Time, n.fab.MaxHops()+1)
 	for h := range r.rto0 {
 		r.rto0[h] = relBaseRTO
@@ -171,20 +183,90 @@ func (n *NIC) setReliability(on bool) {
 	n.EnableReliability()
 }
 
-// reset clears every per-peer link, recycling ring entries, and keeps
-// the entry pool and timer-daemon registration. The kernel reset that
-// precedes it already disarmed the daemon's pending step.
+// reset forgets every contacted peer: ring entries are recycled and
+// each link moves, cleared but with its ring capacity, to the free
+// list. A link is in exactly one of links and lfree, so a reset that
+// finds no contacted peer moves nothing. Links are freed last-contacted
+// first, so a rerun of the same traffic hands every peer the link (and
+// ring) it had before. The entry pool, the lookup table's size and the
+// timer-daemon registration are kept; the kernel reset that precedes
+// this already disarmed the daemon's pending step.
 func (r *relState) reset() {
-	for i := range r.links {
-		l := &r.links[i]
+	for i := len(r.links) - 1; i >= 0; i-- {
+		l := r.links[i]
 		for j, e := range l.ring {
 			r.putEntry(e)
 			l.ring[j] = nil
 		}
 		*l = relLink{ring: l.ring[:0]}
+		r.lfree = append(r.lfree, l)
 	}
+	r.links = r.links[:0]
+	clear(r.tab)
 	r.active = r.active[:0]
 	r.d.SetStatus("rel timers")
+}
+
+// relTabMin is the initial size of the peer lookup table. Sizes are
+// powers of two and the table is kept at most half full, so a probe
+// sequence always ends at an empty slot.
+const relTabMin = 8
+
+// home is where probing for peer starts in a table of size slots: a
+// multiplicative hash (the high bits of the product, scaled to the
+// table), so the strided ranks a reduction tree talks to spread out.
+func home(peer, size int) int {
+	return int(uint64(uint32(peer)*2654435769) * uint64(size) >> 32)
+}
+
+// find returns the link to peer, nil if there has been no contact. It
+// runs once per sequenced or accepted packet: linear probing over link
+// pointers, no Go map.
+func (r *relState) find(peer int) *relLink {
+	mask := len(r.tab) - 1
+	for i := home(peer, len(r.tab)); ; i = (i + 1) & mask {
+		if l := r.tab[i]; l == nil || l.peer == peer {
+			return l
+		}
+	}
+}
+
+// place records l in the lookup table.
+func (r *relState) place(l *relLink) {
+	mask := len(r.tab) - 1
+	i := home(l.peer, len(r.tab))
+	for r.tab[i] != nil {
+		i = (i + 1) & mask
+	}
+	r.tab[i] = l
+}
+
+// link returns the link to peer, opening it on first contact: a cleared
+// link from the free list if there is one, a fresh allocation otherwise.
+// Growing the table re-places pointers, never the links themselves.
+func (r *relState) link(peer int) *relLink {
+	if l := r.find(peer); l != nil {
+		return l
+	}
+	var l *relLink
+	if n := len(r.lfree); n > 0 {
+		l = r.lfree[n-1]
+		r.lfree = r.lfree[:n-1]
+	} else {
+		l = &relLink{}
+	}
+	l.peer = peer
+	r.links = append(r.links, l)
+	if 2*len(r.links) > len(r.tab) {
+		r.tab = make([]*relLink, 2*len(r.tab))
+		for _, o := range r.links {
+			r.place(o)
+		}
+	} else {
+		r.place(l)
+	}
+	r.n.stats.RelPeers++
+	return l
 }
 
 // ReliabilityEnabled reports whether EnableReliability was called.
@@ -197,10 +279,10 @@ func (n *NIC) RelError() error { return n.relErr }
 
 // activate puts the link on the daemon's scan list and pulls the timer
 // to its deadline.
-func (r *relState) activate(peer int, l *relLink, at sim.Time) {
+func (r *relState) activate(l *relLink, at sim.Time) {
 	if !l.active {
 		l.active = true
-		r.active = append(r.active, peer)
+		r.active = append(r.active, l)
 	}
 	r.d.WakeAt(at)
 }
@@ -214,7 +296,7 @@ func (r *relState) sequence(pkt *Packet, fromHost bool) bool {
 	if pkt.DstNode == r.n.node {
 		return false
 	}
-	l := &r.links[pkt.DstNode]
+	l := r.link(pkt.DstNode)
 	l.nextSeq++
 	pkt.RelSeq = l.nextSeq
 	pkt.RelAck = l.recvdTo
@@ -235,7 +317,7 @@ func (r *relState) sequence(pkt *Packet, fromHost bool) bool {
 	if l.rtxAt == 0 {
 		l.rto = r.linkRTO(pkt.DstNode)
 		l.rtxAt = r.n.k.Now() + l.rto
-		r.activate(pkt.DstNode, l, l.rtxAt)
+		r.activate(l, l.rtxAt)
 	}
 	return fromHost
 }
@@ -256,8 +338,8 @@ func (r *relState) accept(pkt *Packet) bool {
 	if pkt.SrcNode == r.n.node {
 		return true // loopback or local Deliver: never sequenced
 	}
-	l := &r.links[pkt.SrcNode]
-	r.onAck(pkt.SrcNode, l, pkt.RelAck)
+	l := r.link(pkt.SrcNode)
+	r.onAck(l, pkt.RelAck)
 	if pkt.Type == RelAck {
 		r.n.PutPacket(pkt)
 		return false
@@ -273,7 +355,7 @@ func (r *relState) accept(pkt *Packet) bool {
 		l.forceAck = true
 		if l.ackAt == 0 {
 			l.ackAt = r.n.k.Now() + relAckDelay
-			r.activate(pkt.SrcNode, l, l.ackAt)
+			r.activate(l, l.ackAt)
 		}
 		r.n.PutPacket(pkt)
 		return false
@@ -281,14 +363,14 @@ func (r *relState) accept(pkt *Packet) bool {
 	l.recvdTo++
 	if l.ackAt == 0 {
 		l.ackAt = r.n.k.Now() + relAckDelay
-		r.activate(pkt.SrcNode, l, l.ackAt)
+		r.activate(l, l.ackAt)
 	}
 	return true
 }
 
 // onAck releases ring entries covered by a cumulative ack and resets
 // the backoff state when the ack made progress.
-func (r *relState) onAck(peer int, l *relLink, ackTo uint64) {
+func (r *relState) onAck(l *relLink, ackTo uint64) {
 	if len(l.ring) == 0 || ackTo < l.ring[0].hdr.RelSeq {
 		return
 	}
@@ -308,12 +390,12 @@ func (r *relState) onAck(peer int, l *relLink, ackTo uint64) {
 	}
 	l.ring = l.ring[:m]
 	l.rounds = 0
-	l.rto = r.linkRTO(peer)
+	l.rto = r.linkRTO(l.peer)
 	if len(l.ring) == 0 {
 		l.rtxAt = 0
 	} else {
 		l.rtxAt = r.n.k.Now() + l.rto
-		r.activate(peer, l, l.rtxAt)
+		r.activate(l, l.rtxAt)
 	}
 }
 
@@ -324,13 +406,12 @@ func (r *relState) step() {
 	now := r.n.k.Now()
 	var next sim.Time
 	for i := 0; i < len(r.active); {
-		peer := r.active[i]
-		l := &r.links[peer]
+		l := r.active[i]
 		if l.ackAt != 0 && l.ackAt <= now {
-			r.sendAck(peer, l)
+			r.sendAck(l)
 		}
 		if l.rtxAt != 0 && l.rtxAt <= now {
-			if !r.retransmit(peer, l) {
+			if !r.retransmit(l) {
 				return // port error; simulation is stopping
 			}
 		}
@@ -354,7 +435,7 @@ func (r *relState) step() {
 
 // sendAck emits a standalone cumulative ack if reverse traffic did not
 // piggyback one inside the delay window.
-func (r *relState) sendAck(peer int, l *relLink) {
+func (r *relState) sendAck(l *relLink) {
 	l.ackAt = 0
 	if l.sentAck == l.recvdTo && !l.forceAck {
 		return
@@ -364,7 +445,7 @@ func (r *relState) sendAck(peer int, l *relLink) {
 	pkt := r.n.GetPacket(0)
 	pkt.Type = RelAck
 	pkt.SrcNode = r.n.node
-	pkt.DstNode = peer
+	pkt.DstNode = l.peer
 	pkt.RelAck = l.recvdTo
 	r.n.stats.RelAcksSent++
 	r.n.inject(pkt)
@@ -374,14 +455,14 @@ func (r *relState) sendAck(peer int, l *relLink) {
 // receiver discards anything out of order, so the whole window must
 // travel again — and doubles the timeout. It reports false when the
 // link exhausted its retry budget and the port error stopped the run.
-func (r *relState) retransmit(peer int, l *relLink) bool {
+func (r *relState) retransmit(l *relLink) bool {
 	if len(l.ring) == 0 {
 		l.rtxAt = 0
 		return true
 	}
 	l.rounds++
 	if l.rounds > relMaxRounds {
-		r.portError(peer, l)
+		r.portError(l)
 		return false
 	}
 	for _, e := range l.ring {
@@ -411,12 +492,12 @@ func (r *relState) retransmit(peer int, l *relLink) bool {
 // cluster.Run to surface, release the stranded ring (and its send
 // tokens, so parked senders can observe the stop), and halt the
 // simulation instead of spinning the backoff forever.
-func (r *relState) portError(peer int, l *relLink) {
+func (r *relState) portError(l *relLink) {
 	r.n.stats.RelPortErrors++
 	if r.n.relErr == nil {
 		r.n.relErr = fmt.Errorf(
 			"gm: node %d port to node %d dead: no ack after %d retransmit rounds (%d packets stranded)",
-			r.n.node, peer, relMaxRounds, len(l.ring))
+			r.n.node, l.peer, relMaxRounds, len(l.ring))
 	}
 	for i, e := range l.ring {
 		if e.token {

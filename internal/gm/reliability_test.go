@@ -108,6 +108,7 @@ func TestReliableFIFOUnderChaos(t *testing.T) {
 	if err := a.RelError(); err != nil {
 		t.Errorf("port died under recoverable loss: %v", err)
 	}
+	assertHome(t, k, a, b)
 }
 
 // TestPortErrorAfterRetryBudget: a link that eats every frame must

@@ -10,10 +10,10 @@ import (
 	"abred/internal/topo"
 )
 
-// lossyFatTree builds n reliable NICs over a fault-injected fat-tree
-// fabric, the way cluster.New wires them when both a topology and a
-// fault plan are configured.
-func lossyFatTree(n int, spec topo.Spec, seed int64, cfg fault.Config) (*sim.Kernel, []*NIC) {
+// lossyNICs builds n reliable NICs over a fault-injected fabric of the
+// given topology (the zero Spec is the single crossbar), the way
+// cluster.New wires them when a fault plan is configured.
+func lossyNICs(n int, spec topo.Spec, seed int64, cfg fault.Config) (*sim.Kernel, []*NIC) {
 	k := sim.New(seed)
 	costs := model.DefaultCosts()
 	fab := fabric.New(k, n, costs)
@@ -41,7 +41,7 @@ func lossyFatTree(n int, spec topo.Spec, seed int64, cfg fault.Config) (*sim.Ker
 func TestRoutedReliableFIFOUnderChaos(t *testing.T) {
 	const n = 8
 	const per = 40
-	k, nics := lossyFatTree(n, topo.Spec{Kind: topo.FatTree, K: 4}, 11, fault.Config{
+	k, nics := lossyNICs(n, topo.Spec{Kind: topo.FatTree, K: 4}, 11, fault.Config{
 		Seed: 42,
 		Rule: fault.Rule{Drop: 0.2, Dup: 0.2, Jitter: 20 * us, JitterP: 0.5},
 	})
@@ -84,6 +84,7 @@ func TestRoutedReliableFIFOUnderChaos(t *testing.T) {
 	if rtx == 0 {
 		t.Error("20%% loss on multi-hop routes produced no retransmissions?")
 	}
+	assertHome(t, k, nics...)
 }
 
 // TestHopScaledRTO: the go-back-N base timeout keys on the routed hop
@@ -91,7 +92,7 @@ func TestRoutedReliableFIFOUnderChaos(t *testing.T) {
 // get proportionally more slack before the window resends.
 func TestHopScaledRTO(t *testing.T) {
 	const n = 16
-	k, nics := lossyFatTree(n, topo.Spec{Kind: topo.FatTree, K: 4}, 7, fault.Config{})
+	k, nics := lossyNICs(n, topo.Spec{Kind: topo.FatTree, K: 4}, 7, fault.Config{})
 	_ = k
 	r := nics[0].rel
 	cases := []struct {
