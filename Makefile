@@ -54,12 +54,19 @@ profile:
 		-cpuprofile abscale.cpu.pprof -memprofile abscale.mem.pprof
 	@echo "wrote abscale.cpu.pprof and abscale.mem.pprof"
 
-# The process-park microbenchmarks of internal/sim at 1 and 2 Ps: a
+# The kernel microbenchmarks of internal/sim at 1 and 2 Ps. A process
 # switch that took a round trip through the Go scheduler would read
-# slower at 2.
+# slower at 2. BenchmarkLPWindowEmpty (the shape of the benchmark's
+# sim.lp_window_us probe) is a degenerate case and no target: with one
+# event per LP per window nobody waits long enough to sleep, so at 2 Ps
+# it reads the barrier's two cross-core cache-line hand-offs (0.5–2.5 µs)
+# and at 1 P no barrier at all, where the channel pair it replaced read
+# 0.7–1.2 µs by riding one P through runnext while real windows paid a
+# futex wake-up each way. BenchmarkLPWindowUneven is nearer a real
+# window; the figures of merit are sim.lp2_speedup.* in `make bench-trace`.
 .PHONY: bench-kernel
 bench-kernel:
-	go test ./internal/sim -run '^$$' -bench 'BenchmarkProc(Switch|SelfResume)' -cpu 1,2 -count 1
+	go test ./internal/sim -run '^$$' -bench 'BenchmarkProc(Switch|SelfResume)|BenchmarkLPWindow' -cpu 1,2 -count 1
 
 # Run the scenario service locally (POST specs to :8080/run).
 .PHONY: serve

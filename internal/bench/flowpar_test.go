@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,7 +74,8 @@ func TestFlowGoldenFingerprints(t *testing.T) {
 
 // TestFlowLPsDeterministic pins the partitioned flow engine's
 // reproducibility: for every topology and LP count, a fresh build, a
-// second fresh build, a Reset reuse and a warm-pool run must produce
+// second fresh build, a Reset reuse, a warm-pool run and a build under
+// each of GOMAXPROCS 1, 2 and 4 (the test is not parallel) must produce
 // identical output. The sweep driver is one more input: FlowSweep must
 // hand Opts.LPs to the cluster, so LPs 0 and 1 agree on every
 // virtual-time column, and LPs 2 repeats itself while counting the
@@ -105,6 +107,16 @@ func TestFlowLPsDeterministic(t *testing.T) {
 				// Second acquire hits the warmed cluster via Reset.
 				if warm := flowFingerprint(CPUUtil(pcfg)); warm != fresh {
 					t.Errorf("pooled (warm Reset) run diverged:\n got %s\nwant %s", warm, fresh)
+				}
+				// The shards run on however many goroutines GOMAXPROCS
+				// allows, the caller's alone at 1; virtual time may not care.
+				for _, procs := range []int{1, 2, 4} {
+					func() {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						if got := flowFingerprint(CPUUtil(cfg)); got != fresh {
+							t.Errorf("GOMAXPROCS %d diverged:\n got %s\nwant %s", procs, got, fresh)
+						}
+					}()
 				}
 			})
 		}

@@ -285,6 +285,7 @@ func (c *Cluster) Reset(cfg Config) {
 	for i, k := range c.Ks {
 		k.Reset(lpSeed(cfg.Seed, i))
 	}
+	c.lpset.ResetStats()
 	if c.Engine == EngineFlow {
 		c.FlowM.Reset()
 		if err := c.FlowM.SetFaults(cfg.Fault); err != nil {

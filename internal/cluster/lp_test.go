@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"abred/internal/coll"
@@ -49,7 +50,9 @@ func lpFingerprint(c *Cluster) string {
 // TestResetDeterminism: for a fixed (seed, faultseed, lps) a partitioned
 // run must produce identical results on every execution — across fresh
 // builds (each with its own goroutine interleaving), Reset cycles on a
-// dirtied cluster, and correct reductions throughout.
+// dirtied cluster, every GOMAXPROCS (which decides how many goroutines
+// run the LPs), and correct reductions throughout. Not parallel: it sets
+// GOMAXPROCS.
 func TestLPDeterminism(t *testing.T) {
 	lossy := fault.Config{Seed: 7, Rule: fault.Rule{Drop: 0.02, Dup: 0.01}}
 	cases := []struct {
@@ -92,6 +95,20 @@ func TestLPDeterminism(t *testing.T) {
 				if got := lpFingerprint(reused); got != want {
 					t.Fatalf("reset cycle %d diverged:\nwant:\n%s\ngot:\n%s", cycle, want, got)
 				}
+			}
+
+			// Where an LP runs follows GOMAXPROCS: every LP on the caller
+			// at 1, striped over two runners at 2, one LP per runner at 4
+			// (on a host with the CPUs). It is the same experiment.
+			for _, procs := range []int{1, 2, 4} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					c := New(tc.cfg)
+					defer c.Close()
+					if got := lpFingerprint(c); got != want {
+						t.Fatalf("GOMAXPROCS %d diverged:\nwant:\n%s\ngot:\n%s", procs, want, got)
+					}
+				}()
 			}
 		})
 	}
@@ -178,5 +195,23 @@ func TestPoolLPKeying(t *testing.T) {
 	if got1 != want || got2 != want {
 		t.Fatalf("pooled partitioned runs diverged:\nfresh:\n%s\nfirst:\n%s\nreused:\n%s",
 			want, got1, got2)
+	}
+}
+
+// TestLPStatsReset: the window counters describe one use of the cluster,
+// so Reset zeroes them where it resets the kernels.
+func TestLPStatsReset(t *testing.T) {
+	cfg := Config{Specs: model.PaperCluster(64), Seed: 3,
+		Topo: topo.Spec{Kind: topo.FatTree, K: 8}, LPs: 4}
+	c := New(cfg)
+	defer c.Close()
+	lpFingerprint(c)
+	st := c.lpset.Stats()
+	if want := min(c.LPs, runtime.GOMAXPROCS(0), runtime.NumCPU()); st.Windows == 0 || st.Runners != want {
+		t.Errorf("after a run: %+v, want some windows on %d runners", st, want)
+	}
+	c.Reset(cfg)
+	if st := c.lpset.Stats(); st != (sim.LPStats{}) {
+		t.Errorf("after Reset: %+v, want zero", st)
 	}
 }

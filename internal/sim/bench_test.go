@@ -46,3 +46,43 @@ func BenchmarkProcSelfResume(b *testing.B) {
 	k.Run()
 	k.Shutdown()
 }
+
+// benchLPWindows runs b.N conservative windows over two kernels with an
+// empty exchange: in every window LP i executes events[i] timer events
+// (the first of them re-arms the next window's). One op is one window,
+// release to join.
+func benchLPWindows(b *testing.B, events [2]int) {
+	ks := []*Kernel{New(1), New(2)}
+	for i, k := range ks {
+		left := b.N
+		var tick func()
+		tick = func() {
+			for j := 1; j < events[i]; j++ {
+				k.After(Time(j), func() {})
+			}
+			if left--; left > 0 {
+				k.After(time.Microsecond, tick)
+			}
+		}
+		k.After(time.Microsecond, tick)
+	}
+	set := NewLPSet(ks, time.Microsecond, func() {})
+	b.ResetTimer()
+	set.Run()
+}
+
+// BenchmarkLPWindowEmpty is the shape of the benchmark's sim.lp_window_us
+// probe: one timer event per LP per window, so the wall per window is
+// the barrier's own cost. It is the degenerate case, not the typical
+// one: neither runner ever waits long enough to leave the spin, so at
+// -cpu 2 it reads two cross-core cache-line hand-offs, where the channel
+// pair it replaced read less (all three goroutines rode one P through
+// runnext and never slept) while costing real windows a futex wake-up
+// each way. At -cpu 1 there is no barrier and it reads the window loop.
+func BenchmarkLPWindowEmpty(b *testing.B) { benchLPWindows(b, [2]int{1, 1}) }
+
+// BenchmarkLPWindowUneven: LP 0 has fifty events per window and LP 1
+// five, so the worker finishes early and waits for the next release
+// while the caller is still inside its window: the wait the budgets are
+// sized for.
+func BenchmarkLPWindowUneven(b *testing.B) { benchLPWindows(b, [2]int{50, 5}) }

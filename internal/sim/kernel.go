@@ -278,8 +278,10 @@ func (k *Kernel) loop() {
 // A runtime.Goexit inside a process body (t.Fatal from a rank closure)
 // ends the goroutine that called Run, after the body's deferred
 // functions: a coroutine's Goexit is its resumer's. That is what t.Fatal
-// wants on a single kernel; under an LPSet the resumer is a window
-// worker, and LPSet.Run reports it as a panic instead.
+// wants on a single kernel. Under an LPSet the resumer is the runner the
+// LP is striped onto: the caller of LPSet.Run, which ends the same way,
+// or a window worker, whose exit LPSet.Run raises as a panic instead
+// (see LPSet.Run for the contract).
 func (k *Kernel) Run() Time {
 	k.loop()
 	if k.panicked != nil {

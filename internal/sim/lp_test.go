@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -209,35 +212,257 @@ func TestLPSetPanicPropagates(t *testing.T) {
 
 // TestLPSetGoexitInProcPanics: a runtime.Goexit inside a process body
 // (t.Fatal from a rank closure) is propagated by the coroutine to the
-// window worker that resumed it. The worker still signals the barrier,
-// and LPSet.Run raises the exit as a panic instead of waiting forever.
+// goroutine that resumed it. When that is a window worker, the worker
+// still counts itself out of the barrier and LPSet.Run raises the exit
+// as the LP's panic; when it is the caller of Run (LP 0 always, every LP
+// with one runner), the caller ends as it would under Kernel.Run, after
+// its deferred release has told the workers to exit. Nothing else is
+// acceptable, and in neither case may Run hang or a worker survive.
 func TestLPSetGoexitInProcPanics(t *testing.T) {
-	h := newLPHarness(2, 1)
-	h.ks[0].Spawn("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
-	deferred := false
-	h.ks[1].Spawn("quitter", func(p *Proc) {
-		defer func() { deferred = true }()
-		p.Sleep(time.Microsecond)
-		runtime.Goexit()
-	})
-	res := make(chan any, 1)
-	go func() {
-		defer func() { res <- recover() }()
-		NewLPSet(h.ks, 10*time.Microsecond, h.exchange).Run()
-	}()
-	select {
-	case r := <-res:
-		if s, ok := r.(string); !ok || !strings.Contains(s, "LP goroutine exited inside a window [lp1]") {
-			t.Errorf("LPSet.Run raised %v, want the LP-exit panic", r)
+	for _, lp := range []int{0, 1} {
+		t.Run(fmt.Sprintf("lp%d", lp), func(t *testing.T) {
+			base := settledGoroutines()
+			// Repeated so that one leaked worker per Run would exceed the
+			// slack waitGoroutines allows the runtime's own helpers.
+			for rep := 0; rep < 8; rep++ {
+				h := newLPHarness(2, 1)
+				h.ks[1-lp].Spawn("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
+				deferred := false
+				h.ks[lp].Spawn("quitter", func(p *Proc) {
+					defer func() { deferred = true }()
+					p.Sleep(time.Microsecond)
+					runtime.Goexit()
+				})
+				set := NewLPSet(h.ks, 10*time.Microsecond, h.exchange)
+				type outcome struct {
+					returned bool
+					raised   any
+				}
+				res := make(chan outcome, 1)
+				go func() {
+					var o outcome
+					defer func() {
+						o.raised = recover()
+						res <- o
+					}()
+					set.Run()
+					o.returned = true
+				}()
+				select {
+				case o := <-res:
+					onCaller := lp%set.Stats().Runners == 0
+					msg, _ := o.raised.(string)
+					switch {
+					case o.returned:
+						t.Error("LPSet.Run returned normally although a rank body exited")
+					case onCaller && o.raised != nil:
+						t.Errorf("exit on the caller's stripe: LPSet.Run raised %v, want the caller's goroutine to end", o.raised)
+					case !onCaller && !strings.Contains(msg, fmt.Sprintf("LP goroutine exited inside a window [lp%d]", lp)):
+						t.Errorf("exit on a worker's LP: LPSet.Run raised %v, want the LP-exit panic", o.raised)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("LPSet.Run still waiting at the barrier after an LP's goroutine exited")
+				}
+				if !deferred {
+					t.Error("the exiting body's deferred function did not run")
+				}
+				for _, k := range h.ks {
+					k.Shutdown()
+				}
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// moving: the workers of an earlier test's Run have been told to exit
+// but may not have got there yet.
+func settledGoroutines() int {
+	n := countGoroutines()
+	for i := 0; i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		m := countGoroutines()
+		if m == n {
+			break
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("LPSet.Run still waiting at the barrier after an LP's goroutine exited")
+		n = m
 	}
-	if !deferred {
-		t.Error("the exiting body's deferred function did not run")
+	return n
+}
+
+// TestLPSetRunners: Run starts one goroutine fewer than it has runners,
+// because its caller is runner 0, and never more runners than LPs, Ps or
+// CPUs: one worker for two LPs (there were two, plus a parked
+// coordinator), none at all on one P. The count is taken inside a
+// window, on kernels without processes, since a process coroutine is a
+// goroutine too.
+func TestLPSetRunners(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		lps, procs int // procs 0: GOMAXPROCS as the test was started
+	}{
+		{"2lps", 2, 0},
+		{"8lps", 8, 0},
+		{"8lps-1P", 8, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
+			want := min(tc.lps, runtime.GOMAXPROCS(0), runtime.NumCPU()) - 1
+			h := newLPHarness(tc.lps, 1)
+			for _, k := range h.ks {
+				k.After(time.Microsecond, func() {})
+			}
+			base := settledGoroutines()
+			started := -1
+			// LP 0 runs on the caller, whose fork precedes the first window.
+			h.ks[0].After(time.Millisecond, func() { started = runtime.NumGoroutine() - base })
+			set := NewLPSet(h.ks, 10*time.Microsecond, h.exchange)
+			set.Run()
+			if started != want {
+				t.Errorf("%d LPs at GOMAXPROCS %d on %d CPUs: Run started %d goroutines, want %d",
+					tc.lps, runtime.GOMAXPROCS(0), runtime.NumCPU(), started, want)
+			}
+			if got := set.Stats().Runners; got != want+1 {
+				t.Errorf("Stats().Runners = %d, want %d", got, want+1)
+			}
+			waitGoroutines(t, base)
+		})
 	}
-	for _, k := range h.ks {
-		k.Shutdown()
+}
+
+// TestLPSetPanicOrder: panics captured on the caller's stripe (LP 0) and
+// on a worker's (LP 1) in the same window surface lowest LP first, and a
+// panic on the worker's LP alone still brings the caller through the
+// barrier to raise it.
+func TestLPSetPanicOrder(t *testing.T) {
+	run := func(bombs ...int) (raised any) {
+		h := newLPHarness(2, 1)
+		for _, lp := range bombs {
+			h.ks[lp].After(time.Microsecond, func() { panic(fmt.Sprintf("boom on lp%d", lp)) })
+		}
+		for _, k := range h.ks {
+			k.After(time.Millisecond, func() {})
+		}
+		defer func() { raised = recover() }()
+		NewLPSet(h.ks, 10*time.Microsecond, h.exchange).Run()
+		return nil
+	}
+	if r := run(1, 0); r != "boom on lp0" {
+		t.Errorf("both LPs panicked in one window: Run raised %v, want LP 0's", r)
+	}
+	if r := run(1); r != "boom on lp1" {
+		t.Errorf("LP 1 panicked alone: Run raised %v, want its panic", r)
+	}
+}
+
+// lpRec is one executed event in an LP's log: when, and what (0 the
+// LP's tick, 1 a timer the tick armed, 2+src a message from LP src).
+type lpRec struct {
+	t    Time
+	what int
+}
+
+// unevenLoad seeds every LP of h with windows lookahead-wide windows of
+// deliberately unequal work and returns the per-LP event logs the run
+// will fill. LP 0 ticks every L and arms 0–40 timers inside the window
+// from its own seeded stream; the others arm 0–2 and skip up to two
+// windows between ticks, so the runner that finishes first is not
+// always the same one and some windows find an LP with nothing to do.
+// One tick in four posts a message that lands on another LP exactly at
+// the next horizon.
+func unevenLoad(h *lpHarness, L Time, windows int) [][]lpRec {
+	n := len(h.ks)
+	logs := make([][]lpRec, n)
+	end := Time(windows) * L
+	for i, k := range h.ks {
+		rng := rand.New(rand.NewSource(int64(1000 + i)))
+		note := func(lp, what int) { logs[lp] = append(logs[lp], lpRec{h.ks[lp].Now(), what}) }
+		timers, gaps := 2, 3
+		if i == 0 {
+			timers, gaps = 40, 1
+		}
+		var tick func()
+		tick = func() {
+			note(i, 0)
+			for c := rng.Intn(timers + 1); c > 0; c-- {
+				k.After(Time(rng.Int63n(int64(L))), func() { note(i, 1) })
+			}
+			if rng.Intn(4) == 0 {
+				dst := (i + 1 + rng.Intn(n-1)) % n
+				h.post(i, dst, k.Now()+L, func() { note(dst, 2+i) })
+			}
+			if gap := L * Time(1+rng.Intn(gaps)); k.Now()+gap < end {
+				k.After(gap, tick)
+			}
+		}
+		k.After(0, tick)
+	}
+	return logs
+}
+
+// TestLPSetParkPath drives the barrier's slow path: with both wait
+// budgets at zero every wait parks, so each of 20 000 windows of uneven
+// work is released and joined through the flag-and-token protocol, with
+// waiters arriving before, during and after the change they wait for
+// (the lost-wake-up and stale-token cases; run it under -race -cpu 2,4).
+// Each LP must execute exactly the events, in exactly the order, that it
+// executes with the default budgets and with every LP on the caller.
+func TestLPSetParkPath(t *testing.T) {
+	const L = time.Microsecond
+	windows := 20000
+	if testing.Short() {
+		windows = 4000
+	}
+	run := func(lps int) ([][]lpRec, LPStats) {
+		h := newLPHarness(lps, 1)
+		logs := unevenLoad(h, L, windows)
+		set := NewLPSet(h.ks, L, h.exchange)
+		set.Run()
+		return logs, set.Stats()
+	}
+	same := func(t *testing.T, what string, got, want [][]lpRec) {
+		t.Helper()
+		for lp := range want {
+			if !slices.Equal(got[lp], want[lp]) {
+				t.Errorf("%s: LP %d executed %d events, a different log from the default run's %d",
+					what, lp, len(got[lp]), len(want[lp]))
+			}
+		}
+	}
+	for _, lps := range []int{2, 8} {
+		t.Run(fmt.Sprintf("%dlps", lps), func(t *testing.T) {
+			want, def := run(lps)
+			if def.Windows < uint64(windows) {
+				t.Fatalf("default run took %d windows, want at least %d", def.Windows, windows)
+			}
+
+			func() {
+				defer func(s, y int) { spinBudget, yieldBudget = s, y }(spinBudget, yieldBudget)
+				spinBudget, yieldBudget = 0, 0
+				got, st := run(lps)
+				same(t, "zero budgets", got, want)
+				if st.Windows != def.Windows {
+					t.Errorf("zero budgets: %d windows, default run %d", st.Windows, def.Windows)
+				}
+				if st.Runners > 1 && st.Parks < st.Windows {
+					t.Errorf("zero budgets on %d runners: %d parks in %d windows, the park path was not forced",
+						st.Runners, st.Parks, st.Windows)
+				}
+			}()
+
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				got, st := run(lps)
+				same(t, "GOMAXPROCS 1", got, want)
+				if st.Windows != def.Windows || st.Runners != 1 || st.Parks != 0 {
+					t.Errorf("GOMAXPROCS 1: stats %+v, want 1 runner, no parks and the default run's %d windows",
+						st, def.Windows)
+				}
+			}()
+		})
 	}
 }
 
