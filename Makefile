@@ -88,6 +88,40 @@ gate:
 	go run ./benchmark -runs 3 -out .bench_build/gate/head
 	go run ./benchmark -compare .bench_build/gate/base/results.json .bench_build/gate/head/results.json
 
+# Same-simulation check: build the three CLIs from revision BASE (a
+# `git archive` copy in a temporary directory, so nothing is registered
+# in .git) and from the working tree, run one fixed list of virtual-time
+# commands on each side, and diff the outputs. Exits 1 and prints the
+# diff on any difference; about 10 s per side. The list covers both
+# engines, both tree shapes (radix 6: the topology-aware tree differs
+# from the binomial one), lossy links, 0 and 2 LPs, tenancy and abapp;
+# the flow grid's wall_ms and heap_bytes columns are the only
+# host-dependent output and are cut before comparing.
+define same_cmds
+./abbench -fig all -ablations -iters 60 -csv > figs.csv && \
+./abbench -fig topo -iters 40 -csv > topo.csv && \
+./abbench -fig tenancy -iters 40 -csv > tenancy.csv && \
+./abbench -fig loss -iters 40 -csv > loss.csv && \
+./abscale -sizes 32,128 -iters 10 -bigsizes "" -toposizes 1024 -topoiters 3 -lps 2 -csv > scale.csv && \
+./abscale -sizes 32,128 -iters 10 -bigsizes "" -toposizes 1024 -topoiters 3 -lps 2 -csv -loss 0.01 -faultseed 3 > scale_lossy.csv && \
+./abscale -sizes 32 -iters 2 -bigsizes "" -engine flow -flowsizes 4096,65536 -flowiters 2 -lps 0 | $(same_cut) > flow_lps0.txt && \
+./abscale -sizes 32 -iters 2 -bigsizes "" -engine flow -flowsizes 4096,65536 -flowiters 2 -lps 2 | $(same_cut) > flow_lps2.txt && \
+./abscale -sizes 32 -iters 2 -bigsizes "" -engine flow -topo fattree:6 -flowsizes 48,54 -flowiters 3 | $(same_cut) > flow_radix6.txt && \
+./abapp -nodes 64 -iters 20 > app.txt && \
+./abapp -nodes 4096 -iters 5 -engine flow -topo fattree:16 > app_flow.txt
+endef
+same_cut = awk '/^Flow-engine/ {f=1} f && NF==8 {print $$1,$$2,$$3,$$4,$$6,$$8; next} {print}'
+
+.PHONY: same
+same:
+	@test -n "$(BASE)" || { echo "usage: make same BASE=<rev>" >&2; exit 2; }
+	@wt=$$(mktemp -d) && trap 'rm -rf "$$wt"' EXIT && mkdir "$$wt/src" "$$wt/base" "$$wt/head" && \
+		git archive $(BASE) | tar -x -C "$$wt/src" && \
+		(cd "$$wt/src" && go build -o "$$wt/base/" ./cmd/abbench ./cmd/abscale ./cmd/abapp) && \
+		go build -o "$$wt/head/" ./cmd/abbench ./cmd/abscale ./cmd/abapp && \
+		for side in base head; do (cd "$$wt/$$side" && $(same_cmds) && rm abbench abscale abapp) || exit 1; done && \
+		diff -r "$$wt/base" "$$wt/head" && echo "same simulation as $(BASE): 11 outputs identical"
+
 # Load-test the scenario service: a real abserve child under the
 # benchmark's closed loop of 2 clients for 5 s — cold computes, cache
 # hits, single-flight dedups and bad specs. Fails unless every response

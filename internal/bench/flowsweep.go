@@ -16,16 +16,16 @@ import (
 // events, peak heap) that certify the point was simulable at all, and
 // the flow-completion-time percentiles from the ab run.
 type FlowPoint struct {
-	Nodes    int     `json:"nodes"`
-	NabUS    float64 `json:"nab_us"`
-	AbUS     float64 `json:"ab_us"`
-	Factor   float64 `json:"factor"`
-	WallMS   float64 `json:"wall_ms"`
-	Events   uint64  `json:"events"`
-	HeapPeak uint64  `json:"heap_peak_bytes"`
-	FCTp50US float64 `json:"fct_p50_us"`
-	FCTp95US float64 `json:"fct_p95_us"`
-	FCTp99US float64 `json:"fct_p99_us"`
+	Nodes    int
+	NabUS    float64
+	AbUS     float64
+	Factor   float64
+	WallMS   float64
+	Events   uint64
+	HeapPeak uint64
+	FCTp50US float64
+	FCTp95US float64
+	FCTp99US float64
 }
 
 // FlowSweep runs the flow-engine CPU-utilization grid: for each size,

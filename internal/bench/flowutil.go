@@ -6,6 +6,7 @@ import (
 	"abred/internal/cluster"
 	"abred/internal/coll"
 	"abred/internal/flow"
+	"abred/internal/mpi"
 	"abred/internal/sim"
 	"abred/internal/stats"
 )
@@ -59,7 +60,7 @@ func flowCPUUtil(cfg Config) CPUUtilResult {
 		// bounce-buffer pool is the one virtual-time charge before the
 		// benchmark loop, and it dominates the packet engine's lead-in.
 		cm := m.CMs[r]
-		t0 := m.HostRun(r, 0, sim.Time(cm.Pin(64*cm.C.EagerThreshold)))
+		t0 := m.HostRun(r, 0, cm.Pin(mpi.EagerPoolBytes(cm)))
 		d.startIter(r, t0)
 	}
 	end := cl.Drain()

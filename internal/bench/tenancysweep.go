@@ -17,17 +17,15 @@ import (
 // half-widths, reduction-CPU means for both reduction implementations,
 // and the AB-vs-binomial advantage under that contention level.
 type TenancyPoint struct {
-	Jobs      int     `json:"jobs"`
-	Oversub   int     `json:"oversub"`
-	Place     string  `json:"place"`
-	JCTp50US  float64 `json:"jct_p50_us"`
-	JCTp95US  float64 `json:"jct_p95_us"`
-	JCTCI95US float64 `json:"jct_ci95_us"`
-	NabCPUUS  float64 `json:"nab_cpu_us"`
-	AbCPUUS   float64 `json:"ab_cpu_us"`
-	Factor    float64 `json:"factor"` // nab/ab reduction-CPU advantage
-	Makespan  float64 `json:"makespan_us"`
-	Events    uint64  `json:"events"`
+	Jobs      int
+	Oversub   int
+	Place     string
+	JCTp50US  float64
+	JCTp95US  float64
+	JCTCI95US float64
+	NabCPUUS  float64
+	AbCPUUS   float64
+	Factor    float64 // nab/ab reduction-CPU advantage
 }
 
 // tenancyJob wraps one full multi-tenant run as a sweep job. Its value
@@ -140,8 +138,6 @@ func TenancySweep(specs []model.NodeSpec, base topo.Spec, jobCounts, oversubs []
 					JCTCI95US: float64(ab.JCT.CI95) / float64(time.Microsecond),
 					NabCPUUS:  float64(nab.CPU.Mean) / float64(time.Microsecond),
 					AbCPUUS:   float64(ab.CPU.Mean) / float64(time.Microsecond),
-					Makespan:  float64(ab.Makespan) / float64(time.Microsecond),
-					Events:    nab.Events + ab.Events,
 				}
 				if p.AbCPUUS > 0 {
 					p.Factor = p.NabCPUUS / p.AbCPUUS

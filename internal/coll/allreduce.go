@@ -28,7 +28,7 @@ func Scan(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op m
 		panic(fmt.Sprintf("coll: scan buffers too small (%d, %d < %d)", len(sendbuf), len(recvbuf), n))
 	}
 	ctx := c.Ctx(mpi.CtxScan)
-	tag := seqTag(c.NextSeq(mpi.CtxScan))
+	tag := SeqTag(c.NextSeq(mpi.CtxScan))
 	rank, size := c.Rank(), c.Size()
 
 	copy(recvbuf[:n], sendbuf[:n])

@@ -17,7 +17,7 @@ func Alltoall(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype) 
 		panic(fmt.Sprintf("coll: alltoall buffers too small (%d, %d < %d)", len(sendbuf), len(recvbuf), n*size))
 	}
 	ctx := c.Ctx(mpi.CtxAlltoall)
-	tag := seqTag(c.NextSeq(mpi.CtxAlltoall))
+	tag := SeqTag(c.NextSeq(mpi.CtxAlltoall))
 
 	var reqs []*mpi.Request
 	for peer := 0; peer < size; peer++ {

@@ -19,8 +19,8 @@ func Barrier(c *mpi.Comm) {
 	rank := c.Rank()
 	ctx := c.Ctx(mpi.CtxBarrier)
 	seq := c.NextSeq(mpi.CtxBarrier)
-	upTag := seqTag(seq * 2)
-	downTag := seqTag(seq*2 + 1)
+	upTag := SeqTag(seq * 2)
+	downTag := SeqTag(seq*2 + 1)
 	parent := Parent(rank, 0, size)
 	// A pooled token instead of a stack array: the array escapes through
 	// Recv's posted queue, costing one allocation per barrier. Zeroed so
@@ -29,11 +29,8 @@ func Barrier(c *mpi.Comm) {
 	token[0] = 0
 
 	// Combine phase: wait for the whole subtree, then report up.
-	for it := Kids(rank, 0, size); ; {
-		child := it.Next()
-		if child < 0 {
-			break
-		}
+	it := Kids(rank, 0, size)
+	for child := it.Next(); child >= 0; child = it.Next() {
 		pr.Recv(ctx, c.World(child), upTag, token)
 	}
 	if parent >= 0 {
@@ -41,11 +38,8 @@ func Barrier(c *mpi.Comm) {
 		pr.Recv(ctx, c.World(parent), downTag, token)
 	}
 	// Release phase: forward the release down the subtree.
-	for it := Kids(rank, 0, size); ; {
-		child := it.Next()
-		if child < 0 {
-			break
-		}
+	it = Kids(rank, 0, size)
+	for child := it.Next(); child >= 0; child = it.Next() {
 		pr.Send(mpi.SendArgs{Dst: c.World(child), Ctx: ctx, Tag: downTag, Data: token})
 	}
 	pr.PutBuf(token) // 1-byte sends are eager: copied out synchronously
@@ -68,7 +62,7 @@ func BarrierDissemination(c *mpi.Comm) {
 	var token [1]byte
 	var buf [1]byte
 	for k, dist := 0, 1; dist < size; k, dist = k+1, dist*2 {
-		tag := seqTag(seq*64 + uint64(k))
+		tag := SeqTag(seq*64 + uint64(k))
 		to := (rank + dist) % size
 		from := (rank - dist + size) % size
 		sreq := pr.Isend(mpi.SendArgs{Dst: c.World(to), Ctx: ctx, Tag: tag, Data: token[:]})

@@ -26,7 +26,7 @@ func BcastWithSeq(c *mpi.Comm, seq uint64, buf []byte, count int, dt mpi.Datatyp
 		panic(fmt.Sprintf("coll: root %d out of range (size %d)", root, c.Size()))
 	}
 	ctx := c.Ctx(mpi.CtxBcast)
-	tag := seqTag(seq)
+	tag := SeqTag(seq)
 	rank, size := c.Rank(), c.Size()
 	rel := (rank - root + size) % size
 

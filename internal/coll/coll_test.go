@@ -1,7 +1,9 @@
 package coll
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -333,29 +335,41 @@ func TestReduceSingleRank(t *testing.T) {
 	})
 }
 
+// TestReduceArgValidation: every bad argument panics, and with the
+// message that names it — the root check must fire before anything walks
+// a tree built from that root (which would say "bad tree args").
 func TestReduceArgValidation(t *testing.T) {
-	for name, call := range map[string]func(w *mpi.Comm){
-		"bad count": func(w *mpi.Comm) {
+	for name, tc := range map[string]struct {
+		call func(w *mpi.Comm)
+		want string
+	}{
+		"bad count": {func(w *mpi.Comm) {
 			Reduce(w, f64s(1), make([]byte, 8), 0, mpi.Float64, mpi.OpSum, 0)
-		},
-		"bad root": func(w *mpi.Comm) {
+		}, "coll: non-positive count 0"},
+		"bad root": {func(w *mpi.Comm) {
 			Reduce(w, f64s(1), make([]byte, 8), 1, mpi.Float64, mpi.OpSum, 9)
-		},
-		"bad op": func(w *mpi.Comm) {
+		}, "coll: root 9 out of range (size 1)"},
+		"negative root": {func(w *mpi.Comm) {
+			Reduce(w, f64s(1), make([]byte, 8), 1, mpi.Float64, mpi.OpSum, -1)
+		}, "coll: root -1 out of range (size 1)"},
+		"bad op": {func(w *mpi.Comm) {
 			Reduce(w, f64s(1), make([]byte, 8), 1, mpi.Float64, mpi.OpBAnd, 0)
-		},
-		"short sendbuf": func(w *mpi.Comm) {
+		}, "undefined for"},
+		"short sendbuf": {func(w *mpi.Comm) {
 			Reduce(w, make([]byte, 4), make([]byte, 8), 1, mpi.Float64, mpi.OpSum, 0)
-		},
+		}, "coll: sendbuf 4 bytes < 8"},
+		"tree of another size": {func(w *mpi.Comm) {
+			ReduceOn(w, Binomial(0, 2), mpi.CtxReduce, 1, f64s(1), make([]byte, 8), 1, mpi.Float64, mpi.OpSum, false)
+		}, "coll: tree for size 2 on a size-1 communicator"},
 	} {
-		name, call := name, call
+		name, tc := name, tc
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want one containing %q", name, msg, tc.want)
 				}
 			}()
-			runWorld(1, 1, call)
+			runWorld(1, 1, tc.call)
 		}()
 	}
 }

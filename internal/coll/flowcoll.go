@@ -84,8 +84,6 @@ type fop struct {
 	coll    bool // this instance's sends are collective-typed
 	seq     uint64
 	it      ChildIter
-	kids    []int // materialized child list (topology-aware root)
-	ki      int
 	parent  int32
 	// The posted receive's match key.
 	pkind uint8
@@ -142,11 +140,6 @@ type FlowColl struct {
 	// logical process (descriptors are taken and returned on the
 	// owning rank's LP).
 	pendFree [][][]int32
-	// rootKids is the materialized topology-aware child list. Only the
-	// root rank's reduceStart writes it (the AB internal ranks use the
-	// descriptor path), so a single scratch slice is safe under LP
-	// partitioning.
-	rootKids []int
 }
 
 // NewFlowColl builds the flow-mode collective engine for a size-rank
@@ -242,21 +235,27 @@ func (fc *FlowColl) Reduce(rank int, at sim.Time, ab bool, seq uint64) {
 		fc.reduceStart(rank, at, seq, true)
 		return
 	}
-	var parent, nk int
-	if fc.Tree != nil {
-		parent, nk = fc.Tree.Parent(rank), fc.Tree.ChildCount(rank)
-	} else {
-		parent, nk = Parent(rank, fc.Root, fc.Size), ChildCount(rank, fc.Root, fc.Size)
-	}
-	m, cm := fc.M, fc.M.CMs[rank]
-	if nk == 0 {
+	tr := fc.tree(true)
+	if tr.ChildCount(rank) == 0 {
 		// Leaf: one eager collective send, then the call returns.
+		m, cm := fc.M, fc.M.CMs[rank]
+		parent := tr.Parent(rank)
 		t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.Bytes))
 		m.Send(t, rank, parent, fc.Bytes, fc, ptag(fkReduce, true, parent, rank, seq))
 		fc.opDone(rank, t)
 		return
 	}
-	fc.abInternal(rank, at, seq, parent)
+	fc.abInternal(rank, at, seq, tr)
+}
+
+// tree returns the tree a reduction instance runs over: the installed
+// topology-aware one for application-bypass instances, binomial
+// otherwise.
+func (fc *FlowColl) tree(ab bool) Tree {
+	if ab && fc.Tree != nil {
+		return fc.Tree.Tree()
+	}
+	return Binomial(fc.Root, fc.Size)
 }
 
 // Barrier enters the MPICH tree barrier (combine up to rank 0, release
@@ -292,25 +291,16 @@ func (fc *FlowColl) RecvP2P(rank int, at sim.Time, src int, tag uint64) {
 	}
 }
 
-// reduceStart runs the blocking MPICH reduction chain (ReduceOnKind):
+// reduceStart runs the blocking MPICH reduction chain (ReduceOn):
 // all of NAB mode, plus the AB root. coll marks the instance's sends
 // collective-typed.
 func (fc *FlowColl) reduceStart(rank int, at sim.Time, seq uint64, coll bool) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	fr := &fc.ranks[rank]
-	fr.op = fop{kind: opReduce, seq: mseq(seq), coll: coll}
-	op := &fr.op
-	var parent, nk int
-	if coll && fc.Tree != nil {
-		parent, nk = fc.Tree.Parent(rank), fc.Tree.ChildCount(rank)
-		fc.rootKids = fc.Tree.AppendChildren(fc.rootKids[:0], rank)
-		op.kids = fc.rootKids
-	} else {
-		parent, nk = Parent(rank, fc.Root, fc.Size), ChildCount(rank, fc.Root, fc.Size)
-		op.it = Kids(rank, fc.Root, fc.Size)
-	}
-	op.parent = int32(parent)
-	if nk == 0 {
+	tr := fc.tree(coll)
+	parent := tr.Parent(rank)
+	fr.op = fop{kind: opReduce, seq: mseq(seq), coll: coll, parent: int32(parent), it: tr.Kids(rank)}
+	if tr.ChildCount(rank) == 0 {
 		if parent < 0 { // single-process communicator
 			fc.opDone(rank, at)
 			return
@@ -331,7 +321,7 @@ func (fc *FlowColl) reduceLoop(rank int, fr *frank) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	op := &fr.op
 	for {
-		c := nextChild(op)
+		c := op.it.Next()
 		if c < 0 {
 			if op.parent >= 0 {
 				t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.Bytes))
@@ -355,7 +345,7 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 	op := &fr.op
 	if op.phase == 0 {
 		for {
-			c := nextChild(op)
+			c := op.it.Next()
 			if c < 0 {
 				op.phase = 1
 				break
@@ -375,29 +365,12 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 			}
 		}
 	}
-	for it := Kids(rank, 0, fc.Size); ; {
-		c := it.Next()
-		if c < 0 {
-			break
-		}
+	it := Kids(rank, 0, fc.Size)
+	for c := it.Next(); c >= 0; c = it.Next() {
 		t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(1))
 		m.Send(t, rank, c, 1, fc, ptag(fkBarDown, false, c, rank, op.seq))
 	}
 	fc.opDone(rank, m.Busy[rank])
-}
-
-// nextChild advances the op's child cursor: the materialized list when
-// one is set, the binomial iterator otherwise.
-func nextChild(op *fop) int {
-	if op.kids != nil {
-		if op.ki < len(op.kids) {
-			c := op.kids[op.ki]
-			op.ki++
-			return c
-		}
-		return -1
-	}
-	return op.it.Next()
 }
 
 // abInternal is the internal-rank application-bypass call (Fig. 3 left
@@ -405,7 +378,7 @@ func nextChild(op *fop) int {
 // push, drain early contributions from the AB unexpected queue, run one
 // progress pass over whatever the NIC already delivered, re-arm signals
 // iff the instance is still outstanding, and return.
-func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, parent int) {
+func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, tr Tree) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	fr := &fc.ranks[rank]
 	fr.sigOn = false
@@ -413,20 +386,11 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, parent int) {
 	t = m.HostRun(rank, t, cm.DescriptorOvh())
 
 	pend := fc.getPend(rank)
-	if fc.Tree != nil {
-		for _, c := range fc.Tree.kids[fc.Tree.off[rank]:fc.Tree.off[rank+1]] {
-			pend = append(pend, c)
-		}
-	} else {
-		for it := Kids(rank, fc.Root, fc.Size); ; {
-			c := it.Next()
-			if c < 0 {
-				break
-			}
-			pend = append(pend, int32(c))
-		}
+	it := tr.Kids(rank)
+	for c := it.Next(); c >= 0; c = it.Next() {
+		pend = append(pend, int32(c))
 	}
-	fr.descs = append(fr.descs, fdesc{seq: mseq(seq), parent: int32(parent), pending: pend})
+	fr.descs = append(fr.descs, fdesc{seq: mseq(seq), parent: int32(tr.Parent(rank)), pending: pend})
 	di := len(fr.descs) - 1
 
 	// drainUBQ: combine queued early messages straight from the queue.
@@ -595,7 +559,7 @@ func removePending(d *fdesc, src int32) {
 // opDone ends rank's blocking call at host time t.
 func (fc *FlowColl) opDone(rank int, t sim.Time) {
 	fr := &fc.ranks[rank]
-	fr.op.kind, fr.op.waiting, fr.op.kids = opNone, false, nil
+	fr.op.kind, fr.op.waiting = opNone, false
 	if fc.Done != nil {
 		fc.Done(rank, t)
 	}

@@ -16,7 +16,7 @@ func Gather(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, ro
 		panic(fmt.Sprintf("coll: gather sendbuf %d bytes < %d", len(sendbuf), n))
 	}
 	ctx := c.Ctx(mpi.CtxGather)
-	tag := seqTag(c.NextSeq(mpi.CtxGather))
+	tag := SeqTag(c.NextSeq(mpi.CtxGather))
 	rank, size := c.Rank(), c.Size()
 
 	if rank != root {
@@ -47,7 +47,7 @@ func Scatter(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, r
 		panic(fmt.Sprintf("coll: scatter recvbuf %d bytes < %d", len(recvbuf), n))
 	}
 	ctx := c.Ctx(mpi.CtxScatter)
-	tag := seqTag(c.NextSeq(mpi.CtxScatter))
+	tag := SeqTag(c.NextSeq(mpi.CtxScatter))
 	rank, size := c.Rank(), c.Size()
 
 	if rank != root {

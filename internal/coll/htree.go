@@ -9,15 +9,12 @@
 // the same property the flat binomial helpers rely on.
 package coll
 
-import (
-	"fmt"
-
-	"abred/internal/mpi"
-)
+import "fmt"
 
 // TopoTree is a two-level reduction tree for one (root, size, leaf
-// assignment) triple. Parents and children are precomputed flat arrays;
-// queries are O(1) and allocation-free.
+// assignment) triple. Parents and children are precomputed flat arrays
+// that Tree() hands to the collectives; queries are O(1) and
+// allocation-free.
 type TopoTree struct {
 	root, size int
 	parent     []int32
@@ -80,7 +77,6 @@ func NewTopoTree(size, root int, leafOf func(int) int) *TopoTree {
 		deg[parent]++
 	}
 	t.parent[root] = -1
-	var scratch []int
 	for gi, ms := range members {
 		g := len(ms)
 		for i := 1; i < g; i++ {
@@ -103,18 +99,18 @@ func NewTopoTree(size, root int, leafOf func(int) int) *TopoTree {
 	for _, ms := range members {
 		g := len(ms)
 		for i := 0; i < g; i++ {
-			scratch = AppendChildren(scratch[:0], i, 0, g)
 			p := ms[i]
-			for _, ci := range scratch {
+			it := Kids(i, 0, g)
+			for ci := it.Next(); ci >= 0; ci = it.Next() {
 				t.kids[fill[p]] = ms[ci]
 				fill[p]++
 			}
 		}
 	}
 	for gi := range members {
-		scratch = AppendChildren(scratch[:0], gi, rootGi, len(members))
 		p := members[gi][0]
-		for _, ci := range scratch {
+		it := Kids(gi, rootGi, len(members))
+		for ci := it.Next(); ci >= 0; ci = it.Next() {
 			t.kids[fill[p]] = members[ci][0]
 			fill[p]++
 		}
@@ -122,88 +118,6 @@ func NewTopoTree(size, root int, leafOf func(int) int) *TopoTree {
 	return t
 }
 
-// Root returns the rank the reduction result lands on.
-func (t *TopoTree) Root() int { return t.root }
-
-// Size returns the communicator size the tree was built for.
-func (t *TopoTree) Size() int { return t.size }
-
-// Parent returns rank's parent in the tree, -1 at the root.
-func (t *TopoTree) Parent(rank int) int { return int(t.parent[rank]) }
-
-// ChildCount returns the number of children of rank.
-func (t *TopoTree) ChildCount(rank int) int {
-	return int(t.off[rank+1] - t.off[rank])
-}
-
-// AppendChildren appends rank's children to dst and returns it:
-// intra-leaf children first, then (for a group leader) the leaders of
-// subordinate groups.
-func (t *TopoTree) AppendChildren(dst []int, rank int) []int {
-	for _, c := range t.kids[t.off[rank]:t.off[rank+1]] {
-		dst = append(dst, int(c))
-	}
-	return dst
-}
-
-// ReduceTree is ReduceOnKind over a TopoTree instead of the flat
-// binomial shape: identical wire protocol and cost charges, only the
-// parent/child relation differs. Every rank must pass the same tree.
-func ReduceTree(c *mpi.Comm, t *TopoTree, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op) {
-	seq := c.NextSeq(mpi.CtxReduce)
-	ReduceTreeOnKind(c, t, mpi.CtxReduce, seq, sendbuf, recvbuf, count, dt, op, false)
-}
-
-// ReduceTreeOnKind mirrors ReduceOnKind on a topology-aware tree; the
-// root is the tree's. The application-bypass layer uses it for its root
-// and fallback paths when a tree is installed, keeping both
-// implementations wire-compatible within one instance.
-func ReduceTreeOnKind(c *mpi.Comm, t *TopoTree, kind mpi.CtxKind, seq uint64, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op, collective bool) {
-	pr := c.Proc()
-	root := t.Root()
-	if c.Size() != t.Size() {
-		panic(fmt.Sprintf("coll: tree for size %d on a size-%d communicator", t.Size(), c.Size()))
-	}
-	n := checkReduceArgs(c, sendbuf, recvbuf, count, dt, op, root)
-	ctx := c.Ctx(kind)
-	tag := seqTag(seq)
-	rank := c.Rank()
-	parent := t.Parent(rank)
-
-	if t.ChildCount(rank) == 0 {
-		if parent < 0 { // single-process communicator
-			copy(recvbuf[:n], sendbuf[:n])
-			return
-		}
-		pr.Send(mpi.SendArgs{
-			Dst: c.World(parent), Ctx: ctx, Tag: tag, Data: sendbuf[:n],
-			Collective: collective, Root: int32(c.World(root)), Seq: seq,
-		})
-		return
-	}
-
-	acc := pr.GetBuf(n)
-	pr.P.Spin(pr.CM.HostCopy(n))
-	copy(acc, sendbuf[:n])
-
-	tmp := pr.GetBuf(n)
-	for _, child := range t.kids[t.off[rank]:t.off[rank+1]] {
-		pr.Recv(ctx, c.World(int(child)), tag, tmp)
-		pr.P.Spin(pr.CM.ReduceOp(count, dt.Size()))
-		mpi.Apply(op, dt, acc, tmp, count)
-	}
-	pr.PutBuf(tmp)
-
-	if parent < 0 {
-		copy(recvbuf[:n], acc)
-		pr.PutBuf(acc)
-		return
-	}
-	pr.Send(mpi.SendArgs{
-		Dst: c.World(parent), Ctx: ctx, Tag: tag, Data: acc,
-		Collective: collective, Root: int32(c.World(root)), Seq: seq,
-	})
-	if n <= pr.CM.C.EagerThreshold {
-		pr.PutBuf(acc)
-	}
-}
+// Tree returns the parent/child relation of t as the value the
+// collectives walk.
+func (t *TopoTree) Tree() Tree { return Tree{root: t.root, size: t.size, topo: t} }

@@ -20,7 +20,7 @@ func TestTopoTreeInvariants(t *testing.T) {
 		for _, root := range []int{0, size / 2, size - 1} {
 			for _, g := range []int{1, 2, 3, 4, 8} {
 				leaf := leafMod(g)
-				tr := NewTopoTree(size, root, leaf)
+				tr := NewTopoTree(size, root, leaf).Tree()
 				if tr.Parent(root) != -1 {
 					t.Fatalf("size=%d root=%d g=%d: root has parent %d", size, root, g, tr.Parent(root))
 				}
@@ -82,7 +82,7 @@ func TestTopoTreeInvariants(t *testing.T) {
 // is not the group's lowest rank, so the group's partial result lands
 // on the root directly instead of detouring through a leader.
 func TestTopoTreeRootLeadsOwnGroup(t *testing.T) {
-	tr := NewTopoTree(8, 3, leafMod(2)) // groups {0,1} {2,3} {4,5} {6,7}; root 3
+	tr := NewTopoTree(8, 3, leafMod(2)).Tree() // groups {0,1} {2,3} {4,5} {6,7}; root 3
 	if p := tr.Parent(2); p != 3 {
 		t.Errorf("rank 2's parent = %d, want root 3", p)
 	}
@@ -98,8 +98,8 @@ func TestTopoTreeRootLeadsOwnGroup(t *testing.T) {
 // TestTopoTreeDeterminism: rebuilding yields the identical tree — the
 // property that lets every rank derive the shape independently.
 func TestTopoTreeDeterminism(t *testing.T) {
-	a := NewTopoTree(33, 5, leafMod(4))
-	b := NewTopoTree(33, 5, leafMod(4))
+	a := NewTopoTree(33, 5, leafMod(4)).Tree()
+	b := NewTopoTree(33, 5, leafMod(4)).Tree()
 	for r := 0; r < 33; r++ {
 		if a.Parent(r) != b.Parent(r) {
 			t.Fatalf("rank %d: parents differ across rebuilds", r)
@@ -120,7 +120,7 @@ func TestTopoTreeDeterminism(t *testing.T) {
 // of leaders only — the flat binomial shape over all ranks.
 func TestTopoTreeFlatDegenerate(t *testing.T) {
 	const size, root = 16, 2
-	tr := NewTopoTree(size, root, leafMod(1))
+	tr := NewTopoTree(size, root, leafMod(1)).Tree()
 	for r := 0; r < size; r++ {
 		if got, want := tr.Parent(r), Parent(r, root, size); got != want {
 			t.Errorf("rank %d: parent %d, flat binomial says %d", r, got, want)
@@ -134,12 +134,12 @@ func TestTopoTreeFlatDegenerate(t *testing.T) {
 func TestReduceTreeEqualsSequentialFold(t *testing.T) {
 	for _, size := range []int{1, 2, 5, 8, 13, 16} {
 		for _, root := range []int{0, size - 1} {
-			tr := NewTopoTree(size, root, leafMod(4))
+			tr := NewTopoTree(size, root, leafMod(4)).Tree()
 			var got []float64
 			runWorld(size, 9, func(w *mpi.Comm) {
 				in := f64s(float64(w.Rank()+1), -2, float64(w.Rank()*w.Rank()), 0.5)
 				out := make([]byte, 32)
-				ReduceTree(w, tr, in, out, 4, mpi.Float64, mpi.OpSum)
+				ReduceOn(w, tr, mpi.CtxReduce, w.NextSeq(mpi.CtxReduce), in, out, 4, mpi.Float64, mpi.OpSum, false)
 				if w.Rank() == root {
 					got = mpi.BytesToFloat64s(out)
 				}

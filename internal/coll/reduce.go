@@ -11,30 +11,29 @@ import (
 // processes block on each child in turn — the synchronization the paper
 // identifies as the scalability problem (§I).
 func Reduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op, root int) {
-	seq := c.NextSeq(mpi.CtxReduce)
-	ReduceWithSeq(c, seq, sendbuf, recvbuf, count, dt, op, root, false)
+	ReduceOn(c, Binomial(root, c.Size()), mpi.CtxReduce, c.NextSeq(mpi.CtxReduce), sendbuf, recvbuf, count, dt, op, false)
 }
 
-// ReduceWithSeq is Reduce for an explicit instance number on the
-// standard reduce context; the application-bypass layer uses it for its
-// root and fallback paths so both implementations stay wire-compatible
-// within one instance. collective selects the GM packet type for the
-// result sent to the parent.
-func ReduceWithSeq(c *mpi.Comm, seq uint64, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op, root int, collective bool) {
-	ReduceOnKind(c, mpi.CtxReduce, seq, sendbuf, recvbuf, count, dt, op, root, collective)
-}
-
-// ReduceOnKind is ReduceWithSeq on an explicit context kind, so the
-// split-phase fallback can stay on its own context.
-func ReduceOnKind(c *mpi.Comm, kind mpi.CtxKind, seq uint64, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op, root int, collective bool) {
+// ReduceOn is the blocking reduction over an explicit tree, context
+// kind and instance number; the root is the tree's, and every rank must
+// pass the same tree. The application-bypass layer uses it for its root
+// and fallback paths, so both implementations stay wire-compatible
+// within one instance and the split-phase fallback stays on its own
+// context. collective selects the GM packet type for the result sent to
+// the parent.
+func ReduceOn(c *mpi.Comm, t Tree, kind mpi.CtxKind, seq uint64, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op, collective bool) {
 	pr := c.Proc()
+	if c.Size() != t.Size() {
+		panic(fmt.Sprintf("coll: tree for size %d on a size-%d communicator", t.Size(), c.Size()))
+	}
+	root := t.Root()
 	n := checkReduceArgs(c, sendbuf, recvbuf, count, dt, op, root)
 	ctx := c.Ctx(kind)
-	tag := seqTag(seq)
-	rank, size := c.Rank(), c.Size()
-	parent := Parent(rank, root, size)
+	tag := SeqTag(seq)
+	rank := c.Rank()
+	parent := t.Parent(rank)
 
-	if ChildCount(rank, root, size) == 0 {
+	if t.ChildCount(rank) == 0 {
 		if parent < 0 { // single-process communicator
 			copy(recvbuf[:n], sendbuf[:n])
 			return
@@ -56,11 +55,8 @@ func ReduceOnKind(c *mpi.Comm, kind mpi.CtxKind, seq uint64, sendbuf, recvbuf []
 	copy(acc, sendbuf[:n])
 
 	tmp := pr.GetBuf(n)
-	for it := Kids(rank, root, size); ; {
-		child := it.Next()
-		if child < 0 {
-			break
-		}
+	it := t.Kids(rank)
+	for child := it.Next(); child >= 0; child = it.Next() {
 		pr.Recv(ctx, c.World(child), tag, tmp)
 		pr.P.Spin(pr.CM.ReduceOp(count, dt.Size()))
 		mpi.Apply(op, dt, acc, tmp, count)
@@ -83,8 +79,10 @@ func ReduceOnKind(c *mpi.Comm, kind mpi.CtxKind, seq uint64, sendbuf, recvbuf []
 	}
 }
 
-// seqTag folds a collective instance number into a tag.
-func seqTag(seq uint64) int32 { return int32(seq & 0x7FFFFFFF) }
+// SeqTag folds a collective instance number into a message tag — the one
+// encoding the default and the application-bypass collectives share on
+// the wire.
+func SeqTag(seq uint64) int32 { return int32(seq & 0x7FFFFFFF) }
 
 func checkReduceArgs(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op, root int) int {
 	if count <= 0 {

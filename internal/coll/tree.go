@@ -25,62 +25,20 @@ func Parent(rank, root, size int) int {
 	return -1
 }
 
-// Children returns rank's children in the binomial tree rooted at root,
-// in ascending mask order — the order the default MPICH reduction
-// receives them in.
-func Children(rank, root, size int) []int {
-	var kids []int
-	EachChild(rank, root, size, func(c int) { kids = append(kids, c) })
-	return kids
-}
-
-// EachChild visits rank's children in ascending mask order — the same
-// order Children returns them in — without materializing the slice. The
-// hot collective paths use it to keep per-operation allocations off the
-// tree walk.
-func EachChild(rank, root, size int, f func(child int)) {
-	checkTreeArgs(rank, root, size)
-	rel := (rank - root + size) % size
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask != 0 {
-			break
-		}
-		child := rel | mask
-		if child < size {
-			f((child + root) % size)
-		}
-	}
-}
-
-// AppendChildren appends rank's children to dst in ascending mask order
-// and returns the extended slice — the allocation-free form of Children
-// for callers that keep a reusable backing array (the application-bypass
-// descriptor pool).
-func AppendChildren(dst []int, rank, root, size int) []int {
-	checkTreeArgs(rank, root, size)
-	rel := (rank - root + size) % size
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask != 0 {
-			break
-		}
-		if child := rel | mask; child < size {
-			dst = append(dst, (child+root)%size)
-		}
-	}
-	return dst
-}
-
-// ChildIter walks rank's children in ascending mask order without a
-// callback or slice. EachChild's closure costs one heap allocation per
-// call at every capture site; the collective hot paths iterate with this
-// value type instead.
+// ChildIter walks a rank's children without a callback or slice, so the
+// collective hot paths allocate nothing per walk. One iterator serves
+// both tree shapes: the binomial walk computes children from the mask,
+// the topology-aware walk consumes the kids tail. The zero value ends
+// at once.
 type ChildIter struct {
 	rel, root, size int
 	mask            int
+	kids            []int32 // topology-aware form: children still to visit
 }
 
-// Kids returns an iterator over rank's children in the tree rooted at
-// root. Use: for c := it.Next(); c >= 0; c = it.Next() { ... }
+// Kids returns an iterator over rank's children in the binomial tree
+// rooted at root, in ascending mask order.
+// Use: for c := it.Next(); c >= 0; c = it.Next() { ... }
 func Kids(rank, root, size int) ChildIter {
 	checkTreeArgs(rank, root, size)
 	return ChildIter{rel: (rank - root + size) % size, root: root, size: size, mask: 1}
@@ -88,6 +46,11 @@ func Kids(rank, root, size int) ChildIter {
 
 // Next returns the next child rank, or -1 when the walk is done.
 func (it *ChildIter) Next() int {
+	if len(it.kids) > 0 {
+		c := it.kids[0]
+		it.kids = it.kids[1:]
+		return int(c)
+	}
 	for it.mask < it.size {
 		if it.rel&it.mask != 0 {
 			it.mask = it.size
@@ -119,9 +82,65 @@ func ChildCount(rank, root, size int) int {
 	return n
 }
 
-// IsLeaf reports whether rank has no children in the tree rooted at
-// root.
-func IsLeaf(rank, root, size int) bool { return ChildCount(rank, root, size) == 0 }
+// Tree is the parent/child relation one tree collective runs over: the
+// binomial shape of Fig. 1 (Binomial) or a topology-aware one
+// ((*TopoTree).Tree). It is a value, passed by copy; every rank of a
+// communicator must use the same one. Each method gives the two shapes
+// one answer, so the code that walks a tree — the blocking reduction,
+// the application-bypass descriptor, the flow lowering — exists once.
+type Tree struct {
+	root, size int
+	topo       *TopoTree // nil: binomial
+}
+
+// Binomial returns the binomial tree over size ranks rooted at root.
+// Arguments are checked where the tree is walked, exactly as the
+// package-level Parent, ChildCount and Kids check theirs.
+func Binomial(root, size int) Tree { return Tree{root: root, size: size} }
+
+// Root returns the rank the result lands on.
+func (t Tree) Root() int { return t.root }
+
+// Size returns the communicator size the tree spans.
+func (t Tree) Size() int { return t.size }
+
+// Parent returns rank's parent, -1 at the root.
+func (t Tree) Parent(rank int) int {
+	if t.topo != nil {
+		return int(t.topo.parent[rank])
+	}
+	return Parent(rank, t.root, t.size)
+}
+
+// ChildCount returns the number of children of rank.
+func (t Tree) ChildCount(rank int) int {
+	if t.topo != nil {
+		return int(t.topo.off[rank+1] - t.topo.off[rank])
+	}
+	return ChildCount(rank, t.root, t.size)
+}
+
+// Kids returns an iterator over rank's children in the order a
+// reduction receives them: ascending mask order on the binomial tree;
+// intra-leaf children first, then (for a group leader) the leaders of
+// subordinate groups, on a topology-aware one.
+func (t Tree) Kids(rank int) ChildIter {
+	if t.topo != nil {
+		return ChildIter{kids: t.topo.kids[t.topo.off[rank]:t.topo.off[rank+1]]}
+	}
+	return Kids(rank, t.root, t.size)
+}
+
+// AppendChildren appends rank's children to dst in Kids order and
+// returns the extended slice, for callers that keep a reusable backing
+// array (the application-bypass descriptor pool).
+func (t Tree) AppendChildren(dst []int, rank int) []int {
+	it := t.Kids(rank)
+	for c := it.Next(); c >= 0; c = it.Next() {
+		dst = append(dst, c)
+	}
+	return dst
+}
 
 // Depth returns the tree depth: ceil(log2(size)).
 func Depth(size int) int {

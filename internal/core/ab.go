@@ -27,18 +27,12 @@ func (e *Engine) Reduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.
 		// Rendezvous-sized messages: standard reduction (§V-B). With
 		// EnableRendezvousAB the bypass path below handles them too.
 		e.Metrics.SizeFallbacks++
-		coll.ReduceWithSeq(c, seq, sendbuf, recvbuf, count, dt, op, root, false)
+		coll.ReduceOn(c, coll.Binomial(root, c.Size()), mpi.CtxReduce, seq, sendbuf, recvbuf, count, dt, op, false)
 		return
 	}
 
-	rank, size := c.Rank(), c.Size()
-	// Topology-aware trees are keyed by world (root, size); on a
-	// sub-communicator a size collision would pick up the wrong shape,
-	// so sub-comms always use the flat binomial tree.
-	var tree *coll.TopoTree
-	if c.IsWorld() {
-		tree = e.treeFor(root, size)
-	}
+	rank := c.Rank()
+	t := e.treeFor(c, mpi.CtxReduce, root)
 
 	if rank == root {
 		// The root must block until the reduction completes (the MPI
@@ -47,26 +41,14 @@ func (e *Engine) Reduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.
 		// children still send collective-typed packets; the Fig. 4 root
 		// check passes them through to default matching.
 		e.Metrics.RootReductions++
-		if tree != nil {
-			coll.ReduceTreeOnKind(c, tree, mpi.CtxReduce, seq, sendbuf, recvbuf, count, dt, op, true)
-		} else {
-			coll.ReduceWithSeq(c, seq, sendbuf, recvbuf, count, dt, op, root, true)
-		}
+		coll.ReduceOn(c, t, mpi.CtxReduce, seq, sendbuf, recvbuf, count, dt, op, true)
 		return
 	}
-	leaf := coll.ChildCount(rank, root, size) == 0
-	if tree != nil {
-		leaf = tree.ChildCount(rank) == 0
-	}
-	if leaf {
+	if t.ChildCount(rank) == 0 {
 		// A leaf's only action is one send to its parent (§II).
 		e.Metrics.LeafReductions++
-		parent := coll.Parent(rank, root, size)
-		if tree != nil {
-			parent = tree.Parent(rank)
-		}
 		pr.Send(mpi.SendArgs{
-			Dst: c.World(parent), Ctx: c.Ctx(mpi.CtxReduce), Tag: seqTag(seq), Data: sendbuf[:n],
+			Dst: c.World(t.Parent(rank)), Ctx: c.Ctx(mpi.CtxReduce), Tag: coll.SeqTag(seq), Data: sendbuf[:n],
 			Collective: true, Root: int32(c.World(root)), Seq: seq,
 		})
 		return
@@ -74,18 +56,34 @@ func (e *Engine) Reduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.
 
 	// Internal node: the synchronous component of Fig. 3.
 	e.Metrics.ABReductions++
-	d := e.beginInternal(c, mpi.CtxReduce, seq, sendbuf, count, dt, op, root, nil, nil)
-	e.syncPhase(d, size, count)
+	d := e.beginInternal(c, t, mpi.CtxReduce, seq, sendbuf, count, dt, op, nil, nil)
+	e.syncPhase(d, c.Size(), count)
+}
+
+// treeFor returns the tree a reduction instance runs over — the one home
+// of the rule for when an installed topology-aware tree applies: only on
+// the world communicator (trees are keyed by world (root, size); on a
+// sub-communicator a size collision would pick up the wrong shape), only
+// on the blocking reduce context (the split-phase operations run every
+// rank on the binomial shape), and only when root and size match the
+// tree's. Everything else reduces over the binomial tree.
+func (e *Engine) treeFor(c *mpi.Comm, kind mpi.CtxKind, root int) coll.Tree {
+	if e.tree != nil && c.IsWorld() && kind == mpi.CtxReduce {
+		if t := e.tree.Tree(); t.Root() == root && t.Size() == c.Size() {
+			return t
+		}
+	}
+	return coll.Binomial(root, c.Size())
 }
 
 // beginInternal disables signals, builds the reduce descriptor and
 // enqueues it, then consumes any early messages already buffered in the
 // AB unexpected queue (Fig. 3: Disable signals → Enqueue reduce
-// descriptor; §IV-C).
-func (e *Engine) beginInternal(c *mpi.Comm, kind mpi.CtxKind, seq uint64, sendbuf []byte, count int, dt mpi.Datatype, op mpi.Op, root int, req *Request, recvbuf []byte) *descriptor {
+// descriptor; §IV-C). t is the instance's tree (treeFor).
+func (e *Engine) beginInternal(c *mpi.Comm, t coll.Tree, kind mpi.CtxKind, seq uint64, sendbuf []byte, count int, dt mpi.Datatype, op mpi.Op, req *Request, recvbuf []byte) *descriptor {
 	pr := e.pr
 	n := count * dt.Size()
-	rank, size := c.Rank(), c.Size()
+	rank := c.Rank()
 
 	pr.NIC().DisableSignals()
 
@@ -102,23 +100,14 @@ func (e *Engine) beginInternal(c *mpi.Comm, kind mpi.CtxKind, seq uint64, sendbu
 
 	d.ctx = c.Ctx(kind)
 	d.seq = seq
-	d.tag = seqTag(seq)
+	d.tag = coll.SeqTag(seq)
 	// The descriptor lives in world rank space: packets match on their
 	// world SrcRank and the upward send addresses a world rank, so root,
 	// parent and the pending list are all translated here (identity on
 	// the world communicator, where the tree math already is world-wide).
-	d.root = c.World(root)
-	// A topology-aware tree applies only to the blocking reduce context
-	// on the world communicator: the split-phase operations run their
-	// leaf/root sides on the flat shape, so their internal nodes must
-	// stay flat to match, and sub-comms always reduce over the flat tree.
-	if t := e.treeFor(root, size); t != nil && kind == mpi.CtxReduce && c.IsWorld() {
-		d.parent = t.Parent(rank)
-		d.pending = t.AppendChildren(d.pending[:0], rank)
-	} else {
-		d.parent = coll.Parent(rank, root, size)
-		d.pending = coll.AppendChildren(d.pending[:0], rank, root, size)
-	}
+	d.root = c.World(t.Root())
+	d.parent = t.Parent(rank)
+	d.pending = t.AppendChildren(d.pending[:0], rank)
 	if d.parent >= 0 {
 		d.parent = c.World(d.parent)
 	}
@@ -169,10 +158,6 @@ func (e *Engine) syncPhase(d *descriptor, size, count int) {
 	// Fig. 3 exit arc: enable signals iff reductions remain outstanding.
 	e.updateSignals()
 }
-
-// seqTag folds an instance number into a message tag (kept identical to
-// the coll package's encoding for wire compatibility).
-func seqTag(seq uint64) int32 { return int32(seq & 0x7FFFFFFF) }
 
 // String summarizes engine state for debugging.
 func (e *Engine) String() string {

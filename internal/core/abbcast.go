@@ -51,13 +51,14 @@ func (e *Engine) hookBcast(pkt *gm.Packet) bool {
 	}
 
 	// Forward to this node's subtree children immediately.
-	coll.EachChild(rank, int(pkt.Root), size, func(child int) {
+	it := coll.Kids(rank, int(pkt.Root), size)
+	for child := it.Next(); child >= 0; child = it.Next() {
 		pr.Isend(mpi.SendArgs{
 			Dst: child, Ctx: pkt.Ctx, Tag: pkt.Tag, Data: pkt.Data,
 			Collective: true, Root: pkt.Root, Seq: pkt.Seq,
 		})
 		e.Metrics.BcastForwards++
-	})
+	}
 
 	key := bcastKey{ctx: pkt.Ctx, seq: pkt.Seq}
 	if inst, ok := e.bcast.pending[key]; ok {
@@ -134,12 +135,13 @@ func (e *Engine) ibcast(c *mpi.Comm, buf []byte, count int, dt mpi.Datatype, roo
 	ctx := c.Ctx(mpi.CtxBcast)
 	rank, size := c.Rank(), c.Size()
 	if rank == root {
-		coll.EachChild(rank, root, size, func(child int) {
+		it := coll.Kids(rank, root, size)
+		for child := it.Next(); child >= 0; child = it.Next() {
 			pr.Isend(mpi.SendArgs{
-				Dst: child, Ctx: ctx, Tag: seqTag(seq), Data: buf[:n],
+				Dst: child, Ctx: ctx, Tag: coll.SeqTag(seq), Data: buf[:n],
 				Collective: true, Root: int32(root), Seq: seq,
 			})
-		})
+		}
 		return nil
 	}
 

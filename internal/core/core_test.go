@@ -684,3 +684,40 @@ func TestEngineString(t *testing.T) {
 }
 
 var _ = math.Abs // keep math imported for future tolerance checks
+
+// TestTreeForApplicability pins the one rule for when an installed
+// topology-aware tree replaces the binomial shape: world communicator,
+// blocking reduce context, matching root and size — and nothing else.
+func TestTreeForApplicability(t *testing.T) {
+	const size, root = 8, 2
+	leaf := func(r int) int { return r / 4 }
+	installed := coll.NewTopoTree(size, root, leaf)
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	runWorld(size, 1, func(r *ctxRank) {
+		if r.w.Rank() != 0 {
+			return
+		}
+		pr := r.w.Proc()
+		for _, tc := range []struct {
+			name string
+			tree *coll.TopoTree
+			c    *mpi.Comm
+			kind mpi.CtxKind
+			root int
+			want coll.Tree
+		}{
+			{"world, blocking, matching", installed, r.w, mpi.CtxReduce, root, installed.Tree()},
+			{"nothing installed", nil, r.w, mpi.CtxReduce, root, coll.Binomial(root, size)},
+			{"split-phase context", installed, r.w, mpi.CtxIReduce, root, coll.Binomial(root, size)},
+			{"other root", installed, r.w, mpi.CtxReduce, 3, coll.Binomial(3, size)},
+			{"sub-communicator of equal size", installed, mpi.Sub(pr, all, 1), mpi.CtxReduce, root, coll.Binomial(root, size)},
+			{"sub-communicator of another size", installed, mpi.Sub(pr, all[:4], 2), mpi.CtxReduce, root, coll.Binomial(root, 4)},
+			{"tree of another size", coll.NewTopoTree(4, root, leaf), r.w, mpi.CtxReduce, root, coll.Binomial(root, size)},
+		} {
+			r.e.SetTopoTree(tc.tree)
+			if got := r.e.treeFor(tc.c, tc.kind, tc.root); got != tc.want {
+				t.Errorf("%s: treeFor = %+v, want %+v", tc.name, got, tc.want)
+			}
+		}
+	})
+}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"abred/internal/sim"
-)
+import "abred/internal/sim"
 
 // DelayPolicy implements the §IV-E optimization: before exiting
 // MPI_Reduce with children still outstanding, linger briefly so nearly
@@ -30,16 +26,6 @@ type ProcCountDelay struct {
 	Base    sim.Time
 	PerProc sim.Time
 	Max     sim.Time
-}
-
-// DefaultProcCountDelay returns a conservative tuning: one link latency
-// of slack per process, capped at 50 µs.
-func DefaultProcCountDelay() ProcCountDelay {
-	return ProcCountDelay{
-		Base:    2 * time.Microsecond,
-		PerProc: 1 * time.Microsecond,
-		Max:     50 * time.Microsecond,
-	}
 }
 
 // Delay implements DelayPolicy.

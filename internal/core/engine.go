@@ -67,9 +67,8 @@ type Engine struct {
 	rendezvousAB bool
 
 	// tree, when set, replaces the flat binomial shape of Reduce with a
-	// topology-aware one (coll.TopoTree); it applies only to instances
-	// whose root and size match the tree's, and every rank of the
-	// communicator must install the same tree.
+	// topology-aware one (coll.TopoTree) on the instances treeFor names;
+	// every rank of the communicator must install the same tree.
 	tree *coll.TopoTree
 
 	delay DelayPolicy
@@ -161,20 +160,11 @@ func (e *Engine) SetDelayPolicy(p DelayPolicy) {
 }
 
 // SetTopoTree installs a topology-aware reduction tree (nil restores
-// the flat binomial shape). Reductions whose root and size match the
-// tree's use its parent/child relation on the blocking contexts —
-// every rank of the communicator must install the same tree, exactly
-// as every rank must agree on root and size.
+// the flat binomial shape). Blocking world-communicator reductions
+// whose root and size match the tree's use its parent/child relation
+// (treeFor) — every rank of the communicator must install the same
+// tree, exactly as every rank must agree on root and size.
 func (e *Engine) SetTopoTree(t *coll.TopoTree) { e.tree = t }
-
-// treeFor returns the installed topology-aware tree if it applies to a
-// (root, size) reduction instance, nil otherwise.
-func (e *Engine) treeFor(root, size int) *coll.TopoTree {
-	if t := e.tree; t != nil && t.Root() == root && t.Size() == size {
-		return t
-	}
-	return nil
-}
 
 // abMsg is an entry in the engine's own unexpected queue: a collective
 // payload that matched no descriptor. Unlike the MPICH unexpected queue

@@ -77,21 +77,21 @@ func (e *Engine) IReduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi
 
 	if n > pr.CM.C.EagerThreshold {
 		e.Metrics.SizeFallbacks++
-		coll.ReduceOnKind(c, mpi.CtxIReduce, seq, sendbuf, recvbuf, count, dt, op, root, false)
+		coll.ReduceOn(c, coll.Binomial(root, c.Size()), mpi.CtxIReduce, seq, sendbuf, recvbuf, count, dt, op, false)
 		return &Request{e: e, done: true}
 	}
 
-	rank, size := c.Rank(), c.Size()
+	rank := c.Rank()
+	t := e.treeFor(c, mpi.CtxIReduce, root)
 
-	if coll.ChildCount(rank, root, size) == 0 {
+	if t.ChildCount(rank) == 0 {
 		if rank == root { // single-rank communicator
 			copy(recvbuf[:n], sendbuf[:n])
 			return &Request{e: e, done: true}
 		}
 		e.Metrics.LeafReductions++
-		parent := coll.Parent(rank, root, size)
 		pr.Send(mpi.SendArgs{
-			Dst: c.World(parent), Ctx: c.Ctx(mpi.CtxIReduce), Tag: seqTag(seq), Data: sendbuf[:n],
+			Dst: c.World(t.Parent(rank)), Ctx: c.Ctx(mpi.CtxIReduce), Tag: coll.SeqTag(seq), Data: sendbuf[:n],
 			Collective: true, Root: int32(c.World(root)), Seq: seq,
 		})
 		return &Request{e: e, done: true}
@@ -103,14 +103,13 @@ func (e *Engine) IReduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi
 		e.Metrics.ABReductions++
 	}
 	req := &Request{e: e}
-	d := e.beginInternal(c, mpi.CtxIReduce, seq, sendbuf, count, dt, op, root, req, recvbuf)
+	e.beginInternal(c, t, mpi.CtxIReduce, seq, sendbuf, count, dt, op, req, recvbuf)
 	// Split-phase: one progress pass, no lingering — asynchrony is the
 	// whole point here.
 	e.inSync++
 	pr.ProgressPoll()
 	e.inSync--
 	e.updateSignals()
-	_ = d
 	return req
 }
 

@@ -141,7 +141,7 @@ func (e *Engine) NICReduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt m
 	}
 	seq := c.NextSeq(mpi.CtxReduce)
 	ctx := c.Ctx(mpi.CtxReduce)
-	tag := seqTag(seq)
+	tag := coll.SeqTag(seq)
 	rank := c.Rank()
 	if rank == root && len(recvbuf) < n {
 		panic(fmt.Sprintf("core: recvbuf %d bytes < %d at root", len(recvbuf), n))
@@ -149,7 +149,7 @@ func (e *Engine) NICReduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt m
 	if n > pr.CM.C.EagerThreshold {
 		// NIC memory is small; large reductions stay on the host.
 		e.Metrics.SizeFallbacks++
-		coll.ReduceWithSeq(c, seq, sendbuf, recvbuf, count, dt, op, root, false)
+		coll.ReduceOn(c, coll.Binomial(root, c.Size()), mpi.CtxReduce, seq, sendbuf, recvbuf, count, dt, op, false)
 		return
 	}
 	e.Metrics.NICReductions++

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"abred/internal/fault"
+	"abred/internal/gm"
 	"abred/internal/model"
 	"abred/internal/sim"
 	"abred/internal/topo"
@@ -168,7 +169,7 @@ func newTestMachine(n int) (*sim.Kernel, *Machine) {
 		specs[i] = model.PIII700PCI64B
 	}
 	c := model.DefaultCosts()
-	return k, NewMachine(k, nil, model.SharedCostModels(specs, c), c)
+	return k, NewMachines([]*sim.Kernel{k}, nil, nil, model.SharedCostModels(specs, c), c)
 }
 
 // Machine.Send charges source NIC processing, the wire flow (payload +
@@ -179,7 +180,7 @@ func TestMachineSendTiming(t *testing.T) {
 	m.Send(0, 0, 1, 1000, &r, 1)
 	k.Run()
 	cm := m.CMs[0]
-	wire := sim.Time(float64(1000+HeaderBytes) / bps)
+	wire := sim.Time(float64(1000+gm.HeaderBytes) / bps)
 	want := cm.NICPkt(1000) + wire + hopLat + cm.NICPkt(1000)
 	if len(r.ats) != 1 || r.ats[0] != want {
 		t.Fatalf("delivery = %v, want [%d]", r.ats, want)
@@ -200,7 +201,7 @@ func TestSendTokenGate(t *testing.T) {
 		t.Fatalf("hostStalls = %d, want 1", stalls)
 	}
 	cm := m.CMs[0]
-	wire := sim.Time(float64(4096+HeaderBytes) / bps)
+	wire := sim.Time(float64(4096+gm.HeaderBytes) / bps)
 	// First flow: NICPkt, then the full wire rate.
 	w1 := cm.NICPkt(4096) + wire + hopLat + cm.NICPkt(4096)
 	if r.ats[0] != w1 {
@@ -270,7 +271,7 @@ func TestLossExpectation(t *testing.T) {
 	extra := r.ats[0] - r2.ats[0]
 	// One frame, one crossbar crossing: E = p/(1-p) · 150 µs.
 	ev := 1 * 0.1 / (1 - 0.1)
-	want := sim.Time(ev * float64(relBaseRTO))
+	want := sim.Time(ev * float64(gm.BaseRTO(1)))
 	if extra != want {
 		t.Fatalf("loss latency %d, want %d", extra, want)
 	}

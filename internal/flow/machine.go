@@ -4,15 +4,11 @@ import (
 	"fmt"
 
 	"abred/internal/fault"
+	"abred/internal/gm"
 	"abred/internal/model"
 	"abred/internal/sim"
 	"abred/internal/topo"
 )
-
-// HeaderBytes is the wire overhead per frame, matching gm's packet
-// header charge so flow transfer times line up with packet-mode
-// serialization byte for byte.
-const HeaderBytes = 48
 
 // Machine wraps a Net with the per-node machinery the packet engine
 // models with goroutines and daemons: NIC packet-processing
@@ -87,15 +83,10 @@ type sendq struct {
 	h int
 }
 
-// NewMachine builds the per-node layer over a fresh Net. t may be nil
-// (crossbar).
-func NewMachine(k *sim.Kernel, t *topo.Topology, cms []model.CostModel, c model.Costs) *Machine {
-	return NewMachines([]*sim.Kernel{k}, nil, t, cms, c)
-}
-
 // NewMachines builds the per-node layer LP-partitioned over one kernel
 // per shard, with pmap assigning each rank to a shard (topo.Partition).
-// A single kernel with a nil pmap is the 1-LP partition.
+// A single kernel with a nil pmap is the 1-LP partition; t may be nil
+// (crossbar).
 func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.CostModel, c model.Costs) *Machine {
 	n := len(cms)
 	m := &Machine{
@@ -105,8 +96,8 @@ func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.C
 		Intr:       make([]sim.Time, n),
 		SigUntil:   make([]sim.Time, n),
 		nicFree:    make([]sim.Time, n),
-		SendTokens: 61,  // gm.DefaultSendTokens
-		RecvTokens: 256, // gm.DefaultRecvTokens
+		SendTokens: gm.DefaultSendTokens,
+		RecvTokens: gm.DefaultRecvTokens,
 		outst:      make([]int32, n),
 		waitq:      make([]sendq, n),
 		recvPend:   make([][]sim.Time, n),
@@ -257,17 +248,11 @@ func (m *Machine) lossLat(nf, switches int) (sim.Time, float64) {
 	if m.lossP == 0 {
 		return 0, 0
 	}
-	rto := relBaseRTO + sim.Time(switches-1)*relHopRTO
+	// The exact timeout the packet engine arms on such a link.
+	rto := gm.BaseRTO(switches)
 	ev := float64(nf) * m.lossP / (1 - m.lossP)
 	return sim.Time(ev * float64(rto)), ev
 }
-
-// gm's reliability constants (internal/gm/reliability.go), mirrored so
-// the loss expectation uses the exact timeout the packet engine arms.
-const (
-	relBaseRTO = 150 * sim.Time(1000)
-	relHopRTO  = 25 * sim.Time(1000)
-)
 
 // msg is one in-flight Send: a pooled Runner for its NIC injection
 // instant and the Handler for its own flow completion. When the flow
@@ -306,7 +291,7 @@ func (m *Machine) launch(ms *msg) {
 		ms.FlowEvent(0, m.kOf(ms.src).Now())
 		return
 	}
-	wire := int(ms.payload) + HeaderBytes*m.frames(int(ms.payload))
+	wire := int(ms.payload) + gm.HeaderBytes*m.frames(int(ms.payload))
 	m.nets[m.lpr(ms.src)].Start(int(ms.src), int(ms.dst), wire, ms.extra, ms, 0)
 }
 

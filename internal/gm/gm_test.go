@@ -198,7 +198,7 @@ func TestWireSize(t *testing.T) {
 	if pkt.WireSize() != 148 {
 		t.Errorf("WireSize = %d, want 148", pkt.WireSize())
 	}
-	if (&Packet{}).WireSize() != headerBytes {
+	if (&Packet{}).WireSize() != HeaderBytes {
 		t.Error("empty packet wire size wrong")
 	}
 }

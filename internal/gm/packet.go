@@ -74,9 +74,10 @@ func (t PacketType) String() string {
 	return "unknown"
 }
 
-// headerBytes is the wire overhead charged per packet (GM header plus the
-// MPICH envelope).
-const headerBytes = 48
+// HeaderBytes is the wire overhead charged per packet (GM header plus the
+// MPICH envelope). The flow engine charges the same per frame, so flow
+// transfer times line up with packet-mode serialization byte for byte.
+const HeaderBytes = 48
 
 // Packet is a GM message. The envelope fields (Ctx, Tag, SrcRank) belong
 // to the MPI layer; the collective header (Root, Seq) is the paper's
@@ -127,7 +128,7 @@ type Packet struct {
 }
 
 // WireSize returns the bytes the packet occupies on the link.
-func (pkt *Packet) WireSize() int { return headerBytes + len(pkt.Data) }
+func (pkt *Packet) WireSize() int { return HeaderBytes + len(pkt.Data) }
 
 // IsCollective reports whether the packet belongs to the
 // application-bypass family for which the NIC may raise signals.

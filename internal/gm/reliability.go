@@ -66,6 +66,16 @@ const (
 	relRingCap = 128
 )
 
+// BaseRTO returns the first retransmit timeout of a link whose route
+// crosses hops switches. The flow engine's loss expectation uses it too,
+// so both engines price a lost frame with the same timeout.
+func BaseRTO(hops int) sim.Time {
+	if hops <= 1 {
+		return relBaseRTO
+	}
+	return relBaseRTO + sim.Time(hops-1)*relHopRTO
+}
+
 // relEntry is one unacked sequenced packet, deep-copied at send time:
 // the original travels the wire and is consumed (and recycled) by the
 // receiver, so retransmission must rebuild from an owned copy.
@@ -155,10 +165,7 @@ func (n *NIC) EnableReliability() {
 	r := &relState{n: n, tab: make([]*relLink, relTabMin)}
 	r.rto0 = make([]sim.Time, n.fab.MaxHops()+1)
 	for h := range r.rto0 {
-		r.rto0[h] = relBaseRTO
-		if h > 1 {
-			r.rto0[h] += sim.Time(h-1) * relHopRTO
-		}
+		r.rto0[h] = BaseRTO(h)
 	}
 	r.d = n.k.NewDaemon(fmt.Sprintf("gmrel%d", n.node), r.step)
 	r.d.SetStatus("rel timers")
@@ -268,9 +275,6 @@ func (r *relState) link(peer int) *relLink {
 	r.n.stats.RelPeers++
 	return l
 }
-
-// ReliabilityEnabled reports whether EnableReliability was called.
-func (n *NIC) ReliabilityEnabled() bool { return n.rel != nil }
 
 // RelError returns the first port error recorded by the reliability
 // engine (a peer that never acked through the full retry budget), nil

@@ -127,21 +127,3 @@ func BytesToUint64s(b []byte) []uint64 {
 	}
 	return vals
 }
-
-// Float32sToBytes encodes vals little-endian.
-func Float32sToBytes(vals []float32) []byte {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-	}
-	return b
-}
-
-// BytesToFloat32s decodes a little-endian float32 buffer.
-func BytesToFloat32s(b []byte) []float32 {
-	vals := make([]float32, len(b)/4)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return vals
-}

@@ -160,6 +160,11 @@ func (pr *Process) PutBuf(b []byte) {
 	}
 }
 
+// EagerPoolBytes is the eager bounce-buffer pool a rank pins before its
+// program runs (64*EagerThreshold bytes) — the one virtual-time charge
+// of rank start-up, which the flow engine's rank drivers pay as well.
+func EagerPoolBytes(cm model.CostModel) int { return 64 * cm.C.EagerThreshold }
+
 // NewProcess builds rank `rank` of `size` on the given NIC. It pins the
 // eager bounce-buffer pool, charging the one-time registration cost.
 func NewProcess(p *sim.Proc, rank, size int, nic *gm.NIC, cm model.CostModel) *Process {
@@ -173,7 +178,7 @@ func NewProcess(p *sim.Proc, rank, size int, nic *gm.NIC, cm model.CostModel) *P
 		sendRv: make(map[uint64]*Request),
 		recvRv: make(map[uint64]*Request),
 	}
-	pr.eagerPool = pr.Mem.Pin(p, 64*cm.C.EagerThreshold)
+	pr.eagerPool = pr.Mem.Pin(p, EagerPoolBytes(cm))
 	return pr
 }
 
@@ -204,7 +209,7 @@ func (pr *Process) Reset(p *sim.Proc) {
 	pr.eagerDone = Request{}
 	pr.Stats = ProcStats{}
 	pr.Mem.Reset()
-	pr.eagerPool = pr.Mem.Pin(p, 64*pr.CM.C.EagerThreshold)
+	pr.eagerPool = pr.Mem.Pin(p, EagerPoolBytes(pr.CM))
 }
 
 // Rank returns this process's rank in the world.

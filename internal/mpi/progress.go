@@ -219,6 +219,3 @@ func reqMatches(req *Request, pkt *gm.Packet) bool {
 
 // UnexpectedLen reports the depth of the MPICH unexpected queue.
 func (pr *Process) UnexpectedLen() int { return len(pr.unexpected) }
-
-// PostedLen reports the depth of the posted-receive queue.
-func (pr *Process) PostedLen() int { return len(pr.posted) }

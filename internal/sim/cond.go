@@ -77,6 +77,3 @@ func (c *Cond) remove(p *Proc) {
 		}
 	}
 }
-
-// Waiters returns the number of parked processes.
-func (c *Cond) Waiters() int { return len(c.waiters) }

@@ -144,8 +144,7 @@ func (hp *eventHeap) init() {
 // maxEventPool caps the recycled-event free list so a burst-heavy
 // simulation (a barrier fan-in at 1024 nodes, say) doesn't pin its peak
 // event population in memory for the rest of the run; beyond the cap,
-// recycled events are dropped for the GC. EventPoolPeak reports the
-// high-water mark actually reached.
+// recycled events are dropped for the GC.
 const maxEventPool = 8192
 
 // newEvent takes an event from the pool (or allocates) and enqueues it.
@@ -208,12 +207,8 @@ func (k *Kernel) recycle(ev *event) {
 	ev.fn = nil
 	ev.run = nil
 	ev.proc = nil
-	if len(k.free) >= maxEventPool {
-		return
-	}
-	k.free = append(k.free, ev)
-	if len(k.free) > k.freePeak {
-		k.freePeak = len(k.free)
+	if len(k.free) < maxEventPool {
+		k.free = append(k.free, ev)
 	}
 }
 

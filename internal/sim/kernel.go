@@ -39,7 +39,6 @@ type Kernel struct {
 	now       Time
 	events    eventHeap
 	free      []*event // recycled event structs (see event.go)
-	freePeak  int      // high-water mark of the free list
 	seq       uint64
 	ncanceled int    // canceled entries still sitting in the heap
 	nexec     uint64 // events executed since New
@@ -93,12 +92,6 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // measure of simulation work, used by the sweep engine's throughput
 // accounting.
 func (k *Kernel) Events() uint64 { return k.nexec }
-
-// EventPoolPeak returns the high-water mark of the recycled-event free
-// list: the largest number of idle event structs the kernel has held at
-// once. The pool is capped (see maxEventPool), so this also bounds how
-// much event memory a burst-heavy simulation pins for its lifetime.
-func (k *Kernel) EventPoolPeak() int { return k.freePeak }
 
 // RNG returns the kernel's root random stream. Use NewRNG for independent
 // per-component streams.

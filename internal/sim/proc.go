@@ -197,10 +197,6 @@ func (p *Proc) Interrupt(fn func()) {
 	}
 }
 
-// PendingInterrupts reports how many queued interrupt handlers have not
-// run yet.
-func (p *Proc) PendingInterrupts() int { return len(p.intr) }
-
 // runInterrupts executes queued handlers on this proc's stack. Handler
 // virtual time is charged to Busy.
 func (p *Proc) runInterrupts() {

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -24,58 +23,14 @@ type FloatSummary struct {
 }
 
 // SummarizeFloats computes a FloatSummary; it returns the zero value
-// for an empty sample. Like Summarize, Std is the population standard
-// deviation while CI95 uses the n−1 sample variance, and the
-// percentiles are nearest-rank (always members of the sample). CI95 is
-// zero for samples of fewer than two points.
+// for an empty sample. It is Summarize's computation (summarize) on
+// another unit.
 func SummarizeFloats(xs []float64) FloatSummary {
-	if len(xs) == 0 {
-		return FloatSummary{}
+	s := summarize(xs)
+	return FloatSummary{
+		N: s.n, Mean: s.mean, Std: s.std, CI95: s.ci95,
+		Min: s.min, Max: s.max, P50: s.p50, P95: s.p95, P99: s.p99,
 	}
-	s := FloatSummary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var mean, m2 float64
-	for i, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		d := x - mean
-		mean += d / float64(i+1)
-		m2 += d * (x - mean)
-	}
-	s.Mean = mean
-	variance := m2 / float64(len(xs))
-	if variance > 0 {
-		s.Std = math.Sqrt(variance)
-	}
-	if len(xs) > 1 && variance > 0 {
-		sampleStd := math.Sqrt(m2 / float64(len(xs)-1))
-		s.CI95 = 1.96 * sampleStd / math.Sqrt(float64(len(xs)))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = percentileFloat(sorted, 0.50)
-	s.P95 = percentileFloat(sorted, 0.95)
-	s.P99 = percentileFloat(sorted, 0.99)
-	return s
-}
-
-// percentileFloat reads the p-quantile from an ascending sample using
-// nearest-rank.
-func percentileFloat(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // RelCI95 is the relative confidence half-width CI95/|Mean| — the

@@ -5,7 +5,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -25,52 +25,67 @@ type Summary struct {
 // Summarize computes a Summary; it returns the zero value for an empty
 // sample.
 func Summarize(xs []time.Duration) Summary {
-	if len(xs) == 0 {
-		return Summary{}
+	s := summarize(xs)
+	return Summary{
+		N: s.n, Min: s.min, Max: s.max, P50: s.p50, P95: s.p95, P99: s.p99,
+		Mean: time.Duration(s.mean), Std: time.Duration(s.std), CI95: time.Duration(s.ci95),
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
+}
+
+// summary is what Summarize and SummarizeFloats both report, before
+// either rounds the moments into its own unit.
+type summary[T ~int64 | ~float64] struct {
+	n                       int
+	min, max, p50, p95, p99 T
+	mean, std, ci95         float64
+}
+
+// summarize is the one computation behind both exported summaries:
+// moments accumulated in float64, nearest-rank percentiles (always
+// members of the sample). std is the population standard deviation;
+// ci95 uses the n−1 sample variance and is zero below two points.
+func summarize[T ~int64 | ~float64](xs []T) summary[T] {
+	if len(xs) == 0 {
+		return summary[T]{}
+	}
+	s := summary[T]{n: len(xs), min: xs[0], max: xs[0]}
 	// Welford's one-pass recurrence: the textbook E[x²]−E[x]² form
 	// cancels catastrophically when the mean dwarfs the spread (sample
 	// timestamps near 1e13 ns with ~10 ns of jitter lose every
 	// significant digit of the variance to the subtraction).
-	var mean, m2 float64
+	var m2 float64
 	for i, x := range xs {
-		if x < s.Min {
-			s.Min = x
+		if x < s.min {
+			s.min = x
 		}
-		if x > s.Max {
-			s.Max = x
+		if x > s.max {
+			s.max = x
 		}
 		f := float64(x)
-		d := f - mean
-		mean += d / float64(i+1)
-		m2 += d * (f - mean)
+		d := f - s.mean
+		s.mean += d / float64(i+1)
+		m2 += d * (f - s.mean)
 	}
-	s.Mean = time.Duration(mean)
-	variance := m2 / float64(len(xs))
-	if variance > 0 {
-		s.Std = time.Duration(math.Sqrt(variance))
+	if variance := m2 / float64(len(xs)); variance > 0 {
+		s.std = math.Sqrt(variance)
+		if len(xs) > 1 {
+			// Sample variance (n-1) for the interval: the population std
+			// above stays byte-compatible with what earlier figures record.
+			sampleStd := math.Sqrt(m2 / float64(len(xs)-1))
+			s.ci95 = 1.96 * sampleStd / math.Sqrt(float64(len(xs)))
+		}
 	}
-	if len(xs) > 1 && variance > 0 {
-		// Sample variance (n-1) for the interval: the population Std
-		// above stays byte-compatible with what earlier figures record.
-		sampleStd := math.Sqrt(m2 / float64(len(xs)-1))
-		s.CI95 = time.Duration(1.96 * sampleStd / math.Sqrt(float64(len(xs))))
-	}
-	sorted := append([]time.Duration(nil), xs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	s.P50 = percentile(sorted, 0.50)
-	s.P95 = percentile(sorted, 0.95)
-	s.P99 = percentile(sorted, 0.99)
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	s.p50 = percentile(sorted, 0.50)
+	s.p95 = percentile(sorted, 0.95)
+	s.p99 = percentile(sorted, 0.99)
 	return s
 }
 
-// percentile reads the p-quantile from an ascending sample using
-// nearest-rank.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
+// percentile reads the p-quantile from a non-empty ascending sample
+// using nearest-rank.
+func percentile[T any](sorted []T, p float64) T {
 	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0

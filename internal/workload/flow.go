@@ -6,6 +6,7 @@ import (
 	"abred/internal/cluster"
 	"abred/internal/coll"
 	"abred/internal/flow"
+	"abred/internal/mpi"
 	"abred/internal/sim"
 	"abred/internal/skew"
 	"abred/internal/stats"
@@ -47,7 +48,7 @@ func flowRun(cfg Config, style Style) Result {
 		// Rank startup mirrors mpi.NewProcess: the eager bounce-buffer
 		// pin is the one virtual-time charge before the loop.
 		cm := m.CMs[r]
-		t0 := m.HostRun(r, 0, sim.Time(cm.Pin(64*cm.C.EagerThreshold)))
+		t0 := m.HostRun(r, 0, cm.Pin(mpi.EagerPoolBytes(cm)))
 		d.startIter(r, t0)
 	}
 	wall := cl.Drain()

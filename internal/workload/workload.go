@@ -141,19 +141,10 @@ func Run(cfg Config, style Style) Result {
 				switch style {
 				case StyleDefault:
 					coll.Reduce(w, in, out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
-					if rank == 0 {
-						rootResults = append(rootResults, mpi.BytesToFloat64s(out)[0])
-					}
 				case StyleBypass:
 					n.Engine.Reduce(w, in, out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
-					if rank == 0 {
-						rootResults = append(rootResults, mpi.BytesToFloat64s(out)[0])
-					}
 				case StyleNIC:
 					n.Engine.NICReduce(w, in, out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
-					if rank == 0 {
-						rootResults = append(rootResults, mpi.BytesToFloat64s(out)[0])
-					}
 				case StyleSplitPhase:
 					slot := &futureSlot{out: make([]byte, cfg.Count*8)}
 					slot.req = n.Engine.IReduce(w, in, slot.out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
@@ -167,6 +158,10 @@ func Run(cfg Config, style Style) Result {
 							rootResults = append(rootResults, mpi.BytesToFloat64s(s.out)[0])
 						}
 					}
+				}
+				if rank == 0 && style != StyleSplitPhase {
+					// A blocking call's result is in out when it returns.
+					rootResults = append(rootResults, mpi.BytesToFloat64s(out)[0])
 				}
 				calls += n.Proc.Now() - t0
 			}
@@ -246,16 +241,10 @@ func ExpectedRootSum(size, it, rd int) float64 {
 	return sum
 }
 
-// Compare runs the same application under several styles and returns
-// results in order.
-func Compare(cfg Config, styles ...Style) []Result {
-	return CompareParallel(cfg, 1, styles...)
-}
-
-// CompareParallel is Compare across a worker pool: each style's run is
-// an independent simulation (own kernel, own cluster, same seed), so the
-// runs execute concurrently and the results — assembled in style order —
-// are identical to Compare's.
+// CompareParallel runs the same application under several styles across
+// a worker pool and returns the results in style order: each style's run
+// is an independent simulation (own kernel, own cluster, same seed), so
+// the results do not depend on workers.
 func CompareParallel(cfg Config, workers int, styles ...Style) []Result {
 	jobs := make([]sweep.Job[Result], len(styles))
 	for i, s := range styles {

@@ -26,7 +26,7 @@ func baseCfg() Config {
 // application must produce the identical reduction results at rank 0.
 func TestAllStylesComputeTheSameReductions(t *testing.T) {
 	cfg := baseCfg()
-	results := Compare(cfg, StyleDefault, StyleBypass, StyleSplitPhase, StyleNIC)
+	results := CompareParallel(cfg, 1, StyleDefault, StyleBypass, StyleSplitPhase, StyleNIC)
 	want := results[0].RootResults
 	if len(want) != cfg.Iters {
 		t.Fatalf("default produced %d results, want %d", len(want), cfg.Iters)
