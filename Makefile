@@ -73,24 +73,28 @@ bench-kernel:
 serve:
 	go run ./cmd/abserve -addr :8080 -cachedir /tmp/abserve-cache
 
-# Performance-regression gate: benchmark revision BASE (checked out into
-# a temporary git worktree) and the working tree, three runs per
-# workload each, and compare every workload × end-to-end metric against
-# the bounds in BENCHMARK.json. Exits 1 only on a REGRESSED row; a row
-# whose run-to-run spread exceeds its bound prints as unresolved.
+# One extraction recipe for the targets that compare against revision
+# BASE: a `git archive` copy in wt/src under a temporary directory the
+# shell removes on exit. Nothing is registered in .git.
+extract_base = wt=$$(mktemp -d) && trap 'rm -rf "$$wt"' EXIT && mkdir "$$wt/src" && \
+	git archive $(BASE) | tar -x -C "$$wt/src"
+
+# Performance-regression gate: benchmark revision BASE and the working
+# tree, three runs per workload each, and compare every workload ×
+# end-to-end metric against the bounds in BENCHMARK.json. Exits 1 only
+# on a REGRESSED row; a row whose run-to-run spread exceeds its bound
+# prints as unresolved.
 .PHONY: gate
 gate:
 	@test -n "$(BASE)" || { echo "usage: make gate BASE=<rev>" >&2; exit 2; }
 	rm -rf .bench_build/gate
-	wt=$$(mktemp -d) && trap 'git worktree remove --force "$$wt/src"; rm -rf "$$wt"' EXIT && \
-		git worktree add --detach "$$wt/src" $(BASE) && \
+	$(extract_base) && \
 		(cd "$$wt/src" && go run ./benchmark -runs 3 -out $(CURDIR)/.bench_build/gate/base)
 	go run ./benchmark -runs 3 -out .bench_build/gate/head
 	go run ./benchmark -compare .bench_build/gate/base/results.json .bench_build/gate/head/results.json
 
-# Same-simulation check: build the three CLIs from revision BASE (a
-# `git archive` copy in a temporary directory, so nothing is registered
-# in .git) and from the working tree, run one fixed list of virtual-time
+# Same-simulation check: build the three CLIs from revision BASE and
+# from the working tree, run one fixed list of virtual-time
 # commands on each side, and diff the outputs. Exits 1 and prints the
 # diff on any difference; about 10 s per side. The list covers both
 # engines, both tree shapes (radix 6: the topology-aware tree differs
@@ -115,12 +119,52 @@ same_cut = awk '/^Flow-engine/ {f=1} f && NF==8 {print $$1,$$2,$$3,$$4,$$6,$$8; 
 .PHONY: same
 same:
 	@test -n "$(BASE)" || { echo "usage: make same BASE=<rev>" >&2; exit 2; }
-	@wt=$$(mktemp -d) && trap 'rm -rf "$$wt"' EXIT && mkdir "$$wt/src" "$$wt/base" "$$wt/head" && \
-		git archive $(BASE) | tar -x -C "$$wt/src" && \
+	@$(extract_base) && mkdir "$$wt/base" "$$wt/head" && \
 		(cd "$$wt/src" && go build -o "$$wt/base/" ./cmd/abbench ./cmd/abscale ./cmd/abapp) && \
 		go build -o "$$wt/head/" ./cmd/abbench ./cmd/abscale ./cmd/abapp && \
 		for side in base head; do (cd "$$wt/$$side" && $(same_cmds) && rm abbench abscale abapp) || exit 1; done && \
 		diff -r "$$wt/base" "$$wt/head" && echo "same simulation as $(BASE): 11 outputs identical"
+
+# Reachability check: which non-test functions does no entry point
+# execute? An entry point is a cmd/ binary, an examples/ program,
+# benchmark, or an exported name of package abred (exercised by the
+# root package's tests). Everything is built with the toolchain's own
+# coverage instrumentation (through GOFLAGS, so the abserve child that
+# benchmark builds is instrumented too); then `make same`'s command
+# list, the CLI surfaces it lacks (genetic placement, a paper figure on
+# a routed fabric, abtrace, abapp's other imbalance distributions), the
+# five examples, the four benchmark workloads plain and traced, and the
+# root package's tests all run. The functions left at 0 % outside
+# benchmark/ and examples/ must be exactly the rows of reach.keep
+# ("file function reason"): a function nothing reaches is deleted with
+# its tests or kept with a written reason. Exits 1 and prints the
+# difference otherwise. About 2 min on 2 cores: the plain benchmark runs
+# beside the rest.
+define reach_cmds
+$(same_cmds) && \
+./abscale -sizes 32 -iters 2 -bigsizes "" -jobs 4 -oversub 4 -place genetic -tenancynodes 64 -tenancyiters 2 -csv > /dev/null && \
+./abbench -fig 6 -iters 5 -topo fattree:8 -csv > /dev/null && \
+./abtrace -topo fattree:4 -json trace.json > /dev/null && \
+for d in exp pareto straggler none; do ./abapp -nodes 16 -iters 5 -dist $$d > /dev/null || exit 1; done && \
+for e in dotsolver heterocluster largereduce quickstart skewoverlap; do ./$$e > /dev/null || exit 1; done
+endef
+
+.PHONY: reach
+reach:
+	@awk '!/^#/ && NF > 0 && NF < 3 {print "reach.keep:" NR ": row without a reason: " $$0; bad = 1} END {exit bad}' reach.keep
+	@wt=$$(mktemp -d) && trap 'kill $$plain 2> /dev/null; rm -rf "$$wt"' EXIT && mkdir "$$wt/bin" "$$wt/cov" && \
+		export GOCOVERDIR="$$wt/cov" GOFLAGS='-cover -coverpkg=./...' && \
+		go build -o "$$wt/bin/" ./cmd/... ./examples/... ./benchmark && \
+		{ "$$wt/bin/benchmark" -seconds 1 -out "$$wt/plain" > "$$wt/plain.log" 2>&1 & plain=$$!; } && \
+		(cd "$$wt/bin" && $(reach_cmds)) && \
+		"$$wt/bin/benchmark" -seconds 1 -trace 1 -out "$$wt/traced" > "$$wt/traced.log" 2>&1 && \
+		go test . -args -test.gocoverdir="$$wt/cov" > /dev/null && \
+		wait $$plain || { cat "$$wt"/*.log; exit 1; } && \
+		go tool covdata func -i="$$wt/cov" | \
+		awk '$$NF == "0.0%" && $$1 !~ /^abred\/(benchmark|examples)\// {sub(/^abred\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2}' | sort > "$$wt/zero" && \
+		awk '!/^#/ && NF > 0 {print $$1, $$2}' reach.keep | sort | diff - "$$wt/zero" > "$$wt/diff" \
+		&& echo "reach: $$(wc -l < "$$wt/zero") unreached functions, each with its reason in reach.keep" \
+		|| { echo "reach: reach.keep (<) differs from the measured 0 % set (>):"; cat "$$wt/diff"; exit 1; }
 
 # Load-test the scenario service: a real abserve child under the
 # benchmark's closed loop of 2 clients for 5 s — cold computes, cache

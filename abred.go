@@ -14,7 +14,8 @@ import (
 // Op is a reduction operator.
 type Op = mpi.Op
 
-// Reduction operators.
+// Reduction operators. Every buffer of this API is []float64, so the
+// bitwise operators of the layers below (integer-only) are not offered.
 const (
 	Sum  = mpi.OpSum
 	Prod = mpi.OpProd
@@ -22,9 +23,6 @@ const (
 	Min  = mpi.OpMin
 	LAnd = mpi.OpLAnd
 	LOr  = mpi.OpLOr
-	BAnd = mpi.OpBAnd
-	BOr  = mpi.OpBOr
-	BXor = mpi.OpBXor
 )
 
 // Metrics exposes the application-bypass engine's counters.

@@ -1,6 +1,7 @@
 package abred
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -302,4 +303,115 @@ func TestCPUTimeAccounting(t *testing.T) {
 			t.Error("virtual clock did not advance")
 		}
 	})
+}
+
+// TestFacadeTable drives every exported method on clusters built from
+// every option and checks each value against its closed form in the
+// rank count n, then reads the engine counters of a second Run on the
+// same cluster and closes it.
+func TestFacadeTable(t *testing.T) {
+	spec := NodeSpec{Class: "x", CPUMHz: 500, PCIMBps: 100, LANaiMHz: 100}
+	ends := make(map[string]time.Duration)
+	for _, row := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"homogeneous", []Option{WithHomogeneousNodes(5), WithSeed(3)}},
+		{"paper32", []Option{WithPaperCluster()}},
+		{"specs", []Option{WithSpecs([]NodeSpec{spec, spec, spec}), WithSignalCost(20 * time.Microsecond), WithEagerThreshold(1024)}},
+		{"lossy", []Option{WithNodes(8), WithLoss(0.02), WithFaultSeed(9)}},
+		// The first frame rank 1 sends its parent is lost; GM resends it.
+		{"scripted", []Option{WithNodes(8), WithFault(FaultConfig{Scripts: []FaultScript{{Src: 1, Dst: 0, Nth: 1}}})}},
+	} {
+		cl := NewCluster(row.opts...)
+		n := cl.Size()
+		fn, tri := float64(n), float64(n*(n-1)/2)
+		ends[row.name] = cl.Run(func(r *Rank) {
+			me := float64(r.Rank())
+			check := func(what string, got []float64, want ...float64) {
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: rank %d %s = %v, want %v", row.name, r.Rank(), what, got, want)
+				}
+			}
+			// atRoot is what a rooted collective returns: want at root,
+			// nil elsewhere.
+			atRoot := func(root int, want ...float64) []float64 {
+				if r.Rank() != root {
+					return nil
+				}
+				return want
+			}
+			nonzero := 1.0
+			if r.Rank() == 0 {
+				nonzero = 0
+			}
+
+			check("allreduce", r.Allreduce([]float64{me, 1}, Sum), tri, fn)
+			check("min", r.Reduce([]float64{me + 1}, Min, 0), atRoot(0, 1)...)
+			check("max", r.ReduceNoBypass([]float64{me}, Max, n-1), atRoot(n-1, fn-1)...)
+			check("land", r.Reduce([]float64{nonzero}, LAnd, 0), atRoot(0, 0)...)
+			check("lor", r.Reduce([]float64{nonzero}, LOr, 0), atRoot(0, 1)...)
+			check("prod", r.Reduce([]float64{2}, Prod, 0), atRoot(0, float64(uint64(1)<<n))...)
+			check("bcast", r.Bcast([]float64{7, 8}, n-1), 7, 8)
+			check("bcast-nobypass", r.BcastNoBypass([]float64{9}, 0), 9)
+			check("scan", r.Scan([]float64{1}, Sum), me+1)
+			all := make([]float64, n)
+			for i := range all {
+				all[i] = float64(i)
+			}
+			check("gather", r.Gather([]float64{me}, 0), atRoot(0, all...)...)
+
+			fut := r.IAllreduce([]float64{1, me}, Sum)
+			r.Compute(time.Millisecond)
+			check("iallreduce", fut.Wait(), fn, tri)
+			bar := r.IBarrier()
+			bar.Wait()
+			if !fut.Done() || !bar.Done() {
+				t.Errorf("%s: rank %d future not done after Wait", row.name, r.Rank())
+			}
+
+			check("nic", r.ReduceOnNIC([]float64{me}, Sum, 0), atRoot(0, tri)...)
+			r.Compute(time.Millisecond)
+			r.Barrier()
+
+			r.SetExitDelay(5*time.Microsecond, time.Microsecond)
+			check("exit-delay", r.Reduce([]float64{1}, Sum, 0), atRoot(0, fn)...)
+			r.SetExitDelay(0, 0)
+
+			before := r.CPUTime()
+			r.Compute(100 * time.Microsecond)
+			if got := r.CPUTime() - before; got < 100*time.Microsecond {
+				t.Errorf("%s: rank %d cpu time over a 100µs compute = %v", row.name, r.Rank(), got)
+			}
+			r.Barrier()
+		})
+
+		// A second program on the same cluster: three reductions, each
+		// counted once per rank as a root, internal or leaf instance.
+		instances := func(m Metrics) uint64 { return m.RootReductions + m.ABReductions + m.LeafReductions }
+		was := make([]uint64, n)
+		for i := range was {
+			was[i] = instances(cl.EngineMetrics(i))
+		}
+		cl.Run(func(r *Rank) {
+			for i := 0; i < 3; i++ {
+				r.Reduce([]float64{1}, Sum, 0)
+				r.Compute(200 * time.Microsecond)
+				r.Barrier()
+			}
+		})
+		for i := range was {
+			if m := cl.EngineMetrics(i); instances(m)-was[i] != 3 || m.NICReductions != 1 {
+				t.Errorf("%s: rank %d counted %d reductions in the second run and %d on the NIC, want 3 and 1",
+					row.name, i, instances(m)-was[i], m.NICReductions)
+			}
+		}
+		cl.Close()
+	}
+	// Same cluster, same seed: the one scripted loss costs a GM
+	// retransmission timeout and nothing else.
+	if ends["scripted"] <= ends["default"] {
+		t.Errorf("scripted drop ended at %v, clean run at %v: the lost frame cost no time", ends["scripted"], ends["default"])
+	}
 }

@@ -1,12 +1,15 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"abred/internal/cluster"
 	"abred/internal/fault"
+	"abred/internal/model"
+	"abred/internal/sim"
 )
 
 // renderSubset renders a figure subset that revisits the same cluster
@@ -58,4 +61,50 @@ func TestReuseDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// panicAfter is a delay policy that panics on its n-th consultation: a
+// failure inside a rank body, mid-collective, at a reproducible point.
+type panicAfter struct{ left int }
+
+func (p *panicAfter) Delay(int, int) sim.Time {
+	if p.left--; p.left == 0 {
+		panic("injected rank failure")
+	}
+	return 0
+}
+
+// TestPanickedRunNotPooled: a run that panics out of the simulation
+// leaves its cluster half-run (processes parked inside the reduction,
+// tokens out). It must be closed, not pooled, so the next request of
+// that shape gets a cluster that behaves like a fresh one.
+func TestPanickedRunNotPooled(t *testing.T) {
+	cfg := Config{Specs: model.PaperCluster(16), Mode: AppBypass, MaxSkew: 200 * time.Microsecond, Iters: 20, Seed: 5}
+	want := CPUUtil(cfg) // no pool: fresh build
+
+	pool := cluster.NewPool()
+	cfg.Pool = pool
+	failing := cfg
+	failing.Delay = &panicAfter{left: 37}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the injected failure did not surface")
+			}
+		}()
+		CPUUtil(failing)
+	}()
+	if st := pool.Stats(); st.Size != 0 {
+		t.Fatalf("half-run cluster went back into the pool: %+v", st)
+	}
+	if got := CPUUtil(cfg); !reflect.DeepEqual(got, want) {
+		t.Errorf("run after the failure differs from a fresh build:\n got %+v\nwant %+v", got, want)
+	}
+	if got := CPUUtil(cfg); !reflect.DeepEqual(got, want) { // and the cluster that run pooled
+		t.Errorf("pooled run after the failure differs from a fresh build:\n got %+v\nwant %+v", got, want)
+	}
+	if st := pool.Stats(); st.Size != 1 || st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("pool after failure, fresh, pooled = %+v, want size 1, 1 hit, 2 misses", st)
+	}
+	pool.Drain()
 }

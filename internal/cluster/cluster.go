@@ -67,6 +67,11 @@ type Cluster struct {
 	lpset  *sim.LPSet
 
 	program Program // body of the Run in progress
+	// running is set while Run or Drain is inside the simulation and
+	// stays set when one panics out: processes are then parked
+	// mid-collective with tokens out, a state Reset was never written
+	// for, and Pool.Put closes such a cluster instead of pooling it.
+	running bool
 	key     poolKey // shape key, computed once for Pool.Put
 }
 
@@ -346,6 +351,7 @@ func (c *Cluster) Run(program Program) sim.Time {
 	for _, n := range c.Nodes {
 		c.kernelOf(n.ID).Spawn(n.pname, n.spawnFn)
 	}
+	c.running = true
 	end := c.lpset.Run()
 	for _, n := range c.Nodes {
 		if err := n.NIC.RelError(); err != nil {
@@ -355,6 +361,7 @@ func (c *Cluster) Run(program Program) sim.Time {
 			panic(fmt.Sprintf("cluster: %v", err))
 		}
 	}
+	c.running = false
 	return end
 }
 
@@ -370,7 +377,12 @@ func (c *Cluster) kernelOf(id int) *sim.Kernel {
 // returns the final virtual time. This is how the flow-engine drivers
 // (bench, workload) run a cluster — they seed events through the flow
 // API rather than spawning processes.
-func (c *Cluster) Drain() sim.Time { return c.lpset.Run() }
+func (c *Cluster) Drain() sim.Time {
+	c.running = true
+	end := c.lpset.Run()
+	c.running = false
+	return end
+}
 
 // Events returns the number of simulated events executed, summed over
 // every logical process's kernel.

@@ -135,8 +135,14 @@ func (p *Pool) Get(cfg Config) *Cluster {
 }
 
 // Put returns a cluster to the pool for later reuse. The cluster must
-// not be used by the caller afterwards.
+// not be used by the caller afterwards. A cluster whose last run
+// panicked out of the simulation is closed, not pooled, so a deferred
+// Put is safe on every path.
 func (p *Pool) Put(c *Cluster) {
+	if c.running {
+		c.Close()
+		return
+	}
 	p.mu.Lock()
 	p.free[c.key] = append(p.free[c.key], c)
 	p.size++

@@ -35,25 +35,3 @@ func Alltoall(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype) 
 	}
 	mpi.WaitAll(reqs...)
 }
-
-// ReduceScatter combines size×count elements across all ranks and
-// scatters the result: rank i receives block i of the combined vector.
-// Composed from Reduce to rank 0 plus Scatter, as early MPICH did.
-func ReduceScatter(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op) {
-	pr := c.Proc()
-	n := count * dt.Size()
-	size := c.Size()
-	if len(sendbuf) < n*size {
-		panic(fmt.Sprintf("coll: reduce-scatter sendbuf %d bytes < %d", len(sendbuf), n*size))
-	}
-	if len(recvbuf) < n {
-		panic(fmt.Sprintf("coll: reduce-scatter recvbuf %d bytes < %d", len(recvbuf), n))
-	}
-	var full []byte
-	if c.Rank() == 0 {
-		full = make([]byte, n*size)
-	}
-	Reduce(c, sendbuf[:n*size], full, count*size, dt, op, 0)
-	Scatter(c, full, recvbuf[:n], count, dt, 0)
-	_ = pr
-}

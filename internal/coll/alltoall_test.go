@@ -34,32 +34,6 @@ func TestAlltoall(t *testing.T) {
 	}
 }
 
-func TestReduceScatter(t *testing.T) {
-	size := 4
-	count := 3
-	got := make([][]float64, size)
-	runWorld(size, 21, func(w *mpi.Comm) {
-		// Every rank contributes v[i] = i (over the full size*count
-		// vector), so the combined vector is size*i and rank r's block
-		// is {size*(r*count) ... }.
-		full := make([]float64, size*count)
-		for i := range full {
-			full[i] = float64(i)
-		}
-		recv := make([]byte, count*8)
-		ReduceScatter(w, f64s(full...), recv, count, mpi.Float64, mpi.OpSum)
-		got[w.Rank()] = mpi.BytesToFloat64s(recv)
-	})
-	for r := 0; r < size; r++ {
-		for i := 0; i < count; i++ {
-			want := float64(size * (r*count + i))
-			if got[r][i] != want {
-				t.Fatalf("rank %d elem %d = %v, want %v", r, i, got[r][i], want)
-			}
-		}
-	}
-}
-
 func TestAlltoallSingleRank(t *testing.T) {
 	runWorld(1, 1, func(w *mpi.Comm) {
 		recv := make([]byte, 8)

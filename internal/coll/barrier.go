@@ -44,29 +44,3 @@ func Barrier(c *mpi.Comm) {
 	}
 	pr.PutBuf(token) // 1-byte sends are eager: copied out synchronously
 }
-
-// BarrierDissemination is the dissemination barrier: ceil(log2 n)
-// rounds; in round k each rank sends to rank+2^k and receives from
-// rank-2^k. It releases all ranks within about one message latency of
-// each other, making it useful when a benchmark needs a tighter
-// synchronization point than the MPICH tree barrier provides.
-func BarrierDissemination(c *mpi.Comm) {
-	pr := c.Proc()
-	size := c.Size()
-	if size == 1 {
-		return
-	}
-	rank := c.Rank()
-	ctx := c.Ctx(mpi.CtxBarrier)
-	seq := c.NextSeq(mpi.CtxBarrier)
-	var token [1]byte
-	var buf [1]byte
-	for k, dist := 0, 1; dist < size; k, dist = k+1, dist*2 {
-		tag := SeqTag(seq*64 + uint64(k))
-		to := (rank + dist) % size
-		from := (rank - dist + size) % size
-		sreq := pr.Isend(mpi.SendArgs{Dst: c.World(to), Ctx: ctx, Tag: tag, Data: token[:]})
-		pr.Recv(ctx, c.World(from), tag, buf[:])
-		sreq.Wait()
-	}
-}

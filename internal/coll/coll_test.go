@@ -78,14 +78,14 @@ func TestReduceOpsAndTypes(t *testing.T) {
 			want: f64s(8, 0),
 		},
 		{
-			op: mpi.OpMin, dt: mpi.Int64,
-			in:   func(r int) []byte { return mpi.Int64sToBytes([]int64{int64(r - 4)}) },
-			want: mpi.Int64sToBytes([]int64{-4}),
+			op: mpi.OpMin, dt: mpi.Float64,
+			in:   func(r int) []byte { return f64s(float64(r - 4)) },
+			want: f64s(-4),
 		},
 		{
-			op: mpi.OpBXor, dt: mpi.Uint64,
-			in:   func(r int) []byte { return mpi.Uint64sToBytes([]uint64{1 << uint(r)}) },
-			want: mpi.Uint64sToBytes([]uint64{0x1FF}),
+			op: mpi.OpBXor, dt: mpi.Byte,
+			in:   func(r int) []byte { return []byte{1 << uint(r%8)} },
+			want: []byte{0xFE},
 		},
 		{
 			op: mpi.OpProd, dt: mpi.Float64,
@@ -163,11 +163,12 @@ func TestAllreduce(t *testing.T) {
 	}
 }
 
+// TestGatherScatter keeps the name it had when it also checked Scatter,
+// deleted with the other collectives no entry point reached.
 func TestGatherScatter(t *testing.T) {
 	size := 6
 	root := 2
 	gathered := make([]float64, 0)
-	scattered := make([][]float64, size)
 	runWorld(size, 9, func(w *mpi.Comm) {
 		// Gather rank-stamped pairs.
 		in := f64s(float64(w.Rank()), float64(w.Rank()*10))
@@ -179,45 +180,10 @@ func TestGatherScatter(t *testing.T) {
 		if w.Rank() == root {
 			gathered = mpi.BytesToFloat64s(out)
 		}
-
-		// Scatter blocks [100r, 100r+1] from root.
-		var sbuf []byte
-		if w.Rank() == root {
-			all := make([]float64, 2*size)
-			for r := 0; r < size; r++ {
-				all[2*r] = float64(100 * r)
-				all[2*r+1] = float64(100*r + 1)
-			}
-			sbuf = f64s(all...)
-		}
-		rbuf := make([]byte, 16)
-		Scatter(w, sbuf, rbuf, 2, mpi.Float64, root)
-		scattered[w.Rank()] = mpi.BytesToFloat64s(rbuf)
 	})
 	for r := 0; r < size; r++ {
 		if gathered[2*r] != float64(r) || gathered[2*r+1] != float64(r*10) {
 			t.Fatalf("gather block %d = %v", r, gathered[2*r:2*r+2])
-		}
-		if scattered[r][0] != float64(100*r) || scattered[r][1] != float64(100*r+1) {
-			t.Fatalf("scatter rank %d = %v", r, scattered[r])
-		}
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	size := 5
-	got := make([][]float64, size)
-	runWorld(size, 4, func(w *mpi.Comm) {
-		in := f64s(float64(w.Rank() + 1))
-		out := make([]byte, 8*size)
-		Allgather(w, in, out, 1, mpi.Float64)
-		got[w.Rank()] = mpi.BytesToFloat64s(out)
-	})
-	for r := 0; r < size; r++ {
-		for i := 0; i < size; i++ {
-			if got[r][i] != float64(i+1) {
-				t.Fatalf("rank %d allgather = %v", r, got[r])
-			}
 		}
 	}
 }
@@ -264,31 +230,6 @@ func TestBarrierHoldsEveryone(t *testing.T) {
 			if exit[r] < lastEnter {
 				t.Fatalf("size %d: rank %d left the barrier at %v before last entry %v", size, r, exit[r], lastEnter)
 			}
-		}
-	}
-}
-
-// TestBarrierDissemination checks the alternative barrier the same way.
-func TestBarrierDissemination(t *testing.T) {
-	size := 9
-	enter := make([]sim.Time, size)
-	exit := make([]sim.Time, size)
-	runWorld(size, 6, func(w *mpi.Comm) {
-		r := w.Rank()
-		w.Proc().P.Sleep(sim.Time(size-r) * 25 * time.Microsecond)
-		enter[r] = w.Proc().P.Now()
-		BarrierDissemination(w)
-		exit[r] = w.Proc().P.Now()
-	})
-	lastEnter := enter[0]
-	for _, e := range enter {
-		if e > lastEnter {
-			lastEnter = e
-		}
-	}
-	for r := 0; r < size; r++ {
-		if exit[r] < lastEnter {
-			t.Fatalf("rank %d left at %v before last entry %v", r, exit[r], lastEnter)
 		}
 	}
 }

@@ -127,13 +127,8 @@ type FlowColl struct {
 	Done func(rank int, t sim.Time)
 
 	// Signals counts handlers that ran with work, per rank (the flow
-	// image of Engine.Metrics.SignalsHandled). early and completed
-	// mirror EarlyMessages and CompletedInstances, accumulated per
-	// logical process so concurrent windows never share a counter;
-	// read them through Early()/Completed().
-	Signals   []uint64
-	early     []uint64
-	completed []uint64
+	// image of Engine.Metrics.SignalsHandled).
+	Signals []uint64
 
 	ranks []frank
 	// pendFree is the descriptor pending-list pool, one free list per
@@ -150,58 +145,14 @@ func NewFlowColl(m *flow.Machine, size, root, count int) *FlowColl {
 	}
 	fc := &FlowColl{
 		M: m, Size: size, Root: root, Count: count, Bytes: count * 8,
-		Signals:   make([]uint64, size),
-		early:     make([]uint64, m.LPs()),
-		completed: make([]uint64, m.LPs()),
-		ranks:     make([]frank, size),
-		pendFree:  make([][][]int32, m.LPs()),
+		Signals:  make([]uint64, size),
+		ranks:    make([]frank, size),
+		pendFree: make([][][]int32, m.LPs()),
 	}
 	if thr := m.CMs[0].C.EagerThreshold; fc.Bytes > thr {
 		panic(fmt.Sprintf("coll: flow engine models eager reductions only (%d bytes > threshold %d)", fc.Bytes, thr))
 	}
 	return fc
-}
-
-// Reset returns every rank to the just-built state, keeping backing
-// arrays.
-func (fc *FlowColl) Reset() {
-	for i := range fc.ranks {
-		fr := &fc.ranks[i]
-		fr.nicq, fr.nh = fr.nicq[:0], 0
-		fr.unexp = fr.unexp[:0]
-		fr.abq = fr.abq[:0]
-		for j := range fr.descs {
-			fc.putPend(i, fr.descs[j].pending)
-		}
-		fr.descs = fr.descs[:0]
-		fr.op = fop{}
-		fr.sigOn, fr.sigPend = false, false
-		fc.Signals[i] = 0
-	}
-	for i := range fc.early {
-		fc.early[i] = 0
-		fc.completed[i] = 0
-	}
-}
-
-// Early returns the early-contribution count (EarlyMessages), summed
-// over logical processes.
-func (fc *FlowColl) Early() uint64 {
-	var s uint64
-	for _, v := range fc.early {
-		s += v
-	}
-	return s
-}
-
-// Completed returns the completed-descriptor count
-// (CompletedInstances), summed over logical processes.
-func (fc *FlowColl) Completed() uint64 {
-	var s uint64
-	for _, v := range fc.completed {
-		s += v
-	}
-	return s
 }
 
 func (fc *FlowColl) getPend(rank int) []int32 {
@@ -403,7 +354,6 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, tr Tree) {
 		}
 		t = m.HostRun(rank, t, cm.QueueSearch(i+1))
 		fr.abq = append(fr.abq[:i], fr.abq[i+1:]...)
-		fc.early[fc.M.LP(rank)]++
 		t = m.HostRun(rank, t, cm.ReduceOp(fc.Count, 8))
 		removePending(d, pk.src)
 	}
@@ -507,13 +457,12 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 }
 
 // completeDesc finishes descriptor di: the eager upward send of the
-// combined result, metrics, and the Fig. 3 signal re-arm.
+// combined result and the Fig. 3 signal re-arm.
 func (fc *FlowColl) completeDesc(rank int, fr *frank, di int, intr bool) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	d := fr.descs[di]
 	t := fc.hostCharge(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.Bytes), intr)
 	m.Send(t, rank, int(d.parent), fc.Bytes, fc, ptag(fkReduce, true, int(d.parent), rank, d.seq))
-	fc.completed[fc.M.LP(rank)]++
 	fc.putPend(rank, d.pending)
 	fr.descs = append(fr.descs[:di], fr.descs[di+1:]...)
 	fr.sigOn = len(fr.descs) > 0

@@ -614,29 +614,29 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestReduceABNonCommutativeAccumulationOrder documents that results
-// are exact for integer data regardless of arrival order.
+// TestReduceABIntegerExactness documents that results are exact for
+// integer-valued data regardless of arrival order.
 func TestReduceABIntegerExactness(t *testing.T) {
 	size := 16
-	var got int64
+	var got float64
 	runWorld(size, 20, func(r *ctxRank) {
 		rng := r.p.Kernel().NewRNG()
 		r.p.SpinInterruptible(sim.Time(rng.Int63n(700)) * us)
-		in := mpi.Int64sToBytes([]int64{1 << uint(r.w.Rank()%40)})
+		in := mpi.Float64sToBytes([]float64{float64(int64(1) << uint(r.w.Rank()%40))})
 		out := make([]byte, 8)
-		r.e.Reduce(r.w, in, out, 1, mpi.Int64, mpi.OpSum, 0)
+		r.e.Reduce(r.w, in, out, 1, mpi.Float64, mpi.OpSum, 0)
 		r.p.SpinInterruptible(2000 * us)
 		coll.Barrier(r.w)
 		if r.w.Rank() == 0 {
-			got = mpi.BytesToInt64s(out)[0]
+			got = mpi.BytesToFloat64s(out)[0]
 		}
 	})
-	var want int64
+	var want float64
 	for rk := 0; rk < size; rk++ {
-		want += 1 << uint(rk%40)
+		want += float64(int64(1) << uint(rk%40))
 	}
 	if got != want {
-		t.Errorf("integer AB sum = %d, want %d", got, want)
+		t.Errorf("integer AB sum = %v, want %v", got, want)
 	}
 }
 

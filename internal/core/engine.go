@@ -148,9 +148,6 @@ func (e *Engine) Reset() {
 	e.installNICFirmware()
 }
 
-// Process returns the MPI process the engine drives.
-func (e *Engine) Process() *mpi.Process { return e.pr }
-
 // SetDelayPolicy installs the §IV-E exit-delay heuristic.
 func (e *Engine) SetDelayPolicy(p DelayPolicy) {
 	if p == nil {

@@ -50,15 +50,6 @@ func (r *Request) Wait() {
 	r.e.pr.ProgressUntil(func() bool { return r.done })
 }
 
-// WaitAll completes several requests.
-func WaitAll(reqs ...*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
-}
-
 // IReduce is the split-phase application-bypass reduction the paper
 // sketches in §II: because the caller gets a Request instead of blocking
 // semantics, the *root* can also run in bypass mode — its descriptor

@@ -163,10 +163,6 @@ func (f *Fabric) SetTopology(t *topo.Topology) {
 	f.linkFree = make([]sim.Time, t.Links())
 }
 
-// Topology returns the installed multi-stage topology, nil on the
-// single-crossbar path.
-func (f *Fabric) Topology() *topo.Topology { return f.topo }
-
 // Hops returns the number of switch crossings a frame src -> dst takes:
 // always 1 on the crossbar (and on loopback), 2a+1 through a routed
 // topology. The GM reliability layer scales its per-link RTO by this.
@@ -273,9 +269,6 @@ func (c *crossing) RunEvent() {
 	head := f.walk(sh, fr, &p, p.N/2, p.N, sh.k.Now(), ser)
 	f.finishEject(sh, fr, head, ser, extra)
 }
-
-// Nodes returns the number of attached nodes.
-func (f *Fabric) Nodes() int { return len(f.sinks) }
 
 // Connect registers the delivery callback for node id. The callback runs
 // in scheduler context at the frame's arrival time; it must not park.

@@ -59,11 +59,11 @@ func TestRoutedSameLeafMatchesCrossbar(t *testing.T) {
 func TestSetTopologyCrossbarIsNoop(t *testing.T) {
 	_, f, _ := build(8)
 	f.SetTopology(topo.Build(topo.Spec{}, 8))
-	if f.Topology() != nil {
+	if f.topo != nil {
 		t.Error("crossbar spec installed a topology")
 	}
 	f.SetTopology(topo.Build(topo.Spec{Kind: topo.FatTree, K: 16}, 8))
-	if f.Topology() != nil {
+	if f.topo != nil {
 		t.Error("8 hosts fit one 16-port switch; topology should stay nil")
 	}
 	if w, wt := f.TopoStats(); w != 0 || wt != 0 {
@@ -193,7 +193,7 @@ func TestTopoReset(t *testing.T) {
 		t.Fatal("setup produced no contention")
 	}
 	f.Reset()
-	if f.Topology() == nil {
+	if f.topo == nil {
 		t.Fatal("Reset dropped the topology")
 	}
 	if w, wt := f.TopoStats(); w != 0 || wt != 0 {

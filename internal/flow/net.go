@@ -219,9 +219,6 @@ func (nt *Net) Reset() {
 	nt.fct = nt.fct[:0]
 }
 
-// Nodes returns the host count.
-func (nt *Net) Nodes() int { return nt.n }
-
 // SampleFCT enables per-flow completion-time recording (delivery minus
 // start) for distribution summaries.
 func (nt *Net) SampleFCT(on bool) { nt.sampleFCT = on }

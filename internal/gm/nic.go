@@ -308,9 +308,6 @@ func (n *NIC) Reset(reliable bool) {
 	n.ctl.SetStatus("ev queue")
 }
 
-// Node returns the node id this NIC serves.
-func (n *NIC) Node() int { return n.node }
-
 // Stats returns a copy of the NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
 

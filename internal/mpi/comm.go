@@ -16,8 +16,6 @@ const (
 	CtxBcast
 	CtxBarrier
 	CtxGather
-	CtxScatter
-	CtxAllgather
 	CtxScan
 	CtxAlltoall
 	// CtxIReduce carries split-phase (IReduce) traffic. It is separate
@@ -144,9 +142,6 @@ func (c *Comm) NextSeq(kind CtxKind) uint64 {
 	c.seqs[kind]++
 	return s
 }
-
-// CurSeq reports the next sequence number without consuming it.
-func (c *Comm) CurSeq(kind CtxKind) uint64 { return c.seqs[kind] }
 
 // Send is blocking point-to-point on the communicator's p2p context.
 // dst is a comm-local rank.

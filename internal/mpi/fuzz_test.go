@@ -9,12 +9,12 @@ import (
 // checks memory-safety invariants: Apply never touches bytes beyond
 // count*size and never reads from dst into src.
 func FuzzApply(f *testing.F) {
-	f.Add(uint8(0), uint8(5), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})
-	f.Add(uint8(2), uint8(3), make([]byte, 32), make([]byte, 32))
-	f.Add(uint8(8), uint8(1), []byte{0xFF, 0x00, 0xAA, 0x55}, []byte{0x0F, 0xF0, 0x33, 0xCC})
+	f.Add(uint8(0), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add(uint8(2), uint8(1), make([]byte, 32), make([]byte, 32))
+	f.Add(uint8(8), uint8(0), []byte{0xFF, 0x00, 0xAA, 0x55}, []byte{0x0F, 0xF0, 0x33, 0xCC})
 	f.Fuzz(func(t *testing.T, opRaw, dtRaw uint8, dst, src []byte) {
 		op := Op(opRaw % 9)
-		dt := Datatype(dtRaw % 6)
+		dt := Datatype(dtRaw % 2)
 		if !op.ValidFor(dt) {
 			return
 		}

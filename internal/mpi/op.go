@@ -21,7 +21,7 @@ const (
 	OpMin
 	OpLAnd // logical and (nonzero = true)
 	OpLOr  // logical or
-	OpBAnd // bitwise and (integer types)
+	OpBAnd // bitwise and (Byte only)
 	OpBOr  // bitwise or
 	OpBXor // bitwise xor
 )
@@ -52,55 +52,19 @@ func (op Op) String() string {
 }
 
 // ValidFor reports whether the operator is defined for datatype d
-// (bitwise operators require integer types).
+// (bitwise operators require the integer type).
 func (op Op) ValidFor(d Datatype) bool {
 	switch op {
 	case OpBAnd, OpBOr, OpBXor:
-		return d == Byte || d == Int32 || d == Int64 || d == Uint64
+		return d == Byte
 	default:
 		return true
 	}
 }
 
-// number covers the arithmetic element types the generic kernels handle.
+// number covers the arithmetic element types the generic kernel handles.
 type number interface {
-	~int32 | ~int64 | ~uint64 | ~uint8 | ~float32 | ~float64
-}
-
-// combine applies op elementwise: dst[i] = dst[i] op src[i].
-func combine[T number](op Op, dst, src []T) {
-	switch op {
-	case OpSum:
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	case OpProd:
-		for i := range dst {
-			dst[i] *= src[i]
-		}
-	case OpMax:
-		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	case OpMin:
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	case OpLAnd:
-		for i := range dst {
-			dst[i] = boolToT[T](dst[i] != 0 && src[i] != 0)
-		}
-	case OpLOr:
-		for i := range dst {
-			dst[i] = boolToT[T](dst[i] != 0 || src[i] != 0)
-		}
-	default:
-		panic(fmt.Sprintf("mpi: operator %v not handled by arithmetic kernel", op))
-	}
+	~uint8 | ~float64
 }
 
 func boolToT[T number](b bool) T {
@@ -110,9 +74,8 @@ func boolToT[T number](b bool) T {
 	return 0
 }
 
-// combineScalar is combine for one element; the in-place Apply kernels
-// use it to fold without materializing decoded slices. The arithmetic is
-// identical to combine's, so results are bit-for-bit the same.
+// combineScalar applies an arithmetic op to one element: a op b. Apply
+// folds with it in place, without materializing decoded slices.
 func combineScalar[T number](op Op, a, b T) T {
 	switch op {
 	case OpSum:
@@ -137,26 +100,6 @@ func combineScalar[T number](op Op, a, b T) T {
 	panic(fmt.Sprintf("mpi: operator %v not handled by arithmetic kernel", op))
 }
 
-// combineBits applies a bitwise operator on unsigned words.
-func combineBits(op Op, dst, src []uint64) {
-	switch op {
-	case OpBAnd:
-		for i := range dst {
-			dst[i] &= src[i]
-		}
-	case OpBOr:
-		for i := range dst {
-			dst[i] |= src[i]
-		}
-	case OpBXor:
-		for i := range dst {
-			dst[i] ^= src[i]
-		}
-	default:
-		panic(fmt.Sprintf("mpi: operator %v is not bitwise", op))
-	}
-}
-
 // Apply combines count elements of type d: dst = dst op src, in place in
 // dst. Both buffers must hold at least count elements.
 func Apply(op Op, d Datatype, dst, src []byte, count int) {
@@ -169,7 +112,7 @@ func Apply(op Op, d Datatype, dst, src []byte, count int) {
 	}
 	switch op {
 	case OpBAnd, OpBOr, OpBXor:
-		applyBitwise(op, d, dst[:n], src[:n])
+		applyBitwise(op, dst[:n], src[:n])
 		return
 	}
 	// Each case folds in place, element by element: the decoded-slice
@@ -182,144 +125,25 @@ func Apply(op Op, d Datatype, dst, src []byte, count int) {
 			b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
 			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(combineScalar(op, a, b)))
 		}
-	case Float32:
-		for i := 0; i+4 <= n; i += 4 {
-			a := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
-			b := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(combineScalar(op, a, b)))
-		}
-	case Int32:
-		for i := 0; i+4 <= n; i += 4 {
-			a := int32(binary.LittleEndian.Uint32(dst[i:]))
-			b := int32(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], uint32(combineScalar(op, a, b)))
-		}
-	case Int64:
-		for i := 0; i+8 <= n; i += 8 {
-			a := int64(binary.LittleEndian.Uint64(dst[i:]))
-			b := int64(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], uint64(combineScalar(op, a, b)))
-		}
-	case Uint64:
-		for i := 0; i+8 <= n; i += 8 {
-			a := binary.LittleEndian.Uint64(dst[i:])
-			b := binary.LittleEndian.Uint64(src[i:])
-			binary.LittleEndian.PutUint64(dst[i:], combineScalar(op, a, b))
-		}
 	case Byte:
-		combine(op, dst[:n], src[:n])
+		for i := range dst[:n] {
+			dst[i] = combineScalar(op, dst[i], src[i])
+		}
 	default:
 		panic(fmt.Sprintf("mpi: unknown datatype %v", d))
 	}
 }
 
-// applyBitwise handles the bitwise operators for all integer widths by
-// widening to uint64 words elementwise.
-func applyBitwise(op Op, d Datatype, dst, src []byte) {
-	switch d {
-	case Byte:
-		for i := range dst {
-			switch op {
-			case OpBAnd:
-				dst[i] &= src[i]
-			case OpBOr:
-				dst[i] |= src[i]
-			case OpBXor:
-				dst[i] ^= src[i]
-			}
-		}
-	case Int32:
-		for i := 0; i+4 <= len(dst); i += 4 {
-			a := binary.LittleEndian.Uint32(dst[i:])
-			b := binary.LittleEndian.Uint32(src[i:])
-			switch op {
-			case OpBAnd:
-				a &= b
-			case OpBOr:
-				a |= b
-			case OpBXor:
-				a ^= b
-			}
-			binary.LittleEndian.PutUint32(dst[i:], a)
-		}
-	case Int64, Uint64:
-		a := BytesToUint64s(dst)
-		b := BytesToUint64s(src)
-		combineBits(op, a, b)
-		copy(dst, Uint64sToBytes(a))
-	default:
-		panic(fmt.Sprintf("mpi: bitwise op on non-integer type %v", d))
-	}
-}
-
-// Identity returns the operator's identity element encoded for d, useful
-// for initializing accumulators.
-func Identity(op Op, d Datatype) []byte {
-	buf := make([]byte, d.Size())
-	var v float64
-	switch op {
-	case OpSum, OpBOr, OpBXor, OpLOr:
-		v = 0
-	case OpProd, OpLAnd:
-		v = 1
-	case OpMax:
-		v = math.Inf(-1)
-	case OpMin:
-		v = math.Inf(1)
-	case OpBAnd:
-		v = -1 // all ones for integer types
-	}
-	switch d {
-	case Float64:
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-	case Float32:
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(float32(v)))
-	case Int32:
-		iv := int32(0)
+// applyBitwise handles the bitwise operators, defined on Byte only.
+func applyBitwise(op Op, dst, src []byte) {
+	for i := range dst {
 		switch op {
-		case OpProd, OpLAnd:
-			iv = 1
-		case OpMax:
-			iv = math.MinInt32
-		case OpMin:
-			iv = math.MaxInt32
 		case OpBAnd:
-			iv = -1
+			dst[i] &= src[i]
+		case OpBOr:
+			dst[i] |= src[i]
+		case OpBXor:
+			dst[i] ^= src[i]
 		}
-		binary.LittleEndian.PutUint32(buf, uint32(iv))
-	case Int64:
-		iv := int64(0)
-		switch op {
-		case OpProd, OpLAnd:
-			iv = 1
-		case OpMax:
-			iv = math.MinInt64
-		case OpMin:
-			iv = math.MaxInt64
-		case OpBAnd:
-			iv = -1
-		}
-		binary.LittleEndian.PutUint64(buf, uint64(iv))
-	case Uint64:
-		uv := uint64(0)
-		switch op {
-		case OpProd, OpLAnd:
-			uv = 1
-		case OpMax:
-			uv = 0
-		case OpMin, OpBAnd:
-			uv = math.MaxUint64
-		}
-		binary.LittleEndian.PutUint64(buf, uv)
-	case Byte:
-		bv := byte(0)
-		switch op {
-		case OpProd, OpLAnd:
-			bv = 1
-		case OpMin, OpBAnd:
-			bv = 0xFF
-		}
-		buf[0] = bv
 	}
-	return buf
 }

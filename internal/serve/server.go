@@ -91,10 +91,6 @@ func New(opts Options) (*Server, error) {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Pool exposes the shared cluster pool (the load tester warms it
-// through the same instance the handlers use).
-func (s *Server) Pool() *cluster.Pool { return s.pool }
-
 // Close drains the shared cluster pool. Call after the HTTP server has
 // shut down; in-flight runs must have finished.
 func (s *Server) Close() { s.pool.Drain() }

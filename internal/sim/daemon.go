@@ -60,12 +60,6 @@ func (k *Kernel) InitDaemon(d *Daemon, name string, step func()) {
 	k.daemons = append(k.daemons, d)
 }
 
-// Name returns the name given at NewDaemon.
-func (d *Daemon) Name() string { return d.name }
-
-// Kernel returns the owning kernel.
-func (d *Daemon) Kernel() *Kernel { return d.k }
-
 // Now returns the current virtual time.
 func (d *Daemon) Now() Time { return d.k.now }
 

@@ -85,17 +85,10 @@ func New(seed int64) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Seed returns the seed the kernel was created with.
-func (k *Kernel) Seed() int64 { return k.seed }
-
 // Events returns the number of events executed so far — the kernel's
 // measure of simulation work, used by the sweep engine's throughput
 // accounting.
 func (k *Kernel) Events() uint64 { return k.nexec }
-
-// RNG returns the kernel's root random stream. Use NewRNG for independent
-// per-component streams.
-func (k *Kernel) RNG() *rand.Rand { return k.rng }
 
 // NewRNG returns an independent deterministic random stream. Streams are
 // numbered in creation order, so identical construction order yields

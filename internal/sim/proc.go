@@ -38,12 +38,6 @@ type Proc struct {
 	busy Time
 }
 
-// ID returns the kernel-assigned process id.
-func (p *Proc) ID() int { return p.id }
-
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 

@@ -191,7 +191,7 @@ func TestKillOrderAscending(t *testing.T) {
 		var order []int
 		for i := 0; i < n; i++ {
 			k.Spawn("rank", func(p *Proc) {
-				defer func() { order = append(order, p.ID()) }()
+				defer func() { order = append(order, p.id) }()
 				p.Sleep(time.Hour)
 			})
 		}

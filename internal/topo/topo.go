@@ -52,19 +52,6 @@ const (
 	LeafSpine
 )
 
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case Crossbar:
-		return "crossbar"
-	case FatTree:
-		return "fattree"
-	case LeafSpine:
-		return "leafspine"
-	}
-	return "?"
-}
-
 // Spec declares a topology. It is a comparable value type so it can key
 // cluster pools and Reset mismatch checks. The zero Spec is the single
 // crossbar.
@@ -303,23 +290,11 @@ func Build(spec Spec, n int) *Topology {
 	return t
 }
 
-// Oversub returns the oversubscription ratio the topology was built
-// with (1 = full bisection).
-func (t *Topology) Oversub() int {
-	if t.spec.Oversub > 1 {
-		return t.spec.Oversub
-	}
-	return 1
-}
-
 // Nodes returns the host count.
 func (t *Topology) Nodes() int { return t.n }
 
 // Spec returns the declarative description the topology was built from.
 func (t *Topology) Spec() Spec { return t.spec }
-
-// Kind returns the topology family.
-func (t *Topology) Kind() Kind { return t.spec.Kind }
 
 // Levels returns the number of switch tiers (1 = single switch).
 func (t *Topology) Levels() int { return t.levels }
