@@ -98,9 +98,10 @@ gate:
 # commands on each side, and diff the outputs. Exits 1 and prints the
 # diff on any difference; about 10 s per side. The list covers both
 # engines, both tree shapes (radix 6: the topology-aware tree differs
-# from the binomial one), lossy links, 0 and 2 LPs, tenancy and abapp;
-# the flow grid's wall_ms and heap_bytes columns are the only
-# host-dependent output and are cut before comparing.
+# from the binomial one), lossy links, 0 and 2 LPs, tenancy and abapp
+# (on the flow engine in two program shapes: halo + two reductions, and
+# no halo + three); the flow grid's wall_ms and heap_bytes columns are
+# the only host-dependent output and are cut before comparing.
 define same_cmds
 ./abbench -fig all -ablations -iters 60 -csv > figs.csv && \
 ./abbench -fig topo -iters 40 -csv > topo.csv && \
@@ -112,7 +113,8 @@ define same_cmds
 ./abscale -sizes 32 -iters 2 -bigsizes "" -engine flow -flowsizes 4096,65536 -flowiters 2 -lps 2 | $(same_cut) > flow_lps2.txt && \
 ./abscale -sizes 32 -iters 2 -bigsizes "" -engine flow -topo fattree:6 -flowsizes 48,54 -flowiters 3 | $(same_cut) > flow_radix6.txt && \
 ./abapp -nodes 64 -iters 20 > app.txt && \
-./abapp -nodes 4096 -iters 5 -engine flow -topo fattree:16 > app_flow.txt
+./abapp -nodes 4096 -iters 5 -engine flow -topo fattree:16 > app_flow.txt && \
+./abapp -nodes 512 -iters 8 -engine flow -topo fattree:8 -halo=false -reds 3 > app_flow_nohalo.txt
 endef
 same_cut = awk '/^Flow-engine/ {f=1} f && NF==8 {print $$1,$$2,$$3,$$4,$$6,$$8; next} {print}'
 
@@ -123,7 +125,7 @@ same:
 		(cd "$$wt/src" && go build -o "$$wt/base/" ./cmd/abbench ./cmd/abscale ./cmd/abapp) && \
 		go build -o "$$wt/head/" ./cmd/abbench ./cmd/abscale ./cmd/abapp && \
 		for side in base head; do (cd "$$wt/$$side" && $(same_cmds) && rm abbench abscale abapp) || exit 1; done && \
-		diff -r "$$wt/base" "$$wt/head" && echo "same simulation as $(BASE): 11 outputs identical"
+		diff -r "$$wt/base" "$$wt/head" && echo "same simulation as $(BASE): $$(ls "$$wt/head" | wc -l) outputs identical"
 
 # Reachability check: which non-test functions does no entry point
 # execute? An entry point is a cmd/ binary, an examples/ program,
@@ -131,11 +133,11 @@ same:
 # root package's tests). Everything is built with the toolchain's own
 # coverage instrumentation (through GOFLAGS, so the abserve child that
 # benchmark builds is instrumented too); then `make same`'s command
-# list, the CLI surfaces it lacks (genetic placement, a paper figure on
-# a routed fabric, abtrace, abapp's other imbalance distributions), the
-# five examples, the four benchmark workloads plain and traced, and the
-# root package's tests all run. The functions left at 0 % outside
-# benchmark/ and examples/ must be exactly the rows of reach.keep
+# list, the CLI surfaces it lacks (genetic placement, a lossy flow grid,
+# a paper figure on a routed fabric, abtrace, abapp's other imbalance
+# distributions), the five examples, the four benchmark workloads plain
+# and traced, and the root package's tests all run. The functions left
+# at 0 % outside benchmark/ and examples/ must be exactly the rows of reach.keep
 # ("file function reason"): a function nothing reaches is deleted with
 # its tests or kept with a written reason. Exits 1 and prints the
 # difference otherwise. About 2 min on 2 cores: the plain benchmark runs
@@ -143,6 +145,7 @@ same:
 define reach_cmds
 $(same_cmds) && \
 ./abscale -sizes 32 -iters 2 -bigsizes "" -jobs 4 -oversub 4 -place genetic -tenancynodes 64 -tenancyiters 2 -csv > /dev/null && \
+./abscale -sizes 32 -iters 2 -bigsizes "" -engine flow -flowsizes 4096 -flowiters 2 -loss 0.02 > /dev/null && \
 ./abbench -fig 6 -iters 5 -topo fattree:8 -csv > /dev/null && \
 ./abtrace -topo fattree:4 -json trace.json > /dev/null && \
 for d in exp pareto straggler none; do ./abapp -nodes 16 -iters 5 -dist $$d > /dev/null || exit 1; done && \

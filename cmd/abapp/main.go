@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"abred/internal/cluster"
@@ -35,17 +36,21 @@ func main() {
 	topoFlag := flag.String("topo", "", "routed fabric spec (e.g. fattree:16; \"\" = crossbar)")
 	flag.Parse()
 
+	// A bad flag value is a usage error: stderr and exit status 2, so a
+	// script's `|| exit 1` sees a typo.
+	bad := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "abapp: "+format+"\n", args...)
+		os.Exit(2)
+	}
 	engine, err := cluster.ParseEngine(*engineFlag)
 	if err != nil {
-		fmt.Printf("abapp: %v\n", err)
-		return
+		bad("%v", err)
 	}
 	var ts topo.Spec
 	if *topoFlag != "" {
 		ts, err = topo.ParseSpec(*topoFlag)
 		if err != nil {
-			fmt.Printf("abapp: bad -topo %q: %v\n", *topoFlag, err)
-			return
+			bad("bad -topo %q: %v", *topoFlag, err)
 		}
 	}
 
@@ -62,8 +67,7 @@ func main() {
 	case "none":
 		d = skew.None{}
 	default:
-		fmt.Printf("abapp: unknown distribution %q\n", *dist)
-		return
+		bad("unknown distribution %q", *dist)
 	}
 
 	cfg := workload.Config{

@@ -172,6 +172,7 @@ func main() {
 
 	pool := cluster.NewPool()
 	defer pool.Drain()
+	faults := fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}
 
 	runGrid := func(grid string, gridSizes []int, gridIters int) {
 		for _, s := range []struct {
@@ -183,8 +184,7 @@ func main() {
 		} {
 			t := bench.ScaleProjection(gridSizes, s.skew, *count,
 				bench.Opts{Iters: gridIters, Seed: *seed, Workers: *parallel, Pool: pool,
-					Fault: fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}},
-					LPs:   *lps})
+					Fault: faults, LPs: *lps})
 			t.Title = fmt.Sprintf("%s (%s%s, max skew %v, %d elements, %d iters)",
 				t.Title, grid, s.note, s.skew, *count, gridIters)
 			if *csv {
@@ -204,8 +204,7 @@ func main() {
 		ft := routed("-topo %q is not a routed fabric")
 		t := bench.TopoSweep(ts, ft, *skew, *count,
 			bench.Opts{Iters: *topoIters, Seed: *seed, Workers: *parallel, Pool: pool,
-				Fault: fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}},
-				LPs:   *lps})
+				Fault: faults, LPs: *lps})
 		t.Title = fmt.Sprintf("%s (max skew %v, %d elements, %d iters)", t.Title, *skew, *count, *topoIters)
 		if *csv {
 			t.WriteCSV(os.Stdout)
@@ -222,7 +221,7 @@ func main() {
 				os.Exit(2)
 			}
 			points := bench.FlowSweep(fs, ft, *skew, *count,
-				bench.Opts{Iters: *flowIters, Seed: *seed, LPs: *lps})
+				bench.Opts{Iters: *flowIters, Seed: *seed, Fault: faults, LPs: *lps})
 			fmt.Printf("Flow-engine scaling sweep — %s, max skew %v, %d elements, %d iters\n",
 				ft, *skew, *count, *flowIters)
 			fmt.Printf("%10s %10s %10s %8s %12s %14s %14s %12s\n",
@@ -252,7 +251,8 @@ func main() {
 			places = append(places, p)
 		}
 		points := bench.TenancySweep(model.PaperCluster(*tenancyNodes), ft, jobCounts, oversubs,
-			places, sim.Time(*tenancyArrival), *tenancyIters, *tenancyCount, *seed, *parallel)
+			places, sim.Time(*tenancyArrival), *tenancyCount,
+			bench.Opts{Iters: *tenancyIters, Seed: *seed, Workers: *parallel, Fault: faults})
 		fmt.Printf("Multi-tenant sweep — %d nodes on %s, %d iters/job, %d elements\n",
 			*tenancyNodes, ft, *tenancyIters, *tenancyCount)
 		fmt.Printf("%6s %8s %8s %12s %12s %12s %12s %12s %8s\n",

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"abred/internal/cluster"
+	"abred/internal/fault"
 	"abred/internal/model"
 	"abred/internal/sim"
 	"abred/internal/topo"
+	"abred/internal/workload"
 )
 
 // flowParConfig is the shared shape of the parallel-flow tests: the
@@ -149,5 +151,29 @@ func TestFlowLPsCrossbarClamps(t *testing.T) {
 	mono := flowFingerprint(CPUUtil(flowParConfig(topo.Spec{}, AppBypass, 1)))
 	if got := flowFingerprint(CPUUtil(flowParConfig(topo.Spec{}, AppBypass, 4))); got != mono {
 		t.Errorf("clamped lps=4 crossbar diverged from monolithic:\n got %s\nwant %s", got, mono)
+	}
+}
+
+// TestSweepsHonourFault pins that Opts.Fault reaches the cluster from
+// the two abscale grids that once dropped it: a lossy flow grid and a
+// lossy tenancy grid must differ from their loss-free runs.
+func TestSweepsHonourFault(t *testing.T) {
+	ft := topo.Spec{Kind: topo.FatTree, K: 4}
+	lossy := fault.Config{Seed: 1, Rule: fault.Rule{Drop: 0.05}}
+	flowRun := func(f fault.Config) FlowPoint {
+		p := FlowSweep([]int{16}, ft, sim.Time(time.Millisecond), 4, Opts{Iters: 2, Seed: 7, Fault: f})[0]
+		p.WallMS, p.HeapPeak = 0, 0 // host-dependent
+		return p
+	}
+	if clean, got := flowRun(fault.Config{}), flowRun(lossy); got == clean {
+		t.Errorf("FlowSweep ignored Opts.Fault: %+v", got)
+	}
+	tenancyRun := func(f fault.Config) TenancyPoint {
+		return TenancySweep(model.PaperCluster(16), ft, []int{2}, []int{1},
+			[]workload.Placement{workload.GreedyPlacement{}}, sim.Time(50*time.Microsecond), 64,
+			Opts{Iters: 4, Seed: 7, Workers: 1, Fault: f})[0]
+	}
+	if clean, got := tenancyRun(fault.Config{}), tenancyRun(lossy); got == clean {
+		t.Errorf("TenancySweep ignored Opts.Fault: %+v", got)
 	}
 }

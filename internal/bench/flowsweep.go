@@ -32,8 +32,9 @@ type FlowPoint struct {
 // the interlaced heterogeneous node mix on the routed fabric, skewed,
 // non-bypass versus bypass (with the topology-aware tree). Each size's
 // two runs share a pooled cluster and execute serially so the wall and
-// heap columns describe that size alone; of o, Iters, Seed and LPs
-// apply (LPs shards the max-min substrate along ft's pods).
+// heap columns describe that size alone; of o, Iters, Seed, Fault and
+// LPs apply (the flow engine models a uniform drop rule only; LPs
+// shards the max-min substrate along ft's pods).
 func FlowSweep(sizes []int, ft topo.Spec, maxSkew sim.Time, count int, o Opts) []FlowPoint {
 	o = o.withDefaults()
 	points := make([]FlowPoint, 0, len(sizes))
@@ -42,7 +43,7 @@ func FlowSweep(sizes []int, ft topo.Spec, maxSkew sim.Time, count int, o Opts) [
 		specs := model.PaperCluster(n)
 		mk := func(mode Mode, topoAware bool) Config {
 			return Config{Specs: specs, Count: count, Mode: mode, MaxSkew: maxSkew,
-				Iters: o.Iters, Seed: o.Seed, Topo: ft, TopoAware: topoAware,
+				Iters: o.Iters, Seed: o.Seed, Fault: o.Fault, Topo: ft, TopoAware: topoAware,
 				Engine: cluster.EngineFlow, LPs: o.LPs, Pool: pool}
 		}
 		var nab, ab CPUUtilResult

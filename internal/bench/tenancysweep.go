@@ -100,39 +100,39 @@ func TenancyFigure(o Opts) *Table {
 // warm cluster. JCT columns come from the app-bypass run — the
 // configuration a production scheduler would deploy — while the CPU
 // columns compare the two implementations under identical arrivals and
-// placements (same seed, same streams).
+// placements (same seed, same streams). Of o, Iters (per tenant job),
+// Seed, Workers and Fault apply.
 func TenancySweep(specs []model.NodeSpec, base topo.Spec, jobCounts, oversubs []int,
-	places []workload.Placement, meanArrival sim.Time, iters, count int,
-	seed int64, workers int) []TenancyPoint {
+	places []workload.Placement, meanArrival sim.Time, count int, o Opts) []TenancyPoint {
 	var points []TenancyPoint
-	for _, o := range oversubs {
+	for _, oversub := range oversubs {
 		ft := base
-		ft.Oversub = o
+		ft.Oversub = oversub
 		pool := cluster.NewPool()
 		for _, jobs := range jobCounts {
 			for _, place := range places {
 				mk := func(style workload.Style) workload.TenancyConfig {
 					return workload.TenancyConfig{
-						Specs: specs, Topo: ft, Seed: seed,
+						Specs: specs, Topo: ft, Seed: o.Seed, Fault: o.Fault,
 						Jobs: jobs, MeanArrival: meanArrival,
-						Iters: iters, Count: count,
+						Iters: o.Iters, Count: count,
 						Style: style, Place: place, Pool: pool,
 					}
 				}
 				var nab, ab workload.TenancyResult
-				sweep.Run(fmt.Sprintf("tenancy/j=%d/o=%d/%s", jobs, o, place.Name()),
+				sweep.Run(fmt.Sprintf("tenancy/j=%d/o=%d/%s", jobs, oversub, place.Name()),
 					[]sweep.Job[int]{
-						{Name: "tenancy/nab", Seed: seed, Run: func() (int, uint64) {
+						{Name: "tenancy/nab", Seed: o.Seed, Run: func() (int, uint64) {
 							nab = workload.Tenancy(mk(workload.StyleDefault))
 							return 0, nab.Events
 						}},
-						{Name: "tenancy/ab", Seed: seed, Run: func() (int, uint64) {
+						{Name: "tenancy/ab", Seed: o.Seed, Run: func() (int, uint64) {
 							ab = workload.Tenancy(mk(workload.StyleBypass))
 							return 0, ab.Events
 						}},
-					}, workers)
+					}, o.Workers)
 				p := TenancyPoint{
-					Jobs: jobs, Oversub: o, Place: place.Name(),
+					Jobs: jobs, Oversub: oversub, Place: place.Name(),
 					JCTp50US:  float64(ab.JCT.P50) / float64(time.Microsecond),
 					JCTp95US:  float64(ab.JCT.P95) / float64(time.Microsecond),
 					JCTCI95US: float64(ab.JCT.CI95) / float64(time.Microsecond),

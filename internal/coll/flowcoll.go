@@ -20,14 +20,15 @@ import (
 	"abred/internal/sim"
 )
 
-// Message kinds carried in flow tags. fkSignal is not a message: it is
-// the WakeAt tag for a coalesced NIC signal handler.
+// Message kinds carried in flow tags. The last two are not messages
+// but WakeAt tags: a coalesced NIC signal handler and a spin's end.
 const (
 	fkReduce  uint8 = iota // reduction contribution to the parent
 	fkBarUp                // barrier combine token
 	fkBarDown              // barrier release token
-	fkP2P                  // point-to-point payload (workload halo)
+	fkP2P                  // point-to-point payload (the halo step)
 	fkSignal
+	fkSpin
 )
 
 // op interpreter states.
@@ -100,13 +101,15 @@ type frank struct {
 	abq     []fpkt // AB unexpected queue (early contributions)
 	descs   []fdesc
 	op      fop
+	pos     flowPos
 	sigOn   bool // NIC signals armed (descriptors outstanding)
 	sigPend bool // a signal was raised and its handler has not run
 }
 
-// FlowColl runs the collectives of one communicator on the flow engine.
-// All entry points take the host time the rank makes the call; Done
-// fires (in scheduler context) when the rank's blocking call returns.
+// FlowColl runs the collectives of one communicator on the flow engine,
+// under the rank program Run interprets (flowprog.go): a step's call
+// starts at the rank's host time, and when the blocking call returns
+// (in scheduler context) the rank moves to its next step.
 // Contract: every payload must fit the eager protocol — rendezvous
 // transfers have a different synchronization structure and are not
 // modeled at flow fidelity.
@@ -117,19 +120,22 @@ type FlowColl struct {
 	Count int // reduction elements (8-byte doubles)
 	Bytes int // Count * 8
 
-	// P2PBytes sizes fkP2P transfers (the workload's halo payload).
+	// P2PBytes sizes fkP2P transfers (the FlowHalo payload).
 	P2PBytes int
 
 	// Tree, when set, replaces the binomial shape for application-
 	// bypass instances, exactly as Engine.SetTopoTree does.
 	Tree *TopoTree
 
-	Done func(rank int, t sim.Time)
-
 	// Signals counts handlers that ran with work, per rank (the flow
 	// image of Engine.Metrics.SignalsHandled).
 	Signals []uint64
 
+	// InCall and Intr are Run's per-rank results: time inside reduction
+	// calls, and handler time that landed inside spins.
+	InCall, Intr []sim.Time
+
+	prog  FlowProgram
 	ranks []frank
 	// pendFree is the descriptor pending-list pool, one free list per
 	// logical process (descriptors are taken and returned on the
@@ -172,10 +178,10 @@ func (fc *FlowColl) putPend(rank int, p []int32) {
 	}
 }
 
-// Reduce runs one reduction call for rank starting at host time at; ab
+// reduce runs one reduction call for rank starting at host time at; ab
 // selects the application-bypass implementation. seq is the instance
 // number (every rank must pass the same one per instance).
-func (fc *FlowColl) Reduce(rank int, at sim.Time, ab bool, seq uint64) {
+func (fc *FlowColl) reduce(rank int, at sim.Time, ab bool, seq uint64) {
 	if !ab {
 		fc.reduceStart(rank, at, seq, false)
 		return
@@ -209,9 +215,9 @@ func (fc *FlowColl) tree(ab bool) Tree {
 	return Binomial(fc.Root, fc.Size)
 }
 
-// Barrier enters the MPICH tree barrier (combine up to rank 0, release
+// barrier enters the MPICH tree barrier (combine up to rank 0, release
 // down) for rank at host time at.
-func (fc *FlowColl) Barrier(rank int, at sim.Time, seq uint64) {
+func (fc *FlowColl) barrier(rank int, at sim.Time, seq uint64) {
 	if fc.Size == 1 {
 		fc.opDone(rank, at)
 		return
@@ -220,26 +226,6 @@ func (fc *FlowColl) Barrier(rank int, at sim.Time, seq uint64) {
 	fr.op = fop{kind: opBarrier, seq: mseq(seq), parent: int32(Parent(rank, 0, fc.Size)), it: Kids(rank, 0, fc.Size)}
 	fc.M.HostRun(rank, at, 0)
 	fc.barrierLoop(rank, fr)
-}
-
-// SendP2P posts one eager point-to-point send and returns the time the
-// call hands back to the application.
-func (fc *FlowColl) SendP2P(rank int, at sim.Time, dst int, tag uint64) sim.Time {
-	m, cm := fc.M, fc.M.CMs[rank]
-	t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.P2PBytes))
-	m.Send(t, rank, dst, fc.P2PBytes, fc, ptag(fkP2P, false, dst, rank, tag))
-	return t
-}
-
-// RecvP2P blocks rank on a point-to-point receive; Done fires when it
-// matches.
-func (fc *FlowColl) RecvP2P(rank int, at sim.Time, src int, tag uint64) {
-	fr := &fc.ranks[rank]
-	fr.op = fop{kind: opRecv}
-	fc.M.HostRun(rank, at, 0)
-	if fc.recvStart(rank, fr, fkP2P, int32(src), mseq(tag), int32(fc.P2PBytes)) {
-		fc.opDone(rank, fc.M.Busy[rank])
-	}
 }
 
 // reduceStart runs the blocking MPICH reduction chain (ReduceOn):
@@ -509,9 +495,7 @@ func removePending(d *fdesc, src int32) {
 func (fc *FlowColl) opDone(rank int, t sim.Time) {
 	fr := &fc.ranks[rank]
 	fr.op.kind, fr.op.waiting = opNone, false
-	if fc.Done != nil {
-		fc.Done(rank, t)
-	}
+	fc.leave(rank, t)
 }
 
 // opAdvance resumes rank's op after a posted receive matched.
@@ -530,13 +514,17 @@ func (fc *FlowColl) opAdvance(rank int, fr *frank) {
 	}
 }
 
-// FlowEvent receives Machine callbacks: message deliveries and signal-
-// handler wakeups.
+// FlowEvent receives Machine callbacks: message deliveries, signal-
+// handler wakeups and spin ends.
 func (fc *FlowColl) FlowEvent(tag uint64, at sim.Time) {
 	kind := uint8(tag & 7)
 	dst := int(tag >> 4 & 0x1FFFFF)
-	if kind == fkSignal {
+	switch kind {
+	case fkSignal:
 		fc.onSignal(dst, at)
+		return
+	case fkSpin:
+		fc.spinEnd(dst, at)
 		return
 	}
 	pkt := fpkt{

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"abred/internal/coll"
 	"abred/internal/mpi"
 )
@@ -157,9 +155,4 @@ func (e *Engine) syncPhase(d *descriptor, size, count int) {
 	e.inSync--
 	// Fig. 3 exit arc: enable signals iff reductions remain outstanding.
 	e.updateSignals()
-}
-
-// String summarizes engine state for debugging.
-func (e *Engine) String() string {
-	return fmt.Sprintf("engine(rank=%d, desc=%d, ubq=%d)", e.pr.Rank(), len(e.descQ), len(e.ubq))
 }

@@ -675,14 +675,6 @@ func TestTraceSpansEmitted(t *testing.T) {
 	}
 }
 
-func TestEngineString(t *testing.T) {
-	runWorld(2, 22, func(r *ctxRank) {
-		if r.e.String() == "" {
-			t.Error("empty engine string")
-		}
-	})
-}
-
 var _ = math.Abs // keep math imported for future tolerance checks
 
 // TestTreeForApplicability pins the one rule for when an installed

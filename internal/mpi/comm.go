@@ -164,7 +164,3 @@ func (c *Comm) Recv(src int, tag int32, buf []byte) Status {
 func (c *Comm) Irecv(src int, tag int32, buf []byte) *Request {
 	return c.pr.Irecv(c.Ctx(CtxP2P), c.World(src), tag, buf)
 }
-
-func (c *Comm) String() string {
-	return fmt.Sprintf("comm(base=%d, %s)", c.base, c.pr)
-}

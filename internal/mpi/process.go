@@ -6,8 +6,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"abred/internal/gm"
 	"abred/internal/model"
 	"abred/internal/sim"
@@ -266,9 +264,4 @@ func (m *uMsg) matches(ctx uint16, src int, tag int32) bool {
 	return m.ctx == ctx &&
 		(src == AnySource || int32(src) == m.srcRank) &&
 		(tag == AnyTag || tag == m.tag)
-}
-
-// String aids debugging.
-func (pr *Process) String() string {
-	return fmt.Sprintf("rank %d/%d", pr.rank, pr.size)
 }

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"abred/internal/gm"
-)
+import "abred/internal/gm"
 
 // Status describes a completed receive.
 type Status struct {
@@ -90,9 +86,4 @@ func WaitAll(reqs ...*Request) {
 			r.Wait()
 		}
 	}
-}
-
-func (r *Request) String() string {
-	k := map[reqKind]string{reqSendEager: "esend", reqSendRendezvous: "rsend", reqRecv: "recv"}[r.kind]
-	return fmt.Sprintf("%s(ctx=%d src=%d tag=%d done=%v)", k, r.ctx, r.src, r.tag, r.done)
 }

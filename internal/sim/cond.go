@@ -40,23 +40,6 @@ func (c *Cond) Wait(p *Proc) {
 	p.park(c.where)
 }
 
-// WaitTimeout parks p until the next Broadcast or until d elapses,
-// whichever comes first. It reports whether the wake came from Broadcast.
-func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
-	deadline := p.k.now + d
-	timedOut := false
-	ev := p.k.schedule(deadline, func() {
-		timedOut = true
-		c.remove(p)
-		p.wakeAt(p.k.now)
-	})
-	c.waiters = append(c.waiters, p)
-	p.park(c.where)
-	p.k.cancel(ev)
-	c.remove(p)
-	return !timedOut
-}
-
 // Broadcast wakes every waiting process at the current virtual time.
 // The waiter slice keeps its capacity: wakeAt only schedules events (no
 // process runs until the caller parks), so no new waiter can appear
@@ -67,13 +50,4 @@ func (c *Cond) Broadcast() {
 		p.wakeAt(p.k.now)
 	}
 	c.waiters = c.waiters[:0]
-}
-
-func (c *Cond) remove(p *Proc) {
-	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
 }

@@ -216,8 +216,8 @@ func (k *Kernel) recycle(ev *event) {
 const compactMin = 64
 
 // maybeCompact rebuilds the heap without canceled entries once they
-// outnumber the live ones. Long timeout-heavy simulations (GetTimeout,
-// WaitTimeout) otherwise accumulate dead timers until their one-time pop.
+// outnumber the live ones. Long timeout-heavy simulations (GetTimeout)
+// otherwise accumulate dead timers until their one-time pop.
 // Compaction preserves the total (t, seq) order, so pop order — and with
 // it the simulation — is unchanged.
 func (k *Kernel) maybeCompact() {

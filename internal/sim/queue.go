@@ -6,9 +6,8 @@ package sim
 // hand-off scheduling means no real concurrency ever occurs).
 //
 // Both the item store and the waiter list are ring buffers, so the
-// steady state allocates nothing: TryGet no longer drifts the backing
-// array and PutFront reuses the ring instead of building a fresh slice
-// per call. Waiter removal is O(1) amortized — each waiting process
+// steady state allocates nothing: TryGet does not drift the backing
+// array. Waiter removal is O(1) amortized — each waiting process
 // remembers its ring position, and removal tombstones the slot for the
 // next wake to skip.
 type Queue[T any] struct {
@@ -84,17 +83,6 @@ func (q *Queue[T]) Put(v T) {
 	q.wakeOne()
 }
 
-// PutFront prepends v (used to return an item taken speculatively).
-func (q *Queue[T]) PutFront(v T) {
-	if q.n == len(q.items) {
-		q.grow()
-	}
-	q.head = (q.head - 1 + len(q.items)) % len(q.items)
-	q.items[q.head] = v
-	q.n++
-	q.wakeOne()
-}
-
 // wakeOne pops the oldest live waiter and schedules its resume, skipping
 // tombstoned slots.
 func (q *Queue[T]) wakeOne() {
@@ -158,15 +146,6 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	q.head = (q.head + 1) % len(q.items)
 	q.n--
 	return v, true
-}
-
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	return q.items[q.head], true
 }
 
 // Get removes and returns the head item, parking p until one is

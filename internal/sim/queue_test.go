@@ -62,45 +62,6 @@ func TestQueueFIFOProperty(t *testing.T) {
 	}
 }
 
-func TestQueuePutFront(t *testing.T) {
-	k := New(1)
-	q := NewQueue[int]("q")
-	k.Spawn("p", func(p *Proc) {
-		q.Put(1)
-		q.Put(2)
-		v, _ := q.TryGet()
-		if v != 1 {
-			t.Fatalf("got %d", v)
-		}
-		q.PutFront(v)
-		if v, _ := q.TryGet(); v != 1 {
-			t.Fatalf("PutFront lost head order: %d", v)
-		}
-		if v, _ := q.TryGet(); v != 2 {
-			t.Fatal("queue corrupted")
-		}
-	})
-	k.Run()
-}
-
-func TestQueuePeek(t *testing.T) {
-	k := New(1)
-	q := NewQueue[string]("q")
-	k.Spawn("p", func(p *Proc) {
-		if _, ok := q.Peek(); ok {
-			t.Error("peek on empty")
-		}
-		q.Put("a")
-		if v, ok := q.Peek(); !ok || v != "a" {
-			t.Error("peek wrong")
-		}
-		if q.Len() != 1 {
-			t.Error("peek consumed")
-		}
-	})
-	k.Run()
-}
-
 // TestQueueTimeoutVsPutRace: a put landing exactly at the timeout
 // deadline must not double-wake or lose the item.
 func TestQueueTimeoutVsPutRace(t *testing.T) {
@@ -156,27 +117,6 @@ func TestQueueTimeoutSameTickSingleDelivery(t *testing.T) {
 		t.Errorf("item delivered %d/%d times (timed=%d patient=%d), want exactly once",
 			timedGot, patientGot, timedGot, patientGot)
 	}
-}
-
-func TestCondWaitTimeout(t *testing.T) {
-	k := New(1)
-	c := NewCond("c")
-	k.Spawn("w", func(p *Proc) {
-		if c.WaitTimeout(p, 5*time.Microsecond) {
-			t.Error("expected timeout")
-		}
-		if p.Now() != 5*time.Microsecond {
-			t.Errorf("timeout at %v", p.Now())
-		}
-		if !c.WaitTimeout(p, time.Millisecond) {
-			t.Error("expected broadcast wake")
-		}
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Sleep(20 * time.Microsecond)
-		c.Broadcast()
-	})
-	k.Run()
 }
 
 func TestDaemonDoesNotBlockRun(t *testing.T) {
