@@ -25,8 +25,7 @@ import (
 // Engine are populated when a program starts running on the node.
 type Node struct {
 	ID     int
-	Spec   model.NodeSpec
-	CM     model.CostModel
+	CM     model.CostModel // shared with every node of the same hardware class
 	NIC    *gm.NIC
 	Proc   *sim.Proc
 	MPI    *mpi.Process
@@ -54,7 +53,10 @@ type Cluster struct {
 	Engine Engine
 	FlowM  *flow.Machine
 
-	flowSpecs []model.NodeSpec // spec table of a flow cluster (no Nodes)
+	// cms holds one cost-model handle per node on both engines. Nodes of
+	// one hardware class share one model (model.SharedCostModels), and
+	// Reset compares a Config's specs against these handles.
+	cms []model.CostModel
 
 	// Partition state: Ks holds every logical process's kernel
 	// (Ks[0] == K), LPs the actual partition count after clamping to the
@@ -162,8 +164,9 @@ func packetPoolCap(n int) int {
 // New builds a cluster: kernels, fabric and NICs. MPI processes appear
 // when Run starts a program. Node and NIC storage is slab-allocated
 // (one backing array each) and nodes with identical hardware share one
-// derived cost table, so construction cost and footprint scale with the
-// number of distinct node classes, not with raw node count.
+// cost model that every per-node store holds as an 8-byte handle, so the
+// cost constants scale with the number of distinct node classes, not
+// with raw node count.
 func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -189,9 +192,9 @@ func New(cfg Config) *Cluster {
 		c.Ks[i] = sim.New(lpSeed(cfg.Seed, i))
 	}
 	c.K = c.Ks[0]
-	cms := model.SharedCostModels(cfg.Specs, cfg.Costs)
+	c.cms = model.SharedCostModels(cfg.Specs, cfg.Costs)
 	if cfg.Engine == EngineFlow {
-		c.buildFlow(cfg, cms)
+		c.buildFlow(cfg)
 		return c
 	}
 
@@ -202,16 +205,15 @@ func New(cfg Config) *Cluster {
 	c.lpset = sim.NewLPSet(c.Ks, fab.Lookahead(), fab.Exchange)
 
 	reliable := c.installFaults(cfg.Fault)
-	nics := gm.NewNICs(c.Ks, c.pmap, cms, fab)
+	nics := gm.NewNICs(c.Ks, c.pmap, c.cms, fab)
 	fab.Reown = gm.ReownHook(nics)
 	poolCap := packetPoolCap(len(cfg.Specs))
 	nodes := make([]Node, len(cfg.Specs))
 	c.Nodes = make([]*Node, len(cfg.Specs))
-	for i, spec := range cfg.Specs {
+	for i := range nodes {
 		n := &nodes[i]
 		n.ID = i
-		n.Spec = spec
-		n.CM = cms[i]
+		n.CM = c.cms[i]
 		n.NIC = nics[i]
 		n.NIC.SetPacketPoolCap(poolCap)
 		n.cl = c
@@ -265,7 +267,7 @@ func (c *Cluster) shapeDiff(cfg Config) string {
 		return fmt.Sprintf("%d LPs on a %d-LP cluster", normLPs(cfg.LPs), c.reqLPs)
 	}
 	for i, s := range cfg.Specs {
-		if s != c.spec(i) {
+		if s != c.cms[i].Spec() {
 			return fmt.Sprintf("different spec for node %d", i)
 		}
 	}

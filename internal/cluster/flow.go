@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"abred/internal/flow"
-	"abred/internal/model"
 	"abred/internal/sim"
 )
 
@@ -42,15 +41,14 @@ func ParseEngine(s string) (Engine, error) {
 	return EnginePacket, fmt.Errorf("unknown engine %q (packet|flow)", s)
 }
 
-// buildFlow finishes a flow-engine cluster: shared cost tables and the
-// flow machine over the topology graph — no fabric, NICs or per-node
-// structs, so construction and footprint stay flat arrays even at a
-// million nodes. The machine is sharded over the cluster's LPs (the
-// same pod partition as the packet engine) and the shards couple
-// through sim.LPSet windows.
-func (c *Cluster) buildFlow(cfg Config, cms []model.CostModel) {
-	c.flowSpecs = cfg.Specs
-	m := flow.NewMachines(c.Ks, c.pmap, c.Topo, cms, cfg.Costs)
+// buildFlow finishes a flow-engine cluster: the flow machine over the
+// topology graph, holding the cluster's cost-model handles — no fabric,
+// NICs or per-node structs, so construction and footprint stay flat
+// arrays even at a million nodes. The machine is sharded over the
+// cluster's LPs (the same pod partition as the packet engine) and the
+// shards couple through sim.LPSet windows.
+func (c *Cluster) buildFlow(cfg Config) {
+	m := flow.NewMachines(c.Ks, c.pmap, c.Topo, c.cms, cfg.Costs)
 	if err := m.SetFaults(cfg.Fault); err != nil {
 		panic("cluster: " + err.Error())
 	}
@@ -60,17 +58,4 @@ func (c *Cluster) buildFlow(cfg Config, cms []model.CostModel) {
 }
 
 // Size returns the node count, engine-independent.
-func (c *Cluster) Size() int {
-	if c.Engine == EngineFlow {
-		return len(c.flowSpecs)
-	}
-	return len(c.Nodes)
-}
-
-// spec returns node i's hardware spec, engine-independent.
-func (c *Cluster) spec(i int) model.NodeSpec {
-	if c.Engine == EngineFlow {
-		return c.flowSpecs[i]
-	}
-	return c.Nodes[i].Spec
-}
+func (c *Cluster) Size() int { return len(c.cms) }

@@ -145,6 +145,29 @@ func TestResetShapeMismatchPanics(t *testing.T) {
 	mustPanic("costs", Config{Specs: model.Uniform(4), Seed: 1, Costs: costs})
 }
 
+// TestResetRefusesChangedSpecs: node hardware is a construction-time
+// property on both engines, even when the caller edits the very slice
+// the cluster was built from. A flow cluster once kept that slice and so
+// compared it with itself: it accepted the edit and ran node 0 on its
+// old cost model.
+func TestResetRefusesChangedSpecs(t *testing.T) {
+	for _, eng := range []Engine{EnginePacket, EngineFlow} {
+		t.Run(eng.String(), func(t *testing.T) {
+			cfg := Config{Specs: model.PaperCluster(32), Seed: 1, Engine: eng}
+			c := New(cfg)
+			defer c.Close()
+			c.Reset(cfg)
+			cfg.Specs[0] = model.PIII1GPCI64C
+			defer func() {
+				if r := fmt.Sprint(recover()); r != "cluster: Reset with different spec for node 0" {
+					t.Fatalf("Reset after changing node 0's spec: recovered %q", r)
+				}
+			}()
+			c.Reset(cfg)
+		})
+	}
+}
+
 // TestPoolReuse checks the Pool routing contract: same shape reuses the
 // same cluster object, different shapes build fresh, and a pooled
 // cluster's results stay byte-identical to a fresh build's.
@@ -292,6 +315,44 @@ func TestLossyConstructionBytes(t *testing.T) {
 	}
 }
 
+// TestConstructionBytesPerNode: the heap a just-built cluster keeps, per
+// node, on both engines — the number admission control can budget a
+// scenario with. Nodes hold 8-byte handles to one cost model per
+// hardware class; when every node carried its own ~200-byte copy of the
+// constants (a packet node held two at construction, four once a
+// program ran), these read 1517 and 524.
+func TestConstructionBytesPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte ceilings are calibrated without -race instrumentation")
+	}
+	for _, tc := range []struct {
+		eng     Engine
+		size    int
+		ceiling float64
+	}{
+		{EnginePacket, 4096, 1250},
+		{EngineFlow, 65536, 360},
+	} {
+		cfg := Config{Specs: model.PaperCluster(tc.size), Seed: 1, Engine: tc.eng,
+			Topo: topo.Spec{Kind: topo.FatTree, K: 16}}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := New(cfg)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perNode := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(tc.size)
+		c.Close()
+		t.Logf("%v engine, %d nodes: %.0f B/node", tc.eng, tc.size, perNode)
+		if perNode > tc.ceiling {
+			t.Errorf("%v engine, %d nodes: construction keeps %.0f B/node (> %.0f); per-node copies of the cost model?",
+				tc.eng, tc.size, perNode, tc.ceiling)
+		}
+	}
+}
+
 // TestLossyPeerCount: a reduction tree plus a barrier talk to O(log N)
 // peers, and reliable GM must hold state for those and no others.
 func TestLossyPeerCount(t *testing.T) {
@@ -315,9 +376,9 @@ func TestLossyPeerCount(t *testing.T) {
 
 // specs reconstructs the cluster's spec slice for Reset in tests.
 func (c *Cluster) specs() []model.NodeSpec {
-	s := make([]model.NodeSpec, len(c.Nodes))
-	for i, n := range c.Nodes {
-		s[i] = n.Spec
+	s := make([]model.NodeSpec, c.Size())
+	for i, cm := range c.cms {
+		s[i] = cm.Spec()
 	}
 	return s
 }

@@ -155,7 +155,7 @@ func NewFlowColl(m *flow.Machine, size, root, count int) *FlowColl {
 		ranks:    make([]frank, size),
 		pendFree: make([][][]int32, m.LPs()),
 	}
-	if thr := m.CMs[0].C.EagerThreshold; fc.Bytes > thr {
+	if thr := m.CMs[0].EagerThreshold(); fc.Bytes > thr {
 		panic(fmt.Sprintf("coll: flow engine models eager reductions only (%d bytes > threshold %d)", fc.Bytes, thr))
 	}
 	return fc
@@ -552,7 +552,7 @@ func (fc *FlowColl) deliver(dst int, pkt fpkt) {
 	fr := &fc.ranks[dst]
 	if pkt.coll && fr.sigOn && !fr.sigPend {
 		fr.sigPend = true
-		fc.M.WakeAt(dst, pkt.tr+fc.M.CMs[dst].C.SignalDelay, fc, ptag(fkSignal, false, dst, 0, 0))
+		fc.M.WakeAt(dst, pkt.tr+fc.M.CMs[dst].SignalDelay(), fc, ptag(fkSignal, false, dst, 0, 0))
 	}
 	if fr.op.waiting {
 		if fc.processPkt(dst, fr, pkt, false) {

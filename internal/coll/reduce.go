@@ -72,7 +72,7 @@ func ReduceOn(c *mpi.Comm, t Tree, kind mpi.CtxKind, seq uint64, sendbuf, recvbu
 		Dst: c.World(parent), Ctx: ctx, Tag: tag, Data: acc,
 		Collective: collective, Root: int32(c.World(root)), Seq: seq,
 	})
-	if n <= pr.CM.C.EagerThreshold {
+	if n <= pr.CM.EagerThreshold() {
 		// An eager send copied acc out synchronously; a rendezvous data
 		// packet still aliases it in flight, so it must not be pooled.
 		pr.PutBuf(acc)

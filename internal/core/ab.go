@@ -21,7 +21,7 @@ func (e *Engine) Reduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.
 	n := count * dt.Size()
 	seq := c.NextSeq(mpi.CtxReduce)
 
-	if n > pr.CM.C.EagerThreshold && !e.rendezvousAB {
+	if n > pr.CM.EagerThreshold() && !e.rendezvousAB {
 		// Rendezvous-sized messages: standard reduction (§V-B). With
 		// EnableRendezvousAB the bypass path below handles them too.
 		e.Metrics.SizeFallbacks++

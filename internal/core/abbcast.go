@@ -115,7 +115,7 @@ func (e *Engine) ibcast(c *mpi.Comm, buf []byte, count int, dt mpi.Datatype, roo
 	}
 	seq := c.NextSeq(mpi.CtxBcast)
 
-	if n > pr.CM.C.EagerThreshold {
+	if n > pr.CM.EagerThreshold() {
 		// Beyond the eager limit: default broadcast (same rule as §V-B).
 		e.Metrics.SizeFallbacks++
 		coll.BcastWithSeq(c, seq, buf, count, dt, root, false)

@@ -66,7 +66,7 @@ func (e *Engine) IReduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi
 	n := count * dt.Size()
 	seq := c.NextSeq(mpi.CtxIReduce)
 
-	if n > pr.CM.C.EagerThreshold {
+	if n > pr.CM.EagerThreshold() {
 		e.Metrics.SizeFallbacks++
 		coll.ReduceOn(c, coll.Binomial(root, c.Size()), mpi.CtxIReduce, seq, sendbuf, recvbuf, count, dt, op, false)
 		return &Request{e: e, done: true}

@@ -146,7 +146,7 @@ func (e *Engine) NICReduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt m
 	if rank == root && len(recvbuf) < n {
 		panic(fmt.Sprintf("core: recvbuf %d bytes < %d at root", len(recvbuf), n))
 	}
-	if n > pr.CM.C.EagerThreshold {
+	if n > pr.CM.EagerThreshold() {
 		// NIC memory is small; large reductions stay on the host.
 		e.Metrics.SizeFallbacks++
 		coll.ReduceOn(c, coll.Binomial(root, c.Size()), mpi.CtxReduce, seq, sendbuf, recvbuf, count, dt, op, false)

@@ -155,7 +155,7 @@ func TestRendezvousABPinAccounting(t *testing.T) {
 		coll.Barrier(r.w)
 		// Everything transient must be unpinned: only the eager pool
 		// remains registered.
-		if pool := 64 * r.w.Proc().CM.C.EagerThreshold; r.w.Proc().Mem.PinnedBytes() != pool {
+		if pool := 64 * r.w.Proc().CM.EagerThreshold(); r.w.Proc().Mem.PinnedBytes() != pool {
 			t.Errorf("rank %d leaked %d pinned bytes", r.w.Rank(), r.w.Proc().Mem.PinnedBytes()-pool)
 		}
 	})

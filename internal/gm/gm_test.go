@@ -272,20 +272,3 @@ func TestRecvTokenBackpressure(t *testing.T) {
 		t.Error("expected NIC-side receive-token stalls")
 	}
 }
-
-func TestProvideRecvTokens(t *testing.T) {
-	k, a, b := pair(11)
-	b.ProvideRecvTokens(64)
-	k.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < DefaultRecvTokens+60; i++ {
-			a.Send(p, &Packet{Type: Eager, DstNode: 1, Data: []byte{1}})
-		}
-	})
-	k.Spawn("recv", func(p *sim.Proc) {
-		p.Sleep(60 * 1000 * us)
-		if got := b.hostQ.Len(); got != DefaultRecvTokens+60 {
-			t.Errorf("delivered %d, want all %d with the enlarged pool", got, DefaultRecvTokens+60)
-		}
-	})
-	k.Run()
-}

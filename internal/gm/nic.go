@@ -456,12 +456,6 @@ func (n *NIC) ReturnRecvToken() {
 	n.wakeIfStalled()
 }
 
-// ProvideRecvTokens grows the receive-buffer pool.
-func (n *NIC) ProvideRecvTokens(count int) {
-	n.recvTokens += count
-	n.wakeIfStalled()
-}
-
 // wakeIfStalled resumes the control program when it is parked on a
 // receive token.
 func (n *NIC) wakeIfStalled() {
@@ -480,7 +474,7 @@ func (n *NIC) raise() {
 	}
 	n.sigPending = true
 	n.stats.SignalsRaised++
-	if d := n.cm.C.SignalDelay; d > 0 {
+	if d := n.cm.SignalDelay(); d > 0 {
 		n.k.After(d, n.sigTarget)
 	} else {
 		n.sigTarget()

@@ -62,17 +62,24 @@ func DefaultCosts() Costs {
 	}
 }
 
-// costTab holds everything derivable once from a (NodeSpec, Costs) pair:
-// clock scale factors, per-byte rates, and the fixed overheads already
-// scaled to this node's clocks. Nodes with identical hardware share one
-// table (see SharedCostModels) — a homogeneous 16384-node cluster builds
-// one, not 16384 — and the hot-path cost queries do no division.
+// costModel is the one cost model of a hardware class: the node's spec,
+// the cluster's base constants, and everything derivable once from that
+// pair — clock scale factors, per-byte rates, and the fixed overheads
+// already scaled to the node's clocks — so the hot-path cost queries do
+// no division. Nodes with identical hardware share one (see
+// SharedCostModels): a homogeneous 16384-node cluster builds one, not
+// 16384, and a paper-mix cluster of any size builds three.
+//
+// No field is exported and nothing writes one after NewCostModel
+// returns, so the handles sharing a model can never carry a write from
+// one node to another. The derived values sit inline ahead of the base
+// constants: any constant is one dependent load from a handle.
 //
 // Every derived value is computed by exactly the expression the
 // corresponding CostModel method used to evaluate per call, in the same
 // operation order, so precomputation cannot move a result by even one
 // float-rounding step: simulations stay byte-identical.
-type costTab struct {
+type costModel struct {
 	cpuScale   float64 // host-cost multiplier vs the 1 GHz calibration
 	lanaiScale float64 // NIC-cost multiplier vs the 133 MHz calibration
 
@@ -88,11 +95,22 @@ type costTab struct {
 	pollIter      time.Duration
 	descriptorOvh time.Duration
 	nicPktOvh     time.Duration
+
+	spec NodeSpec
+	c    Costs
 }
 
-func newCostTab(spec NodeSpec, c Costs) *costTab {
+// CostModel binds the global cost constants to one node's hardware and
+// answers "how long does operation X take on this node" in virtual time.
+// It is an 8-byte handle to an immutable model shared by every node of
+// the same hardware class, so per-node stores (NIC, memory registry, MPI
+// process, flow machine) hold a pointer, never a copy of the constants.
+type CostModel struct{ p *costModel }
+
+// NewCostModel builds a cost model for one node's hardware.
+func NewCostModel(spec NodeSpec, c Costs) CostModel {
 	cpu, lanai := spec.cpuScale(), spec.lanaiScale()
-	return &costTab{
+	return CostModel{&costModel{
 		cpuScale:        cpu,
 		lanaiScale:      lanai,
 		hostCopyPerByte: float64(time.Second) / (c.HostCopyMBps * 1e6),
@@ -106,26 +124,15 @@ func newCostTab(spec NodeSpec, c Costs) *costTab {
 		pollIter:        dur(c.PollIter, cpu),
 		descriptorOvh:   dur(c.DescriptorOvh, cpu),
 		nicPktOvh:       dur(c.NICPktOvh, lanai),
-	}
+		spec:            spec,
+		c:               c,
+	}}
 }
 
-// CostModel binds the global cost constants to one node's hardware and
-// answers "how long does operation X take on this node" in virtual time.
-// It is a value type; copies share the derived table.
-type CostModel struct {
-	Spec NodeSpec
-	C    Costs
-	tab  *costTab
-}
-
-// NewCostModel builds a per-node cost model.
-func NewCostModel(spec NodeSpec, c Costs) CostModel {
-	return CostModel{Spec: spec, C: c, tab: newCostTab(spec, c)}
-}
-
-// SharedCostModels builds one cost model per node, deduplicating the
-// derived tables across nodes with identical specs: each distinct
-// NodeSpec in specs costs one table, however many nodes carry it.
+// SharedCostModels returns one cost model per node, one model per
+// distinct NodeSpec in specs: nodes with equal specs get the identical
+// handle, however many nodes carry it. The deduplication is local to the
+// call, so every caller (every cluster) owns the models it gets.
 func SharedCostModels(specs []NodeSpec, c Costs) []CostModel {
 	cache := make(map[NodeSpec]CostModel, 4)
 	out := make([]CostModel, len(specs))
@@ -140,49 +147,60 @@ func SharedCostModels(specs []NodeSpec, c Costs) []CostModel {
 	return out
 }
 
+// Spec returns the hardware the model was built for.
+func (m CostModel) Spec() NodeSpec { return m.p.spec }
+
+// EagerThreshold returns the largest message size, in bytes, sent
+// eagerly; larger messages use rendezvous.
+func (m CostModel) EagerThreshold() int { return m.p.c.EagerThreshold }
+
+// SignalDelay returns the latency from a NIC raising a signal to its
+// handler starting (it batches arrivals).
+func (m CostModel) SignalDelay() time.Duration { return m.p.c.SignalDelay }
+
 // HostCopy returns the time for the host CPU to copy n bytes.
 func (m CostModel) HostCopy(n int) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return dur(time.Duration(m.tab.hostCopyPerByte*float64(n)), m.tab.cpuScale)
+	return dur(time.Duration(m.p.hostCopyPerByte*float64(n)), m.p.cpuScale)
 }
 
 // HostSendOvh returns the per-send host library overhead.
-func (m CostModel) HostSendOvh() time.Duration { return m.tab.hostSendOvh }
+func (m CostModel) HostSendOvh() time.Duration { return m.p.hostSendOvh }
 
 // HostRecvOvh returns the per-receive host matching overhead.
-func (m CostModel) HostRecvOvh() time.Duration { return m.tab.hostRecvOvh }
+func (m CostModel) HostRecvOvh() time.Duration { return m.p.hostRecvOvh }
 
 // ReduceOp returns the time to combine n elements of size elemSize bytes
 // with an arithmetic reduction operator.
 func (m CostModel) ReduceOp(n, elemSize int) time.Duration {
-	per := float64(m.C.ReducePerElem) * float64(elemSize) / 8.0
-	return dur(time.Duration(per*float64(n)), m.tab.cpuScale)
+	per := float64(m.p.c.ReducePerElem) * float64(elemSize) / 8.0
+	return dur(time.Duration(per*float64(n)), m.p.cpuScale)
 }
 
 // SignalOvh returns the cost of one NIC-raised signal reaching the
 // application: kernel trap, handler dispatch, cache disturbance.
-func (m CostModel) SignalOvh() time.Duration { return m.tab.signalOvh }
+func (m CostModel) SignalOvh() time.Duration { return m.p.signalOvh }
 
 // SignalIgnoredOvh returns the trap cost of a signal whose handler finds
 // nothing to do because progress was already underway (§V-C: "if a signal
 // happens to occur while progress is already underway, it is simply
 // ignored" — the kernel still delivered it).
-func (m CostModel) SignalIgnoredOvh() time.Duration { return m.tab.signalIgnored }
+func (m CostModel) SignalIgnoredOvh() time.Duration { return m.p.signalIgnored }
 
 // PollIter returns the cost of one idle pass of the progress engine's
 // poll loop; blocking receives burn this continuously.
-func (m CostModel) PollIter() time.Duration { return m.tab.pollIter }
+func (m CostModel) PollIter() time.Duration { return m.p.pollIter }
 
 // Pin returns the cost of registering n bytes for DMA (rendezvous mode).
 func (m CostModel) Pin(n int) time.Duration {
-	return m.C.PinBase + time.Duration(m.tab.pinPerKBf*float64(n)/1024)
+	return m.p.c.PinBase + time.Duration(m.p.pinPerKBf*float64(n)/1024)
 }
 
 // DescriptorOvh returns the cost of building and enqueuing one
 // application-bypass reduce descriptor.
-func (m CostModel) DescriptorOvh() time.Duration { return m.tab.descriptorOvh }
+func (m CostModel) DescriptorOvh() time.Duration { return m.p.descriptorOvh }
 
 // QueueSearch returns the cost of scanning n queue entries while
 // matching a message.
@@ -190,7 +208,7 @@ func (m CostModel) QueueSearch(n int) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return dur(time.Duration(int64(m.C.QueueSearchElem)*int64(n)), m.tab.cpuScale)
+	return dur(time.Duration(int64(m.p.c.QueueSearchElem)*int64(n)), m.p.cpuScale)
 }
 
 // NICPkt returns the LANai control-program time to process one packet of
@@ -198,9 +216,9 @@ func (m CostModel) QueueSearch(n int) time.Duration {
 func (m CostModel) NICPkt(n int) time.Duration {
 	dma := time.Duration(0)
 	if n > 0 {
-		dma = time.Duration(m.tab.pciPerByte * float64(n))
+		dma = time.Duration(m.p.pciPerByte * float64(n))
 	}
-	return m.tab.nicPktOvh + dma
+	return m.p.nicPktOvh + dma
 }
 
 // NICReduceOp returns the LANai control program's time to combine n
@@ -208,12 +226,12 @@ func (m CostModel) NICPkt(n int) time.Duration {
 // arithmetic runs NICComputeFactor times slower than on a 1 GHz host,
 // further scaled by the NIC clock.
 func (m CostModel) NICReduceOp(n, elemSize int) time.Duration {
-	per := float64(m.C.ReducePerElem) * float64(elemSize) / 8.0 * m.C.NICComputeFactor
-	return dur(time.Duration(per*float64(n)), m.tab.lanaiScale)
+	per := float64(m.p.c.ReducePerElem) * float64(elemSize) / 8.0 * m.p.c.NICComputeFactor
+	return dur(time.Duration(per*float64(n)), m.p.lanaiScale)
 }
 
 // WireTime returns link serialization plus propagation for n bytes on
 // one hop (switch latency is charged separately by the fabric).
 func (m CostModel) WireTime(n int) time.Duration {
-	return m.C.WireProp + time.Duration(m.tab.wirePerByte*float64(n))
+	return m.p.c.WireProp + time.Duration(m.p.wirePerByte*float64(n))
 }

@@ -76,3 +76,28 @@ func TestStatusOnIncompletePanics(t *testing.T) {
 		req.Status() // incomplete: must panic
 	})
 }
+
+func TestCommDupIsolation(t *testing.T) {
+	runRanks(t, 2, func(pr *Process) {
+		w := World(pr)
+		d := w.Dup(0)
+		if d.Ctx(CtxP2P) == w.Ctx(CtxP2P) {
+			t.Fatal("dup shares context ids with world")
+		}
+		switch pr.Rank() {
+		case 0:
+			d.Send(1, 1, []byte{5})
+			w.Send(1, 1, []byte{6})
+		case 1:
+			buf := make([]byte, 1)
+			w.Recv(0, 1, buf)
+			if buf[0] != 6 {
+				t.Errorf("world recv got %d, want 6", buf[0])
+			}
+			d.Recv(0, 1, buf)
+			if buf[0] != 5 {
+				t.Errorf("dup recv got %d, want 5", buf[0])
+			}
+		}
+	})
+}

@@ -31,7 +31,7 @@ func (pr *Process) Isend(a SendArgs) *Request {
 	}
 	pr.P.Spin(pr.CM.HostSendOvh())
 	n := len(a.Data)
-	if n <= pr.CM.C.EagerThreshold {
+	if n <= pr.CM.EagerThreshold() {
 		pr.eagerSend(a, n)
 		// The send is already complete (payload copied into the bounce
 		// pool), so the shared pre-completed handle serves every caller:
@@ -98,7 +98,7 @@ func (pr *Process) eagerSend(a SendArgs, n int) {
 // steady-state allocation.
 func (pr *Process) Send(a SendArgs) {
 	n := len(a.Data)
-	if n <= pr.CM.C.EagerThreshold {
+	if n <= pr.CM.EagerThreshold() {
 		if a.Dst < 0 || a.Dst >= pr.size {
 			panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", a.Dst, pr.size))
 		}

@@ -212,7 +212,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 			if pr.Mem.Pins() != pins+1 {
 				t.Errorf("sender should pin exactly once")
 			}
-			if pool := 64 * pr.CM.C.EagerThreshold; pr.Mem.PinnedBytes() != pool {
+			if pool := 64 * pr.CM.EagerThreshold(); pr.Mem.PinnedBytes() != pool {
 				t.Errorf("sender left %d bytes pinned beyond the eager pool", pr.Mem.PinnedBytes()-pool)
 			}
 		case 1:
@@ -326,4 +326,20 @@ func TestKindOfCtx(t *testing.T) {
 	if KindOfCtx(uint16(nCtxKinds)+uint16(CtxBcast)) != CtxBcast {
 		t.Error("dup comm kind wrong")
 	}
+}
+
+func TestTruncationPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected truncation panic")
+		}
+	}()
+	runRanks(t, 2, func(pr *Process) {
+		switch pr.Rank() {
+		case 0:
+			pr.Send(SendArgs{Dst: 1, Ctx: 0, Tag: 1, Data: make([]byte, 16)})
+		case 1:
+			pr.Recv(0, 0, 1, make([]byte, 4)) // too small
+		}
+	})
 }

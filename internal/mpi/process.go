@@ -161,7 +161,7 @@ func (pr *Process) PutBuf(b []byte) {
 // EagerPoolBytes is the eager bounce-buffer pool a rank pins before its
 // program runs (64*EagerThreshold bytes) — the one virtual-time charge
 // of rank start-up, which the flow engine's rank drivers pay as well.
-func EagerPoolBytes(cm model.CostModel) int { return 64 * cm.C.EagerThreshold }
+func EagerPoolBytes(cm model.CostModel) int { return 64 * cm.EagerThreshold() }
 
 // NewProcess builds rank `rank` of `size` on the given NIC. It pins the
 // eager bounce-buffer pool, charging the one-time registration cost.
