@@ -99,7 +99,7 @@ gate:
 # diff on any difference; about 10 s per side. The list covers both
 # engines, both tree shapes (radix 6: the topology-aware tree differs
 # from the binomial one), lossy links, 0 and 2 LPs, tenancy and abapp
-# (on the flow engine in two program shapes: halo + two reductions, and
+# (on both engines in two program shapes: halo + two reductions, and
 # no halo + three); the flow grid's wall_ms and heap_bytes columns are
 # the only host-dependent output and are cut before comparing.
 define same_cmds
@@ -114,7 +114,8 @@ define same_cmds
 ./abscale -sizes 32 -iters 2 -bigsizes "" -engine flow -topo fattree:6 -flowsizes 48,54 -flowiters 3 | $(same_cut) > flow_radix6.txt && \
 ./abapp -nodes 64 -iters 20 > app.txt && \
 ./abapp -nodes 4096 -iters 5 -engine flow -topo fattree:16 > app_flow.txt && \
-./abapp -nodes 512 -iters 8 -engine flow -topo fattree:8 -halo=false -reds 3 > app_flow_nohalo.txt
+./abapp -nodes 512 -iters 8 -engine flow -topo fattree:8 -halo=false -reds 3 > app_flow_nohalo.txt && \
+./abapp -nodes 64 -iters 8 -topo fattree:8 -halo=false -reds 3 > app_nohalo.txt
 endef
 same_cut = awk '/^Flow-engine/ {f=1} f && NF==8 {print $$1,$$2,$$3,$$4,$$6,$$8; next} {print}'
 

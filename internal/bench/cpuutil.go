@@ -18,9 +18,7 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"abred/internal/cluster"
@@ -28,8 +26,8 @@ import (
 	"abred/internal/core"
 	"abred/internal/fault"
 	"abred/internal/model"
-	"abred/internal/mpi"
 	"abred/internal/sim"
+	"abred/internal/skew"
 	"abred/internal/stats"
 	"abred/internal/topo"
 )
@@ -55,6 +53,19 @@ func (m Mode) String() string {
 		return "nic"
 	}
 	return "?"
+}
+
+// algo is the reduction a mode runs.
+func (m Mode) algo() coll.Algo {
+	switch m {
+	case NonAppBypass:
+		return coll.AlgoBinomial
+	case AppBypass:
+		return coll.AlgoAB
+	case NICBased:
+		return coll.AlgoNIC
+	}
+	panic(fmt.Sprintf("bench: unknown mode %d", m))
 }
 
 // ParseMode parses a mode name as it appears in flags and scenario
@@ -109,9 +120,9 @@ type Config struct {
 
 	// Engine selects the simulation engine (cluster.Config.Engine):
 	// packet is the default full-fidelity path, flow the large-scale
-	// flow-level engine. The flow path refuses knobs it cannot model at
-	// committed fidelity (NIC-based reduction, delay policies,
-	// rendezvous AB).
+	// flow-level engine. The flow engine refuses knobs it cannot model
+	// at committed fidelity (NIC-based reduction, delay policies,
+	// rendezvous AB; see coll.Program).
 	Engine cluster.Engine
 
 	// Pool, when set, sources the simulated cluster from a reuse pool
@@ -167,8 +178,13 @@ type RelTotals struct {
 	RetriedMsgs uint64 // retried packets that reached a progress engine
 }
 
-// relTotals sums the counters after a run.
+// relTotals sums the counters after a run. The flow engine models loss
+// as expected retransmissions and reports nothing else.
 func relTotals(cl *cluster.Cluster) RelTotals {
+	if cl.FlowM != nil {
+		_, _, expRetr := cl.FlowM.Tokens()
+		return RelTotals{Retransmits: uint64(expRetr + 0.5)}
+	}
 	var t RelTotals
 	t.Dropped, t.Duplicated = cl.Fabric.FaultStats()
 	for _, n := range cl.Nodes {
@@ -209,80 +225,51 @@ type CPUUtilResult struct {
 	FCT stats.Summary
 }
 
-// CPUUtil runs the CPU-utilization microbenchmark.
+// CPUUtil runs the CPU-utilization microbenchmark on either engine: one
+// program of skew spin, reduction, catch-up spin and barrier, whose
+// per-rank CPU is the time inside the reduction call plus the handler
+// time that landed inside the spins — exactly the paper's elapsed time
+// minus the two delays.
 func CPUUtil(cfg Config) CPUUtilResult {
 	cfg.defaults()
 	size := len(cfg.Specs)
 	if size < 1 {
 		panic("bench: empty cluster")
 	}
-	if cfg.Engine == cluster.EngineFlow {
-		return flowCPUUtil(cfg)
-	}
 	cl, release := cfg.acquire()
 	defer release()
 
-	skews := skewMatrix(cl, cfg)
-
-	// Conservative reduction-latency estimate for the catch-up delay:
-	// depth * (per-hop cost) with generous slack, like the paper's
-	// "conservative estimate of the maximum reduction latency".
-	lat := estimateLatency(size, cfg.Count)
-	catchup := cfg.MaxSkew + lat
+	prog := coll.Program{
+		Iters: cfg.Iters, Root: cfg.Root, Count: cfg.Count, Algo: cfg.Mode.algo(),
+		Body: []coll.Step{
+			// Skews come from the cluster's first kernel, so a given
+			// (seed, size, iters) skews both engines identically.
+			{Kind: coll.StepSpin, Matrix: skew.Matrix(skew.Uniform{Max: cfg.MaxSkew}, cl.K.NewRNG(), cfg.Iters, size)},
+			{Kind: coll.StepReduce},
+			{Kind: coll.StepSpin, Budget: cfg.MaxSkew + coll.LatencyBound(size, cfg.Count, 150*time.Microsecond)},
+			{Kind: coll.StepBarrier},
+		},
+	}
+	if cfg.Mode == AppBypass {
+		prog.Delay = cfg.Delay
+		prog.RendezvousAB = cfg.RendezvousAB
+		// The hierarchy-aware tree is a pure function of (size, root,
+		// leaf assignment); built once, shared read-only by every rank.
+		if cfg.TopoAware && cl.Topo.Levels() > 1 {
+			prog.Tree = coll.NewTopoTree(size, cfg.Root, cl.Topo.Leaf)
+		}
+	}
+	out, end := cl.Exec(prog)
 
 	perNode := make([]sim.Time, size)
-	// Per-rank signal counts, summed after the run: rank closures may
-	// execute on different LP goroutines, so a shared accumulator would
-	// race under a partitioned kernel.
-	sigs := make([]uint64, size)
-
-	// The hierarchy-aware tree is a pure function of (size, root, leaf
-	// assignment); built once, shared read-only by every rank.
-	var tree *coll.TopoTree
-	if cfg.TopoAware && cfg.Mode == AppBypass && cl.Topo.Levels() > 1 {
-		tree = coll.NewTopoTree(size, cfg.Root, cl.Topo.Leaf)
-	}
-
-	end := cl.Run(func(n *cluster.Node, w *mpi.Comm) {
-		if cfg.Mode == AppBypass && cfg.Delay != nil {
-			n.Engine.SetDelayPolicy(cfg.Delay)
-		}
-		if cfg.Mode == AppBypass && cfg.RendezvousAB {
-			n.Engine.EnableRendezvousAB()
-		}
-		if tree != nil {
-			n.Engine.SetTopoTree(tree)
-		}
-		in := make([]byte, cfg.Count*8)
-		for i := 0; i < cfg.Count; i++ {
-			binary.LittleEndian.PutUint64(in[i*8:], math.Float64bits(float64(n.ID+i)))
-		}
-		out := make([]byte, cfg.Count*8)
-
-		var cpu sim.Time
-		for it := 0; it < cfg.Iters; it++ {
-			skew := skews[it][n.ID]
-			t0 := n.Proc.Now()
-			n.Proc.SpinInterruptible(skew)
-			reduceOnce(cfg.Mode, n, w, in, out, cfg.Count, cfg.Root)
-			n.Proc.SpinInterruptible(catchup)
-			elapsed := n.Proc.Now() - t0
-			cpu += elapsed - skew - catchup
-			coll.Barrier(w)
-		}
-		perNode[n.ID] = cpu / sim.Time(cfg.Iters)
-		sigs[n.ID] = n.Engine.Metrics.SignalsHandled
-	})
-
 	var total sim.Time
-	for _, c := range perNode {
-		total += c
-	}
 	var signals uint64
-	for _, s := range sigs {
-		signals += s
+	for r := range perNode {
+		perNode[r] = (out.InCall[r] + out.Intr[r]) / sim.Time(cfg.Iters)
+		total += perNode[r]
+		signals += out.Signals[r]
 	}
-	waits, waitTime := cl.Fabric.TopoStats()
+	waits, waitTime := cl.LinkStats()
 	return CPUUtilResult{
 		AvgCPU:    total / sim.Time(size),
 		PerNode:   perNode,
@@ -293,51 +280,6 @@ func CPUUtil(cfg Config) CPUUtilResult {
 		LinkWaits: waits,
 		LinkWait:  waitTime,
 		Elapsed:   end,
+		FCT:       stats.Summarize(out.FCT),
 	}
-}
-
-// skewMatrix pre-generates the per-(iteration, rank) skews from the
-// cluster's first kernel, so results are independent of execution
-// interleaving and a given (seed, size, iters) skews both engines
-// identically. One flat slab, sliced per iteration: 2 allocations
-// instead of Iters+1.
-func skewMatrix(cl *cluster.Cluster, cfg Config) [][]sim.Time {
-	size := len(cfg.Specs)
-	rng := cl.K.NewRNG()
-	flat := make([]sim.Time, cfg.Iters*size)
-	skews := make([][]sim.Time, cfg.Iters)
-	for it := range skews {
-		skews[it] = flat[it*size : (it+1)*size]
-		if cfg.MaxSkew > 0 {
-			for r := range skews[it] {
-				skews[it][r] = sim.Time(rng.Int63n(int64(cfg.MaxSkew) + 1))
-			}
-		}
-	}
-	return skews
-}
-
-// reduceOnce dispatches to the implementation under test.
-func reduceOnce(mode Mode, n *cluster.Node, w *mpi.Comm, in, out []byte, count, root int) {
-	switch mode {
-	case NonAppBypass:
-		coll.Reduce(w, in, out, count, mpi.Float64, mpi.OpSum, root)
-	case AppBypass:
-		n.Engine.Reduce(w, in, out, count, mpi.Float64, mpi.OpSum, root)
-	case NICBased:
-		n.Engine.NICReduce(w, in, out, count, mpi.Float64, mpi.OpSum, root)
-	default:
-		panic(fmt.Sprintf("bench: unknown mode %d", mode))
-	}
-}
-
-// estimateLatency returns a deliberately generous bound on reduction
-// latency for sizing catch-up delays.
-func estimateLatency(size, count int) sim.Time {
-	depth := coll.Depth(size)
-	if depth == 0 {
-		depth = 1
-	}
-	perHop := 25*time.Microsecond + time.Duration(count)*100*time.Nanosecond
-	return sim.Time(depth)*perHop + 150*time.Microsecond
 }

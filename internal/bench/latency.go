@@ -32,6 +32,7 @@ func Latency(cfg Config) LatencyResult {
 	defer release()
 	root := cfg.Root
 	last := coll.LastRank(root, size)
+	algo := cfg.Mode.algo()
 
 	var oneWay sim.Time
 	samples := make([]sim.Time, 0, cfg.Iters)
@@ -72,7 +73,7 @@ func Latency(cfg Config) LatencyResult {
 			if n.ID == last {
 				t0 = n.Proc.Now()
 			}
-			reduceOnce(cfg.Mode, n, w, in, out, cfg.Count, root)
+			n.Reduce(w, algo, in, out, cfg.Count, root)
 			if size > 1 {
 				if n.ID == root {
 					w.Send(last, notifyTag+1, nbuf)

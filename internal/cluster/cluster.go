@@ -347,7 +347,7 @@ func (n *Node) body(p *sim.Proc) {
 // to execute a follow-up program on the same cluster.
 func (c *Cluster) Run(program Program) sim.Time {
 	if c.Engine == EngineFlow {
-		panic("cluster: a flow-engine cluster has no per-rank processes; drive the flow collective API (bench/workload flow paths)")
+		panic("cluster: a flow-engine cluster has no per-rank processes; run a coll.Program through Exec")
 	}
 	c.program = program
 	for _, n := range c.Nodes {
@@ -376,9 +376,9 @@ func (c *Cluster) kernelOf(id int) *sim.Kernel {
 }
 
 // Drain runs the already-scheduled event population to quiescence and
-// returns the final virtual time. This is how the flow-engine drivers
-// (bench, workload) run a cluster — they seed events through the flow
-// API rather than spawning processes.
+// returns the final virtual time. This is how Exec runs a flow-engine
+// cluster: FlowColl.Run seeds events through the flow API rather than
+// spawning processes.
 func (c *Cluster) Drain() sim.Time {
 	c.running = true
 	end := c.lpset.Run()

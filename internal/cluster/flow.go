@@ -59,3 +59,16 @@ func (c *Cluster) buildFlow(cfg Config) {
 
 // Size returns the node count, engine-independent.
 func (c *Cluster) Size() int { return len(c.cms) }
+
+// LinkStats returns uplink contention on a routed topology, zero on the
+// crossbar: on the packet engine, link occupancies that queued behind a
+// busy inter-switch link and the time so spent; on the flow engine,
+// flows whose transfer stretched past the uncontended serialization
+// time and the total stretch.
+func (c *Cluster) LinkStats() (waits uint64, wait sim.Time) {
+	if c.FlowM != nil {
+		_, _, waits, wait = c.FlowM.NetStats()
+		return waits, wait
+	}
+	return c.Fabric.TopoStats()
+}

@@ -147,22 +147,6 @@ func TestReduceEqualsSequentialFold(t *testing.T) {
 	}
 }
 
-func TestAllreduce(t *testing.T) {
-	size := 11
-	got := make([][]float64, size)
-	runWorld(size, 3, func(w *mpi.Comm) {
-		in := f64s(float64(w.Rank()), 1)
-		out := make([]byte, 16)
-		Allreduce(w, in, out, 2, mpi.Float64, mpi.OpSum)
-		got[w.Rank()] = mpi.BytesToFloat64s(out)
-	})
-	for r := 0; r < size; r++ {
-		if got[r][0] != 55 || got[r][1] != 11 {
-			t.Fatalf("rank %d allreduce = %v", r, got[r])
-		}
-	}
-}
-
 // TestGatherScatter keeps the name it had when it also checked Scatter,
 // deleted with the other collectives no entry point reached.
 func TestGatherScatter(t *testing.T) {

@@ -114,18 +114,8 @@ type frank struct {
 // transfers have a different synchronization structure and are not
 // modeled at flow fidelity.
 type FlowColl struct {
-	M     *flow.Machine
-	Size  int
-	Root  int
-	Count int // reduction elements (8-byte doubles)
-	Bytes int // Count * 8
-
-	// P2PBytes sizes fkP2P transfers (the FlowHalo payload).
-	P2PBytes int
-
-	// Tree, when set, replaces the binomial shape for application-
-	// bypass instances, exactly as Engine.SetTopoTree does.
-	Tree *TopoTree
+	M    *flow.Machine
+	Size int
 
 	// Signals counts handlers that ran with work, per rank (the flow
 	// image of Engine.Metrics.SignalsHandled).
@@ -135,7 +125,8 @@ type FlowColl struct {
 	// calls, and handler time that landed inside spins.
 	InCall, Intr []sim.Time
 
-	prog  FlowProgram
+	prog  Program
+	bytes int // a contribution: prog.Count doubles
 	ranks []frank
 	// pendFree is the descriptor pending-list pool, one free list per
 	// logical process (descriptors are taken and returned on the
@@ -144,21 +135,17 @@ type FlowColl struct {
 }
 
 // NewFlowColl builds the flow-mode collective engine for a size-rank
-// communicator reducing count doubles to root.
-func NewFlowColl(m *flow.Machine, size, root, count int) *FlowColl {
-	if size < 1 || root < 0 || root >= size {
-		panic(fmt.Sprintf("coll: flow communicator size=%d root=%d", size, root))
+// communicator.
+func NewFlowColl(m *flow.Machine, size int) *FlowColl {
+	if size < 1 {
+		panic(fmt.Sprintf("coll: flow communicator size=%d", size))
 	}
-	fc := &FlowColl{
-		M: m, Size: size, Root: root, Count: count, Bytes: count * 8,
+	return &FlowColl{
+		M: m, Size: size,
 		Signals:  make([]uint64, size),
 		ranks:    make([]frank, size),
 		pendFree: make([][][]int32, m.LPs()),
 	}
-	if thr := m.CMs[0].EagerThreshold(); fc.Bytes > thr {
-		panic(fmt.Sprintf("coll: flow engine models eager reductions only (%d bytes > threshold %d)", fc.Bytes, thr))
-	}
-	return fc
 }
 
 func (fc *FlowColl) getPend(rank int) []int32 {
@@ -186,7 +173,7 @@ func (fc *FlowColl) reduce(rank int, at sim.Time, ab bool, seq uint64) {
 		fc.reduceStart(rank, at, seq, false)
 		return
 	}
-	if rank == fc.Root {
+	if rank == fc.prog.Root {
 		// Root always takes the default synchronous path (§V-B); its
 		// children still send collective-typed messages.
 		fc.reduceStart(rank, at, seq, true)
@@ -197,22 +184,22 @@ func (fc *FlowColl) reduce(rank int, at sim.Time, ab bool, seq uint64) {
 		// Leaf: one eager collective send, then the call returns.
 		m, cm := fc.M, fc.M.CMs[rank]
 		parent := tr.Parent(rank)
-		t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.Bytes))
-		m.Send(t, rank, parent, fc.Bytes, fc, ptag(fkReduce, true, parent, rank, seq))
+		t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.bytes))
+		m.Send(t, rank, parent, fc.bytes, fc, ptag(fkReduce, true, parent, rank, seq))
 		fc.opDone(rank, t)
 		return
 	}
 	fc.abInternal(rank, at, seq, tr)
 }
 
-// tree returns the tree a reduction instance runs over: the installed
-// topology-aware one for application-bypass instances, binomial
-// otherwise.
+// tree returns the tree a reduction instance runs over: the program's
+// topology-aware one for application-bypass instances (exactly as
+// Engine.SetTopoTree installs it), binomial otherwise.
 func (fc *FlowColl) tree(ab bool) Tree {
-	if ab && fc.Tree != nil {
-		return fc.Tree.Tree()
+	if ab && fc.prog.Tree != nil {
+		return fc.prog.Tree.Tree()
 	}
-	return Binomial(fc.Root, fc.Size)
+	return Binomial(fc.prog.Root, fc.Size)
 }
 
 // barrier enters the MPICH tree barrier (combine up to rank 0, release
@@ -242,13 +229,13 @@ func (fc *FlowColl) reduceStart(rank int, at sim.Time, seq uint64, coll bool) {
 			fc.opDone(rank, at)
 			return
 		}
-		t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.Bytes))
-		m.Send(t, rank, parent, fc.Bytes, fc, ptag(fkReduce, coll, parent, rank, seq))
+		t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.bytes))
+		m.Send(t, rank, parent, fc.bytes, fc, ptag(fkReduce, coll, parent, rank, seq))
 		fc.opDone(rank, t)
 		return
 	}
 	// Accumulator init: the charged copy out of sendbuf.
-	m.HostRun(rank, at, cm.HostCopy(fc.Bytes))
+	m.HostRun(rank, at, cm.HostCopy(fc.bytes))
 	fc.reduceLoop(rank, fr)
 }
 
@@ -261,16 +248,16 @@ func (fc *FlowColl) reduceLoop(rank int, fr *frank) {
 		c := op.it.Next()
 		if c < 0 {
 			if op.parent >= 0 {
-				t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.Bytes))
-				m.Send(t, rank, int(op.parent), fc.Bytes, fc, ptag(fkReduce, op.coll, int(op.parent), rank, op.seq))
+				t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.bytes))
+				m.Send(t, rank, int(op.parent), fc.bytes, fc, ptag(fkReduce, op.coll, int(op.parent), rank, op.seq))
 			}
 			fc.opDone(rank, m.Busy[rank])
 			return
 		}
-		if !fc.recvStart(rank, fr, fkReduce, int32(c), op.seq, int32(fc.Bytes)) {
+		if !fc.recvStart(rank, fr, fkReduce, int32(c), op.seq, int32(fc.bytes)) {
 			return // blocked; a future delivery resumes via opAdvance
 		}
-		m.HostRun(rank, m.Busy[rank], cm.ReduceOp(fc.Count, 8))
+		m.HostRun(rank, m.Busy[rank], cm.ReduceOp(fc.prog.Count, 8))
 	}
 }
 
@@ -319,7 +306,7 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, tr Tree) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	fr := &fc.ranks[rank]
 	fr.sigOn = false
-	t := m.HostRun(rank, at, cm.HostCopy(fc.Bytes))
+	t := m.HostRun(rank, at, cm.HostCopy(fc.bytes))
 	t = m.HostRun(rank, t, cm.DescriptorOvh())
 
 	pend := fc.getPend(rank)
@@ -340,7 +327,7 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, tr Tree) {
 		}
 		t = m.HostRun(rank, t, cm.QueueSearch(i+1))
 		fr.abq = append(fr.abq[:i], fr.abq[i+1:]...)
-		t = m.HostRun(rank, t, cm.ReduceOp(fc.Count, 8))
+		t = m.HostRun(rank, t, cm.ReduceOp(fc.prog.Count, 8))
 		removePending(d, pk.src)
 	}
 	if len(fr.descs[di].pending) == 0 {
@@ -409,7 +396,7 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 		// AB hook: search the descriptor queue for the instance.
 		cost += cm.QueueSearch(len(fr.descs))
 		if di := fc.findDesc(fr, pkt.seq, pkt.src); di >= 0 {
-			cost += cm.ReduceOp(fc.Count, 8)
+			cost += cm.ReduceOp(fc.prog.Count, 8)
 			fc.hostCharge(rank, ts, cost, intr)
 			d := &fr.descs[di]
 			removePending(d, pkt.src)
@@ -418,7 +405,7 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 			}
 			return false
 		}
-		if rank != fc.Root {
+		if rank != fc.prog.Root {
 			// No descriptor yet: copy into the AB unexpected queue.
 			cost += cm.HostCopy(int(pkt.size))
 			fc.hostCharge(rank, ts, cost, intr)
@@ -447,8 +434,8 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 func (fc *FlowColl) completeDesc(rank int, fr *frank, di int, intr bool) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	d := fr.descs[di]
-	t := fc.hostCharge(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.Bytes), intr)
-	m.Send(t, rank, int(d.parent), fc.Bytes, fc, ptag(fkReduce, true, int(d.parent), rank, d.seq))
+	t := fc.hostCharge(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.bytes), intr)
+	m.Send(t, rank, int(d.parent), fc.bytes, fc, ptag(fkReduce, true, int(d.parent), rank, d.seq))
 	fc.putPend(rank, d.pending)
 	fr.descs = append(fr.descs[:di], fr.descs[di+1:]...)
 	fr.sigOn = len(fr.descs) > 0
@@ -503,7 +490,7 @@ func (fc *FlowColl) opAdvance(rank int, fr *frank) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	switch fr.op.kind {
 	case opReduce:
-		m.HostRun(rank, m.Busy[rank], cm.ReduceOp(fc.Count, 8))
+		m.HostRun(rank, m.Busy[rank], cm.ReduceOp(fc.prog.Count, 8))
 		fc.reduceLoop(rank, fr)
 	case opBarrier:
 		fc.barrierLoop(rank, fr)
@@ -536,11 +523,11 @@ func (fc *FlowColl) FlowEvent(tag uint64, at sim.Time) {
 	}
 	switch kind {
 	case fkReduce:
-		pkt.size = int32(fc.Bytes)
+		pkt.size = int32(fc.bytes)
 	case fkBarUp, fkBarDown:
 		pkt.size = 1
 	case fkP2P:
-		pkt.size = int32(fc.P2PBytes)
+		pkt.size = HaloBytes
 	}
 	fc.deliver(dst, pkt)
 }
@@ -586,6 +573,26 @@ func (fc *FlowColl) onSignal(rank int, th sim.Time) {
 		fc.processPkt(rank, fr, pkt, true)
 	}
 	fr.resetq()
+}
+
+// Quiescent returns nil when a finished run left nothing queued, posted
+// or pending on any rank — the flow image of gm's assertHome — and
+// otherwise says what the first such rank holds.
+func (fc *FlowColl) Quiescent() error {
+	for r := range fc.ranks {
+		fr := &fc.ranks[r]
+		if n := len(fr.nicq) - fr.nh; n != 0 {
+			return fmt.Errorf("rank %d: %d messages left in the NIC queue", r, n)
+		}
+		if len(fr.unexp) != 0 || len(fr.abq) != 0 || len(fr.descs) != 0 {
+			return fmt.Errorf("rank %d: unexpected=%d ab-unexpected=%d descriptors=%d at quiescence",
+				r, len(fr.unexp), len(fr.abq), len(fr.descs))
+		}
+		if fr.sigPend || fr.op.kind != opNone {
+			return fmt.Errorf("rank %d: signal pending=%v, op kind=%d at quiescence", r, fr.sigPend, fr.op.kind)
+		}
+	}
+	return nil
 }
 
 func (fr *frank) resetq() {

@@ -7,37 +7,6 @@ import (
 	"abred/internal/sim"
 )
 
-// FlowStepKind names what a flow rank does in one step of its program.
-type FlowStepKind uint8
-
-// Step kinds.
-const (
-	FlowSpin    FlowStepKind = iota // interruptible busy-spin
-	FlowHalo                        // nearest-neighbour exchange of P2PBytes markers
-	FlowReduce                      // one reduction call, timed into InCall
-	FlowBarrier                     // MPICH tree barrier
-)
-
-// FlowStep is one step. A FlowSpin lasts Budget plus, when Matrix is
-// set, Matrix[iteration][rank] (Body steps only: Tail runs after the
-// last iteration).
-type FlowStep struct {
-	Kind   FlowStepKind
-	Budget sim.Time
-	Matrix [][]sim.Time
-}
-
-// FlowProgram is what every rank of a flow run executes: Body Iters
-// times, then Tail once. The k-th FlowReduce (FlowBarrier) a rank
-// enters is reduction (barrier) instance k; AB selects the
-// application-bypass reduction. A rank cannot be a simulated process at
-// flow scale, so this table is its program and Run its interpreter.
-type FlowProgram struct {
-	Iters      int
-	Body, Tail []FlowStep
-	AB         bool
-}
-
 // flowPos is one rank's place in the program. start doubles as the
 // entry time of the reduction call in progress.
 type flowPos struct {
@@ -52,7 +21,7 @@ type flowPos struct {
 }
 
 // at returns the step p stands on, nil once the program is finished.
-func (p *FlowProgram) at(pos *flowPos) *FlowStep {
+func (p *Program) at(pos *flowPos) *Step {
 	if int(pos.iter) < p.Iters {
 		return &p.Body[pos.step]
 	}
@@ -62,14 +31,24 @@ func (p *FlowProgram) at(pos *flowPos) *FlowStep {
 	return nil
 }
 
-// Run executes prog on every rank and returns what drain returns: the
-// caller's run-to-quiescence (cluster.Drain). Each rank first pins its
-// eager bounce-buffer pool, the one virtual-time charge mpi.NewProcess
-// makes before a packet rank's program starts. Afterwards InCall holds
-// each rank's time inside reduction calls and Intr the handler time
-// that landed inside its spins.
-func (fc *FlowColl) Run(prog FlowProgram, drain func() sim.Time) sim.Time {
-	fc.prog = prog
+// Run executes prog on every rank — the flow interpreter of a Program,
+// which it first checks for packet-only knobs (flowRefusal) — and
+// returns what drain returns: the caller's run-to-quiescence
+// (cluster.Drain). A rank cannot be a simulated process at flow scale,
+// so its position in the step table is its whole state. Each rank first
+// pins its eager bounce-buffer pool, the one virtual-time charge
+// mpi.NewProcess makes before a packet rank's program starts.
+// Afterwards InCall holds each rank's time inside reduction calls and
+// Intr the handler time that landed inside its spins.
+func (fc *FlowColl) Run(prog Program, drain func() sim.Time) sim.Time {
+	prog.flowRefusal()
+	if prog.Root < 0 || prog.Root >= fc.Size {
+		panic(fmt.Sprintf("coll: flow communicator size=%d root=%d", fc.Size, prog.Root))
+	}
+	fc.prog, fc.bytes = prog, prog.Count*8
+	if thr := fc.M.CMs[0].EagerThreshold(); fc.bytes > thr {
+		panic(fmt.Sprintf("coll: flow engine models eager reductions only (%d bytes > threshold %d)", fc.bytes, thr))
+	}
 	fc.InCall = make([]sim.Time, fc.Size)
 	fc.Intr = make([]sim.Time, fc.Size)
 	for r := 0; r < fc.Size; r++ {
@@ -98,7 +77,7 @@ func (fc *FlowColl) enter(rank int, t sim.Time) {
 		return
 	}
 	switch s.Kind {
-	case FlowSpin:
+	case StepSpin:
 		b := s.Budget
 		if s.Matrix != nil {
 			b += s.Matrix[pos.iter][rank]
@@ -106,21 +85,22 @@ func (fc *FlowColl) enter(rank int, t sim.Time) {
 		pos.start, pos.budget, pos.mark = t, b, m.Intr[rank]
 		m.HostRun(rank, t, 0)
 		m.WakeAt(rank, t+b, fc, ptag(fkSpin, false, rank, 0, 0))
-	case FlowHalo:
-		// haloExchange's order: even ranks send to both neighbours then
-		// receive from both, odd ranks receive first. Eager sends hand
-		// back at once, so the orders compose without deadlock.
+	case StepHalo:
+		// The packet interpreter's order: even ranks send to both
+		// neighbours then receive from both, odd ranks receive first.
+		// Eager sends hand back at once, so the orders compose without
+		// deadlock.
 		if rank%2 == 0 {
 			t = fc.haloSend(rank, t, uint64(pos.iter))
 		}
 		pos.halo = 0
 		src, _ := fc.haloSrc(rank, 0) // size >= 2: every rank has a neighbour
 		fc.recvP2P(rank, t, src, uint64(pos.iter))
-	case FlowReduce:
+	case StepReduce:
 		pos.start = t
 		pos.reds++
-		fc.reduce(rank, t, fc.prog.AB, uint64(pos.reds-1))
-	case FlowBarrier:
+		fc.reduce(rank, t, fc.prog.Algo == AlgoAB, uint64(pos.reds-1))
+	case StepBarrier:
 		pos.bars++
 		fc.barrier(rank, t, uint64(pos.bars-1))
 	}
@@ -131,7 +111,7 @@ func (fc *FlowColl) enter(rank int, t sim.Time) {
 func (fc *FlowColl) leave(rank int, t sim.Time) {
 	pos := &fc.ranks[rank].pos
 	switch fc.prog.at(pos).Kind {
-	case FlowHalo:
+	case StepHalo:
 		// One halo receive matched: post the next, or finish the
 		// exchange with the odd ranks' sends.
 		pos.halo++
@@ -142,7 +122,7 @@ func (fc *FlowColl) leave(rank int, t sim.Time) {
 		if rank%2 == 1 {
 			t = fc.haloSend(rank, t, uint64(pos.iter))
 		}
-	case FlowReduce:
+	case StepReduce:
 		fc.InCall[rank] += t - pos.start
 	}
 	pos.step++
@@ -176,8 +156,8 @@ func (fc *FlowColl) haloSend(rank int, t sim.Time, tag uint64) sim.Time {
 	m, cm := fc.M, fc.M.CMs[rank]
 	for _, dst := range [2]int{rank - 1, rank + 1} {
 		if dst >= 0 && dst < fc.Size {
-			t = m.HostRun(rank, t, cm.HostSendOvh()+cm.HostCopy(fc.P2PBytes))
-			m.Send(t, rank, dst, fc.P2PBytes, fc, ptag(fkP2P, false, dst, rank, tag))
+			t = m.HostRun(rank, t, cm.HostSendOvh()+cm.HostCopy(HaloBytes))
+			m.Send(t, rank, dst, HaloBytes, fc, ptag(fkP2P, false, dst, rank, tag))
 		}
 	}
 	return t
@@ -204,7 +184,7 @@ func (fc *FlowColl) recvP2P(rank int, at sim.Time, src int, tag uint64) {
 	fr := &fc.ranks[rank]
 	fr.op = fop{kind: opRecv}
 	fc.M.HostRun(rank, at, 0)
-	if fc.recvStart(rank, fr, fkP2P, int32(src), mseq(tag), int32(fc.P2PBytes)) {
+	if fc.recvStart(rank, fr, fkP2P, int32(src), mseq(tag), HaloBytes) {
 		fc.opDone(rank, fc.M.Busy[rank])
 	}
 }

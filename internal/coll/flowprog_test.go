@@ -19,27 +19,15 @@ func newFlowWorld(n int) (*sim.Kernel, *FlowColl) {
 	k := sim.New(1)
 	c := model.DefaultCosts()
 	m := flow.NewMachines([]*sim.Kernel{k}, nil, nil, model.SharedCostModels(model.Uniform(n), c), c)
-	fc := NewFlowColl(m, n, 0, 4)
-	fc.P2PBytes = 1
-	return k, fc
+	return k, NewFlowColl(m, n)
 }
 
-// assertFlowQuiescent is the flow image of gm's assertHome: after a run
-// nothing is left queued, posted or pending on any rank.
+// assertFlowQuiescent: after a run nothing is left queued, posted or
+// pending on any rank.
 func assertFlowQuiescent(t *testing.T, fc *FlowColl) {
 	t.Helper()
-	for r := range fc.ranks {
-		fr := &fc.ranks[r]
-		if n := len(fr.nicq) - fr.nh; n != 0 {
-			t.Errorf("rank %d: %d messages left in the NIC queue", r, n)
-		}
-		if len(fr.unexp) != 0 || len(fr.abq) != 0 || len(fr.descs) != 0 {
-			t.Errorf("rank %d: unexpected=%d ab-unexpected=%d descriptors=%d at quiescence",
-				r, len(fr.unexp), len(fr.abq), len(fr.descs))
-		}
-		if fr.sigPend || fr.op.kind != opNone {
-			t.Errorf("rank %d: signal pending=%v, op kind=%d at quiescence", r, fr.sigPend, fr.op.kind)
-		}
+	if err := fc.Quiescent(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -52,10 +40,14 @@ func TestFlowProgramSpinDisplacement(t *testing.T) {
 	late := [][]sim.Time{{0, 0, 0, 250 * us}}
 	for _, ab := range []bool{true, false} {
 		k, fc := newFlowWorld(4)
-		end := fc.Run(FlowProgram{Iters: 1, AB: ab, Body: []FlowStep{
-			{Kind: FlowSpin, Matrix: late},
-			{Kind: FlowReduce},
-			{Kind: FlowSpin, Budget: 400 * us},
+		algo := AlgoBinomial
+		if ab {
+			algo = AlgoAB
+		}
+		end := fc.Run(Program{Iters: 1, Algo: algo, Count: 4, Body: []Step{
+			{Kind: StepSpin, Matrix: late},
+			{Kind: StepReduce},
+			{Kind: StepSpin, Budget: 400 * us},
 		}}, k.Run)
 		inCall, intr, sig := fc.InCall[2], fc.Intr[2], fc.Signals[2]
 		if ab {
@@ -77,15 +69,15 @@ func TestFlowProgramSpinDisplacement(t *testing.T) {
 // shapes, in both modes, and leaves every queue empty.
 func TestFlowProgramHalo(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
-		for _, ab := range []bool{false, true} {
+		for _, algo := range []Algo{AlgoBinomial, AlgoAB} {
 			k, fc := newFlowWorld(n)
-			fc.Run(FlowProgram{Iters: 3, AB: ab,
-				Body: []FlowStep{{Kind: FlowSpin, Budget: 10 * us}, {Kind: FlowHalo}, {Kind: FlowReduce}, {Kind: FlowReduce}},
-				Tail: []FlowStep{{Kind: FlowSpin, Budget: 20 * us}, {Kind: FlowBarrier}},
+			fc.Run(Program{Iters: 3, Algo: algo, Count: 4,
+				Body: []Step{{Kind: StepSpin, Budget: 10 * us}, {Kind: StepHalo}, {Kind: StepReduce}, {Kind: StepReduce}},
+				Tail: []Step{{Kind: StepSpin, Budget: 20 * us}, {Kind: StepBarrier}},
 			}, k.Run)
 			for r := range fc.ranks {
 				if pos := fc.ranks[r].pos; pos.iter != 3 || pos.reds != 6 || pos.bars != 1 {
-					t.Errorf("n=%d ab=%v rank %d stopped at %+v", n, ab, r, pos)
+					t.Errorf("n=%d algo=%d rank %d stopped at %+v", n, algo, r, pos)
 				}
 			}
 			assertFlowQuiescent(t, fc)
@@ -102,6 +94,39 @@ func TestFlowProgramUndrainedPanics(t *testing.T) {
 			t.Errorf("panic %q does not name the finished ranks", msg)
 		}
 	}()
-	fc.Run(FlowProgram{Iters: 1, Body: []FlowStep{{Kind: FlowSpin, Budget: us}, {Kind: FlowReduce}}},
+	fc.Run(Program{Iters: 1, Count: 4, Body: []Step{{Kind: StepSpin, Budget: us}, {Kind: StepReduce}}},
 		func() sim.Time { return 0 })
 }
+
+// FlowColl.Run refuses every packet-only knob of a Program before it
+// starts, each with the one message naming the field.
+func TestFlowRefusals(t *testing.T) {
+	body := []Step{{Kind: StepReduce}}
+	for _, c := range []struct {
+		field string
+		prog  Program
+	}{
+		{"Algo = AlgoNIC", Program{Algo: AlgoNIC}},
+		{"Algo = AlgoSplit", Program{Algo: AlgoSplit, Window: 2}},
+		{"Delay", Program{Algo: AlgoAB, Delay: fixedDelay(us)}},
+		{"RendezvousAB", Program{Algo: AlgoAB, RendezvousAB: true}},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			_, fc := newFlowWorld(4)
+			c.prog.Iters, c.prog.Count, c.prog.Body = 1, 4, body
+			defer func() {
+				want := "coll: the flow engine does not model Program." + c.field
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("panic %q, want %q", got, want)
+				}
+			}()
+			fc.Run(c.prog, func() sim.Time { return 0 })
+		})
+	}
+}
+
+// fixedDelay is a delay policy of one constant (core.FixedDelay, which
+// coll cannot import).
+type fixedDelay sim.Time
+
+func (d fixedDelay) Delay(int, int) sim.Time { return sim.Time(d) }

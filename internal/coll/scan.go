@@ -6,18 +6,6 @@ import (
 	"abred/internal/mpi"
 )
 
-// Allreduce combines every rank's contribution and leaves the result in
-// recvbuf on all ranks. MPICH 1.2 composed it from Reduce to rank 0
-// followed by Bcast, and so do we.
-func Allreduce(c *mpi.Comm, sendbuf, recvbuf []byte, count int, dt mpi.Datatype, op mpi.Op) {
-	n := count * dt.Size()
-	if len(recvbuf) < n {
-		panic(fmt.Sprintf("coll: allreduce recvbuf %d bytes < %d", len(recvbuf), n))
-	}
-	Reduce(c, sendbuf, recvbuf, count, dt, op, 0)
-	Bcast(c, recvbuf[:n], count, dt, 0)
-}
-
 // Scan computes the inclusive prefix reduction: rank i's recvbuf holds
 // the combination of contributions from ranks 0..i. Linear chain, as in
 // early MPICH.

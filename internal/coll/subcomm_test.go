@@ -55,8 +55,8 @@ func TestSubCommReduce(t *testing.T) {
 	}
 }
 
-// TestSubCommMixedCollectives interleaves bcast, allreduce, barrier,
-// scan and gather on concurrent sub-communicators — the full context
+// TestSubCommMixedCollectives interleaves bcast, barrier, scan and
+// gather on concurrent sub-communicators — the full context
 // isolation the tenancy layer relies on.
 func TestSubCommMixedCollectives(t *testing.T) {
 	n := 12
@@ -72,12 +72,6 @@ func TestSubCommMixedCollectives(t *testing.T) {
 			}
 			Bcast(c, buf, 1, mpi.Float64, 0)
 			if mpi.BytesToFloat64s(buf)[0] != float64(100*job+iter) {
-				bad[c.World(c.Rank())] = true
-			}
-
-			out := make([]byte, 8)
-			Allreduce(c, f64s(1), out, 1, mpi.Float64, mpi.OpSum)
-			if mpi.BytesToFloat64s(out)[0] != float64(c.Size()) {
 				bad[c.World(c.Rank())] = true
 			}
 			Barrier(c)
@@ -97,7 +91,7 @@ func TestSubCommMixedCollectives(t *testing.T) {
 	})
 	for w := 0; w < n; w++ {
 		if bad[w] {
-			t.Fatalf("world rank %d saw a wrong bcast/allreduce payload", w)
+			t.Fatalf("world rank %d saw a wrong bcast payload", w)
 		}
 		local := w / 2
 		if want := float64((local + 1) * (local + 2) / 2); scans[w][0] != want {
@@ -108,30 +102,6 @@ func TestSubCommMixedCollectives(t *testing.T) {
 		for i := 0; i < sz; i++ {
 			if want := float64(2*i + job); gathers[job][i] != want {
 				t.Fatalf("job %d gather[%d] = %v, want %v", job, i, gathers[job][i], want)
-			}
-		}
-	}
-}
-
-// TestSubCommAlltoall exchanges rank-stamped blocks within each job.
-func TestSubCommAlltoall(t *testing.T) {
-	n := 8
-	got := make([][]float64, n)
-	runSub(n, 44, func(c *mpi.Comm, job int) {
-		sz := c.Size()
-		in := make([]float64, sz)
-		for j := 0; j < sz; j++ {
-			in[j] = float64(100*c.Rank() + j)
-		}
-		out := make([]byte, 8*sz)
-		Alltoall(c, f64s(in...), out, 1, mpi.Float64)
-		got[c.World(c.Rank())] = mpi.BytesToFloat64s(out)
-	})
-	for w := 0; w < n; w++ {
-		local := w / 2
-		for j := 0; j < n/2; j++ {
-			if want := float64(100*j + local); got[w][j] != want {
-				t.Fatalf("world %d block %d = %v, want %v", w, j, got[w][j], want)
 			}
 		}
 	}

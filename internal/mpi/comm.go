@@ -17,7 +17,6 @@ const (
 	CtxBarrier
 	CtxGather
 	CtxScan
-	CtxAlltoall
 	// CtxIReduce carries split-phase (IReduce) traffic. It is separate
 	// from CtxReduce so the progress engine can tell how a packet
 	// addressed to the root must be handled: blocking reductions keep

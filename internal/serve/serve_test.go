@@ -217,6 +217,9 @@ func TestMalformedSpec(t *testing.T) {
 		{"bad skew", `{"nodes":8,"skew":"yesterday"}`, "bad spec"},
 		{"flow nic", `{"nodes":8,"engine":"flow","mode":"nic"}`, "flow engine does not model"},
 		{"tenancy on crossbar", `{"nodes":8,"jobs":2}`, "routed topo"},
+		{"tenancy lps", `{"nodes":16,"topo":"fattree:4","jobs":3,"lps":2}`, "no lps or topoaware"},
+		{"tenancy topoaware", `{"nodes":16,"topo":"fattree:4","jobs":3,"topoaware":true}`, "no lps or topoaware"},
+		{"tenancy lps topoaware", `{"nodes":16,"topo":"fattree:4","jobs":3,"lps":4,"topoaware":true}`, "no lps or topoaware"},
 		{"reps over limit", `{"nodes":8,"maxreps":999}`, "exceeds the server limit"},
 	}
 	for _, tc := range cases {

@@ -266,6 +266,11 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 		if engine != cluster.EnginePacket {
 			return s, fmt.Errorf("the tenancy scenario runs on the packet engine only")
 		}
+		if s.LPs > 1 || s.TopoAware {
+			// workload.Tenancy runs one LP over binomial trees: accepting
+			// either knob would ignore it and still key the cache on it.
+			return s, fmt.Errorf("the tenancy scenario runs on one LP over binomial trees (no lps or topoaware)")
+		}
 		if mode == bench.NICBased {
 			return s, fmt.Errorf("the tenancy scenario compares ab and nab only")
 		}

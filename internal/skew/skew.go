@@ -114,11 +114,13 @@ func (None) Draw(*rand.Rand) sim.Time { return 0 }
 func (None) Name() string { return "none" }
 
 // Matrix pre-draws a full (iterations × ranks) delay matrix so results
-// do not depend on the order ranks consume randomness in.
+// do not depend on the order ranks consume randomness in: one flat
+// slab, sliced per iteration.
 func Matrix(d Dist, rng *rand.Rand, iters, ranks int) [][]sim.Time {
+	flat := make([]sim.Time, iters*ranks)
 	m := make([][]sim.Time, iters)
 	for it := range m {
-		m[it] = make([]sim.Time, ranks)
+		m[it] = flat[it*ranks : (it+1)*ranks]
 		for r := range m[it] {
 			m[it][r] = d.Draw(rng)
 		}

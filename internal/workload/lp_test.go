@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"abred/internal/coll"
 	"abred/internal/model"
 	"abred/internal/skew"
 	"abred/internal/topo"
@@ -32,7 +33,7 @@ func TestPartitionedWorkloadCorrect(t *testing.T) {
 	}
 	for i, got := range r.RootResults {
 		it, rd := i/cfg.RedsPerIter, i%cfg.RedsPerIter
-		if want := ExpectedRootSum(size, it, rd); got != want {
+		if want := coll.ExpectedRootSum(size, it, rd); got != want {
 			t.Errorf("iteration %d reduction %d: %v, want %v", it, rd, got, want)
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"abred/internal/model"
 	"abred/internal/mpi"
 	"abred/internal/sim"
+	"abred/internal/skew"
 	"abred/internal/stats"
 	"abred/internal/topo"
 )
@@ -136,13 +137,15 @@ func (c *TenancyConfig) validate() {
 type jobShape struct {
 	arrival sim.Time
 	size    int
-	iters   int
-	skews   [][]sim.Time // [iter][local rank]
+	prog    coll.Program // what each of its ranks runs
 }
 
 // genShapes materializes the arrival process: one shared stream for
 // arrival gaps and job dimensions, one (Seed, jobID)-keyed stream per
-// job for its skew matrix.
+// job for its skew matrix. A job's program is bench.CPUUtil's measured
+// loop on its sub-communicator — compute plus skew, reduction,
+// conservative catch-up, barrier — with extra catch-up slack for port
+// contention from co-running jobs.
 func genShapes(cfg *TenancyConfig) []jobShape {
 	rng := streamRNG(cfg.Seed, streamShape)
 	shapes := make([]jobShape, cfg.Jobs)
@@ -156,18 +159,16 @@ func genShapes(cfg *TenancyConfig) []jobShape {
 		}
 		iters := lo + rng.Intn(cfg.Iters-lo+1)
 
-		skewRNG := streamRNG(cfg.Seed, streamSkew+uint64(j))
-		skews := make([][]sim.Time, iters)
-		flat := make([]sim.Time, iters*size)
-		for it := range skews {
-			skews[it] = flat[it*size : (it+1)*size]
-			if cfg.MaxSkew > 0 {
-				for r := range skews[it] {
-					skews[it][r] = sim.Time(skewRNG.Int63n(int64(cfg.MaxSkew) + 1))
-				}
-			}
-		}
-		shapes[j] = jobShape{arrival: clock, size: size, iters: iters, skews: skews}
+		skews := skew.Matrix(skew.Uniform{Max: cfg.MaxSkew}, streamRNG(cfg.Seed, streamSkew+uint64(j)), iters, size)
+		shapes[j] = jobShape{arrival: clock, size: size, prog: coll.Program{
+			Iters: iters, Count: cfg.Count, Algo: cfg.Style.algo(),
+			Body: []coll.Step{
+				{Kind: coll.StepSpin, Budget: cfg.Compute, Matrix: skews},
+				{Kind: coll.StepReduce},
+				{Kind: coll.StepSpin, Budget: cfg.MaxSkew + coll.LatencyBound(size, cfg.Count, 300*time.Microsecond)},
+				{Kind: coll.StepBarrier},
+			},
+		}}
 	}
 	return shapes
 }
@@ -205,7 +206,7 @@ type jobRun struct {
 	start    sim.Time
 	end      sim.Time
 	finished int
-	cpu      []sim.Time // per local rank, per-iteration mean
+	out      *cluster.Outcome // per local rank
 }
 
 // schedState is the shared scheduler state. The cluster runs on one
@@ -264,7 +265,7 @@ func Tenancy(cfg TenancyConfig) TenancyResult {
 			members := cfg.Place.Place(cl.Topo, st.free, js.size, placeRNG)
 			st.free = removeAll(st.free, members)
 			jr := &jobRun{id: j, shape: js, members: members,
-				start: p.Now(), cpu: make([]sim.Time, js.size)}
+				start: p.Now(), out: cluster.NewOutcome(js.size, &js.prog)}
 			st.runs = append(st.runs, jr)
 			for _, m := range members {
 				st.assign[m] = jr
@@ -288,7 +289,7 @@ func Tenancy(cfg TenancyConfig) TenancyResult {
 				return
 			}
 			st.assign[nd.ID] = nil
-			runTenantJob(&cfg, nd, jr)
+			nd.Exec(mpi.Sub(nd.MPI, jr.members, jr.id), &jr.shape.prog, jr.out)
 			jr.finished++
 			if jr.finished == len(jr.members) {
 				// Last rank out: the trailing barrier of the final
@@ -312,15 +313,19 @@ func Tenancy(cfg TenancyConfig) TenancyResult {
 		fp *= prime
 	}
 	for i, jr := range st.runs {
+		// A rank's reduction CPU is its compute-plus-skew and catch-up
+		// spins' elapsed time minus their budgets, plus its call time:
+		// handler extension and InCall.
+		iters := jr.shape.prog.Iters
 		var cpu sim.Time
-		for _, c := range jr.cpu {
-			cpu += c
+		for r, c := range jr.out.InCall {
+			cpu += (c + jr.out.Intr[r]) / sim.Time(iters)
 		}
-		cpu /= sim.Time(len(jr.cpu))
+		cpu /= sim.Time(len(jr.out.InCall))
 		stat := JobStat{
 			ID: jr.id, Nodes: jr.members,
 			Arrival: jr.shape.arrival, Start: jr.start, End: jr.end,
-			JCT: jr.end - jr.shape.arrival, AvgCPU: cpu, Iters: jr.shape.iters,
+			JCT: jr.end - jr.shape.arrival, AvgCPU: cpu, Iters: iters,
 		}
 		res.Jobs = append(res.Jobs, stat)
 		jcts[i] = stat.JCT
@@ -341,50 +346,6 @@ func Tenancy(cfg TenancyConfig) TenancyResult {
 	res.CPU = stats.Summarize(cpus)
 	res.Fingerprint = fp
 	return res
-}
-
-// runTenantJob is one rank's share of one job: the CPU-utilization
-// measurement loop of bench.CPUUtil on the job's sub-communicator —
-// interruptible skew spin, reduction, conservative catch-up spin, with
-// skew and catch-up subtracted so what remains is reduction CPU.
-func runTenantJob(cfg *TenancyConfig, nd *cluster.Node, jr *jobRun) {
-	c := mpi.Sub(nd.MPI, jr.members, jr.id)
-	local := c.Rank()
-	count := cfg.Count
-	catchup := cfg.MaxSkew + tenantLatency(len(jr.members), count)
-
-	in := make([]byte, count*8)
-	out := make([]byte, count*8)
-	var cpu sim.Time
-	for it := 0; it < jr.shape.iters; it++ {
-		skew := jr.shape.skews[it][local]
-		copy(in, mpi.Float64sToBytes([]float64{float64(local + it)}))
-		t0 := nd.Proc.Now()
-		nd.Proc.SpinInterruptible(cfg.Compute + skew)
-		switch cfg.Style {
-		case StyleDefault:
-			coll.Reduce(c, in, out, count, mpi.Float64, mpi.OpSum, 0)
-		case StyleBypass:
-			nd.Engine.Reduce(c, in, out, count, mpi.Float64, mpi.OpSum, 0)
-		}
-		nd.Proc.SpinInterruptible(catchup)
-		cpu += nd.Proc.Now() - t0 - skew - catchup - cfg.Compute
-		coll.Barrier(c)
-	}
-	jr.cpu[local] = cpu / sim.Time(jr.shape.iters)
-}
-
-// tenantLatency is the conservative per-job reduction-latency bound
-// sizing the catch-up delay (the paper's "conservative estimate of the
-// maximum reduction latency"), with extra slack for port contention
-// from co-running jobs.
-func tenantLatency(size, count int) sim.Time {
-	depth := coll.Depth(size)
-	if depth == 0 {
-		depth = 1
-	}
-	perHop := 25*time.Microsecond + time.Duration(count)*100*time.Nanosecond
-	return sim.Time(depth)*perHop + 300*time.Microsecond
 }
 
 // removeAll returns free minus members; both ascending.

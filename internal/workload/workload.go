@@ -7,17 +7,17 @@
 // iterates (imbalanced compute → optional halo exchange → one or more
 // small reductions), the workload profile Moody et al. (ref [9])
 // measured — 95% of reductions on at most three elements. The runner
-// executes the same program with each reduction implementation and
+// executes the same coll.Program with each reduction implementation and
 // reports job completion time, per-rank time spent inside reduction
 // calls, and signal counts.
 package workload
 
 import (
+	"fmt"
+
 	"abred/internal/cluster"
 	"abred/internal/coll"
-	"abred/internal/core"
 	"abred/internal/model"
-	"abred/internal/mpi"
 	"abred/internal/sim"
 	"abred/internal/skew"
 	"abred/internal/stats"
@@ -66,7 +66,8 @@ type Config struct {
 	LPs         int       // parallel logical processes (see cluster.Config.LPs)
 
 	// Engine selects the simulation engine (cluster.Config.Engine). The
-	// flow engine models the default and app-bypass styles only.
+	// flow engine models the default and app-bypass styles only, and
+	// refuses the others (coll.Program).
 	Engine cluster.Engine
 }
 
@@ -101,144 +102,60 @@ type Result struct {
 	Events      uint64        // simulated events executed
 }
 
-// Run executes the application with the given style.
+// algo is the reduction a style runs.
+func (s Style) algo() coll.Algo {
+	switch s {
+	case StyleDefault:
+		return coll.AlgoBinomial
+	case StyleBypass:
+		return coll.AlgoAB
+	case StyleSplitPhase:
+		return coll.AlgoSplit
+	case StyleNIC:
+		return coll.AlgoNIC
+	}
+	panic(fmt.Sprintf("workload: unknown style %d", s))
+}
+
+// Run executes the application with the given style on cfg's engine.
+// Root results are rank 0's, in instance order: coll.ExpectedRootSum of
+// each (iteration, reduction).
 func Run(cfg Config, style Style) Result {
 	cfg.defaults()
 	size := len(cfg.Specs)
 	if size < 2 {
 		panic("workload: need at least two ranks")
 	}
-	if cfg.Engine == cluster.EngineFlow {
-		return flowRun(cfg, style)
-	}
 	cl := cluster.New(cluster.Config{Specs: cfg.Specs, Seed: cfg.Seed,
-		Topo: cfg.Topo, LPs: cfg.LPs})
+		Topo: cfg.Topo, LPs: cfg.LPs, Engine: cfg.Engine})
 	defer cl.Close()
 
-	delays := skew.Matrix(cfg.Imbalance, cl.K.NewRNG(), cfg.Iters, size)
-	inCall := make([]sim.Time, size)
-	// Per-rank signal counts, summed after the run: rank closures may
-	// execute on different LP goroutines under a partitioned kernel.
-	sigs := make([]uint64, size)
-	var rootResults []float64
-
-	wall := cl.Run(func(n *cluster.Node, w *mpi.Comm) {
-		rank := n.ID
-		in := make([]byte, cfg.Count*8)
-		out := make([]byte, cfg.Count*8)
-		var futures []*futureSlot
-		var calls sim.Time
-
-		for it := 0; it < cfg.Iters; it++ {
-			n.Proc.SpinInterruptible(cfg.Compute + delays[it][rank])
-			if cfg.Halo {
-				haloExchange(w, it)
-			}
-			for rd := 0; rd < cfg.RedsPerIter; rd++ {
-				val := float64(rank + it + rd)
-				copy(in, mpi.Float64sToBytes([]float64{val}))
-				t0 := n.Proc.Now()
-				switch style {
-				case StyleDefault:
-					coll.Reduce(w, in, out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
-				case StyleBypass:
-					n.Engine.Reduce(w, in, out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
-				case StyleNIC:
-					n.Engine.NICReduce(w, in, out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
-				case StyleSplitPhase:
-					slot := &futureSlot{out: make([]byte, cfg.Count*8)}
-					slot.req = n.Engine.IReduce(w, in, slot.out, cfg.Count, mpi.Float64, mpi.OpSum, 0)
-					futures = append(futures, slot)
-					// Harvest anything older than the window.
-					for len(futures) > cfg.Window*cfg.RedsPerIter {
-						s := futures[0]
-						futures = futures[1:]
-						s.req.Wait()
-						if rank == 0 {
-							rootResults = append(rootResults, mpi.BytesToFloat64s(s.out)[0])
-						}
-					}
-				}
-				if rank == 0 && style != StyleSplitPhase {
-					// A blocking call's result is in out when it returns.
-					rootResults = append(rootResults, mpi.BytesToFloat64s(out)[0])
-				}
-				calls += n.Proc.Now() - t0
-			}
-		}
-		for _, s := range futures {
-			s.req.Wait()
-			if rank == 0 {
-				rootResults = append(rootResults, mpi.BytesToFloat64s(s.out)[0])
-			}
-		}
-		n.Proc.SpinInterruptible(2 * cfg.Compute)
-		coll.Barrier(w)
-		inCall[rank] = calls
-		sigs[rank] = n.Engine.Metrics.SignalsHandled
+	body := []coll.Step{{Kind: coll.StepSpin, Budget: cfg.Compute,
+		Matrix: skew.Matrix(cfg.Imbalance, cl.K.NewRNG(), cfg.Iters, size)}}
+	if cfg.Halo {
+		body = append(body, coll.Step{Kind: coll.StepHalo})
+	}
+	for rd := 0; rd < cfg.RedsPerIter; rd++ {
+		body = append(body, coll.Step{Kind: coll.StepReduce})
+	}
+	out, wall := cl.Exec(coll.Program{
+		Iters: cfg.Iters, Count: cfg.Count, Algo: style.algo(), Window: cfg.Window,
+		Body: body,
+		Tail: []coll.Step{{Kind: coll.StepSpin, Budget: 2 * cfg.Compute}, {Kind: coll.StepBarrier}},
 	})
 
 	var signals uint64
-	for _, s := range sigs {
+	for _, s := range out.Signals {
 		signals += s
 	}
 	return Result{
 		Style:       style,
 		JobTime:     wall,
-		ReduceCalls: stats.Summarize(inCall),
+		ReduceCalls: stats.Summarize(out.InCall),
 		Signals:     signals,
-		RootResults: rootResults,
+		RootResults: out.Results,
 		Events:      cl.Events(),
 	}
-}
-
-// futureSlot pairs a split-phase request with its result buffer.
-type futureSlot struct {
-	req *core.Request
-	out []byte
-}
-
-// haloExchange swaps one value with both neighbours, even ranks sending
-// first.
-func haloExchange(w *mpi.Comm, iter int) {
-	rank, size := w.Rank(), w.Size()
-	tag := int32(1<<16 | iter)
-	buf := []byte{byte(iter)}
-	rbuf := make([]byte, 1)
-	send := func() {
-		if rank > 0 {
-			w.Send(rank-1, tag, buf)
-		}
-		if rank < size-1 {
-			w.Send(rank+1, tag, buf)
-		}
-	}
-	recv := func() {
-		if rank > 0 {
-			w.Recv(rank-1, tag, rbuf)
-		}
-		if rank < size-1 {
-			w.Recv(rank+1, tag, rbuf)
-		}
-	}
-	if rank%2 == 0 {
-		send()
-		recv()
-	} else {
-		recv()
-		send()
-	}
-}
-
-// ExpectedRootSum returns the exact reduction result for instance k of
-// the workload (iteration it, reduction rd within it): sum over ranks
-// of rank+it+rd.
-func ExpectedRootSum(size, it, rd int) float64 {
-	var sum float64
-	for r := 0; r < size; r++ {
-		sum += float64(r + it + rd)
-	}
-	return sum
 }
 
 // CompareParallel runs the same application under several styles across

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"abred/internal/coll"
 	"abred/internal/model"
 	"abred/internal/skew"
 )
@@ -32,8 +33,8 @@ func TestAllStylesComputeTheSameReductions(t *testing.T) {
 		t.Fatalf("default produced %d results, want %d", len(want), cfg.Iters)
 	}
 	for it := range want {
-		if want[it] != ExpectedRootSum(16, it, 0) {
-			t.Fatalf("iteration %d: default result %v, want %v", it, want[it], ExpectedRootSum(16, it, 0))
+		if want[it] != coll.ExpectedRootSum(16, it, 0) {
+			t.Fatalf("iteration %d: default result %v, want %v", it, want[it], coll.ExpectedRootSum(16, it, 0))
 		}
 	}
 	for _, r := range results[1:] {
@@ -100,8 +101,8 @@ func TestWindowedSplitPhaseOrdering(t *testing.T) {
 	i := 0
 	for it := 0; it < cfg.Iters; it++ {
 		for rd := 0; rd < cfg.RedsPerIter; rd++ {
-			if r.RootResults[i] != ExpectedRootSum(16, it, rd) {
-				t.Fatalf("result %d = %v, want %v", i, r.RootResults[i], ExpectedRootSum(16, it, rd))
+			if r.RootResults[i] != coll.ExpectedRootSum(16, it, rd) {
+				t.Fatalf("result %d = %v, want %v", i, r.RootResults[i], coll.ExpectedRootSum(16, it, rd))
 			}
 			i++
 		}
@@ -129,7 +130,7 @@ func TestHeavyTailImbalance(t *testing.T) {
 		t.Errorf("AB should win under heavy-tailed imbalance: %v vs %v", ab.ReduceCalls.Mean, def.ReduceCalls.Mean)
 	}
 	for it, v := range def.RootResults {
-		if v != ExpectedRootSum(16, it, 0) {
+		if v != coll.ExpectedRootSum(16, it, 0) {
 			t.Fatalf("heavy-tail run corrupted results at %d", it)
 		}
 	}
