@@ -166,7 +166,7 @@ func BenchmarkAblationNICReduce(b *testing.B) {
 			var nic bench.CPUUtilResult
 			for i := 0; i < b.N; i++ {
 				nic = bench.CPUUtil(bench.Config{Specs: model.PaperCluster32(), Count: count,
-					Mode: bench.NICBased, MaxSkew: 500 * time.Microsecond, Iters: benchIters, Seed: int64(i + 1)})
+					Mode: coll.AlgoNIC, MaxSkew: 500 * time.Microsecond, Iters: benchIters, Seed: int64(i + 1)})
 			}
 			b.ReportMetric(float64(nic.AvgCPU)/float64(time.Microsecond), "nic_cpu_us")
 		})

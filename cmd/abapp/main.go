@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"abred/internal/cluster"
+	"abred/internal/coll"
 	"abred/internal/model"
 	"abred/internal/skew"
 	"abred/internal/stats"
@@ -88,19 +89,30 @@ func main() {
 		*nodes, *iters, *compute, d.Name())
 	fmt.Printf("%d x %d-element reductions per iteration, halo=%v, %v engine\n\n", *reds, *count, *halo, engine)
 
-	styles := []workload.Style{workload.StyleDefault, workload.StyleBypass,
-		workload.StyleSplitPhase, workload.StyleNIC}
-	if engine == cluster.EngineFlow {
-		// The flow engine carries no split-phase or NIC machinery.
-		styles = styles[:2]
+	// The reductions the engine models, each under its style label.
+	var algos []coll.Algo
+	var labels []string
+	for _, s := range []struct {
+		algo  coll.Algo
+		label string
+	}{
+		{coll.AlgoBinomial, "default"},
+		{coll.AlgoAB, "app-bypass"},
+		{coll.AlgoSplit, "split-phase"},
+		{coll.AlgoNIC, "nic-based"},
+	} {
+		if engine == cluster.EngineFlow && (&coll.Program{Algo: s.algo}).FlowRefusal() != nil {
+			continue
+		}
+		algos, labels = append(algos, s.algo), append(labels, s.label)
 	}
-	results := workload.CompareParallel(cfg, *parallel, styles...)
+	results := workload.CompareParallel(cfg, *parallel, algos...)
 
 	base := results[0]
 	fmt.Printf("%-14s %14s %10s %22s %10s\n", "style", "job time", "speedup", "reduce calls (mean)", "signals")
-	for _, r := range results {
+	for i, r := range results {
 		fmt.Printf("%-14s %14v %9.2fx %22v %10d\n",
-			r.Style,
+			labels[i],
 			r.JobTime.Round(time.Microsecond),
 			float64(base.JobTime)/float64(r.JobTime),
 			r.ReduceCalls.Mean.Round(time.Microsecond),

@@ -9,13 +9,20 @@ import (
 	"testing"
 )
 
-// A bad flag value must reach a calling script: diagnostic on stderr,
-// nothing on stdout, exit status 2.
-func TestBadFlagExitsTwo(t *testing.T) {
+// build compiles abapp into a test directory.
+func build(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "abapp")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// A bad flag value must reach a calling script: diagnostic on stderr,
+// nothing on stdout, exit status 2.
+func TestBadFlagExitsTwo(t *testing.T) {
+	bin := build(t)
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-dist", "bogus", "unknown distribution"},
 		{"-engine", "bogus", "unknown engine"},
@@ -30,6 +37,37 @@ func TestBadFlagExitsTwo(t *testing.T) {
 		}
 		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "abapp: "+tc.want) {
 			t.Errorf("%s %s: stdout %q, stderr %q", tc.flag, tc.value, stdout.String(), stderr.String())
+		}
+	}
+}
+
+// Each reduction prints under its style label, in table order, and the
+// flow engine runs only the two it models.
+func TestStyleStrings(t *testing.T) {
+	bin := build(t)
+	for _, tc := range []struct {
+		args   []string
+		styles []string
+	}{
+		{nil, []string{"default", "app-bypass", "split-phase", "nic-based"}},
+		{[]string{"-engine", "flow", "-topo", "fattree:4"}, []string{"default", "app-bypass"}},
+	} {
+		out, err := exec.Command(bin, append([]string{"-nodes", "4", "-iters", "2"}, tc.args...)...).Output()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		// The style column is the first field of the rows between the
+		// table header and the blank line after it.
+		var got []string
+		rows := strings.SplitAfter(string(out), "signals\n")[1]
+		for _, line := range strings.Split(rows, "\n") {
+			if line == "" {
+				break
+			}
+			got = append(got, strings.Fields(line)[0])
+		}
+		if strings.Join(got, " ") != strings.Join(tc.styles, " ") {
+			t.Errorf("%v: styles %q, want %q", tc.args, got, tc.styles)
 		}
 	}
 }

@@ -23,7 +23,11 @@
 // switches GM to reliable delivery; -faultseed seeds the dedicated
 // fault stream (same seed, same drops — independent of -seed). -fig
 // loss runs the ab-vs-nab loss sweep over the paper's 0.1–5% range
-// instead of a uniform rate.
+// instead of a uniform rate, so it refuses -loss.
+//
+// -seed, -iters, -loss, -faultseed and -topo are one run-wide
+// configuration that every figure and ablation inherits; a combination
+// the model does not support exits 2 and names the flag.
 //
 // -fig tenancy runs the multi-tenant figure instead: 2–8 concurrent
 // jobs with Poisson arrivals on an oversubscribed fat tree, each job
@@ -71,9 +75,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "abbench: -loss %v outside [0, 1)\n", *loss)
 		os.Exit(2)
 	}
+	if *fig == "loss" && *loss != 0 {
+		fmt.Fprintln(os.Stderr, "abbench: -loss: -fig loss sets its own loss rates")
+		os.Exit(2)
+	}
+
 	topoSpec, err := topo.ParseSpec(*topoFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "abbench: %v\n", err)
+		fmt.Fprintf(os.Stderr, "abbench: bad -topo %q: %v\n", *topoFlag, err)
 		os.Exit(2)
 	}
 
@@ -87,8 +96,9 @@ func main() {
 	pool := cluster.NewPool()
 	defer pool.Drain()
 
-	o := bench.Opts{Iters: *iters, Seed: *seed, Workers: *parallel, Pool: pool, Topo: topoSpec,
+	base := bench.Config{Iters: *iters, Seed: *seed, Pool: pool, Topo: topoSpec,
 		Fault: fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}}
+	workers := *parallel
 
 	emit := func(t *bench.Table) {
 		if *csv {
@@ -104,32 +114,29 @@ func main() {
 	ran := 0
 
 	if want("6") {
-		emit(bench.Fig6(o))
+		emit(bench.Fig6(base, workers))
 		ran++
 	}
 	if want("7") {
-		emit(bench.Fig7(o))
+		emit(bench.Fig7(base, workers))
 		ran++
 	}
 	if want("8") {
-		emit(bench.Fig8(o))
+		emit(bench.Fig8(base, workers))
 		ran++
 	}
 	if want("9") {
-		hetero, homog := bench.Fig9(o)
+		hetero, homog := bench.Fig9(base, workers)
 		emit(hetero)
 		emit(homog)
 		ran++
 	}
 	if want("10") {
-		emit(bench.Fig10(o))
+		emit(bench.Fig10(base, workers))
 		ran++
 	}
 	if *fig == "loss" {
-		// The sweep sets its own per-row loss rates; -loss would apply a
-		// second uniform rate on top, so it is ignored here.
-		emit(bench.LossSweep(bench.PaperLossRates(), *faultSeed,
-			bench.Opts{Iters: *iters, Seed: *seed, Workers: *parallel, Pool: pool}))
+		emit(bench.LossSweep(bench.PaperLossRates(), base, workers))
 		ran++
 	}
 	if *fig == "tenancy" {
@@ -137,7 +144,7 @@ func main() {
 		// oversubscribed fabric, random vs greedy placement. A routed
 		// -topo picks the fabric; the default crossbar is replaced by
 		// fattree:16 at 8:1 (a crossbar cannot be oversubscribed).
-		emit(bench.TenancyFigure(o))
+		emit(bench.TenancyFigure(base, workers))
 		ran++
 	}
 	if *fig == "topo" {
@@ -147,12 +154,11 @@ func main() {
 		// (3 hosts per leaf): with a power-of-two radix the binomial tree
 		// is already leaf-aligned and the topology-aware tree changes
 		// nothing, so an odd group width is the interesting case.
-		ft := topoSpec
-		if ft.Kind == topo.Crossbar {
-			ft = topo.Spec{Kind: topo.FatTree, K: 6}
+		ts := base
+		if ts.Topo.Kind == topo.Crossbar {
+			ts.Topo = topo.Spec{Kind: topo.FatTree, K: 6}
 		}
-		emit(bench.TopoSweep([]int{32, 64, 128}, ft, 500*time.Microsecond, 4,
-			bench.Opts{Iters: *iters, Seed: *seed, Workers: *parallel, Pool: pool}))
+		emit(bench.TopoSweep([]int{32, 64, 128}, 500*time.Microsecond, 4, ts, workers))
 		ran++
 	}
 	if ran == 0 {
@@ -161,11 +167,13 @@ func main() {
 	}
 
 	if *ablations {
-		emit(bench.AblationDelay(32, 4, 200*time.Microsecond, o))
-		emit(bench.AblationNICReduce(32, 500*time.Microsecond, o))
-		emit(bench.AblationSignalCost(32, 4, 500*time.Microsecond, o))
-		emit(bench.AblationHeterogeneity(32, 4, o))
-		emit(bench.AblationRendezvousAB(16, 800*time.Microsecond, bench.Opts{Iters: *iters/4 + 1, Seed: *seed, Workers: *parallel, Pool: pool}))
+		emit(bench.AblationDelay(32, 4, 200*time.Microsecond, base, workers))
+		emit(bench.AblationNICReduce(32, 500*time.Microsecond, base, workers))
+		emit(bench.AblationSignalCost(32, 4, 500*time.Microsecond, base, workers))
+		emit(bench.AblationHeterogeneity(32, 4, base, workers))
+		rdv := base
+		rdv.Iters = *iters/4 + 1
+		emit(bench.AblationRendezvousAB(16, 800*time.Microsecond, rdv, workers))
 	}
 
 	if !*csv {

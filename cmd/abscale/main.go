@@ -172,7 +172,9 @@ func main() {
 
 	pool := cluster.NewPool()
 	defer pool.Drain()
-	faults := fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}
+	base := bench.Config{Seed: *seed, Pool: pool, LPs: *lps,
+		Fault: fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}}
+	workers := *parallel
 
 	runGrid := func(grid string, gridSizes []int, gridIters int) {
 		for _, s := range []struct {
@@ -182,9 +184,9 @@ func main() {
 			{*skew, "skewed"},
 			{0, "no artificial skew"},
 		} {
-			t := bench.ScaleProjection(gridSizes, s.skew, *count,
-				bench.Opts{Iters: gridIters, Seed: *seed, Workers: *parallel, Pool: pool,
-					Fault: faults, LPs: *lps})
+			cfg := base
+			cfg.Iters = gridIters
+			t := bench.ScaleProjection(gridSizes, s.skew, *count, cfg, workers)
 			t.Title = fmt.Sprintf("%s (%s%s, max skew %v, %d elements, %d iters)",
 				t.Title, grid, s.note, s.skew, *count, gridIters)
 			if *csv {
@@ -201,10 +203,9 @@ func main() {
 	}
 
 	if ts := parseInts("-toposizes", *topoSizes, 2, true); len(ts) > 0 {
-		ft := routed("-topo %q is not a routed fabric")
-		t := bench.TopoSweep(ts, ft, *skew, *count,
-			bench.Opts{Iters: *topoIters, Seed: *seed, Workers: *parallel, Pool: pool,
-				Fault: faults, LPs: *lps})
+		sweep := base
+		sweep.Iters, sweep.Topo = *topoIters, routed("-topo %q is not a routed fabric")
+		t := bench.TopoSweep(ts, *skew, *count, sweep, workers)
 		t.Title = fmt.Sprintf("%s (max skew %v, %d elements, %d iters)", t.Title, *skew, *count, *topoIters)
 		if *csv {
 			t.WriteCSV(os.Stdout)
@@ -220,8 +221,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "abscale: bad -topo %q: %v\n", *topoFlag, topoErr)
 				os.Exit(2)
 			}
-			points := bench.FlowSweep(fs, ft, *skew, *count,
-				bench.Opts{Iters: *flowIters, Seed: *seed, Fault: faults, LPs: *lps})
+			sweep := base
+			sweep.Iters, sweep.Topo = *flowIters, ft
+			points := bench.FlowSweep(fs, *skew, *count, sweep)
 			fmt.Printf("Flow-engine scaling sweep — %s, max skew %v, %d elements, %d iters\n",
 				ft, *skew, *count, *flowIters)
 			fmt.Printf("%10s %10s %10s %8s %12s %14s %14s %12s\n",
@@ -250,9 +252,9 @@ func main() {
 			}
 			places = append(places, p)
 		}
-		points := bench.TenancySweep(model.PaperCluster(*tenancyNodes), ft, jobCounts, oversubs,
-			places, sim.Time(*tenancyArrival), *tenancyCount,
-			bench.Opts{Iters: *tenancyIters, Seed: *seed, Workers: *parallel, Fault: faults})
+		sweep := base
+		sweep.Specs, sweep.Topo, sweep.Iters, sweep.Count = model.PaperCluster(*tenancyNodes), ft, *tenancyIters, *tenancyCount
+		points := bench.TenancySweep(jobCounts, oversubs, places, sim.Time(*tenancyArrival), sweep, workers)
 		fmt.Printf("Multi-tenant sweep — %d nodes on %s, %d iters/job, %d elements\n",
 			*tenancyNodes, ft, *tenancyIters, *tenancyCount)
 		fmt.Printf("%6s %8s %8s %12s %12s %12s %12s %12s %8s\n",

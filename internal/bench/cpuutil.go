@@ -18,7 +18,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"abred/internal/cluster"
@@ -32,57 +31,19 @@ import (
 	"abred/internal/topo"
 )
 
-// Mode selects the reduction implementation under test.
-type Mode int
+// Mode is the reduction under test, by its one name (coll.Algo).
+type Mode = coll.Algo
 
-// Benchmark modes.
+// The two reductions every figure compares.
 const (
-	NonAppBypass Mode = iota // default MPICH binomial reduction
-	AppBypass                // the paper's application-bypass reduction
-	NICBased                 // NIC-based reduction (future-work extension)
+	NonAppBypass = coll.AlgoBinomial // default MPICH binomial reduction
+	AppBypass    = coll.AlgoAB       // the paper's application-bypass reduction
 )
 
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case NonAppBypass:
-		return "nab"
-	case AppBypass:
-		return "ab"
-	case NICBased:
-		return "nic"
-	}
-	return "?"
-}
-
-// algo is the reduction a mode runs.
-func (m Mode) algo() coll.Algo {
-	switch m {
-	case NonAppBypass:
-		return coll.AlgoBinomial
-	case AppBypass:
-		return coll.AlgoAB
-	case NICBased:
-		return coll.AlgoNIC
-	}
-	panic(fmt.Sprintf("bench: unknown mode %d", m))
-}
-
-// ParseMode parses a mode name as it appears in flags and scenario
-// specs — the inverse of String.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "nab":
-		return NonAppBypass, nil
-	case "ab":
-		return AppBypass, nil
-	case "nic":
-		return NICBased, nil
-	}
-	return NonAppBypass, fmt.Errorf("unknown mode %q (nab|ab|nic)", s)
-}
-
-// Config parameterizes one benchmark run.
+// Config parameterizes one benchmark run. Every reduction is rooted at
+// rank 0. The figure and sweep drivers take one as their run-wide base
+// (Iters, Seed, Fault, Pool, Topo, LPs) and copy it per cell, setting
+// only what the cell varies.
 type Config struct {
 	Specs   []model.NodeSpec
 	Count   int // elements per message (double words)
@@ -91,8 +52,7 @@ type Config struct {
 	Iters   int
 	Seed    int64
 	Delay   core.DelayPolicy // §IV-E heuristic; nil = no delay
-	Root    int
-	Costs   *model.Costs // nil = model.DefaultCosts (sensitivity studies)
+	Costs   *model.Costs     // nil = model.DefaultCosts (sensitivity studies)
 
 	// Fault injects fabric faults (and reliable GM delivery); the zero
 	// value keeps the fabric perfect.
@@ -240,7 +200,7 @@ func CPUUtil(cfg Config) CPUUtilResult {
 	defer release()
 
 	prog := coll.Program{
-		Iters: cfg.Iters, Root: cfg.Root, Count: cfg.Count, Algo: cfg.Mode.algo(),
+		Iters: cfg.Iters, Count: cfg.Count, Algo: cfg.Mode,
 		Body: []coll.Step{
 			// Skews come from the cluster's first kernel, so a given
 			// (seed, size, iters) skews both engines identically.
@@ -256,7 +216,7 @@ func CPUUtil(cfg Config) CPUUtilResult {
 		// The hierarchy-aware tree is a pure function of (size, root,
 		// leaf assignment); built once, shared read-only by every rank.
 		if cfg.TopoAware && cl.Topo.Levels() > 1 {
-			prog.Tree = coll.NewTopoTree(size, cfg.Root, cl.Topo.Leaf)
+			prog.Tree = coll.NewTopoTree(size, 0, cl.Topo.Leaf)
 		}
 	}
 	out, end := cl.Exec(prog)

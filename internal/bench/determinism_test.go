@@ -12,19 +12,18 @@ import (
 // of grid shapes runs through the sweep engine.
 func renderAll(t *testing.T, workers int) string {
 	t.Helper()
-	o := Opts{Iters: 2, Seed: 7, Workers: workers}
-	small := Opts{Iters: 2, Seed: 7, Workers: workers}
+	o := Config{Iters: 2, Seed: 7}
 	var tabs []*Table
-	tabs = append(tabs, Fig6(o), Fig7(o), Fig8(o))
-	hetero, homog := Fig9(o)
-	tabs = append(tabs, hetero, homog, Fig10(o))
+	tabs = append(tabs, Fig6(o, workers), Fig7(o, workers), Fig8(o, workers))
+	hetero, homog := Fig9(o, workers)
+	tabs = append(tabs, hetero, homog, Fig10(o, workers))
 	tabs = append(tabs,
-		ScaleProjection([]int{8, 16}, 200*time.Microsecond, 4, small),
-		AblationDelay(8, 4, 100*time.Microsecond, small),
-		AblationSignalCost(8, 4, 200*time.Microsecond, small),
-		AblationHeterogeneity(8, 4, small),
-		AblationRendezvousAB(4, 300*time.Microsecond, small),
-		AblationNICReduce(8, 200*time.Microsecond, small),
+		ScaleProjection([]int{8, 16}, 200*time.Microsecond, 4, o, workers),
+		AblationDelay(8, 4, 100*time.Microsecond, o, workers),
+		AblationSignalCost(8, 4, 200*time.Microsecond, o, workers),
+		AblationHeterogeneity(8, 4, o, workers),
+		AblationRendezvousAB(4, 300*time.Microsecond, o, workers),
+		AblationNICReduce(8, 200*time.Microsecond, o, workers),
 	)
 	var b strings.Builder
 	for _, tab := range tabs {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"abred/internal/coll"
 )
 
 // tiny keeps the full-sweep structural tests fast; statistical claims
@@ -44,7 +46,7 @@ func checkTable(t *testing.T, tab *Table, rows, cols int) {
 }
 
 func TestFig6Structure(t *testing.T) {
-	tab := Fig6(Opts{Iters: tiny, Seed: 1})
+	tab := Fig6(Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 11, 9) // 11 skews; nab×3, ab×3, factor×3
 	if tab.X[0] != 0 || tab.X[10] != 1000 {
 		t.Errorf("skew axis %v", tab.X)
@@ -52,7 +54,7 @@ func TestFig6Structure(t *testing.T) {
 }
 
 func TestFig7Structure(t *testing.T) {
-	tab := Fig7(Opts{Iters: tiny, Seed: 1})
+	tab := Fig7(Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 5, 9)
 	if tab.X[0] != 2 || tab.X[4] != 32 {
 		t.Errorf("node axis %v", tab.X)
@@ -60,11 +62,11 @@ func TestFig7Structure(t *testing.T) {
 }
 
 func TestFig8Structure(t *testing.T) {
-	checkTable(t, Fig8(Opts{Iters: tiny, Seed: 1}), 5, 9)
+	checkTable(t, Fig8(Config{Iters: tiny, Seed: 1}, 0), 5, 9)
 }
 
 func TestFig9Structure(t *testing.T) {
-	hetero, homog := Fig9(Opts{Iters: tiny, Seed: 1})
+	hetero, homog := Fig9(Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, hetero, 5, 3)
 	checkTable(t, homog, 4, 3)
 	// Homogeneous sweep stops at the paper's 16 nodes.
@@ -74,7 +76,7 @@ func TestFig9Structure(t *testing.T) {
 }
 
 func TestFig10Structure(t *testing.T) {
-	tab := Fig10(Opts{Iters: tiny, Seed: 1})
+	tab := Fig10(Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 8, 3)
 	if tab.X[0] != 1 || tab.X[7] != 128 {
 		t.Errorf("element axis %v", tab.X)
@@ -82,12 +84,12 @@ func TestFig10Structure(t *testing.T) {
 }
 
 func TestAblationNICReduceStructure(t *testing.T) {
-	tab := AblationNICReduce(8, 200*time.Microsecond, Opts{Iters: tiny, Seed: 1})
+	tab := AblationNICReduce(8, 200*time.Microsecond, Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 3, 4)
 }
 
 func TestScaleProjectionStructure(t *testing.T) {
-	tab := ScaleProjection([]int{8, 16}, 100*time.Microsecond, 4, Opts{Iters: tiny, Seed: 1})
+	tab := ScaleProjection([]int{8, 16}, 100*time.Microsecond, 4, Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 2, 3)
 }
 
@@ -104,7 +106,7 @@ func TestPaperParameterSets(t *testing.T) {
 }
 
 func TestModeStrings(t *testing.T) {
-	if NonAppBypass.String() != "nab" || AppBypass.String() != "ab" || NICBased.String() != "nic" {
+	if NonAppBypass.String() != "nab" || AppBypass.String() != "ab" || coll.AlgoNIC.String() != "nic" {
 		t.Error("mode names wrong")
 	}
 }
@@ -118,7 +120,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestAblationSignalCostStructure(t *testing.T) {
-	tab := AblationSignalCost(8, 4, 200*time.Microsecond, Opts{Iters: tiny, Seed: 1})
+	tab := AblationSignalCost(8, 4, 200*time.Microsecond, Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 5, 3)
 	// Cheaper signals must never make ab slower than pricier ones.
 	if tab.Rows[0][1] > tab.Rows[len(tab.Rows)-1][1] {
@@ -128,12 +130,12 @@ func TestAblationSignalCostStructure(t *testing.T) {
 }
 
 func TestAblationHeterogeneityStructure(t *testing.T) {
-	tab := AblationHeterogeneity(8, 4, Opts{Iters: tiny, Seed: 1})
+	tab := AblationHeterogeneity(8, 4, Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 2, 3)
 }
 
 func TestAblationSignalCostFactorMonotone(t *testing.T) {
-	tab := AblationSignalCost(16, 4, 800*time.Microsecond, Opts{Iters: 25, Seed: shapeSeed})
+	tab := AblationSignalCost(16, 4, 800*time.Microsecond, Config{Iters: 25, Seed: shapeSeed}, 0)
 	prev := tab.Rows[0][2]
 	for i := 1; i < len(tab.Rows); i++ {
 		if tab.Rows[i][2] > prev*1.15 {
@@ -145,14 +147,14 @@ func TestAblationSignalCostFactorMonotone(t *testing.T) {
 }
 
 func TestAblationRendezvousABStructure(t *testing.T) {
-	tab := AblationRendezvousAB(4, 300*time.Microsecond, Opts{Iters: tiny, Seed: 1})
+	tab := AblationRendezvousAB(4, 300*time.Microsecond, Config{Iters: tiny, Seed: 1}, 0)
 	checkTable(t, tab, 3, 3)
 }
 
 // TestRendezvousABWinsUnderSkew: the §V-B extension should beat the
 // fallback for skewed large-message reductions (that is its point).
 func TestRendezvousABWinsUnderSkew(t *testing.T) {
-	tab := AblationRendezvousAB(8, 800*time.Microsecond, Opts{Iters: 12, Seed: shapeSeed})
+	tab := AblationRendezvousAB(8, 800*time.Microsecond, Config{Iters: 12, Seed: shapeSeed}, 0)
 	for i, row := range tab.Rows {
 		if row[2] < 1.1 {
 			t.Errorf("row %d (%v elems): rendezvous AB factor %.2f, want > 1.1", i, tab.X[i], row[2])

@@ -79,7 +79,7 @@ func TestFlowGoldenFingerprints(t *testing.T) {
 // second fresh build, a Reset reuse, a warm-pool run and a build under
 // each of GOMAXPROCS 1, 2 and 4 (the test is not parallel) must produce
 // identical output. The sweep driver is one more input: FlowSweep must
-// hand Opts.LPs to the cluster, so LPs 0 and 1 agree on every
+// hand the base Config's LPs to the cluster, so LPs 0 and 1 agree on every
 // virtual-time column, and LPs 2 repeats itself while counting the
 // stub/grant protocol events a monolithic run never executes.
 func TestFlowLPsDeterministic(t *testing.T) {
@@ -125,8 +125,8 @@ func TestFlowLPsDeterministic(t *testing.T) {
 	}
 	t.Run("sweep", func(t *testing.T) {
 		run := func(lps int) FlowPoint {
-			p := FlowSweep([]int{4096}, topo.Spec{Kind: topo.FatTree, K: 16}, sim.Time(time.Millisecond), 4,
-				Opts{Iters: 2, Seed: 20030701, LPs: lps})[0]
+			p := FlowSweep([]int{4096}, sim.Time(time.Millisecond), 4,
+				Config{Iters: 2, Seed: 20030701, LPs: lps, Topo: topo.Spec{Kind: topo.FatTree, K: 16}})[0]
 			p.WallMS, p.HeapPeak = 0, 0 // host-dependent
 			return p
 		}
@@ -139,7 +139,7 @@ func TestFlowLPsDeterministic(t *testing.T) {
 			t.Errorf("lps=2 repetition diverged:\n got %+v\nwant %+v", again, two)
 		}
 		if two.Events == mono.Events {
-			t.Errorf("lps=2 executed the monolithic event count %d; Opts.LPs did not reach the cluster", mono.Events)
+			t.Errorf("lps=2 executed the monolithic event count %d; the base LPs did not reach the cluster", mono.Events)
 		}
 	})
 }
@@ -154,26 +154,26 @@ func TestFlowLPsCrossbarClamps(t *testing.T) {
 	}
 }
 
-// TestSweepsHonourFault pins that Opts.Fault reaches the cluster from
+// TestSweepsHonourFault pins that the base Config's Fault reaches the cluster from
 // the two abscale grids that once dropped it: a lossy flow grid and a
 // lossy tenancy grid must differ from their loss-free runs.
 func TestSweepsHonourFault(t *testing.T) {
 	ft := topo.Spec{Kind: topo.FatTree, K: 4}
 	lossy := fault.Config{Seed: 1, Rule: fault.Rule{Drop: 0.05}}
 	flowRun := func(f fault.Config) FlowPoint {
-		p := FlowSweep([]int{16}, ft, sim.Time(time.Millisecond), 4, Opts{Iters: 2, Seed: 7, Fault: f})[0]
+		p := FlowSweep([]int{16}, sim.Time(time.Millisecond), 4, Config{Iters: 2, Seed: 7, Fault: f, Topo: ft})[0]
 		p.WallMS, p.HeapPeak = 0, 0 // host-dependent
 		return p
 	}
 	if clean, got := flowRun(fault.Config{}), flowRun(lossy); got == clean {
-		t.Errorf("FlowSweep ignored Opts.Fault: %+v", got)
+		t.Errorf("FlowSweep ignored Fault: %+v", got)
 	}
 	tenancyRun := func(f fault.Config) TenancyPoint {
-		return TenancySweep(model.PaperCluster(16), ft, []int{2}, []int{1},
-			[]workload.Placement{workload.GreedyPlacement{}}, sim.Time(50*time.Microsecond), 64,
-			Opts{Iters: 4, Seed: 7, Workers: 1, Fault: f})[0]
+		return TenancySweep([]int{2}, []int{1},
+			[]workload.Placement{workload.GreedyPlacement{}}, sim.Time(50*time.Microsecond),
+			Config{Specs: model.PaperCluster(16), Topo: ft, Count: 64, Iters: 4, Seed: 7, Fault: f}, 1)[0]
 	}
 	if clean, got := tenancyRun(fault.Config{}), tenancyRun(lossy); got == clean {
-		t.Errorf("TenancySweep ignored Opts.Fault: %+v", got)
+		t.Errorf("TenancySweep ignored Fault: %+v", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"abred/internal/model"
 	"abred/internal/sim"
 	"abred/internal/sweep"
-	"abred/internal/topo"
 )
 
 // FlowPoint is one node count of the flow-engine scaling sweep: the
@@ -31,28 +30,28 @@ type FlowPoint struct {
 // FlowSweep runs the flow-engine CPU-utilization grid: for each size,
 // the interlaced heterogeneous node mix on the routed fabric, skewed,
 // non-bypass versus bypass (with the topology-aware tree). Each size's
-// two runs share a pooled cluster and execute serially so the wall and
-// heap columns describe that size alone; of o, Iters, Seed, Fault and
-// LPs apply (the flow engine models a uniform drop rule only; LPs
-// shards the max-min substrate along ft's pods).
-func FlowSweep(sizes []int, ft topo.Spec, maxSkew sim.Time, count int, o Opts) []FlowPoint {
-	o = o.withDefaults()
+// two runs share a pooled cluster of their own and execute serially so
+// the wall and heap columns describe that size alone; of base, Iters,
+// Seed, Fault, Topo (the routed fabric) and LPs apply (the flow engine
+// models a uniform drop rule only; LPs shards the max-min substrate
+// along the fabric's pods).
+func FlowSweep(sizes []int, maxSkew sim.Time, count int, base Config) []FlowPoint {
+	base.Count, base.MaxSkew, base.Engine = count, maxSkew, cluster.EngineFlow
 	points := make([]FlowPoint, 0, len(sizes))
 	for _, n := range sizes {
 		pool := cluster.NewPool()
-		specs := model.PaperCluster(n)
 		mk := func(mode Mode, topoAware bool) Config {
-			return Config{Specs: specs, Count: count, Mode: mode, MaxSkew: maxSkew,
-				Iters: o.Iters, Seed: o.Seed, Fault: o.Fault, Topo: ft, TopoAware: topoAware,
-				Engine: cluster.EngineFlow, LPs: o.LPs, Pool: pool}
+			c := base
+			c.Specs, c.Mode, c.TopoAware, c.Pool = model.PaperCluster(n), mode, topoAware, pool
+			return c
 		}
 		var nab, ab CPUUtilResult
 		res := sweep.Run(fmt.Sprintf("flow/n=%d", n), []sweep.Job[int]{
-			{Name: fmt.Sprintf("flow/nab/n=%d", n), Seed: o.Seed, Run: func() (int, uint64) {
+			{Name: fmt.Sprintf("flow/nab/n=%d", n), Seed: base.Seed, Run: func() (int, uint64) {
 				nab = CPUUtil(mk(NonAppBypass, false))
 				return 0, nab.Events
 			}},
-			{Name: fmt.Sprintf("flow/ab/n=%d", n), Seed: o.Seed, Run: func() (int, uint64) {
+			{Name: fmt.Sprintf("flow/ab/n=%d", n), Seed: base.Seed, Run: func() (int, uint64) {
 				ab = CPUUtil(mk(AppBypass, true))
 				return 0, ab.Events
 			}},

@@ -30,9 +30,8 @@ func Latency(cfg Config) LatencyResult {
 	size := len(cfg.Specs)
 	cl, release := cfg.acquire()
 	defer release()
-	root := cfg.Root
+	const root = 0
 	last := coll.LastRank(root, size)
-	algo := cfg.Mode.algo()
 
 	var oneWay sim.Time
 	samples := make([]sim.Time, 0, cfg.Iters)
@@ -73,7 +72,7 @@ func Latency(cfg Config) LatencyResult {
 			if n.ID == last {
 				t0 = n.Proc.Now()
 			}
-			n.Reduce(w, algo, in, out, cfg.Count, root)
+			n.Reduce(w, cfg.Mode, in, out, cfg.Count, root)
 			if size > 1 {
 				if n.ID == root {
 					w.Send(last, notifyTag+1, nbuf)

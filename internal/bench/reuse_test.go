@@ -14,11 +14,11 @@ import (
 
 // renderSubset renders a figure subset that revisits the same cluster
 // shapes many times — exactly the access pattern the reuse pool serves.
-func renderSubset(o Opts) string {
+func renderSubset(o Config, workers int) string {
 	var out string
 	for _, tab := range []*Table{
-		Fig7(o),
-		ScaleProjection([]int{8, 16}, 200*time.Microsecond, 4, o),
+		Fig7(o, workers),
+		ScaleProjection([]int{8, 16}, 200*time.Microsecond, 4, o, workers),
 	} {
 		var b strings.Builder
 		tab.Write(&b)
@@ -41,19 +41,18 @@ func TestReuseDeterminism(t *testing.T) {
 		{"lossy", fault.Config{Seed: 3, Rule: fault.Rule{Drop: 0.01}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Opts{Iters: 2, Seed: 7, Workers: 1, Fault: tc.fc}
-			want := renderSubset(base) // no pool: build per cell
+			base := Config{Iters: 2, Seed: 7, Fault: tc.fc}
+			want := renderSubset(base, 1) // no pool: build per cell
 			for _, workers := range []int{1, 4} {
 				pool := cluster.NewPool()
 				o := base
-				o.Workers = workers
 				o.Pool = pool
-				if got := renderSubset(o); got != want {
+				if got := renderSubset(o, workers); got != want {
 					t.Fatalf("workers=%d: cold-pool output differs from fresh build:\n%s",
 						workers, firstDiff(got, want))
 				}
 				// Second render on the warm pool: every cell reuses.
-				if got := renderSubset(o); got != want {
+				if got := renderSubset(o, workers); got != want {
 					t.Fatalf("workers=%d: warm-pool output differs from fresh build:\n%s",
 						workers, firstDiff(got, want))
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"abred/internal/coll"
 	"abred/internal/model"
 	"abred/internal/sim"
 )
@@ -194,7 +195,7 @@ func TestFig10Shape(t *testing.T) {
 // TestScaleProjectionExtends: past the paper's 32 nodes the factor
 // keeps growing (its §VII scalability expectation).
 func TestScaleProjectionExtends(t *testing.T) {
-	tab := ScaleProjection([]int{32, 64}, 1000*mus, 4, Opts{Iters: 25, Seed: shapeSeed})
+	tab := ScaleProjection([]int{32, 64}, 1000*mus, 4, Config{Iters: 25, Seed: shapeSeed}, 0)
 	f32 := tab.Rows[0][2]
 	f64 := tab.Rows[1][2]
 	if f64 <= f32 {
@@ -205,7 +206,7 @@ func TestScaleProjectionExtends(t *testing.T) {
 // TestDelayAblationReducesSignals: the §IV-E heuristic trades in-call
 // time for fewer signals.
 func TestDelayAblationReducesSignals(t *testing.T) {
-	tab := AblationDelay(16, 4, 100*mus, Opts{Iters: 30, Seed: shapeSeed})
+	tab := AblationDelay(16, 4, 100*mus, Config{Iters: 30, Seed: shapeSeed}, 0)
 	first := tab.Rows[0][1] // signals at zero delay
 	last := tab.Rows[len(tab.Rows)-1][1]
 	if last >= first {
@@ -242,7 +243,7 @@ func TestLatencySingleNode(t *testing.T) {
 // skew for small messages (host fully bypassed).
 func TestNICReduceUnderSkew(t *testing.T) {
 	nab := cpu(t, NonAppBypass, 16, 4, 800*mus)
-	nic := cpu(t, NICBased, 16, 4, 800*mus)
+	nic := cpu(t, coll.AlgoNIC, 16, 4, 800*mus)
 	if float64(nab.AvgCPU)/float64(nic.AvgCPU) < 2 {
 		t.Errorf("NIC-based reduction should clearly beat default under skew: nab=%v nic=%v", nab.AvgCPU, nic.AvgCPU)
 	}

@@ -10,8 +10,8 @@ import (
 var benchFatTree = topo.Spec{Kind: topo.FatTree, K: 4}
 
 func TestTopoSweepStructure(t *testing.T) {
-	tab := TopoSweep([]int{4, 8}, benchFatTree, 200*time.Microsecond, 4,
-		Opts{Iters: tiny, Seed: 1})
+	tab := TopoSweep([]int{4, 8}, 200*time.Microsecond, 4,
+		Config{Iters: tiny, Seed: 1, Topo: benchFatTree}, 0)
 	checkTable(t, tab, 2, 10)
 	if tab.X[0] != 4 || tab.X[1] != 8 {
 		t.Errorf("node axis %v", tab.X)
@@ -26,8 +26,8 @@ func TestTopoSweepStructure(t *testing.T) {
 // 200 µs skew spread are the smallest workload where the root's
 // down-path reliably queues within 20 iterations at this seed.
 func TestTopoSweepRoutedCostsVisible(t *testing.T) {
-	tab := TopoSweep([]int{8}, benchFatTree, 200*time.Microsecond, 512,
-		Opts{Iters: 20, Seed: 77})
+	tab := TopoSweep([]int{8}, 200*time.Microsecond, 512,
+		Config{Iters: 20, Seed: 77, Topo: benchFatTree}, 0)
 	row := tab.Rows[0]
 	if row[0] == row[3] && row[1] == row[4] {
 		t.Error("fat-tree CPU identical to crossbar: routing not applied")
@@ -41,8 +41,8 @@ func TestTopoSweepRoutedCostsVisible(t *testing.T) {
 // contention counters — regardless of worker count.
 func TestTopoSweepDeterministic(t *testing.T) {
 	mk := func(workers int) *Table {
-		return TopoSweep([]int{4, 8}, benchFatTree, 200*time.Microsecond, 4,
-			Opts{Iters: tiny, Seed: 7, Workers: workers})
+		return TopoSweep([]int{4, 8}, 200*time.Microsecond, 4,
+			Config{Iters: tiny, Seed: 7, Topo: benchFatTree}, workers)
 	}
 	a, b := mk(1), mk(4)
 	for i := range a.Rows {
@@ -56,8 +56,8 @@ func TestTopoSweepDeterministic(t *testing.T) {
 }
 
 // TestFiguresAcceptTopo: every paper figure still runs (and keeps its
-// shape) when Opts carries a routed topology.
+// shape) when the base Config carries a routed topology.
 func TestFiguresAcceptTopo(t *testing.T) {
-	tab := Fig6(Opts{Iters: tiny, Seed: 1, Topo: benchFatTree})
+	tab := Fig6(Config{Iters: tiny, Seed: 1, Topo: benchFatTree}, 0)
 	checkTable(t, tab, 11, 9)
 }

@@ -10,16 +10,6 @@ import (
 	"abred/internal/topo"
 )
 
-// topoJob is cpuJob extended with uplink-contention counters:
-// [avg CPU µs, link waits, link wait ms].
-func topoJob(name string, cfg Config) sweep.Job[[]float64] {
-	return sweep.Job[[]float64]{Name: name, Seed: cfg.Seed, Run: func() ([]float64, uint64) {
-		r := CPUUtil(cfg)
-		return []float64{us(r.AvgCPU), float64(r.LinkWaits),
-			float64(r.LinkWait) / float64(time.Millisecond)}, r.Events
-	}}
-}
-
 // TopoSweep asks the question the tentpole exists for: does the paper's
 // application-bypass advantage survive once the single crossbar is
 // replaced by a routed multi-stage fabric where frames pay per-hop
@@ -27,8 +17,9 @@ func topoJob(name string, cfg Config) sweep.Job[[]float64] {
 // workload five ways — both implementations on the ideal crossbar, both
 // on the routed topology, and bypass again with the topology-aware
 // reduction tree — and reports the contention the routed runs absorbed.
-func TopoSweep(sizes []int, ft topo.Spec, skew sim.Time, count int, o Opts) *Table {
-	o = o.withDefaults()
+// base.Topo is the routed fabric; the crossbar cells replace it.
+func TopoSweep(sizes []int, skew sim.Time, count int, base Config, workers int) *Table {
+	ft := base.Topo
 	t := &Table{
 		Title: fmt.Sprintf("Topology sweep — crossbar vs. %s", ft),
 		XName: "nodes",
@@ -56,21 +47,21 @@ func TopoSweep(sizes []int, ft topo.Spec, skew sim.Time, count int, o Opts) *Tab
 		{"ft/ab", AppBypass, ft, false},
 		{"ft/ab-hier", AppBypass, ft, true},
 	}
-	var jobs []sweep.Job[[]float64]
+	base.Count, base.MaxSkew = count, skew
+	var jobs []sweep.Job[cell]
 	for _, size := range sizes {
 		specs := model.PaperCluster(size)
-		for _, c := range cells {
-			jobs = append(jobs, topoJob(fmt.Sprintf("topo/x=%d/%s", size, c.name),
-				Config{Specs: specs, Count: count, Mode: c.mode, MaxSkew: skew,
-					Iters: o.Iters, Seed: o.Seed, Pool: o.Pool, Fault: o.Fault,
-					Topo: c.topo, TopoAware: c.hier, LPs: o.LPs}))
+		for _, tc := range cells {
+			c := base
+			c.Specs, c.Mode, c.Topo, c.TopoAware = specs, tc.mode, tc.topo, tc.hier
+			jobs = append(jobs, cpuJob(fmt.Sprintf("topo/x=%d/%s", size, tc.name), c))
 		}
 	}
-	return runGrid(t, floats(sizes), jobs, func(cells [][]float64) []float64 {
-		xbNab, xbAb := cells[0][0], cells[1][0]
-		ftNab, ftAb, ftHier := cells[2][0], cells[3][0], cells[4][0]
+	return runGrid(t, floats(sizes), jobs, func(cells []cell) []float64 {
+		xbNab, xbAb := cells[0].us, cells[1].us
+		ftNab, ftAb, ftHier := cells[2].us, cells[3].us, cells[4].us
 		return []float64{xbNab, xbAb, xbNab / xbAb,
 			ftNab, ftAb, ftNab / ftAb, ftHier, ftAb / ftHier,
-			cells[3][1], cells[3][2]}
-	}, o.Workers)
+			float64(cells[3].linkWaits), float64(cells[3].linkWait) / float64(time.Millisecond)}
+	}, workers)
 }

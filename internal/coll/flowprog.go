@@ -32,7 +32,7 @@ func (p *Program) at(pos *flowPos) *Step {
 }
 
 // Run executes prog on every rank — the flow interpreter of a Program,
-// which it first checks for packet-only knobs (flowRefusal) — and
+// which it first checks for packet-only knobs (FlowRefusal) — and
 // returns what drain returns: the caller's run-to-quiescence
 // (cluster.Drain). A rank cannot be a simulated process at flow scale,
 // so its position in the step table is its whole state. Each rank first
@@ -41,7 +41,9 @@ func (p *Program) at(pos *flowPos) *Step {
 // Afterwards InCall holds each rank's time inside reduction calls and
 // Intr the handler time that landed inside its spins.
 func (fc *FlowColl) Run(prog Program, drain func() sim.Time) sim.Time {
-	prog.flowRefusal()
+	if err := prog.FlowRefusal(); err != nil {
+		panic(err.Error())
+	}
 	if prog.Root < 0 || prog.Root >= fc.Size {
 		panic(fmt.Sprintf("coll: flow communicator size=%d root=%d", fc.Size, prog.Root))
 	}

@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"fmt"
 	"time"
 
 	"abred/internal/sim"
@@ -39,6 +40,33 @@ const (
 	AlgoNIC                  // NIC-based reduction (packet engine only)
 	AlgoSplit                // split-phase IReduce harvested Window iterations later (packet engine only)
 )
+
+// String returns the algorithm's spec name: nab, ab, nic or split.
+func (a Algo) String() string {
+	switch a {
+	case AlgoBinomial:
+		return "nab"
+	case AlgoAB:
+		return "ab"
+	case AlgoNIC:
+		return "nic"
+	case AlgoSplit:
+		return "split"
+	}
+	return fmt.Sprintf("Algo(%d)", uint8(a))
+}
+
+// ParseAlgo parses a reduction name as flags and scenario specs spell
+// it — the inverse of String for the three algorithms a benchmark
+// drives alone (split-phase exists only inside an application loop).
+func ParseAlgo(s string) (Algo, error) {
+	for _, a := range []Algo{AlgoBinomial, AlgoAB, AlgoNIC} {
+		if s == a.String() {
+			return a, nil
+		}
+	}
+	return AlgoBinomial, fmt.Errorf("unknown mode %q (nab|ab|nic)", s)
+}
 
 // Program is what every rank of a communicator executes: Body Iters
 // times, then Tail once. It is engine-neutral — cluster.Exec interprets
@@ -81,9 +109,11 @@ func Reductions(steps []Step) int {
 	return n
 }
 
-// flowRefusal panics on the first field of p the flow engine does not
-// model at committed fidelity — the one place those refusals live.
-func (p *Program) flowRefusal() {
+// FlowRefusal names the first field of p the flow engine does not model
+// at committed fidelity, nil if it models them all — the one place
+// those refusals live. FlowColl.Run panics with it; callers that choose
+// what to run ask it first.
+func (p *Program) FlowRefusal() error {
 	var field string
 	switch {
 	case p.Algo == AlgoNIC:
@@ -95,9 +125,9 @@ func (p *Program) flowRefusal() {
 	case p.RendezvousAB:
 		field = "RendezvousAB"
 	default:
-		return
+		return nil
 	}
-	panic("coll: the flow engine does not model Program." + field)
+	return fmt.Errorf("coll: the flow engine does not model Program.%s", field)
 }
 
 // ExpectedRootSum returns the exact result of reduction k of iteration

@@ -87,13 +87,6 @@ func Sub(pr *Process, members []int, id int) *Comm {
 	return &Comm{pr: pr, base: uint16(base), members: members, myRank: me}
 }
 
-// Dup returns a communicator with fresh context ids over the same ranks
-// (MPI_Comm_dup). n counts previously created communicators.
-func (c *Comm) Dup(n int) *Comm {
-	return &Comm{pr: c.pr, base: uint16((n + 1) * int(nCtxKinds)),
-		members: c.members, myRank: c.myRank}
-}
-
 // IsWorld reports whether the communicator spans every process. The
 // NIC-resident collective paths (NIC firmware, asynchronous broadcast
 // forwarding) key their tree math off world state and accept world
@@ -148,18 +141,8 @@ func (c *Comm) Send(dst int, tag int32, data []byte) {
 	c.pr.Send(SendArgs{Dst: c.World(dst), Ctx: c.Ctx(CtxP2P), Tag: tag, Data: data})
 }
 
-// Isend is the non-blocking form of Send.
-func (c *Comm) Isend(dst int, tag int32, data []byte) *Request {
-	return c.pr.Isend(SendArgs{Dst: c.World(dst), Ctx: c.Ctx(CtxP2P), Tag: tag, Data: data})
-}
-
 // Recv is blocking point-to-point receive on the p2p context. src is a
 // comm-local rank; a returned Status carries the world source rank.
 func (c *Comm) Recv(src int, tag int32, buf []byte) Status {
 	return c.pr.Recv(c.Ctx(CtxP2P), c.World(src), tag, buf)
-}
-
-// Irecv is the non-blocking form of Recv.
-func (c *Comm) Irecv(src int, tag int32, buf []byte) *Request {
-	return c.pr.Irecv(c.Ctx(CtxP2P), c.World(src), tag, buf)
 }

@@ -23,22 +23,6 @@ func TestCommBasics(t *testing.T) {
 	})
 }
 
-func TestCommIsendIrecv(t *testing.T) {
-	runRanks(t, 2, func(pr *Process) {
-		w := World(pr)
-		switch w.Rank() {
-		case 0:
-			w.Isend(1, 9, []byte{42}).Wait()
-		case 1:
-			buf := make([]byte, 1)
-			st := w.Irecv(0, 9, buf).Wait()
-			if st.Source != 0 || buf[0] != 42 {
-				t.Errorf("irecv got %v from %d", buf, st.Source)
-			}
-		}
-	})
-}
-
 func TestRebind(t *testing.T) {
 	runRanks(t, 1, func(pr *Process) {
 		old := pr.P
@@ -74,30 +58,5 @@ func TestStatusOnIncompletePanics(t *testing.T) {
 	runRanks(t, 1, func(pr *Process) {
 		req := pr.Irecv(0, 0, 99, make([]byte, 1))
 		req.Status() // incomplete: must panic
-	})
-}
-
-func TestCommDupIsolation(t *testing.T) {
-	runRanks(t, 2, func(pr *Process) {
-		w := World(pr)
-		d := w.Dup(0)
-		if d.Ctx(CtxP2P) == w.Ctx(CtxP2P) {
-			t.Fatal("dup shares context ids with world")
-		}
-		switch pr.Rank() {
-		case 0:
-			d.Send(1, 1, []byte{5})
-			w.Send(1, 1, []byte{6})
-		case 1:
-			buf := make([]byte, 1)
-			w.Recv(0, 1, buf)
-			if buf[0] != 6 {
-				t.Errorf("world recv got %d, want 6", buf[0])
-			}
-			d.Recv(0, 1, buf)
-			if buf[0] != 5 {
-				t.Errorf("dup recv got %d, want 5", buf[0])
-			}
-		}
 	})
 }

@@ -28,9 +28,6 @@ func TestSubCommTranslation(t *testing.T) {
 		if c.Ctx(CtxReduce) == w.Ctx(CtxReduce) {
 			t.Error("sub-communicator shares the world reduce context")
 		}
-		if d := c.Dup(7); d.Ctx(CtxReduce) == c.Ctx(CtxReduce) || d.Rank() != c.Rank() {
-			t.Error("Dup did not keep membership with a fresh context")
-		}
 	})
 }
 

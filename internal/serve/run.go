@@ -7,6 +7,7 @@ import (
 
 	"abred/internal/bench"
 	"abred/internal/cluster"
+	"abred/internal/coll"
 	"abred/internal/fault"
 	"abred/internal/sim"
 	"abred/internal/stats"
@@ -150,13 +151,13 @@ func (r *runner) benchConfig(rep int) bench.Config {
 	if err != nil {
 		panic("serve: " + err.Error())
 	}
-	mode, _ := bench.ParseMode(s.Mode)
+	algo, _ := coll.ParseAlgo(s.Mode)
 	ts, _ := topo.ParseSpec(s.Topo)
 	engine, _ := cluster.ParseEngine(s.Engine)
 	cfg := bench.Config{
 		Specs:     specs,
 		Count:     s.Count,
-		Mode:      mode,
+		Mode:      algo,
 		MaxSkew:   sim.Time(s.Skew),
 		Iters:     s.Iters,
 		Seed:      repSeed(s.Seed, rep),
@@ -206,10 +207,7 @@ func (r *runner) tenancyRep(rep int) float64 {
 	}
 	ts, _ := topo.ParseSpec(s.Topo)
 	place, _ := workload.ParsePlacement(s.Place)
-	style := workload.StyleBypass
-	if s.Mode == "nab" {
-		style = workload.StyleDefault
-	}
+	algo, _ := coll.ParseAlgo(s.Mode)
 	cfg := workload.TenancyConfig{
 		Specs:       specs,
 		Topo:        ts,
@@ -219,7 +217,7 @@ func (r *runner) tenancyRep(rep int) float64 {
 		Iters:       s.Iters,
 		Count:       s.Count,
 		MaxSkew:     sim.Time(s.Skew),
-		Style:       style,
+		Style:       algo,
 		Place:       place,
 		Pool:        r.pool,
 	}

@@ -30,8 +30,8 @@ import (
 	"fmt"
 	"time"
 
-	"abred/internal/bench"
 	"abred/internal/cluster"
+	"abred/internal/coll"
 	"abred/internal/model"
 	"abred/internal/topo"
 	"abred/internal/workload"
@@ -193,21 +193,20 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 	if s.Cluster == "" {
 		s.Cluster = "paper"
 	}
-	specs, err := clusterSpecs(s.Cluster, 2) // class check only; sized later
-	if err != nil {
+	if _, err := clusterSpecs(s.Cluster, 2); err != nil { // class check only; sized later
 		return s, err
 	}
 	if s.Mode == "" {
 		s.Mode = "ab"
 	}
-	mode, err := bench.ParseMode(s.Mode)
+	algo, err := coll.ParseAlgo(s.Mode)
 	if err != nil {
 		return s, err
 	}
 	if s.Topo == "" {
 		s.Topo = "crossbar"
 	}
-	ts, err := topo.ParseSpec(s.Topo)
+	ts, err := topo.ParseSpec(s.Topo) // validates the topology too
 	if err != nil {
 		return s, err
 	}
@@ -219,8 +218,10 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 	if err != nil {
 		return s, err
 	}
-	if engine == cluster.EngineFlow && mode == bench.NICBased {
-		return s, fmt.Errorf("the flow engine does not model NIC-based reduction")
+	if engine == cluster.EngineFlow {
+		if err := (&coll.Program{Algo: algo}).FlowRefusal(); err != nil {
+			return s, err
+		}
 	}
 	if s.LPs < 0 {
 		return s, fmt.Errorf("lps must be non-negative (got %d)", s.LPs)
@@ -252,7 +253,7 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 	if s.Seed == 0 {
 		s.Seed = 20030701
 	}
-	if s.TopoAware && (ts.Kind == topo.Crossbar || mode != bench.AppBypass) {
+	if s.TopoAware && (ts.Kind == topo.Crossbar || algo != coll.AlgoAB) {
 		return s, fmt.Errorf("topoaware needs a routed topo and mode ab")
 	}
 
@@ -271,8 +272,8 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 			// either knob would ignore it and still key the cache on it.
 			return s, fmt.Errorf("the tenancy scenario runs on one LP over binomial trees (no lps or topoaware)")
 		}
-		if mode == bench.NICBased {
-			return s, fmt.Errorf("the tenancy scenario compares ab and nab only")
+		if err := workload.TenancyRefusal(algo); err != nil {
+			return s, err
 		}
 		if s.Place == "" {
 			s.Place = "random"
@@ -313,15 +314,6 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 	}
 	if s.MinReps > s.MaxReps {
 		return s, fmt.Errorf("minreps %d exceeds maxreps %d", s.MinReps, s.MaxReps)
-	}
-
-	// Final construction-time sanity through the cluster's own
-	// validator, with the real node count so topology constraints see
-	// the true shape.
-	_ = specs
-	cc := cluster.Config{Specs: model.Uniform(s.Nodes), Topo: ts, LPs: s.LPs, Engine: engine}
-	if err := cc.Validate(); err != nil {
-		return s, err
 	}
 	return s, nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abred/internal/cluster"
+	"abred/internal/coll"
 	"abred/internal/model"
 	"abred/internal/skew"
 	"abred/internal/topo"
@@ -29,7 +30,7 @@ func relClose(a, b int64, frac float64) bool {
 // tiny), identical root results.
 func TestFlowWorkloadCrossValidation(t *testing.T) {
 	for _, halo := range []bool{false, true} {
-		for _, style := range []Style{StyleDefault, StyleBypass} {
+		for _, style := range []Style{coll.AlgoBinomial, StyleBypass} {
 			cfg := Config{
 				Specs:       model.Uniform(128),
 				Iters:       10,

@@ -31,6 +31,9 @@ import (
 	"abred/internal/topo"
 )
 
+// tenantCompute is a tenant job's baseline compute per iteration.
+const tenantCompute = sim.Time(20 * time.Microsecond)
+
 // Stream ids for streamSeed. Per-job streams add the job id, so keep
 // the bases far apart (job counts are bounded by the communicator
 // context space, ~7k).
@@ -67,9 +70,8 @@ type TenancyConfig struct {
 	MaxNodes    int      //   [MinNodes, MaxNodes]
 	Iters       int      // per-job iterations drawn from [max(1,Iters/2), Iters]
 	Count       int      // reduction elements per call
-	Compute     sim.Time // baseline compute per iteration
 	MaxSkew     sim.Time // per-rank imbalance bound per iteration
-	Style       Style    // StyleDefault (blocking) or StyleBypass (AB)
+	Style       Style    // coll.AlgoBinomial or coll.AlgoAB (TenancyRefusal)
 	Place       Placement
 	Pool        *cluster.Pool // optional warm cluster reuse
 }
@@ -99,9 +101,6 @@ func (c *TenancyConfig) defaults() {
 	if c.Count == 0 {
 		c.Count = 2
 	}
-	if c.Compute == 0 {
-		c.Compute = sim.Time(20 * time.Microsecond)
-	}
 	if c.MaxSkew == 0 {
 		c.MaxSkew = sim.Time(50 * time.Microsecond)
 	}
@@ -124,11 +123,19 @@ func (c *TenancyConfig) validate() {
 		// the uint16 context space.
 		panic(fmt.Sprintf("workload: %d jobs exceed the communicator context space", c.Jobs))
 	}
-	switch c.Style {
-	case StyleDefault, StyleBypass:
-	default:
-		panic(fmt.Sprintf("workload: tenancy supports default and app-bypass styles, not %v", c.Style))
+	if err := TenancyRefusal(c.Style); err != nil {
+		panic(err.Error())
 	}
+}
+
+// TenancyRefusal says why a tenant job cannot run algo, nil if it can:
+// the tenancy workload compares the binomial and application-bypass
+// reductions only. This is the one place that rule lives.
+func TenancyRefusal(algo coll.Algo) error {
+	if algo == coll.AlgoBinomial || algo == coll.AlgoAB {
+		return nil
+	}
+	return fmt.Errorf("workload: tenancy runs the nab and ab reductions only, not %v", algo)
 }
 
 // jobShape is one job as emitted by the arrival process — fully
@@ -161,9 +168,9 @@ func genShapes(cfg *TenancyConfig) []jobShape {
 
 		skews := skew.Matrix(skew.Uniform{Max: cfg.MaxSkew}, streamRNG(cfg.Seed, streamSkew+uint64(j)), iters, size)
 		shapes[j] = jobShape{arrival: clock, size: size, prog: coll.Program{
-			Iters: iters, Count: cfg.Count, Algo: cfg.Style.algo(),
+			Iters: iters, Count: cfg.Count, Algo: cfg.Style,
 			Body: []coll.Step{
-				{Kind: coll.StepSpin, Budget: cfg.Compute, Matrix: skews},
+				{Kind: coll.StepSpin, Budget: tenantCompute, Matrix: skews},
 				{Kind: coll.StepReduce},
 				{Kind: coll.StepSpin, Budget: cfg.MaxSkew + coll.LatencyBound(size, cfg.Count, 300*time.Microsecond)},
 				{Kind: coll.StepBarrier},

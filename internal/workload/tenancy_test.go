@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abred/internal/cluster"
+	"abred/internal/coll"
 	"abred/internal/fault"
 	"abred/internal/model"
 	"abred/internal/sim"
@@ -174,7 +175,7 @@ func TestTenancyGenetic(t *testing.T) {
 // CompareParallel (satellite audit: no draw may flow through shared
 // worker state).
 func TestTenancyParallelDeterminism(t *testing.T) {
-	styles := []Style{StyleDefault, StyleBypass}
+	styles := []Style{coll.AlgoBinomial, StyleBypass}
 	run := func(workers int) []TenancyResult {
 		jobs := make([]sweep.Job[TenancyResult], len(styles))
 		for i, s := range styles {
@@ -205,7 +206,7 @@ func TestTenancyParallelDeterminism(t *testing.T) {
 func TestCompareParallelByteIdentical(t *testing.T) {
 	cfg := Config{Specs: model.Uniform(16), Iters: 6, Seed: 13,
 		Topo: topo.Spec{Kind: topo.FatTree, K: 8}}
-	styles := []Style{StyleDefault, StyleBypass, StyleSplitPhase}
+	styles := []Style{coll.AlgoBinomial, StyleBypass, coll.AlgoSplit}
 	serial := CompareParallel(cfg, 1, styles...)
 	parallel := CompareParallel(cfg, 4, styles...)
 	for i := range serial {

@@ -13,8 +13,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"abred/internal/cluster"
 	"abred/internal/coll"
 	"abred/internal/model"
@@ -25,31 +23,12 @@ import (
 	"abred/internal/topo"
 )
 
-// Style selects the reduction implementation the application uses.
-type Style int
+// Style is the reduction an application or tenant job runs, by its one
+// name (coll.Algo).
+type Style = coll.Algo
 
-// Reduction styles.
-const (
-	StyleDefault    Style = iota // blocking MPICH reduction
-	StyleBypass                  // application-bypass reduction
-	StyleSplitPhase              // IReduce posted now, waited a window later
-	StyleNIC                     // NIC-based reduction
-)
-
-// String implements fmt.Stringer.
-func (s Style) String() string {
-	switch s {
-	case StyleDefault:
-		return "default"
-	case StyleBypass:
-		return "app-bypass"
-	case StyleSplitPhase:
-		return "split-phase"
-	case StyleNIC:
-		return "nic-based"
-	}
-	return "?"
-}
+// StyleBypass is the application-bypass reduction.
+const StyleBypass = coll.AlgoAB
 
 // Config describes the synthetic application.
 type Config struct {
@@ -66,8 +45,8 @@ type Config struct {
 	LPs         int       // parallel logical processes (see cluster.Config.LPs)
 
 	// Engine selects the simulation engine (cluster.Config.Engine). The
-	// flow engine models the default and app-bypass styles only, and
-	// refuses the others (coll.Program).
+	// flow engine models the binomial and app-bypass reductions only, and
+	// refuses the others (coll.Program.FlowRefusal).
 	Engine cluster.Engine
 }
 
@@ -94,7 +73,7 @@ func (c *Config) defaults() {
 
 // Result summarizes one application run.
 type Result struct {
-	Style       Style
+	Algo        coll.Algo
 	JobTime     sim.Time      // wall time until every rank finished
 	ReduceCalls stats.Summary // per-rank time inside reduction calls
 	Signals     uint64        // signals handled across the cluster
@@ -102,25 +81,10 @@ type Result struct {
 	Events      uint64        // simulated events executed
 }
 
-// algo is the reduction a style runs.
-func (s Style) algo() coll.Algo {
-	switch s {
-	case StyleDefault:
-		return coll.AlgoBinomial
-	case StyleBypass:
-		return coll.AlgoAB
-	case StyleSplitPhase:
-		return coll.AlgoSplit
-	case StyleNIC:
-		return coll.AlgoNIC
-	}
-	panic(fmt.Sprintf("workload: unknown style %d", s))
-}
-
-// Run executes the application with the given style on cfg's engine.
+// Run executes the application with the given reduction on cfg's engine.
 // Root results are rank 0's, in instance order: coll.ExpectedRootSum of
 // each (iteration, reduction).
-func Run(cfg Config, style Style) Result {
+func Run(cfg Config, algo coll.Algo) Result {
 	cfg.defaults()
 	size := len(cfg.Specs)
 	if size < 2 {
@@ -139,7 +103,7 @@ func Run(cfg Config, style Style) Result {
 		body = append(body, coll.Step{Kind: coll.StepReduce})
 	}
 	out, wall := cl.Exec(coll.Program{
-		Iters: cfg.Iters, Count: cfg.Count, Algo: style.algo(), Window: cfg.Window,
+		Iters: cfg.Iters, Count: cfg.Count, Algo: algo, Window: cfg.Window,
 		Body: body,
 		Tail: []coll.Step{{Kind: coll.StepSpin, Budget: 2 * cfg.Compute}, {Kind: coll.StepBarrier}},
 	})
@@ -149,7 +113,7 @@ func Run(cfg Config, style Style) Result {
 		signals += s
 	}
 	return Result{
-		Style:       style,
+		Algo:        algo,
 		JobTime:     wall,
 		ReduceCalls: stats.Summarize(out.InCall),
 		Signals:     signals,
@@ -158,17 +122,16 @@ func Run(cfg Config, style Style) Result {
 	}
 }
 
-// CompareParallel runs the same application under several styles across
-// a worker pool and returns the results in style order: each style's run
-// is an independent simulation (own kernel, own cluster, same seed), so
-// the results do not depend on workers.
-func CompareParallel(cfg Config, workers int, styles ...Style) []Result {
-	jobs := make([]sweep.Job[Result], len(styles))
-	for i, s := range styles {
-		s := s
-		jobs[i] = sweep.Job[Result]{Name: "workload/" + s.String(), Seed: cfg.Seed,
+// CompareParallel runs the same application under several reductions
+// across a worker pool and returns the results in argument order: each
+// run is an independent simulation (own kernel, own cluster, same
+// seed), so the results do not depend on workers.
+func CompareParallel(cfg Config, workers int, algos ...coll.Algo) []Result {
+	jobs := make([]sweep.Job[Result], len(algos))
+	for i, a := range algos {
+		jobs[i] = sweep.Job[Result]{Name: "workload/" + a.String(), Seed: cfg.Seed,
 			Run: func() (Result, uint64) {
-				r := Run(cfg, s)
+				r := Run(cfg, a)
 				return r, r.Events
 			}}
 	}

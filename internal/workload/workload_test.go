@@ -27,7 +27,7 @@ func baseCfg() Config {
 // application must produce the identical reduction results at rank 0.
 func TestAllStylesComputeTheSameReductions(t *testing.T) {
 	cfg := baseCfg()
-	results := CompareParallel(cfg, 1, StyleDefault, StyleBypass, StyleSplitPhase, StyleNIC)
+	results := CompareParallel(cfg, 1, coll.AlgoBinomial, StyleBypass, coll.AlgoSplit, coll.AlgoNIC)
 	want := results[0].RootResults
 	if len(want) != cfg.Iters {
 		t.Fatalf("default produced %d results, want %d", len(want), cfg.Iters)
@@ -39,11 +39,11 @@ func TestAllStylesComputeTheSameReductions(t *testing.T) {
 	}
 	for _, r := range results[1:] {
 		if len(r.RootResults) != len(want) {
-			t.Fatalf("%v produced %d results, want %d", r.Style, len(r.RootResults), len(want))
+			t.Fatalf("%v produced %d results, want %d", r.Algo, len(r.RootResults), len(want))
 		}
 		for it := range want {
 			if r.RootResults[it] != want[it] {
-				t.Errorf("%v iteration %d: %v, want %v", r.Style, it, r.RootResults[it], want[it])
+				t.Errorf("%v iteration %d: %v, want %v", r.Algo, it, r.RootResults[it], want[it])
 			}
 		}
 	}
@@ -53,9 +53,9 @@ func TestAllStylesComputeTheSameReductions(t *testing.T) {
 // far less time inside reduction calls than the default.
 func TestBypassCutsInCallTime(t *testing.T) {
 	cfg := baseCfg()
-	def := Run(cfg, StyleDefault)
+	def := Run(cfg, coll.AlgoBinomial)
 	ab := Run(cfg, StyleBypass)
-	split := Run(cfg, StyleSplitPhase)
+	split := Run(cfg, coll.AlgoSplit)
 	// The halo exchange partially re-synchronizes neighbours before
 	// each reduction, so the gap is narrower than in the pure
 	// microbenchmark; still, AB must win clearly.
@@ -74,8 +74,8 @@ func TestBypassCutsInCallTime(t *testing.T) {
 // (non-root ranks only deposit).
 func TestNICStyleFreesHost(t *testing.T) {
 	cfg := baseCfg()
-	def := Run(cfg, StyleDefault)
-	nic := Run(cfg, StyleNIC)
+	def := Run(cfg, coll.AlgoBinomial)
+	nic := Run(cfg, coll.AlgoNIC)
 	if nic.ReduceCalls.Mean*2 > def.ReduceCalls.Mean {
 		t.Errorf("NIC in-call time %v not clearly below default %v", nic.ReduceCalls.Mean, def.ReduceCalls.Mean)
 	}
@@ -94,7 +94,7 @@ func TestWindowedSplitPhaseOrdering(t *testing.T) {
 	cfg := baseCfg()
 	cfg.RedsPerIter = 3
 	cfg.Window = 4
-	r := Run(cfg, StyleSplitPhase)
+	r := Run(cfg, coll.AlgoSplit)
 	if len(r.RootResults) != cfg.Iters*cfg.RedsPerIter {
 		t.Fatalf("got %d results, want %d", len(r.RootResults), cfg.Iters*cfg.RedsPerIter)
 	}
@@ -109,22 +109,10 @@ func TestWindowedSplitPhaseOrdering(t *testing.T) {
 	}
 }
 
-func TestStyleStrings(t *testing.T) {
-	names := map[Style]string{
-		StyleDefault: "default", StyleBypass: "app-bypass",
-		StyleSplitPhase: "split-phase", StyleNIC: "nic-based",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", s, s.String())
-		}
-	}
-}
-
 func TestHeavyTailImbalance(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Imbalance = skew.Pareto{Min: 20 * us, Max: 2000 * us, Alpha: 1.3}
-	def := Run(cfg, StyleDefault)
+	def := Run(cfg, coll.AlgoBinomial)
 	ab := Run(cfg, StyleBypass)
 	if ab.ReduceCalls.Mean >= def.ReduceCalls.Mean {
 		t.Errorf("AB should win under heavy-tailed imbalance: %v vs %v", ab.ReduceCalls.Mean, def.ReduceCalls.Mean)
