@@ -89,20 +89,8 @@ type Config struct {
 	// instead of building it from scratch: the cluster is Reset under
 	// this config's seed and fault plan (byte-identical to a fresh
 	// build, enforced by the determinism tests) and returned to the
-	// pool afterwards. Nil preserves the build-per-run behavior.
+	// pool afterwards. Nil builds a fresh cluster per run.
 	Pool *cluster.Pool
-}
-
-// acquire returns the cluster to benchmark on and a release function:
-// Get/Put against the pool when one is set, New/Close otherwise.
-func (c *Config) acquire() (*cluster.Cluster, func()) {
-	cc := c.clusterConfig()
-	if c.Pool != nil {
-		cl := c.Pool.Get(cc)
-		return cl, func() { c.Pool.Put(cl) }
-	}
-	cl := cluster.New(cc)
-	return cl, cl.Close
 }
 
 // clusterConfig assembles the cluster construction parameters.
@@ -196,8 +184,8 @@ func CPUUtil(cfg Config) CPUUtilResult {
 	if size < 1 {
 		panic("bench: empty cluster")
 	}
-	cl, release := cfg.acquire()
-	defer release()
+	cl := cfg.Pool.Get(cfg.clusterConfig())
+	defer cfg.Pool.Put(cl)
 
 	prog := coll.Program{
 		Iters: cfg.Iters, Count: cfg.Count, Algo: cfg.Mode,

@@ -28,8 +28,8 @@ const notifyTag = 1 << 20
 func Latency(cfg Config) LatencyResult {
 	cfg.defaults()
 	size := len(cfg.Specs)
-	cl, release := cfg.acquire()
-	defer release()
+	cl := cfg.Pool.Get(cfg.clusterConfig())
+	defer cfg.Pool.Put(cl)
 	const root = 0
 	last := coll.LastRank(root, size)
 

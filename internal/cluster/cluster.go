@@ -128,6 +128,15 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// costs returns the cost constants cfg asks for: Costs, or
+// model.DefaultCosts when Costs is the zero value.
+func (cfg Config) costs() model.Costs {
+	if cfg.Costs == (model.Costs{}) {
+		return model.DefaultCosts()
+	}
+	return cfg.Costs
+}
+
 // normLPs normalizes a requested LP count: 0 and 1 both mean one LP.
 func normLPs(n int) int {
 	if n < 1 {
@@ -166,16 +175,15 @@ func packetPoolCap(n int) int {
 // (one backing array each) and nodes with identical hardware share one
 // cost model that every per-node store holds as an 8-byte handle, so the
 // cost constants scale with the number of distinct node classes, not
-// with raw node count.
+// with raw node count. New builds the shape and ends in arm, the step
+// Reset runs too, so a fresh cluster and a reset one are the same state
+// by construction.
 func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.Costs == (model.Costs{}) {
-		cfg.Costs = model.DefaultCosts()
-	}
 	tp := topo.Build(cfg.Topo, len(cfg.Specs))
-	c := &Cluster{Costs: cfg.Costs, Topo: tp, Engine: cfg.Engine,
+	c := &Cluster{Costs: cfg.costs(), Topo: tp, Engine: cfg.Engine,
 		reqLPs: normLPs(cfg.LPs), key: keyOf(cfg)}
 
 	// Partition along pod boundaries when a parallel run was requested;
@@ -192,24 +200,31 @@ func New(cfg Config) *Cluster {
 		c.Ks[i] = sim.New(lpSeed(cfg.Seed, i))
 	}
 	c.K = c.Ks[0]
-	c.cms = model.SharedCostModels(cfg.Specs, cfg.Costs)
+	c.cms = model.SharedCostModels(cfg.Specs, c.Costs)
 	if cfg.Engine == EngineFlow {
-		c.buildFlow(cfg)
-		return c
+		c.buildFlow()
+	} else {
+		c.buildPacket()
 	}
+	c.arm(cfg.Fault)
+	return c
+}
 
-	fab := fabric.New(c.K, len(cfg.Specs), cfg.Costs)
-	fab.SetTopology(tp)
+// buildPacket finishes a packet-engine cluster: the fabric over the
+// topology, its LP window loop, and one NIC and Node per spec.
+func (c *Cluster) buildPacket() {
+	size := c.Size()
+	fab := fabric.New(c.K, size, c.Costs)
+	fab.SetTopology(c.Topo)
 	fab.SetPartition(c.pmap, c.Ks)
 	c.Fabric = fab
 	c.lpset = sim.NewLPSet(c.Ks, fab.Lookahead(), fab.Exchange)
 
-	reliable := c.installFaults(cfg.Fault)
 	nics := gm.NewNICs(c.Ks, c.pmap, c.cms, fab)
 	fab.Reown = gm.ReownHook(nics)
-	poolCap := packetPoolCap(len(cfg.Specs))
-	nodes := make([]Node, len(cfg.Specs))
-	c.Nodes = make([]*Node, len(cfg.Specs))
+	poolCap := packetPoolCap(size)
+	nodes := make([]Node, size)
+	c.Nodes = make([]*Node, size)
 	for i := range nodes {
 		n := &nodes[i]
 		n.ID = i
@@ -219,12 +234,31 @@ func New(cfg Config) *Cluster {
 		n.cl = c
 		n.pname = "rank" + strconv.Itoa(i)
 		n.spawnFn = n.body
-		if reliable {
-			n.NIC.EnableReliability()
-		}
 		c.Nodes[i] = n
 	}
-	return c
+}
+
+// arm puts the built shape in its just-built state under fault plan fc:
+// the step New ends in and Reset runs after re-seeding the kernels. It
+// resets the fabric or the flow machine, installs the fault plan, and
+// resets the NICs (reliable exactly when fc injects faults) and the
+// node state.
+func (c *Cluster) arm(fc fault.Config) {
+	if c.Engine == EngineFlow {
+		c.FlowM.Reset()
+		if err := c.FlowM.SetFaults(fc); err != nil {
+			panic("cluster: " + err.Error())
+		}
+		return
+	}
+	c.Fabric.Reset()
+	reliable := c.installFaults(fc)
+	for _, n := range c.Nodes {
+		n.NIC.Reset(reliable)
+		n.Proc = nil
+		n.fresh = n.MPI != nil
+	}
+	c.program = nil
 }
 
 // installFaults compiles and installs cfg's fault plan, reporting
@@ -259,7 +293,7 @@ func (c *Cluster) shapeDiff(cfg Config) string {
 		return fmt.Sprintf("engine %v on a %v cluster", cfg.Engine, c.Engine)
 	case len(cfg.Specs) != c.Size():
 		return fmt.Sprintf("%d specs on a %d-node cluster", len(cfg.Specs), c.Size())
-	case cfg.Costs != c.Costs:
+	case cfg.costs() != c.Costs:
 		return "different costs"
 	case cfg.Topo.Norm() != c.Topo.Spec():
 		return fmt.Sprintf("topology %v on a %v cluster", cfg.Topo, c.Topo.Spec())
@@ -283,9 +317,6 @@ func (c *Cluster) shapeDiff(cfg Config) string {
 // clusters automatically. Seed and fault plan are run-time properties
 // and may change freely.
 func (c *Cluster) Reset(cfg Config) {
-	if cfg.Costs == (model.Costs{}) {
-		cfg.Costs = model.DefaultCosts()
-	}
 	if d := c.shapeDiff(cfg); d != "" {
 		panic("cluster: Reset with " + d)
 	}
@@ -293,21 +324,7 @@ func (c *Cluster) Reset(cfg Config) {
 		k.Reset(lpSeed(cfg.Seed, i))
 	}
 	c.lpset.ResetStats()
-	if c.Engine == EngineFlow {
-		c.FlowM.Reset()
-		if err := c.FlowM.SetFaults(cfg.Fault); err != nil {
-			panic("cluster: " + err.Error())
-		}
-		return
-	}
-	c.Fabric.Reset()
-	reliable := c.installFaults(cfg.Fault)
-	for _, n := range c.Nodes {
-		n.NIC.Reset(reliable)
-		n.Proc = nil
-		n.fresh = n.MPI != nil
-	}
-	c.program = nil
+	c.arm(cfg.Fault)
 }
 
 // Program is the per-rank body of an SPMD run. The world communicator
@@ -326,9 +343,9 @@ func (n *Node) body(p *sim.Proc) {
 		n.Engine = core.NewEngine(n.MPI)
 		n.world = mpi.World(n.MPI)
 	case n.fresh:
-		// First program after a Reset: re-initialize the rank in place,
-		// mirroring the fresh-build path exactly (including the eager
-		// bounce-buffer pin charged to p).
+		// First program after a Reset: re-initialize the rank in place
+		// through the same Resets NewProcess and NewEngine end in
+		// (including the eager bounce-buffer pin charged to p).
 		n.MPI.Reset(p)
 		n.Engine.Reset()
 		n.world = mpi.World(n.MPI)

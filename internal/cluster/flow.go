@@ -47,11 +47,8 @@ func ParseEngine(s string) (Engine, error) {
 // arrays even at a million nodes. The machine is sharded over the
 // cluster's LPs (the same pod partition as the packet engine) and the
 // shards couple through sim.LPSet windows.
-func (c *Cluster) buildFlow(cfg Config) {
-	m := flow.NewMachines(c.Ks, c.pmap, c.Topo, c.cms, cfg.Costs)
-	if err := m.SetFaults(cfg.Fault); err != nil {
-		panic("cluster: " + err.Error())
-	}
+func (c *Cluster) buildFlow() {
+	m := flow.NewMachines(c.Ks, c.pmap, c.Topo, c.cms, c.Costs)
 	c.FlowM = m
 	par := m.Par()
 	c.lpset = sim.NewLPSet(c.Ks, par.Lookahead(), par.Exchange)

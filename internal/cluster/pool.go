@@ -24,7 +24,9 @@ import (
 // shutdown.
 //
 // Pool is safe for concurrent use: the sweep engine's workers Get and
-// Put from independent goroutines.
+// Put from independent goroutines. A nil *Pool pools nothing: Get builds
+// a fresh cluster and Put closes it, so callers with an optional pool
+// need no branch of their own.
 type Pool struct {
 	mu   sync.Mutex
 	free map[poolKey][]*Cluster
@@ -93,7 +95,7 @@ func keyOf(cfg Config) poolKey {
 	// Topo is keyed normalized so equivalent spellings of one fabric
 	// (Oversub 0 vs 1) land in the same bucket.
 	return poolKey{n: len(cfg.Specs), specs: hashSpecs(cfg.Specs),
-		costs: cfg.Costs, topo: cfg.Topo.Norm(), lps: normLPs(cfg.LPs),
+		costs: cfg.costs(), topo: cfg.Topo.Norm(), lps: normLPs(cfg.LPs),
 		engine: cfg.Engine}
 }
 
@@ -104,8 +106,8 @@ func (c *Cluster) matches(cfg Config) bool { return c.shapeDiff(cfg) == "" }
 // and fault plan if a matching shape is available, a freshly built one
 // otherwise. Return it with Put when the run is done.
 func (p *Pool) Get(cfg Config) *Cluster {
-	if cfg.Costs == (model.Costs{}) {
-		cfg.Costs = model.DefaultCosts()
+	if p == nil {
+		return New(cfg)
 	}
 	k := keyOf(cfg)
 	var c *Cluster
@@ -139,7 +141,7 @@ func (p *Pool) Get(cfg Config) *Cluster {
 // panicked out of the simulation is closed, not pooled, so a deferred
 // Put is safe on every path.
 func (p *Pool) Put(c *Cluster) {
-	if c.running {
+	if p == nil || c.running {
 		c.Close()
 		return
 	}

@@ -200,6 +200,22 @@ func TestPoolReuse(t *testing.T) {
 		t.Fatalf("pooled runs diverged from fresh build:\nfresh:\n%s\nfirst:\n%s\nreused:\n%s",
 			want, got1, got2)
 	}
+
+	// A nil pool builds fresh on Get and closes on Put: a process left
+	// live on its cluster is gone afterwards.
+	var none *Pool
+	c := none.Get(cfgA)
+	if c == a1 {
+		t.Fatal("nil pool handed back a pooled cluster")
+	}
+	if got := fingerprint(c); got != want {
+		t.Fatalf("nil-pool run diverged from fresh build:\nfresh:\n%s\ngot:\n%s", want, got)
+	}
+	c.K.Spawn("leftover", func(*sim.Proc) {})
+	none.Put(c)
+	if n := c.K.LiveProcs(); n != 0 {
+		t.Fatalf("nil pool's Put left %d live procs, want the cluster closed", n)
+	}
 }
 
 // TestConstructionAllocsPerNode pins the slab win: building a cluster

@@ -586,6 +586,24 @@ func TestQuiescenceInvariants(t *testing.T) {
 
 // TestDeterminism: two identical runs produce byte-identical metrics
 // and timings.
+// TestEngineResetAllocatesNothing: NewEngine binds the hook, the NIC
+// signal handler and the firmware once, so Reset only installs them and
+// clears state. A pooled cluster's per-rank engine reset allocates
+// nothing.
+func TestEngineResetAllocatesNothing(t *testing.T) {
+	engines := runWorld(4, 1, func(r *ctxRank) {
+		out := make([]byte, 8)
+		r.e.Reduce(r.w, f64s(1), out, 1, mpi.Float64, mpi.OpSum, 0)
+		r.p.SpinInterruptible(1000 * us)
+		coll.Barrier(r.w)
+	})
+	for i, e := range engines {
+		if allocs := testing.AllocsPerRun(10, e.Reset); allocs != 0 {
+			t.Errorf("rank %d: Engine.Reset allocates %.0f objects, want 0", i, allocs)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() (Metrics, sim.Time) {
 		var end sim.Time

@@ -79,10 +79,16 @@ type Engine struct {
 	// 'A' = async handler) for timeline visualization.
 	traceFn func(kind byte, start, end sim.Time)
 
-	// sigFn is the bound onSignal method, captured once: creating the
-	// method value inside the signal handler would allocate a closure
-	// per raised signal.
-	sigFn func()
+	// The wiring Reset installs on the process and its NIC, bound once
+	// by NewEngine so that neither Reset nor a raised signal allocates:
+	// hookFn is the Fig. 4 hook, nicSigFn the NIC's signal target, sigFn
+	// the host handler it queues, and fwFn the NIC reduction firmware,
+	// whose per-instance state lives in nicTab.
+	hookFn   func(*gm.Packet) bool
+	nicSigFn func()
+	sigFn    func()
+	fwFn     gm.Firmware
+	nicTab   nicTable
 
 	Metrics Metrics
 }
@@ -98,30 +104,30 @@ func (e *Engine) trace(kind byte, start, end sim.Time) {
 	}
 }
 
-// NewEngine attaches application-bypass support to pr: it installs the
-// Fig. 4 pre-processing hook on the progress engine and wires the NIC's
-// signal line to an interrupt handler on the host process.
+// NewEngine attaches application-bypass support to pr. It allocates the
+// engine's maps and binds its wiring once, then ends in Reset, which
+// installs the wiring.
 func NewEngine(pr *mpi.Process) *Engine {
-	e := &Engine{pr: pr, delay: NoDelay{}}
+	e := &Engine{pr: pr, nicTab: make(nicTable)}
 	e.bcast.pending = make(map[bcastKey]*bcastInstance)
 	e.bcast.arrived = make(map[bcastKey][]byte)
-	pr.SetABHook(e.hook)
+	e.hookFn = e.hook
+	e.nicSigFn = e.nicSignal
 	e.sigFn = e.onSignal
-	pr.NIC().SetSignalHandler(func() {
-		// Runs in NIC context: queue the handler on the host process.
-		pr.P.Interrupt(e.sigFn)
-	})
-	e.installNICFirmware()
+	e.fwFn = e.firmware
+	e.Reset()
 	return e
 }
 
-// Reset returns the engine to its NewEngine state for a cluster reuse
-// run: queues, metrics and broadcast state clear (keeping capacity), the
-// default delay policy restored, and the hook/signal/firmware wiring
-// re-installed on the freshly reset process and NIC. The descriptor
-// pool survives the reset — pool hits never touch virtual time. Neither
-// NewEngine nor Reset charges virtual time, so a reused engine is
-// byte-identical to a fresh one.
+// Reset puts the engine in its just-built state without allocating:
+// queues, metrics, broadcast state and the NIC reduction table clear
+// (keeping capacity), the default delay policy is restored, and the
+// wiring is installed on the process and its NIC: the Fig. 4
+// pre-processing hook on the progress engine, the NIC's signal line to
+// an interrupt handler on the host process, and the NIC reduction
+// firmware. The descriptor pool survives the reset — pool hits never
+// touch virtual time. Reset charges no virtual time, so a reused engine
+// is byte-identical to a fresh one.
 func (e *Engine) Reset() {
 	for i := range e.descQ {
 		e.descQ[i] = nil
@@ -140,12 +146,11 @@ func (e *Engine) Reset() {
 	clear(e.bcast.arrived)
 	e.traceFn = nil
 	e.Metrics = Metrics{}
-	pr := e.pr
-	pr.SetABHook(e.hook)
-	pr.NIC().SetSignalHandler(func() {
-		pr.P.Interrupt(e.sigFn)
-	})
-	e.installNICFirmware()
+	clear(e.nicTab)
+	e.pr.SetABHook(e.hookFn)
+	nic := e.pr.NIC()
+	nic.SetSignalHandler(e.nicSigFn)
+	nic.SetFirmware(e.fwFn)
 }
 
 // SetDelayPolicy installs the §IV-E exit-delay heuristic.
@@ -176,6 +181,10 @@ type abMsg struct {
 	rts     *gm.Packet // rendezvous-mode AB: a queued large-child RTS
 	at      sim.Time
 }
+
+// nicSignal is the NIC's signal target. It runs in NIC context and
+// queues onSignal on the host process.
+func (e *Engine) nicSignal() { e.pr.P.Interrupt(e.sigFn) }
 
 // onSignal is the host-side signal handler. It runs on the application
 // process at its next interruptible point — exactly like a Unix signal

@@ -39,26 +39,22 @@ type nicKey struct {
 // firmware).
 type nicTable map[nicKey]*nicInstance
 
-// installNICFirmware loads the reduction control program onto the
-// node's NIC. Called at engine creation so contributions from eager
-// children are combined even before the local host reaches its call.
-func (e *Engine) installNICFirmware() {
-	table := make(nicTable)
-	nic := e.pr.NIC()
-	nic.SetFirmware(func(fw *gm.FwOps, pkt *gm.Packet) bool {
-		if pkt.Type != gm.NICCollective {
-			return false
-		}
-		e.nicProcess(fw, table, pkt)
-		return true
-	})
+// firmware is the reduction control program the engine loads onto the
+// node's NIC. Reset installs it, so contributions from eager children
+// are combined even before the local host reaches its call.
+func (e *Engine) firmware(fw *gm.FwOps, pkt *gm.Packet) bool {
+	if pkt.Type != gm.NICCollective {
+		return false
+	}
+	e.nicProcess(fw, pkt)
+	return true
 }
 
 // nicProcess handles one contribution in control-program context. LANai
 // time is accrued through fw.Charge; the control program performs the
 // posted actions once that time has elapsed, so the virtual-time cost is
 // the same as the old blocking Sleep-then-act sequence.
-func (e *Engine) nicProcess(fw *gm.FwOps, table nicTable, pkt *gm.Packet) {
+func (e *Engine) nicProcess(fw *gm.FwOps, pkt *gm.Packet) {
 	pr := e.pr
 	rank, size := pr.Rank(), pr.Size()
 	root := int(pkt.Root)
@@ -67,10 +63,10 @@ func (e *Engine) nicProcess(fw *gm.FwOps, table nicTable, pkt *gm.Packet) {
 	op := mpi.Op(pkt.AuxOp)
 	count := len(pkt.Data) / dt.Size()
 
-	inst := table[key]
+	inst := e.nicTab[key]
 	if inst == nil {
 		inst = &nicInstance{need: coll.ChildCount(rank, root, size) + 1}
-		table[key] = inst
+		e.nicTab[key] = inst
 	}
 	if inst.acc == nil {
 		inst.acc = append([]byte(nil), pkt.Data...)
@@ -82,7 +78,7 @@ func (e *Engine) nicProcess(fw *gm.FwOps, table nicTable, pkt *gm.Packet) {
 	if inst.got < inst.need {
 		return
 	}
-	delete(table, key)
+	delete(e.nicTab, key)
 	e.Metrics.NICCombines += uint64(inst.need - 1)
 
 	if rank == root {

@@ -88,7 +88,6 @@ type Fabric struct {
 	// construction-time property like the topology, surviving Reset.
 	Reown func(payload any, dst int)
 
-	OnDeliver func(Frame) // optional trace hook, called at delivery time
 	// OnHop observes each inter-switch link occupancy of a routed frame:
 	// the frame holds link for [start, end). Never called on a crossbar.
 	OnHop func(fr Frame, link int32, start, end sim.Time)
@@ -127,7 +126,6 @@ func (f *Fabric) Reset() {
 	for i := range f.linkFree {
 		f.linkFree[i] = 0
 	}
-	f.OnDeliver = nil
 	f.OnHop = nil
 	f.OnDrop = nil
 	f.ClonePayload = nil
@@ -201,9 +199,6 @@ func (d *delivery) RunEvent() {
 	// which can then reuse this record.
 	d.fr = Frame{}
 	d.sh.dfree = append(d.sh.dfree, d)
-	if f.OnDeliver != nil {
-		f.OnDeliver(fr)
-	}
 	f.sinks[fr.Dst](fr)
 }
 
@@ -409,9 +404,9 @@ func (f *Fabric) walk(sh *lpShard, frame Frame, p *topo.Path, lo, hi int, head, 
 // follows (see topo.Partition): the conservative handoff relies on
 // every inter-LP route crossing the full climb, so its up-links belong
 // to the source pod and its down-links to the destination pod. The
-// partition is a construction-time property and survives Reset. Trace
-// hooks (OnDeliver, OnHop) fire on LP goroutines when partitioned; they
-// are meant for single-LP diagnostics.
+// partition is a construction-time property and survives Reset. The
+// trace hook OnHop fires on LP goroutines when partitioned; it is meant
+// for single-LP diagnostics.
 func (f *Fabric) SetPartition(pmap []int32, ks []*sim.Kernel) {
 	if len(ks) > 1 && f.topo == nil {
 		panic("fabric: partition requires a routed topology")

@@ -141,14 +141,19 @@ func TestUnconnectedDestinationPanics(t *testing.T) {
 	k.Run()
 }
 
-func TestOnDeliverHook(t *testing.T) {
-	k, f, _ := build(2)
-	hooked := 0
-	f.OnDeliver = func(Frame) { hooked++ }
+// TestSinkRunsAtArrival: the Connect sink runs once per frame, in
+// scheduler context at the frame's arrival time, which is when the run
+// ends.
+func TestSinkRunsAtArrival(t *testing.T) {
+	k := sim.New(1)
+	f := New(k, 2, model.DefaultCosts())
+	var arrivals []sim.Time
+	f.Connect(0, func(Frame) { t.Error("frame delivered to its sender") })
+	f.Connect(1, func(Frame) { arrivals = append(arrivals, k.Now()) })
 	k.After(0, func() { f.Send(Frame{Src: 0, Dst: 1, Size: 1}) })
-	k.Run()
-	if hooked != 1 {
-		t.Errorf("OnDeliver ran %d times", hooked)
+	end := k.Run()
+	if len(arrivals) != 1 || arrivals[0] != end || end <= 0 {
+		t.Errorf("sink saw arrivals %v, want one at the run's end %v", arrivals, end)
 	}
 }
 
@@ -159,16 +164,19 @@ func TestOnDeliverHook(t *testing.T) {
 // single serialization, silently doubling the modeled ejection
 // bandwidth under fan-in.
 func TestEjectionContentionTwoSenders(t *testing.T) {
-	k, f, got := build(3)
+	k := sim.New(1)
+	f := New(k, 3, model.DefaultCosts())
 	arrivals := map[int]sim.Time{}
-	f.OnDeliver = func(fr Frame) { arrivals[fr.Payload.(int)] = k.Now() }
+	for i := 0; i < 3; i++ {
+		f.Connect(i, func(fr Frame) { arrivals[fr.Payload.(int)] = k.Now() })
+	}
 	k.After(0, func() {
 		f.Send(Frame{Src: 0, Dst: 2, Size: 2500, Payload: 1}) // 10 µs at 250 MB/s
 		f.Send(Frame{Src: 1, Dst: 2, Size: 2500, Payload: 2})
 	})
 	end := k.Run()
-	if len(got[2]) != 2 {
-		t.Fatalf("delivered %d frames, want 2", len(got[2]))
+	if len(arrivals) != 2 {
+		t.Fatalf("delivered %d frames, want 2", len(arrivals))
 	}
 	// Head reaches the switch at 800 ns (prop + hop); first frame ejects
 	// over [800 ns, 10.8 µs], the second must queue behind it.

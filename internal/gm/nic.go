@@ -20,7 +20,7 @@ type Stats struct {
 	MaxHostQueueDepth  int
 	CollectiveArrivals uint64
 
-	// Reliability counters (EnableReliability).
+	// Reliability counters (Reset(true)).
 	Retransmits    uint64 // data packets re-sent after a timeout
 	RelAcksSent    uint64 // standalone cumulative acks emitted
 	RelDupsDropped uint64 // duplicate / out-of-order arrivals discarded
@@ -138,14 +138,14 @@ type NIC struct {
 	pfree   []*Packet
 	poolCap int
 
-	// rel is the reliability engine (see reliability.go), nil unless
-	// EnableReliability was called; relErr records its first port
-	// error for cluster.Run to surface. relIdle stashes the engine
-	// while a reused cluster runs without faults, so toggling
-	// reliability across Reset cycles does not register fresh daemons.
-	rel     *relState
-	relIdle *relState
-	relErr  error
+	// rel is the reliability engine (see reliability.go), built by the
+	// first Reset(true) and kept afterwards, so toggling reliability
+	// across Reset cycles never registers a second timer daemon. relOn
+	// says whether it runs; relErr records its first port error for
+	// cluster.Run to surface.
+	rel    *relState
+	relOn  bool
+	relErr error
 
 	stats Stats
 }
@@ -257,7 +257,8 @@ func ReownHook(nics []*NIC) func(payload any, dst int) {
 	}
 }
 
-// init wires one NIC in place and starts its control program.
+// init wires one NIC in place, registers its control program and ends
+// in Reset(false): an unreliable NIC in its just-built state.
 func (n *NIC) init(k *sim.Kernel, node int, cm model.CostModel, fab *fabric.Fabric) {
 	n.k = k
 	n.node = node
@@ -266,12 +267,10 @@ func (n *NIC) init(k *sim.Kernel, node int, cm model.CostModel, fab *fabric.Fabr
 	n.evQ.Init(fmt.Sprintf("nic%d.ev", node))
 	n.hostQ.Init(fmt.Sprintf("nic%d.host", node))
 	n.tokenCond.Init(fmt.Sprintf("nic%d.tokens", node))
-	n.sendTokens = DefaultSendTokens
-	n.recvTokens = DefaultRecvTokens
 	n.poolCap = maxPacketPool
 	fab.Connect(node, n.onFrame)
 	k.InitDaemon(&n.ctl, fmt.Sprintf("lanai%d", node), n.step)
-	n.ctl.SetStatus("ev queue")
+	n.Reset(false)
 }
 
 // onFrame is the fabric delivery sink: the arriving packet enters the
@@ -281,13 +280,15 @@ func (n *NIC) onFrame(fr fabric.Frame) {
 	n.ctl.Wake()
 }
 
-// Reset returns the NIC to its just-built state for a cluster reuse
-// cycle, keeping what is expensive and semantically inert: the packet
-// pool (pool hits never touch virtual time), queue/condition ring
-// capacity, and the registered control daemon (already disarmed by the
-// kernel reset that precedes this call). reliable switches the
-// reliability engine on — with all per-peer state cleared — or stashes
-// it for a later lossy run.
+// Reset puts the NIC in its just-built state, keeping what is expensive
+// and semantically inert: the packet pool (pool hits never touch virtual
+// time), queue/condition ring capacity, and the registered control
+// daemon (already disarmed by the kernel reset that precedes a reuse
+// cycle). reliable switches reliable delivery (see reliability.go) on or
+// off; the engine is built on first use and, on or off, every Reset
+// clears its per-peer state. Fault-injected fabrics require it on every
+// NIC: without it a dropped frame hangs the collective and a duplicated
+// frame corrupts the packet pools. Call it before any traffic flows.
 func (n *NIC) Reset(reliable bool) {
 	n.evQ.Reset()
 	n.hostQ.Reset()
@@ -304,7 +305,12 @@ func (n *NIC) Reset(reliable bool) {
 	n.recvTokens = DefaultRecvTokens
 	n.stats = Stats{}
 	n.relErr = nil
-	n.setReliability(reliable)
+	n.relOn = reliable
+	if n.rel != nil {
+		n.rel.reset()
+	} else if reliable {
+		n.rel = newRelState(n)
+	}
 	n.ctl.SetStatus("ev queue")
 }
 
@@ -340,7 +346,7 @@ func (n *NIC) step() {
 				// Under reliability, a host send's token stays held
 				// until the packet is acked (GM completes a send on
 				// guaranteed delivery); otherwise it recycles now.
-				hold := n.rel != nil && n.rel.sequence(pkt, true)
+				hold := n.relOn && n.rel.sequence(pkt, true)
 				n.inject(pkt)
 				if !hold {
 					n.sendTokens++
@@ -351,7 +357,7 @@ func (n *NIC) step() {
 			}
 			pkt := n.cur.recv
 			n.stats.Received++
-			if n.rel != nil && !n.rel.accept(pkt) {
+			if n.relOn && !n.rel.accept(pkt) {
 				// Standalone ack, duplicate, or out-of-order arrival:
 				// swallowed (and recycled) by the reliability engine.
 				n.st = nicIdle
@@ -401,7 +407,7 @@ func (n *NIC) step() {
 					n.pushHost(act.pkt)
 				} else {
 					act.pkt.SrcNode = n.node
-					if n.rel != nil {
+					if n.relOn {
 						n.rel.sequence(act.pkt, false)
 					}
 					n.inject(act.pkt)

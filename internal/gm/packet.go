@@ -41,7 +41,7 @@ const (
 	// firmware and, except for final results, never reach the host.
 	NICCollective
 	// RelAck is a standalone cumulative acknowledgment of the
-	// reliability protocol (EnableReliability). It is unsequenced,
+	// reliability protocol (NIC.Reset(true)). It is unsequenced,
 	// consumed entirely inside the receiving NIC, and only sent when no
 	// reverse data traffic piggybacked the ack first.
 	RelAck
@@ -106,7 +106,7 @@ type Packet struct {
 	AuxOp uint8
 	AuxDT uint8
 
-	// Reliability header (EnableReliability): per-link sequence number
+	// Reliability header (NIC.Reset(true)): per-link sequence number
 	// (0 = unsequenced), piggybacked cumulative ack, and how many
 	// retransmit rounds this copy has been through — nonzero Retries
 	// lets the MPI progress engine count messages the fabric made it

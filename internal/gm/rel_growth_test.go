@@ -137,8 +137,8 @@ func TestLinkGrowthUnderLoad(t *testing.T) {
 // TestResetReusesLinks: a NIC Reset returns every contacted link to the
 // free list exactly once, and a rerun of the same traffic opens the
 // same links for the same peers — no link is allocated after warm-up,
-// and clearing an already clear engine (Reset twice, or the stash and
-// revive of a clean run in between) moves nothing.
+// and clearing an already clear engine (Reset twice, or a clean run in
+// between) moves nothing.
 func TestResetReusesLinks(t *testing.T) {
 	k, nics := chaos64(t)
 	k.Run()
@@ -160,9 +160,6 @@ func TestResetReusesLinks(t *testing.T) {
 		}
 		for i, n := range nics {
 			r := n.rel
-			if !reliable {
-				r = n.relIdle
-			}
 			if len(r.links) != 0 || len(r.lfree) != len(first[i]) {
 				t.Fatalf("cycle %d node %d: %d live and %d free links after Reset, want 0 and %d",
 					cycle, i, len(r.links), len(r.lfree), len(first[i]))

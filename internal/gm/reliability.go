@@ -8,7 +8,7 @@ import (
 	"abred/internal/sim"
 )
 
-// Reliability protocol — EnableReliability — in one page:
+// Reliability protocol — NIC.Reset(true) — in one page:
 //
 // GM's firmware guarantees in-order, exactly-once delivery per
 // (source, destination) pair; on a perfect fabric the simulator gets
@@ -145,23 +145,9 @@ type relState struct {
 	rto0 []sim.Time
 }
 
-// EnableReliability switches the NIC to reliable delivery (see the
-// protocol comment above). Call it before any traffic flows; it is
-// idempotent. Fault-injected fabrics require it on every NIC — without
-// it a dropped frame hangs the collective and a duplicated frame
-// corrupts the packet pools.
-func (n *NIC) EnableReliability() {
-	if n.rel != nil {
-		return
-	}
-	if n.relIdle != nil {
-		// A reused cluster re-enabling reliability: revive the stashed
-		// engine (its timer daemon is still registered) instead of
-		// registering a second one. setReliability cleared it on the
-		// way into the stash.
-		n.rel, n.relIdle = n.relIdle, nil
-		return
-	}
+// newRelState builds n's reliability engine and registers its timer
+// daemon; NIC.Reset(true) calls it the first time a NIC needs one.
+func newRelState(n *NIC) *relState {
 	r := &relState{n: n, tab: make([]*relLink, relTabMin)}
 	r.rto0 = make([]sim.Time, n.fab.MaxHops()+1)
 	for h := range r.rto0 {
@@ -169,25 +155,7 @@ func (n *NIC) EnableReliability() {
 	}
 	r.d = n.k.NewDaemon(fmt.Sprintf("gmrel%d", n.node), r.step)
 	r.d.SetStatus("rel timers")
-	n.rel = r
-}
-
-// setReliability is the Reset-time toggle: on clears per-peer state (or
-// revives/creates the engine), off stashes the engine so its daemon
-// registration survives for later lossy runs.
-func (n *NIC) setReliability(on bool) {
-	if !on {
-		if n.rel != nil {
-			n.rel.reset()
-			n.relIdle, n.rel = n.rel, nil
-		}
-		return
-	}
-	if n.rel != nil {
-		n.rel.reset()
-		return
-	}
-	n.EnableReliability()
+	return r
 }
 
 // reset forgets every contacted peer: ring entries are recycled and

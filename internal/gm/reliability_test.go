@@ -21,8 +21,8 @@ func lossyPair(seed int64, cfg fault.Config) (*sim.Kernel, *NIC, *NIC) {
 	}
 	cm := model.NewCostModel(model.Uniform(1)[0], costs)
 	a, b := NewNIC(k, 0, cm, fab), NewNIC(k, 1, cm, fab)
-	a.EnableReliability()
-	b.EnableReliability()
+	a.Reset(true)
+	b.Reset(true)
 	return k, a, b
 }
 

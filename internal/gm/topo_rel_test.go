@@ -26,7 +26,7 @@ func lossyNICs(n int, spec topo.Spec, seed int64, cfg fault.Config) (*sim.Kernel
 	nics := make([]*NIC, n)
 	for i := range nics {
 		nics[i] = NewNIC(k, i, cm, fab)
-		nics[i].EnableReliability()
+		nics[i].Reset(true)
 	}
 	return k, nics
 }

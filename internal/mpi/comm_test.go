@@ -48,15 +48,3 @@ func TestDatatypeAndOpStrings(t *testing.T) {
 		t.Error("out-of-range names should be unknown")
 	}
 }
-
-func TestStatusOnIncompletePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	runRanks(t, 1, func(pr *Process) {
-		req := pr.Irecv(0, 0, 99, make([]byte, 1))
-		req.Status() // incomplete: must panic
-	})
-}

@@ -181,15 +181,15 @@ func TestIsendIrecvWaitTest(t *testing.T) {
 		case 1:
 			buf := make([]byte, 1)
 			req := pr.Irecv(0, 0, 4, buf)
-			if req.Test() {
-				t.Error("Test true before message sent")
+			if req.Done() {
+				t.Error("receive done before message sent")
 			}
 			st := req.Wait()
 			if st.Source != 0 || buf[0] != 9 {
 				t.Errorf("wrong message: %+v %v", st, buf)
 			}
-			if !req.Test() {
-				t.Error("Test false after completion")
+			if !req.Done() {
+				t.Error("receive not done after Wait")
 			}
 		}
 	})

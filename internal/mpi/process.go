@@ -163,11 +163,11 @@ func (pr *Process) PutBuf(b []byte) {
 // of rank start-up, which the flow engine's rank drivers pay as well.
 func EagerPoolBytes(cm model.CostModel) int { return 64 * cm.EagerThreshold() }
 
-// NewProcess builds rank `rank` of `size` on the given NIC. It pins the
-// eager bounce-buffer pool, charging the one-time registration cost.
+// NewProcess builds rank `rank` of `size` on the given NIC, attached to
+// proc p. It allocates the rank's maps and registry and ends in Reset,
+// which pins the eager bounce-buffer pool.
 func NewProcess(p *sim.Proc, rank, size int, nic *gm.NIC, cm model.CostModel) *Process {
 	pr := &Process{
-		P:      p,
 		CM:     cm,
 		Mem:    gm.NewMemRegistry(cm),
 		nic:    nic,
@@ -176,7 +176,7 @@ func NewProcess(p *sim.Proc, rank, size int, nic *gm.NIC, cm model.CostModel) *P
 		sendRv: make(map[uint64]*Request),
 		recvRv: make(map[uint64]*Request),
 	}
-	pr.eagerPool = pr.Mem.Pin(p, EagerPoolBytes(cm))
+	pr.Reset(p)
 	return pr
 }
 
@@ -184,12 +184,12 @@ func NewProcess(p *sim.Proc, rank, size int, nic *gm.NIC, cm model.CostModel) *P
 // cluster runs several programs back to back, each with fresh procs.
 func (pr *Process) Rebind(p *sim.Proc) { pr.P = p }
 
-// Reset returns the process to its just-built state for a cluster reuse
-// run, attached to proc p. It must mirror NewProcess exactly — the same
-// zeroed queues and maps, and the same eager bounce-buffer Pin charging
-// the same syscall cost to p — so a reused cluster's first virtual-time
-// charges are byte-identical to a fresh one's. Request/uMsg/scratch
-// pools keep their capacity: pool hits never touch virtual time.
+// Reset puts the process in its just-built state, attached to proc p:
+// empty queues and maps, zero counters, and the eager bounce-buffer pool
+// pinned, charging the one-time registration cost to p. NewProcess ends
+// here, so a reused cluster's first virtual-time charges are a fresh
+// one's by construction. Request/uMsg/scratch pools keep their
+// capacity: pool hits never touch virtual time.
 func (pr *Process) Reset(p *sim.Proc) {
 	pr.P = p
 	for i := range pr.posted {

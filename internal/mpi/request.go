@@ -57,26 +57,12 @@ func (r *Request) SetOnComplete(fn func()) {
 	r.onComplete = fn
 }
 
-// Status returns the completion status; valid only after Done.
-func (r *Request) Status() Status {
-	if !r.done {
-		panic("mpi: Status on incomplete request")
-	}
-	return r.status
-}
-
 // Wait drives the progress engine until the request completes and
 // returns its status. Blocked time burns CPU (polling), exactly like
 // MPICH-over-GM's polling progress.
 func (r *Request) Wait() Status {
 	r.pr.ProgressUntil(func() bool { return r.done })
 	return r.status
-}
-
-// Test drives one non-blocking progress pass and reports completion.
-func (r *Request) Test() bool {
-	r.pr.ProgressPoll()
-	return r.done
 }
 
 // WaitAll completes every request.

@@ -39,8 +39,9 @@ type Daemon struct {
 }
 
 // NewDaemon registers a callback daemon. The daemon starts idle: nothing
-// runs until Wake is called. Daemons never keep the simulation alive —
-// like Spawn+SetDaemon(true) processes, they are background services.
+// runs until Wake is called. Daemons never keep the simulation alive:
+// Run ends once every spawned process has finished, whatever the
+// daemons still have scheduled.
 func (k *Kernel) NewDaemon(name string, step func()) *Daemon {
 	d := &Daemon{}
 	k.InitDaemon(d, name, step)

@@ -49,8 +49,7 @@ type Kernel struct {
 	nextID  int
 	running *Proc // proc currently executing, nil while in scheduler
 	nextp   *Proc // proc whose wake fired; the root loop resumes it (see loop)
-	ndCount int   // live non-daemon processes
-	ndEver  bool  // a non-daemon process has existed
+	spawned bool  // a process has existed since New or Reset
 
 	seed    int64
 	rng     *rand.Rand
@@ -58,7 +57,7 @@ type Kernel struct {
 
 	// Logical-process identity, set when the kernel is one LP of a
 	// partitioned simulation (see lp.go). lpmode disables the
-	// only-daemons-remain early exit — an LP whose own ranks finished
+	// every-process-finished early exit — an LP whose own ranks finished
 	// must keep answering cross-LP traffic until the LPSet declares the
 	// global end — and lphorizon bounds one conservative window: the
 	// dispatch loop stops before executing any event at or past it.
@@ -73,13 +72,13 @@ type Kernel struct {
 	shutdown bool
 }
 
-// New returns a kernel whose random streams derive from seed.
+// New returns a kernel whose random streams derive from seed: an empty
+// kernel put through Reset, so a fresh kernel and a reset one are the
+// same state by construction.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		procs: make(map[int]*Proc),
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	k := &Kernel{procs: make(map[int]*Proc)}
+	k.Reset(seed)
+	return k
 }
 
 // Now returns the current virtual time.
@@ -132,8 +131,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.run(fn)
 	})
 	k.procs[p.id] = p
-	k.ndCount++
-	k.ndEver = true
+	k.spawned = true
 	k.scheduleWake(k.now, p)
 	return p
 }
@@ -155,9 +153,10 @@ func (k *Kernel) releaseProc(p *Proc) {
 }
 
 // dispatch outcomes: the loop went quiet (queue drained, horizon reached,
-// Stop, panic captured, or only daemons remain), the calling process's own
-// wake fired (control stays on its stack, no switch at all), or another
-// process's wake fired and k.nextp names it for the root loop to resume.
+// Stop, panic captured, or every process finished), the calling
+// process's own wake fired (control stays on its stack, no switch at
+// all), or another process's wake fired and k.nextp names it for the
+// root loop to resume.
 const (
 	dispatchQuiet = iota
 	dispatchSelf
@@ -230,9 +229,10 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 		if k.panicked != nil {
 			return dispatchQuiet
 		}
-		if k.ndExit() {
-			// Only daemons (NIC control programs, tickers) remain; the
-			// simulation proper is over even if they keep scheduling.
+		if k.procsDone() {
+			// Only callback daemons (NIC control programs, timers)
+			// remain; the simulation proper is over even if they keep
+			// scheduling.
 			return dispatchQuiet
 		}
 	}
@@ -247,7 +247,7 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 // a process that parks into a quiet loop needs no signal back: it just
 // yields.
 func (k *Kernel) loop() {
-	for k.panicked == nil && !k.ndExit() && k.dispatch(nil) == dispatchOther {
+	for k.panicked == nil && !k.procsDone() && k.dispatch(nil) == dispatchOther {
 		for k.nextp != nil {
 			p := k.nextp
 			k.nextp = nil
@@ -273,20 +273,21 @@ func (k *Kernel) Run() Time {
 	if k.panicked != nil {
 		panic(k.panicked)
 	}
-	if !k.stopped && k.ndCount > 0 {
+	if !k.stopped && len(k.procs) > 0 {
 		panic("sim: deadlock at t=" + k.now.String() + ":\n" + k.stuckReport())
 	}
 	return k.now
 }
 
-// ndExit reports whether the kernel may exit its loop because only
-// daemons remain. An LP kernel never exits on this condition alone:
-// ranks on other LPs may still send it traffic its daemons must answer,
-// so the global only-daemons-remain verdict belongs to the LPSet.
-func (k *Kernel) ndExit() bool { return !k.lpmode && k.ndEver && k.ndCount == 0 }
+// procsDone reports whether the kernel may exit its loop because every
+// process it spawned has finished and only callback daemons remain. An
+// LP kernel never exits on this condition alone: ranks on other LPs may
+// still send it traffic its daemons must answer, so the global verdict
+// belongs to the LPSet.
+func (k *Kernel) procsDone() bool { return !k.lpmode && k.spawned && len(k.procs) == 0 }
 
 // SetLP marks the kernel as logical process lp of a partitioned
-// simulation: the only-daemons-remain early exit is disabled (the LPSet
+// simulation: the every-process-finished early exit is disabled (the LPSet
 // decides the global end) and deadlock reports carry the LP number.
 func (k *Kernel) SetLP(lp int) {
 	k.lp = lp
@@ -360,12 +361,11 @@ func (k *Kernel) killProcs() {
 	}
 }
 
-// Shutdown terminates every live process — daemons included, and any
-// process abandoned mid-park by Stop or end-of-Run — releasing their
-// coroutines. Without it, each finished simulation leaks one parked
-// coroutine (a goroutine and its stack) per surviving process, which adds
-// up across the thousands of independent simulations a single bench
-// process runs. (Callback Daemons have no stack and need no release.)
+// Shutdown terminates every live process (any process abandoned
+// mid-park by Stop or end-of-Run), releasing their coroutines. Without
+// it, each finished simulation leaks one parked coroutine (a goroutine
+// and its stack) per surviving process, which adds up across the
+// thousands of independent simulations a single bench process runs. (Callback Daemons have no stack and need no release.)
 //
 // Shutdown must be called from outside the simulation, after Run has
 // returned (or panicked). The kernel is dead afterwards: Run must not be
@@ -375,7 +375,6 @@ func (k *Kernel) Shutdown() {
 		panic("sim: Shutdown from inside a running process")
 	}
 	k.killProcs()
-	k.ndCount = 0
 	k.events = nil
 	k.free = nil
 	k.pfree = nil
@@ -385,16 +384,16 @@ func (k *Kernel) Shutdown() {
 	k.shutdown = true
 }
 
-// Reset returns the kernel to its just-built state under a new seed,
+// Reset puts the kernel in its just-built state under a new seed,
 // keeping allocated capacity: the event and proc free lists and the
 // registered callback daemons all survive, so a pooled cluster re-runs
 // a program without rebuilding its machinery. Any process still alive
 // (parked by Stop, or abandoned when Run went quiet) is killed exactly
 // as Shutdown kills it. Unlike Shutdown the kernel is fully usable
-// afterwards, and the reset state is indistinguishable from New(seed):
-// the clock, event sequence, executed-event counter and RNG stream
-// numbering all restart from zero, which is what makes a reused cluster
-// byte-identical to a freshly built one.
+// afterwards. New ends in Reset, so the clock, event sequence,
+// executed-event counter and RNG stream numbering are written here
+// only, which is what makes a reused cluster byte-identical to a
+// freshly built one.
 func (k *Kernel) Reset(seed int64) {
 	if k.running != nil {
 		panic("sim: Reset from inside a running process")
@@ -417,8 +416,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.ncanceled = 0
 	k.nexec = 0
 	k.nextID = 0
-	k.ndCount = 0
-	k.ndEver = false
+	k.spawned = false
 	k.stopped = false
 	k.panicked = nil
 	k.seed = seed
@@ -431,24 +429,14 @@ func (k *Kernel) Reset(seed int64) {
 // before panicking; the first few plus a count diagnose just as well.
 const maxStuckLines = 32
 
-// stuckReport lists live non-daemon processes, why they are parked and
-// for how long, followed by a summary of parked daemon processes and
-// idle callback daemons so hangs involving background services are
-// diagnosable too.
+// stuckReport lists live processes, why they are parked and for how
+// long, followed by a summary of idle callback daemons so hangs
+// involving background services are diagnosable too.
 func (k *Kernel) stuckReport() string {
 	var b strings.Builder
-	daemons := 0
-	var dsample []string
 	shown, omitted := 0, 0
 	for _, id := range k.procIDs() {
 		p := k.procs[id]
-		if p.daemon {
-			daemons++
-			if len(dsample) < 4 {
-				dsample = append(dsample, fmt.Sprintf("%q%s on %q", p.name, k.lptag, p.reason))
-			}
-			continue
-		}
 		if shown >= maxStuckLines {
 			omitted++
 			continue
@@ -458,13 +446,6 @@ func (k *Kernel) stuckReport() string {
 	}
 	if omitted > 0 {
 		fmt.Fprintf(&b, "  (+%d more procs parked)\n", omitted)
-	}
-	if daemons > 0 {
-		suffix := ""
-		if daemons > len(dsample) {
-			suffix = ", ..."
-		}
-		fmt.Fprintf(&b, "  (+%d daemon procs parked: %s%s)\n", daemons, strings.Join(dsample, ", "), suffix)
 	}
 	idle := 0
 	var csample []string

@@ -120,7 +120,7 @@ func (s *LPSet) Run() Time {
 		}
 		if !any {
 			s.checkPanicked()
-			if s.liveND() > 0 && !s.anyStopped() {
+			if s.liveProcs() > 0 && !s.anyStopped() {
 				panic("sim: deadlock at t=" + s.maxNow().String() + ":\n" + s.stuckReport())
 			}
 			break
@@ -141,10 +141,11 @@ func (s *LPSet) Run() Time {
 		if s.anyStopped() {
 			break
 		}
-		if s.ndEver() && s.liveND() == 0 {
-			// Only daemons remain anywhere: the simulation proper is over,
-			// matching the monolithic kernel's early exit (at window
-			// granularity rather than per event).
+		if s.spawned() && s.liveProcs() == 0 {
+			// Every process has finished and only callback daemons
+			// remain: the simulation proper is over, matching the
+			// monolithic kernel's early exit (at window granularity
+			// rather than per event).
 			break
 		}
 	}
@@ -350,17 +351,17 @@ func (s *LPSet) anyStopped() bool {
 	return false
 }
 
-func (s *LPSet) liveND() int {
+func (s *LPSet) liveProcs() int {
 	live := 0
 	for _, k := range s.ks {
-		live += k.ndCount
+		live += len(k.procs)
 	}
 	return live
 }
 
-func (s *LPSet) ndEver() bool {
+func (s *LPSet) spawned() bool {
 	for _, k := range s.ks {
-		if k.ndEver {
+		if k.spawned {
 			return true
 		}
 	}

@@ -466,33 +466,36 @@ func TestLPSetParkPath(t *testing.T) {
 	}
 }
 
-// TestLPSetDaemonProcAcrossRuns: a daemon process on LP 1 stays parked
-// between LPSet.Run calls and is resumed correctly by each one. Every Run
-// starts fresh worker goroutines, so the coroutine is resumed from a
-// different goroutine than the one it last yielded to.
+// TestLPSetDaemonProcAcrossRuns: a callback daemon on LP 1 serves the
+// work another LP sends it in each of several LPSet.Run calls, and sits
+// idle between them: it neither keeps a Run alive nor loses its
+// registration when one ends.
 func TestLPSetDaemonProcAcrossRuns(t *testing.T) {
 	const L = 10 * time.Microsecond
 	h := newLPHarness(2, 1)
 	work := NewQueue[int]("work")
 	var got []int
-	d := h.ks[1].Spawn("svc", func(p *Proc) {
+	d := h.ks[1].NewDaemon("svc", func() {
 		for {
-			got = append(got, work.Get(p))
+			v, ok := work.TryGet()
+			if !ok {
+				return
+			}
+			got = append(got, v)
 		}
 	})
-	d.SetDaemon(true)
 	set := NewLPSet(h.ks, L, h.exchange)
 	for run := 0; run < 3; run++ {
 		h.ks[0].Spawn("client", func(p *Proc) {
-			h.post(0, 1, p.Now()+L, func() { work.Put(run) })
+			h.post(0, 1, p.Now()+L, func() { work.Put(run); d.Wake() })
 			p.Sleep(3 * L) // outlive the delivery
 		})
 		set.Run()
 		if len(got) != run+1 || got[run] != run {
 			t.Fatalf("after run %d the daemon has served %v", run, got)
 		}
-		if d.done || d.reason == "" {
-			t.Fatalf("after run %d the daemon is done=%v parked on %q, want parked on its queue", run, d.done, d.reason)
+		if d.scheduled {
+			t.Fatalf("after run %d the daemon still has a step pending, want idle", run)
 		}
 	}
 	for _, k := range h.ks {

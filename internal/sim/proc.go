@@ -19,7 +19,6 @@ type Proc struct {
 	stop  func()
 
 	done     bool
-	daemon   bool
 	killed   bool // Kernel.killProcs: ended from outside, not by returning
 	panicked any
 	reason   string // what the proc is parked on, for deadlock reports
@@ -40,24 +39,6 @@ type Proc struct {
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
-
-// SetDaemon marks the process as a background service (NIC control
-// programs, tracers). Daemon processes do not keep the simulation alive:
-// Kernel.Run ends, without a deadlock report, once only daemons remain.
-func (p *Proc) SetDaemon(on bool) {
-	if p.daemon == on {
-		return
-	}
-	p.daemon = on
-	if p.done {
-		return
-	}
-	if on {
-		p.k.ndCount--
-	} else {
-		p.k.ndCount++
-	}
-}
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -97,9 +78,6 @@ func (p *Proc) run(fn func(p *Proc)) {
 		}
 		k := p.k
 		delete(k.procs, p.id)
-		if !p.daemon {
-			k.ndCount--
-		}
 		if p.panicked != nil && k.panicked == nil {
 			k.panicked = p.panicked
 		}
@@ -126,7 +104,7 @@ func (p *Proc) park(reason string) {
 	p.reason = reason
 	p.parkAt = k.now
 	k.running = nil
-	if k.panicked != nil || k.ndExit() || k.dispatch(p) != dispatchSelf {
+	if k.panicked != nil || k.procsDone() || k.dispatch(p) != dispatchSelf {
 		// Control goes elsewhere; a wake event brings it back.
 		if !p.yield(struct{}{}) {
 			panic(procKilled{})

@@ -121,12 +121,17 @@ func TestQueueTimeoutSameTickSingleDelivery(t *testing.T) {
 
 func TestDaemonDoesNotBlockRun(t *testing.T) {
 	k := New(1)
-	d := k.Spawn("daemon", func(p *Proc) {
-		q := NewQueue[int]("never")
-		q.Get(p) // parks forever
+	q := NewQueue[int]("work")
+	d := k.NewDaemon("daemon", func() {
+		for _, ok := q.TryGet(); ok; _, ok = q.TryGet() {
+		}
 	})
-	d.SetDaemon(true)
-	k.Spawn("app", func(p *Proc) { p.Sleep(10 * time.Microsecond) })
+	d.SetStatus("work") // idle on its queue for good after the first item
+	k.Spawn("app", func(p *Proc) {
+		q.Put(1)
+		d.Wake()
+		p.Sleep(10 * time.Microsecond)
+	})
 	end := k.Run() // must not deadlock-panic
 	if end != 10*time.Microsecond {
 		t.Errorf("end = %v", end)
@@ -135,13 +140,12 @@ func TestDaemonDoesNotBlockRun(t *testing.T) {
 
 func TestRunStopsWhenOnlyDaemonEventsRemain(t *testing.T) {
 	k := New(1)
-	d := k.Spawn("ticker", func(p *Proc) {
-		for {
-			p.Sleep(time.Millisecond) // schedules forever
-		}
+	var d *Daemon
+	d = k.NewDaemon("ticker", func() { d.Sleep(time.Millisecond) }) // schedules forever
+	k.Spawn("app", func(p *Proc) {
+		d.Wake()
+		p.Sleep(3 * time.Millisecond)
 	})
-	d.SetDaemon(true)
-	k.Spawn("app", func(p *Proc) { p.Sleep(3 * time.Millisecond) })
 	done := make(chan Time, 1)
 	go func() { done <- k.Run() }()
 	select {

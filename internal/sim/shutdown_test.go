@@ -8,8 +8,8 @@ import (
 )
 
 // TestShutdownReleasesGoroutines is the leak regression test: many
-// back-to-back simulations, each leaving daemons and Stop-abandoned
-// processes parked, must not accumulate goroutines once Shutdown runs.
+// back-to-back simulations, each leaving Stop-abandoned processes
+// parked, must not accumulate goroutines once Shutdown runs.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	base := countGoroutines()
 	for i := 0; i < 100; i++ {
@@ -41,18 +41,16 @@ func countGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
-// leaveParked runs a small simulation on k that ends with a daemon
-// process and a Stop-abandoned process still parked.
+// leaveParked runs a small simulation on k that ends with two
+// Stop-abandoned processes still parked, one on a queue and one
+// mid-sleep.
 func leaveParked(k *Kernel) {
 	q := NewQueue[int]("work")
-	// A daemon parked forever on its queue, like a NIC control program.
-	d := k.Spawn("lanai", func(p *Proc) {
+	k.Spawn("server", func(p *Proc) {
 		for {
 			q.Get(p)
 		}
 	})
-	d.SetDaemon(true)
-	// A proc the kernel abandons mid-sleep when Stop fires.
 	k.Spawn("stuck", func(p *Proc) { p.Sleep(time.Hour) })
 	k.Spawn("main", func(p *Proc) {
 		p.Sleep(time.Millisecond)
@@ -209,14 +207,12 @@ func TestKillOrderAscending(t *testing.T) {
 	}
 }
 
-// TestStuckReportIncludesDaemons: the deadlock report summarizes parked
-// daemon processes so NIC-control-program hangs are diagnosable.
+// TestStuckReportIncludesDaemons: the deadlock report summarizes idle
+// callback daemons so NIC-control-program hangs are diagnosable.
 func TestStuckReportIncludesDaemons(t *testing.T) {
 	k := New(1)
-	q := NewQueue[int]("ctrl")
 	for i := 0; i < 6; i++ {
-		d := k.Spawn("lanai", func(p *Proc) { q.Get(p) })
-		d.SetDaemon(true)
+		k.NewDaemon("lanai", func() {}).SetStatus("ctrl")
 	}
 	k.Spawn("rank0", func(p *Proc) { NewQueue[int]("recv").Get(p) })
 	defer func() {
@@ -228,7 +224,7 @@ func TestStuckReportIncludesDaemons(t *testing.T) {
 		if !strings.Contains(msg, `"rank0"`) {
 			t.Errorf("report missing stuck proc: %s", msg)
 		}
-		if !strings.Contains(msg, "+6 daemon procs parked") {
+		if !strings.Contains(msg, "+6 callback daemons idle") {
 			t.Errorf("report missing daemon summary: %s", msg)
 		}
 		if !strings.Contains(msg, ", ...") {

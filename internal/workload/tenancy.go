@@ -240,14 +240,8 @@ func Tenancy(cfg TenancyConfig) TenancyResult {
 	if err := ccfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	var cl *cluster.Cluster
-	if cfg.Pool != nil {
-		cl = cfg.Pool.Get(ccfg)
-		defer cfg.Pool.Put(cl)
-	} else {
-		cl = cluster.New(ccfg)
-		defer cl.Close()
-	}
+	cl := cfg.Pool.Get(ccfg)
+	defer cfg.Pool.Put(cl)
 
 	shapes := genShapes(&cfg)
 	st := &schedState{assign: make([]*jobRun, n), free: make([]int, n)}
