@@ -64,9 +64,11 @@ profile:
 # 0.7–1.2 µs by riding one P through runnext while real windows paid a
 # futex wake-up each way. BenchmarkLPWindowUneven is nearer a real
 # window; the figures of merit are sim.lp2_speedup.* in `make bench-trace`.
+# BenchmarkTimerQueue is the event queue alone, at 4096 timers (in cache)
+# and 262144 (out of cache, the largest flow_scale cell's rank count).
 .PHONY: bench-kernel
 bench-kernel:
-	go test ./internal/sim -run '^$$' -bench 'BenchmarkProc(Switch|SelfResume)|BenchmarkLPWindow' -cpu 1,2 -count 1
+	go test ./internal/sim -run '^$$' -bench 'BenchmarkProc(Switch|SelfResume)|BenchmarkLPWindow|BenchmarkTimerQueue' -cpu 1,2 -count 1
 
 # Run the scenario service locally (POST specs to :8080/run).
 .PHONY: serve

@@ -9,7 +9,7 @@
 // whenever a flow starts or finishes, the fair shares of every flow in
 // the affected connected component are recomputed by water-filling and
 // their completion events rescheduled through the existing sim.Kernel
-// (4-ary heap, pooled Runner events, generation-checked cancelation).
+// (radix event queue, pooled Runner events, generation-checked cancelation).
 //
 // What stays exact relative to the packet engine: skew draws, GM
 // send/receive token accounting, reduction-tree structure, per-node

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"time"
+	"unsafe"
+)
 
 // nop is a package-level event body so measuring loops don't allocate a
 // fresh closure per scheduled event.
@@ -93,5 +97,70 @@ func TestSwitchZeroAllocSteadyState(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("a Sleep that switches away and back allocates %.2f per call, want 0", avg)
+	}
+}
+
+// TestEventAndEntrySizes pins the two structs the queue is made of. The
+// key lives in the 24-byte entry, so an event fits the 48-byte size
+// class; a field that pushes it past 48 bytes lands it back in the
+// 80-byte class every scheduled event pays for.
+func TestEventAndEntrySizes(t *testing.T) {
+	if s := unsafe.Sizeof(event{}); s > 48 {
+		t.Fatalf("event is %d bytes, want at most 48", s)
+	}
+	if s := unsafe.Sizeof(entry{}); s != 24 {
+		t.Fatalf("queue entry is %d bytes, want 24: (t, seq) and the event", s)
+	}
+}
+
+// TestManyPendingZeroAlloc: with several chunks' worth of events
+// pending, the flow grid's shape (timers re-arming with spread delays),
+// scheduling and executing allocate nothing once warm: the queue's
+// chunks come back from its free list as buckets empty and refill.
+func TestManyPendingZeroAlloc(t *testing.T) {
+	k := New(1)
+	left := 1 << 62
+	ts := make([]queueTimer, 4*chunkLen)
+	for i := range ts {
+		ts[i] = queueTimer{k: k, delay: Time(1000 + i*7919%1000), left: &left}
+		k.AfterRunner(ts[i].delay, &ts[i])
+	}
+	h := Time(0)
+	for i := 0; i < 100; i++ { // warm the pools
+		h += 10 * time.Microsecond
+		k.RunWindow(h)
+	}
+	before := k.Events()
+	if avg := testing.AllocsPerRun(100, func() {
+		h += 10 * time.Microsecond
+		k.RunWindow(h)
+	}); avg != 0 {
+		t.Errorf("a window of timer events allocates %.2f in steady state, want 0", avg)
+	}
+	if ran := k.Events() - before; ran < 100*uint64(len(ts)) {
+		t.Fatalf("%d events in 101 windows, want at least %d", ran, 100*len(ts))
+	}
+}
+
+// TestResetReusesQueueMemory: Reset with 10 000 events pending, then
+// scheduling the same 10 000 again, allocates nothing: the events come
+// back from the event pool and the queue's chunks from its free list.
+func TestResetReusesQueueMemory(t *testing.T) {
+	const n = 10000
+	k := New(1)
+	fill := func() {
+		for i := 0; i < n; i++ {
+			k.schedule(Time(i*7919%n)*time.Nanosecond, nop)
+		}
+	}
+	fill()
+	if avg := testing.AllocsPerRun(5, func() {
+		k.Reset(1)
+		fill()
+	}); avg != 0 {
+		t.Errorf("Reset with %d events pending and a refill allocate %.0f objects, want 0", n, avg)
+	}
+	if got := k.events.len(); got != n {
+		t.Fatalf("queue holds %d entries, want %d", got, n)
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -86,3 +88,40 @@ func BenchmarkLPWindowEmpty(b *testing.B) { benchLPWindows(b, [2]int{1, 1}) }
 // while the caller is still inside its window: the wait the budgets are
 // sized for.
 func BenchmarkLPWindowUneven(b *testing.B) { benchLPWindows(b, [2]int{50, 5}) }
+
+// queueTimer re-arms itself every delay until the benchmark's event
+// budget runs out: one of BenchmarkTimerQueue's timers.
+type queueTimer struct {
+	k     *Kernel
+	delay Time
+	left  *int
+}
+
+func (t *queueTimer) RunEvent() {
+	if *t.left--; *t.left <= 0 {
+		t.k.Stop()
+	}
+	t.k.AfterRunner(t.delay, t)
+}
+
+// BenchmarkTimerQueue is the event queue under the flow grid's shape: N
+// timers, each re-arming itself with its own seeded delay spread over
+// 1 ms, so the queue holds N entries throughout. One op is one event. At
+// 4096 timers the queue fits in cache; at 262144 (the largest flow_scale
+// cell's rank count) it does not.
+func BenchmarkTimerQueue(b *testing.B) {
+	for _, n := range []int{4096, 262144} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			k := New(1)
+			rng := rand.New(rand.NewSource(1))
+			left := b.N
+			ts := make([]queueTimer, n)
+			for i := range ts {
+				ts[i] = queueTimer{k: k, delay: 1 + Time(rng.Int63n(int64(time.Millisecond))), left: &left}
+				k.AfterRunner(ts[i].delay, &ts[i])
+			}
+			b.ResetTimer()
+			k.Run()
+		})
+	}
+}

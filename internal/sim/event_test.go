@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -17,10 +20,10 @@ func TestCanceledEventCompaction(t *testing.T) {
 	for _, r := range refs[:900] {
 		k.cancel(r)
 	}
-	if len(k.events) > 200 {
-		t.Fatalf("heap holds %d entries after canceling 900 of 1000", len(k.events))
+	if k.events.len() > 200 {
+		t.Fatalf("heap holds %d entries after canceling 900 of 1000", k.events.len())
 	}
-	if live := len(k.events) - k.ncanceled; live != 100 {
+	if live := k.events.len() - k.ncanceled; live != 100 {
 		t.Fatalf("%d live entries, want 100", live)
 	}
 	k.Run()
@@ -95,5 +98,117 @@ func TestEventPoolReuse(t *testing.T) {
 	}
 	if k.Events() != 1000 {
 		t.Fatalf("Events() = %d, want 1000", k.Events())
+	}
+}
+
+// oracleEntry is the sorted reference's copy of a scheduled event.
+type oracleEntry struct {
+	t        Time
+	seq      uint64
+	ref      evref
+	canceled bool
+}
+
+// TestQueueMatchesSortedOracle drives the event queue through seeded
+// random sequences of schedule, pop, peek, schedules below the last
+// minimum taken, cancel (with the compaction it triggers) and
+// Kernel.Reset, and checks the length and every popped and peeked
+// (t, seq) against a sorted slice.
+func TestQueueMatchesSortedOracle(t *testing.T) {
+	const seeds, steps = 300, 3000
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New(seed)
+		var ref []oracleEntry // sorted by (t, seq)
+		ncanceled := 0
+		fail := func(step int, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+		}
+		schedule := func(at Time) {
+			seq := k.seq
+			r := k.schedule(at, nop)
+			i := sort.Search(len(ref), func(i int) bool {
+				return ref[i].t > at || (ref[i].t == at && ref[i].seq > seq)
+			})
+			ref = append(ref, oracleEntry{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = oracleEntry{t: at, seq: seq, ref: r}
+		}
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(100); {
+			case op < 40:
+				var d Time
+				switch rng.Intn(4) {
+				case 1:
+					d = Time(rng.Intn(16))
+				case 2:
+					d = Time(rng.Int63n(1 << 20))
+				case 3:
+					d = Time(rng.Int63n(1 << 40))
+				}
+				schedule(k.now + d)
+			case op < 50:
+				// Below last: the horizon peek and the canceled skim leave
+				// last ahead of the clock; a schedule may land between.
+				if last := k.events.last.t; k.events.len() > 0 && last > k.now {
+					schedule(k.now + Time(rng.Int63n(int64(last-k.now)+1)))
+				}
+			case op < 70:
+				if len(ref) == 0 {
+					continue
+				}
+				e := k.events.pop()
+				want := ref[0]
+				ref = ref[1:]
+				if e.t != want.t || e.seq != want.seq || e.ev.canceled != want.canceled {
+					fail(step, "popped (%d, %d, canceled %v), want (%d, %d, canceled %v)",
+						e.t, e.seq, e.ev.canceled, want.t, want.seq, want.canceled)
+				}
+				if e.ev.canceled {
+					k.ncanceled--
+					ncanceled--
+				} else {
+					if e.t < k.now {
+						fail(step, "time went backwards: %d -> %d", k.now, e.t)
+					}
+					k.now = e.t
+				}
+				k.recycle(e.ev)
+			case op < 80:
+				if len(ref) == 0 {
+					continue
+				}
+				if e := k.events.peek(); e.t != ref[0].t || e.seq != ref[0].seq {
+					fail(step, "peeked (%d, %d), want (%d, %d)", e.t, e.seq, ref[0].t, ref[0].seq)
+				}
+			case op < 99:
+				if len(ref) == 0 {
+					continue
+				}
+				i := rng.Intn(len(ref))
+				if ref[i].canceled {
+					continue
+				}
+				k.cancel(ref[i].ref)
+				ref[i].canceled = true
+				ncanceled++
+				if len(ref) >= compactMin && ncanceled*2 > len(ref) {
+					live := ref[:0]
+					for _, o := range ref {
+						if !o.canceled {
+							live = append(live, o)
+						}
+					}
+					ref, ncanceled = live, 0
+				}
+			default:
+				k.Reset(seed)
+				ref, ncanceled = ref[:0], 0
+			}
+			if n := k.events.len(); n != len(ref) || k.ncanceled != ncanceled {
+				fail(step, "queue holds %d entries (%d canceled), want %d (%d)", n, k.ncanceled, len(ref), ncanceled)
+			}
+		}
 	}
 }

@@ -37,10 +37,10 @@ type Time = time.Duration
 // Kernel is a discrete-event scheduler with a virtual clock.
 type Kernel struct {
 	now       Time
-	events    eventHeap
+	events    eventQueue
 	free      []*event // recycled event structs (see event.go)
 	seq       uint64
-	ncanceled int    // canceled entries still sitting in the heap
+	ncanceled int    // canceled entries still sitting in the queue
 	nexec     uint64 // events executed since New
 
 	procs   map[int]*Proc
@@ -52,7 +52,6 @@ type Kernel struct {
 	spawned bool  // a process has existed since New or Reset
 
 	seed    int64
-	rng     *rand.Rand
 	nstream int64
 
 	// Logical-process identity, set when the kernel is one LP of a
@@ -183,23 +182,24 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 			k.panicked = r
 		}
 	}()
-	for len(k.events) > 0 && !k.stopped {
-		if k.lphorizon != 0 && k.events[0].t >= k.lphorizon {
+	for k.events.len() > 0 && !k.stopped {
+		if k.lphorizon != 0 && k.events.peek().t >= k.lphorizon {
 			// Conservative window boundary: events at or past the horizon
 			// may still be preceded by cross-LP arrivals, so they wait for
 			// the next window. (Canceled entries past the horizon just sit.)
 			return dispatchQuiet
 		}
-		ev := k.events.pop()
+		e := k.events.pop()
+		ev := e.ev
 		if ev.canceled {
 			k.ncanceled--
 			k.recycle(ev)
 			continue
 		}
-		if ev.t < k.now {
-			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", k.now, ev.t))
+		if e.t < k.now {
+			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", k.now, e.t))
 		}
-		k.now = ev.t
+		k.now = e.t
 		k.nexec++
 		// Dispatch on the event's kind; recycle before executing so
 		// stale refs to this event are already invalid (see evref).
@@ -296,18 +296,16 @@ func (k *Kernel) SetLP(lp int) {
 }
 
 // NextEventTime returns the timestamp of the kernel's earliest pending
-// event, skimming canceled entries off the heap top. ok is false when no
-// live events remain. Called by the LPSet between windows to compute the
-// next conservative horizon.
+// event, skimming canceled entries off the front of the queue. ok is
+// false when no live events remain. Called by the LPSet between windows
+// to compute the next conservative horizon.
 func (k *Kernel) NextEventTime() (t Time, ok bool) {
-	for len(k.events) > 0 {
-		ev := k.events[0]
-		if !ev.canceled {
-			return ev.t, true
+	for k.events.len() > 0 {
+		if e := k.events.peek(); !e.ev.canceled {
+			return e.t, true
 		}
-		k.events.pop()
 		k.ncanceled--
-		k.recycle(ev)
+		k.recycle(k.events.pop().ev)
 	}
 	return 0, false
 }
@@ -375,7 +373,7 @@ func (k *Kernel) Shutdown() {
 		panic("sim: Shutdown from inside a running process")
 	}
 	k.killProcs()
-	k.events = nil
+	k.events = eventQueue{}
 	k.free = nil
 	k.pfree = nil
 	k.daemons = nil
@@ -385,12 +383,12 @@ func (k *Kernel) Shutdown() {
 }
 
 // Reset puts the kernel in its just-built state under a new seed,
-// keeping allocated capacity: the event and proc free lists and the
-// registered callback daemons all survive, so a pooled cluster re-runs
-// a program without rebuilding its machinery. Any process still alive
-// (parked by Stop, or abandoned when Run went quiet) is killed exactly
-// as Shutdown kills it. Unlike Shutdown the kernel is fully usable
-// afterwards. New ends in Reset, so the clock, event sequence,
+// keeping allocated capacity: the event, queue-chunk and proc free
+// lists and the registered callback daemons all survive, so a pooled
+// cluster re-runs a program without rebuilding its machinery. Any
+// process still alive (parked by Stop, or abandoned when Run went
+// quiet) is killed exactly as Shutdown kills it. Unlike Shutdown the
+// kernel is fully usable afterwards. New ends in Reset, so the clock, event sequence,
 // executed-event counter and RNG stream numbering are written here
 // only, which is what makes a reused cluster byte-identical to a
 // freshly built one.
@@ -399,12 +397,7 @@ func (k *Kernel) Reset(seed int64) {
 		panic("sim: Reset from inside a running process")
 	}
 	k.killProcs()
-	for i, ev := range k.events {
-		ev.index = -1
-		k.recycle(ev)
-		k.events[i] = nil
-	}
-	k.events = k.events[:0]
+	k.sweep(func(*event) bool { return true })
 	for _, d := range k.daemons {
 		d.scheduled = false
 		d.at = 0
@@ -420,7 +413,6 @@ func (k *Kernel) Reset(seed int64) {
 	k.stopped = false
 	k.panicked = nil
 	k.seed = seed
-	k.rng = rand.New(rand.NewSource(seed))
 	k.nstream = 0
 }
 

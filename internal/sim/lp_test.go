@@ -622,3 +622,59 @@ func TestDaemonWakeAtSameTickRearm(t *testing.T) {
 		t.Errorf("daemon stepped %d times, want 2", runs)
 	}
 }
+
+// TestLPSetArrivalBeforePeekedEvent: a window's horizon check takes
+// LP 1's next event, at H+5µs past the horizon H, as the queue minimum
+// without running it; LP 0 then sends LP 1 an arrival for H+2µs. The
+// arrival lands below the minimum the queue has taken and must still
+// run first, at its own time, identically on every run.
+func TestLPSetArrivalBeforePeekedEvent(t *testing.T) {
+	const L = 10 * time.Microsecond
+	const H = L // the first window starts at LP 0's event at 0
+	type fired struct {
+		what string
+		at   Time
+	}
+	run := func() []fired {
+		h := newLPHarness(2, 1)
+		var log []fired
+		h.ks[1].ScheduleRunnerAt(H+5*time.Microsecond, fnRunner(func() {
+			log = append(log, fired{"local", h.ks[1].Now()})
+		}))
+		h.ks[0].ScheduleRunnerAt(0, fnRunner(func() {
+			h.post(0, 1, H+2*time.Microsecond, func() {
+				log = append(log, fired{"arrival", h.ks[1].Now()})
+			})
+		}))
+		NewLPSet(h.ks, L, h.exchange).Run()
+		return log
+	}
+	want := []fired{{"arrival", H + 2*time.Microsecond}, {"local", H + 5*time.Microsecond}}
+	for i := 0; i < 10; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: LP 1 ran %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestSpawnBeforeSkimmedEvent: NextEventTime skims a canceled entry that
+// lies later than the clock and takes the next live one as the queue
+// minimum; a process spawned afterwards, at the clock, lands below that
+// minimum and must still start at the clock, ahead of it.
+func TestSpawnBeforeSkimmedEvent(t *testing.T) {
+	k := New(1)
+	var log []string
+	k.cancel(k.schedule(10*time.Microsecond, func() { log = append(log, "canceled") }))
+	k.schedule(20*time.Microsecond, func() { log = append(log, fmt.Sprint("timer@", k.Now())) })
+	if next, ok := k.NextEventTime(); !ok || next != 20*time.Microsecond {
+		t.Fatalf("NextEventTime = %v, %v; want 20µs, true", next, ok)
+	}
+	k.Spawn("late", func(p *Proc) {
+		log = append(log, fmt.Sprint("spawned@", p.Now()))
+		p.Sleep(30 * time.Microsecond) // outlive the timer
+	})
+	k.Run()
+	if want := []string{"spawned@0s", "timer@20µs"}; !slices.Equal(log, want) {
+		t.Fatalf("ran %q, want %q", log, want)
+	}
+}
