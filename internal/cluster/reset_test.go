@@ -86,9 +86,11 @@ func TestResetDeterminism(t *testing.T) {
 // Reset cycles on one cluster: the lossy replay must stay identical to a
 // fresh lossy build (same retransmissions, same acks), and the clean
 // replay must match a fresh clean build (reliability fully quiesced).
-// The sequence ends lossy → clean → lossy → lossy: the reliability
-// engine is stashed, revived and then cleared in place, and each of
-// those must leave it exactly as a fresh build has it.
+// The sequence ends lossy → clean → lossy → lossy: the first lossy
+// Reset builds the reliability engine, which is kept from then on; the
+// clean one switches it off (relOn), the next lossy one back on, and the
+// last one clears it in place. Each of those must leave it exactly as a
+// fresh build has it.
 func TestResetTogglesFaultPlan(t *testing.T) {
 	specs := model.PaperCluster(8)
 	clean := Config{Specs: specs, Seed: 5}

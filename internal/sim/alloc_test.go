@@ -10,17 +10,17 @@ import (
 // fresh closure per scheduled event.
 func nop() {}
 
-// TestScheduleCancelZeroAlloc: in steady state, arming a timer and
-// canceling it costs no heap allocations — the event comes from the pool
-// and the canceled entry recycles when popped.
+// TestScheduleCancelZeroAlloc: in steady state, arming a cancelable
+// timer and canceling it costs no heap allocations — the record comes
+// from the pool and the canceled entry recycles it when popped.
 func TestScheduleCancelZeroAlloc(t *testing.T) {
 	k := New(1)
-	for i := 0; i < 32; i++ { // warm the event pool
-		k.cancel(k.schedule(k.now+Time(i+1), nop))
+	for i := 0; i < 32; i++ { // warm the record pool
+		k.cancel(k.schedule(k.now+Time(i+1), funcRunner(nop)))
 	}
 	k.Run()
 	if avg := testing.AllocsPerRun(200, func() {
-		ev := k.schedule(k.now+100, nop)
+		ev := k.schedule(k.now+100, funcRunner(nop))
 		k.cancel(ev)
 		k.Run()
 	}); avg != 0 {
@@ -28,16 +28,18 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScheduleExecuteZeroAlloc: scheduling and firing a plain event is
-// allocation-free once the pool is warm.
+// TestScheduleExecuteZeroAlloc: scheduling and firing a plain closure
+// event (After, whose entry targets the closure itself) and a cancelable
+// one (a pooled record) is allocation-free once the record pool is warm.
 func TestScheduleExecuteZeroAlloc(t *testing.T) {
 	k := New(1)
 	for i := 0; i < 32; i++ {
-		k.schedule(k.now+Time(i+1), nop)
+		k.schedule(k.now+Time(i+1), funcRunner(nop))
 	}
 	k.Run()
 	if avg := testing.AllocsPerRun(200, func() {
-		k.schedule(k.now+100, nop)
+		k.After(100, nop)
+		k.schedule(k.now+100, funcRunner(nop))
 		k.Run()
 	}); avg != 0 {
 		t.Errorf("schedule+execute allocates %.2f per cycle in steady state, want 0", avg)
@@ -45,23 +47,32 @@ func TestScheduleExecuteZeroAlloc(t *testing.T) {
 }
 
 // TestSleepZeroAllocSteadyState: the dominant kernel operation — a
-// process scheduling its own wake and parking — allocates nothing. A solo
-// process's Sleep never even switches coroutines: park runs the event
-// loop on the process's own stack, its own wake is the next event, and
-// dispatch returns control inline.
+// process sleeping — allocates nothing. A solo process's Sleep does not
+// even touch the queue: its wake would be the next event, so the clock
+// moves straight to it (runAhead), and its Spin loop leaves the queue
+// empty throughout.
 func TestSleepZeroAllocSteadyState(t *testing.T) {
 	k := New(1)
 	avg := -1.0
+	queued := -1
 	k.Spawn("sleeper", func(p *Proc) {
 		for i := 0; i < 32; i++ { // warm pool and scheduler
 			p.Sleep(1)
 		}
 		avg = testing.AllocsPerRun(200, func() { p.Sleep(1) })
+		queued = 0
+		for i := 0; i < 100; i++ {
+			p.Spin(1)
+			queued = max(queued, k.events.len())
+		}
 	})
 	k.Run()
 	k.Shutdown()
 	if avg != 0 {
 		t.Errorf("Sleep allocates %.2f per call in steady state, want 0", avg)
+	}
+	if queued != 0 {
+		t.Errorf("a lone process's Spin loop queued up to %d entries, want 0", queued)
 	}
 }
 
@@ -100,16 +111,21 @@ func TestSwitchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEventAndEntrySizes pins the two structs the queue is made of. The
-// key lives in the 24-byte entry, so an event fits the 48-byte size
-// class; a field that pushes it past 48 bytes lands it back in the
-// 80-byte class every scheduled event pays for.
+// TestEventAndEntrySizes pins the structs the queue is made of. An
+// entry is its key and its target, 32 bytes, and chunkLen of them plus
+// the chunk header fill the 768-byte size class with no room for one
+// more; a wider entry or a longer chunk lands every chunk in the
+// 896-byte class. The record behind a cancelable event stays in the
+// 48-byte class.
 func TestEventAndEntrySizes(t *testing.T) {
-	if s := unsafe.Sizeof(event{}); s > 48 {
-		t.Fatalf("event is %d bytes, want at most 48", s)
+	if s := unsafe.Sizeof(entry{}); s != 32 {
+		t.Fatalf("queue entry is %d bytes, want 32: (t, seq) and the target", s)
 	}
-	if s := unsafe.Sizeof(entry{}); s != 24 {
-		t.Fatalf("queue entry is %d bytes, want 24: (t, seq) and the event", s)
+	if s := unsafe.Sizeof(chunk{}); s > 768 || s+unsafe.Sizeof(entry{}) <= 768 {
+		t.Fatalf("chunk is %d bytes, want the most that fits 768", s)
+	}
+	if s := unsafe.Sizeof(event{}); s > 48 {
+		t.Fatalf("event record is %d bytes, want at most 48", s)
 	}
 }
 
@@ -142,15 +158,16 @@ func TestManyPendingZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestResetReusesQueueMemory: Reset with 10 000 events pending, then
-// scheduling the same 10 000 again, allocates nothing: the events come
-// back from the event pool and the queue's chunks from its free list.
+// TestResetReusesQueueMemory: Reset with 10 000 cancelable events
+// pending, then scheduling the same 10 000 again, allocates nothing: the
+// records come back from the record pool and the queue's chunks from its
+// free list.
 func TestResetReusesQueueMemory(t *testing.T) {
 	const n = 10000
 	k := New(1)
 	fill := func() {
 		for i := 0; i < n; i++ {
-			k.schedule(Time(i*7919%n)*time.Nanosecond, nop)
+			k.schedule(Time(i*7919%n)*time.Nanosecond, funcRunner(nop))
 		}
 	}
 	fill()
@@ -162,5 +179,29 @@ func TestResetReusesQueueMemory(t *testing.T) {
 	}
 	if got := k.events.len(); got != n {
 		t.Fatalf("queue holds %d entries, want %d", got, n)
+	}
+}
+
+// TestResetScrubsFreeChunks: a released chunk keeps its stale entries
+// while the run goes on, but once the kernel is Reset no free chunk
+// names a target of the run before.
+func TestResetScrubsFreeChunks(t *testing.T) {
+	k := New(1)
+	for i := 0; i < 10*chunkLen; i++ {
+		k.After(Time(i*7919%1000), nop)
+	}
+	k.Run()
+	k.Reset(1)
+	n := 0
+	for c := k.events.free; c != nil; c = c.next {
+		n++
+		for i := range c.e {
+			if c.e[i].target != nil {
+				t.Fatalf("free chunk %d entry %d still names a target after Reset", n, i)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no free chunks after the run: the test is vacuous")
 	}
 }

@@ -24,13 +24,13 @@ type Daemon struct {
 	name string
 	step func()
 
-	// scheduled is true while a step event (wake or sleep) is pending;
-	// it coalesces Wakes and keeps the daemon single-threaded in
-	// virtual time. at/ref describe the pending event so WakeAt can
-	// pull it earlier.
-	scheduled bool
-	at        Time
-	ref       evref
+	// seq is the stamp of the pending step event (wake or sleep): its
+	// entry's seq + 1, 0 while none is pending. It coalesces Wakes and
+	// keeps the daemon single-threaded in virtual time; at is the
+	// pending step's time, so WakeAt can pull it earlier by zeroing the
+	// stamp and arming afresh.
+	seq uint64
+	at  Time
 
 	// status names what an idle daemon is waiting on; it appears in
 	// deadlock reports, replacing the park reason a goroutine-based
@@ -73,7 +73,7 @@ func (d *Daemon) SetStatus(s string) { d.status = s }
 // Wake or a Sleep), further Wakes are absorbed. May be called from any
 // process or scheduler context.
 func (d *Daemon) Wake() {
-	if d.scheduled {
+	if d.seq != 0 {
 		return
 	}
 	d.arm(d.k.now)
@@ -88,11 +88,12 @@ func (d *Daemon) WakeAt(t Time) {
 	if t < d.k.now {
 		t = d.k.now
 	}
-	if d.scheduled {
+	if d.seq != 0 {
 		if d.at <= t {
 			return
 		}
-		d.k.cancel(d.ref)
+		d.seq = 0
+		d.k.staled()
 	}
 	d.arm(t)
 }
@@ -101,22 +102,22 @@ func (d *Daemon) WakeAt(t Time) {
 // spends processing. It must be called from inside the step function,
 // at most once per step, with the step returning immediately after.
 func (d *Daemon) Sleep(dt Time) {
-	if d.scheduled {
+	if d.seq != 0 {
 		panic("sim: Daemon.Sleep with a step already pending")
 	}
 	d.arm(d.k.now + dt)
 }
 
-// arm schedules the step event at t, recording it for WakeAt.
+// arm schedules the step event at t, recording it for WakeAt. The
+// entry targets the daemon itself and is live while d.seq names it.
 func (d *Daemon) arm(t Time) {
-	d.scheduled = true
 	d.at = t
-	d.ref = d.k.scheduleRunner(t, d)
+	d.seq = d.k.push(t, d) + 1
 }
 
 // RunEvent drives one step; the kernel invokes it when the daemon's
 // wake or sleep event fires.
 func (d *Daemon) RunEvent() {
-	d.scheduled = false
+	d.seq = 0
 	d.step()
 }

@@ -15,7 +15,7 @@ func TestCanceledEventCompaction(t *testing.T) {
 	k := New(1)
 	var refs []evref
 	for i := 0; i < 1000; i++ {
-		refs = append(refs, k.schedule(Time(i+1)*time.Millisecond, func() {}))
+		refs = append(refs, k.schedule(Time(i+1)*time.Millisecond, funcRunner(nop)))
 	}
 	for _, r := range refs[:900] {
 		k.cancel(r)
@@ -40,7 +40,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 	var refs []evref
 	for i := 0; i < 300; i++ {
 		i := i
-		refs = append(refs, k.schedule(Time(300-i)*time.Microsecond, func() { fired = append(fired, 300-i) }))
+		refs = append(refs, k.schedule(Time(300-i)*time.Microsecond, funcRunner(func() { fired = append(fired, 300-i) })))
 	}
 	// Cancel two thirds to force at least one compaction pass.
 	for i := 0; i < len(refs); i++ {
@@ -59,17 +59,20 @@ func TestCompactionPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestStaleCancelIsHarmless: canceling through a ref whose event already
-// fired (and whose storage was recycled for a newer event) must not
-// cancel the newer event.
+// TestStaleCancelIsHarmless: canceling through an EventRef whose event
+// already fired, and whose record was recycled for a newer event, must
+// not cancel the newer event.
 func TestStaleCancelIsHarmless(t *testing.T) {
 	k := New(1)
 	firstFired, secondFired := false, false
-	stale := k.schedule(time.Microsecond, func() { firstFired = true })
+	stale := k.AfterRunnerRef(time.Microsecond, funcRunner(func() { firstFired = true }))
 	k.Spawn("canceler", func(p *Proc) {
-		p.Sleep(2 * time.Microsecond) // first event has fired; its struct is pooled
-		k.schedule(k.now+time.Microsecond, func() { secondFired = true })
-		k.cancel(stale)               // stale: generation advanced on recycle
+		p.Sleep(2 * time.Microsecond) // first event has fired; its record is pooled
+		fresh := k.AfterRunnerRef(time.Microsecond, funcRunner(func() { secondFired = true }))
+		if fresh.ref.ev != stale.ref.ev {
+			t.Errorf("the second event did not reuse the first one's record")
+		}
+		k.CancelRunner(stale)         // stale: generation advanced on recycle
 		p.Sleep(2 * time.Microsecond) // keep the sim alive until it fires
 	})
 	k.Run()
@@ -78,62 +81,174 @@ func TestStaleCancelIsHarmless(t *testing.T) {
 	}
 }
 
-// TestEventPoolReuse: the kernel recycles event structs instead of
-// allocating one per schedule.
+// chainRunner re-arms itself through a fresh EventRef until n events
+// have run, recording the record each one used.
+type chainRunner struct {
+	k       *Kernel
+	n       int
+	records map[*event]bool
+}
+
+func (c *chainRunner) RunEvent() {
+	if c.n--; c.n > 0 {
+		ref := c.k.AfterRunnerRef(time.Microsecond, c)
+		c.records[ref.ref.ev] = true
+	}
+}
+
+// TestEventPoolReuse: the kernel recycles records instead of allocating
+// one per cancelable schedule. A record is recycled before its target
+// runs, so an EventRef chain that re-arms from its own event reuses one
+// record throughout.
 func TestEventPoolReuse(t *testing.T) {
 	k := New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < 1000 {
-			k.After(time.Microsecond, tick)
-		}
-	}
-	k.After(time.Microsecond, tick)
+	c := &chainRunner{k: k, n: 1000, records: map[*event]bool{}}
+	ref := k.AfterRunnerRef(time.Microsecond, c)
+	c.records[ref.ref.ev] = true
 	k.Run()
-	// A pure event chain keeps exactly one struct in flight.
-	if len(k.free) > 4 {
-		t.Fatalf("free list grew to %d for a single event chain", len(k.free))
+	if len(c.records) != 1 || len(k.free) != 1 {
+		t.Fatalf("a single EventRef chain used %d records and left %d pooled, want 1 and 1", len(c.records), len(k.free))
 	}
 	if k.Events() != 1000 {
 		t.Fatalf("Events() = %d, want 1000", k.Events())
 	}
 }
 
-// oracleEntry is the sorted reference's copy of a scheduled event.
+// The kinds of queue entry TestQueueMatchesSortedOracle schedules, by
+// what can make one stale.
+const (
+	kindPlain = iota // ScheduleRunnerAt: no handle, never stale
+	kindRef          // AfterRunnerRef: canceled through CancelRunner
+	kindTimer        // GetTimeout's timer, a record around a closure: k.cancel
+	kindWake         // a process wake: Interrupt on an interruptible spin
+	kindStep         // a daemon step: a WakeAt pull-in
+	kinds
+)
+
+// oracleEntry is the sorted reference's copy of a queued entry.
 type oracleEntry struct {
-	t        Time
-	seq      uint64
-	ref      evref
-	canceled bool
+	t     Time
+	seq   uint64
+	kind  int
+	who   int   // kindWake, kindStep: the process or daemon
+	ref   evref // kindRef, kindTimer
+	stale bool
 }
 
 // TestQueueMatchesSortedOracle drives the event queue through seeded
-// random sequences of schedule, pop, peek, schedules below the last
-// minimum taken, cancel (with the compaction it triggers) and
-// Kernel.Reset, and checks the length and every popped and peeked
-// (t, seq) against a sorted slice.
+// random sequences of schedules of every entry kind (plain Runners,
+// EventRefs, GetTimeout timers, process wakes and daemon steps), pops in
+// dispatch's way, peeks, schedules below the last minimum taken, cancels
+// of every kind that has one (CancelRunner, a timer's cancel, Interrupt
+// on an interruptible spin, Daemon.WakeAt pulling a step in) with the
+// compaction they trigger, stale cancels, and Kernel.Reset. It checks
+// every popped and peeked (t, seq), whether a popped entry is stale, the
+// queue length and the stale count against a sorted slice, every stamp
+// against the entry the oracle says it names, and that the queue never
+// reports itself above its own minimum (the bound runAhead trusts).
 func TestQueueMatchesSortedOracle(t *testing.T) {
 	const seeds, steps = 300, 3000
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := New(seed)
+		// Processes that are never resumed, only woken: their wakes are
+		// queue entries like any other. A daemon step runs nop.
+		procs := make([]*Proc, 4)
+		for i := range procs {
+			procs[i] = &Proc{k: k, interruptible: true}
+		}
+		daemons := make([]*Daemon, 4)
+		for i := range daemons {
+			daemons[i] = k.NewDaemon("d", nop)
+		}
 		var ref []oracleEntry // sorted by (t, seq)
+		var fired []EventRef  // refs whose event has popped
 		ncanceled := 0
+		// pending[kind][who] is the seq + 1 of the live wake or step.
+		var pending [kinds][4]uint64
 		fail := func(step int, format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 		}
-		schedule := func(at Time) {
-			seq := k.seq
-			r := k.schedule(at, nop)
+		// add records the entry the kernel just pushed with seq.
+		add := func(o oracleEntry) {
 			i := sort.Search(len(ref), func(i int) bool {
-				return ref[i].t > at || (ref[i].t == at && ref[i].seq > seq)
+				return ref[i].t > o.t || (ref[i].t == o.t && ref[i].seq > o.seq)
 			})
 			ref = append(ref, oracleEntry{})
 			copy(ref[i+1:], ref[i:])
-			ref[i] = oracleEntry{t: at, seq: seq, ref: r}
+			ref[i] = o
+			if o.kind == kindWake || o.kind == kindStep {
+				pending[o.kind][o.who] = o.seq + 1
+			}
+		}
+		// staled marks ref[i] stale and compacts as the kernel does.
+		staled := func(i int) {
+			ref[i].stale = true
+			ncanceled++
+			if len(ref) >= compactMin && ncanceled*2 > len(ref) {
+				live := ref[:0]
+				for _, o := range ref {
+					if !o.stale {
+						live = append(live, o)
+					}
+				}
+				ref, ncanceled = live, 0
+			}
+		}
+		find := func(seq uint64) int {
+			for i := range ref {
+				if ref[i].seq == seq {
+					return i
+				}
+			}
+			return -1
+		}
+		// interrupt preempts process who's spin: its wake goes stale and
+		// a fresh one is queued at the clock.
+		interrupt := func(who int) {
+			staled(find(pending[kindWake][who] - 1))
+			seq := k.seq
+			procs[who].Interrupt(nop)
+			procs[who].intr = procs[who].intr[:0]
+			add(oracleEntry{t: k.now, seq: seq, kind: kindWake, who: who})
+		}
+		// wakeAt asks daemon who for a step at t: absorbed by a pending
+		// step at or before t, otherwise a pending later one goes stale.
+		wakeAt := func(who int, at Time) {
+			seq := k.seq
+			if s := pending[kindStep][who]; s != 0 {
+				if ref[find(s-1)].t <= at {
+					daemons[who].WakeAt(at)
+					return
+				}
+				staled(find(s - 1))
+			}
+			daemons[who].WakeAt(at)
+			add(oracleEntry{t: at, seq: seq, kind: kindStep, who: who})
+		}
+		schedule := func(at Time) {
+			seq := k.seq
+			o := oracleEntry{t: at, seq: seq, kind: rng.Intn(kinds)}
+			switch o.kind {
+			case kindPlain:
+				k.ScheduleRunnerAt(at, funcRunner(nop))
+			case kindRef:
+				o.ref = k.AfterRunnerRef(at-k.now, funcRunner(nop)).ref
+			case kindTimer:
+				o.ref = k.schedule(at, funcRunner(func() {}))
+			case kindWake:
+				o.who = rng.Intn(len(procs))
+				if pending[kindWake][o.who] != 0 {
+					interrupt(o.who)
+					return
+				}
+				procs[o.who].wakeAt(at)
+			case kindStep:
+				wakeAt(rng.Intn(len(daemons)), at)
+				return
+			}
+			add(o)
 		}
 		for step := 0; step < steps; step++ {
 			switch op := rng.Intn(100); {
@@ -149,7 +264,7 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 				}
 				schedule(k.now + d)
 			case op < 50:
-				// Below last: the horizon peek and the canceled skim leave
+				// Below last: the horizon peek and the stale skim leave
 				// last ahead of the clock; a schedule may land between.
 				if last := k.events.last.t; k.events.len() > 0 && last > k.now {
 					schedule(k.now + Time(rng.Int63n(int64(last-k.now)+1)))
@@ -158,56 +273,91 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 				if len(ref) == 0 {
 					continue
 				}
+				// Pop as dispatch does, minus the switch to a woken
+				// process.
 				e := k.events.pop()
 				want := ref[0]
 				ref = ref[1:]
-				if e.t != want.t || e.seq != want.seq || e.ev.canceled != want.canceled {
-					fail(step, "popped (%d, %d, canceled %v), want (%d, %d, canceled %v)",
-						e.t, e.seq, e.ev.canceled, want.t, want.seq, want.canceled)
+				if e.t != want.t || e.seq != want.seq || stale(&e) != want.stale {
+					fail(step, "popped (%d, %d, stale %v), want (%d, %d, stale %v)",
+						e.t, e.seq, stale(&e), want.t, want.seq, want.stale)
 				}
-				if e.ev.canceled {
+				if want.stale {
 					k.ncanceled--
 					ncanceled--
-				} else {
-					if e.t < k.now {
-						fail(step, "time went backwards: %d -> %d", k.now, e.t)
-					}
-					k.now = e.t
+					k.drop(&e)
+					break
 				}
-				k.recycle(e.ev)
-			case op < 80:
+				if e.t < k.now {
+					fail(step, "time went backwards: %d -> %d", k.now, e.t)
+				}
+				k.now = e.t
+				e.target.RunEvent()
+				k.running, k.nextp = nil, nil
+				switch want.kind {
+				case kindWake, kindStep:
+					pending[want.kind][want.who] = 0
+				case kindRef:
+					fired = append(fired, EventRef{want.ref})
+				}
+			case op < 78:
 				if len(ref) == 0 {
 					continue
 				}
 				if e := k.events.peek(); e.t != ref[0].t || e.seq != ref[0].seq {
 					fail(step, "peeked (%d, %d), want (%d, %d)", e.t, e.seq, ref[0].t, ref[0].seq)
 				}
-			case op < 99:
+			case op < 97:
 				if len(ref) == 0 {
 					continue
 				}
 				i := rng.Intn(len(ref))
-				if ref[i].canceled {
+				if ref[i].stale {
 					continue
 				}
-				k.cancel(ref[i].ref)
-				ref[i].canceled = true
-				ncanceled++
-				if len(ref) >= compactMin && ncanceled*2 > len(ref) {
-					live := ref[:0]
-					for _, o := range ref {
-						if !o.canceled {
-							live = append(live, o)
-						}
+				switch o := ref[i]; o.kind {
+				case kindRef:
+					k.CancelRunner(EventRef{o.ref})
+					staled(i)
+				case kindTimer:
+					k.cancel(o.ref)
+					staled(i)
+				case kindWake:
+					interrupt(o.who)
+				case kindStep:
+					if o.t > k.now {
+						wakeAt(o.who, k.now+Time(rng.Int63n(int64(o.t-k.now))))
 					}
-					ref, ncanceled = live, 0
+				}
+			case op < 99:
+				// A cancel through the ref of an event that has fired
+				// touches nothing, even once its record is reused.
+				if len(fired) > 0 {
+					k.CancelRunner(fired[rng.Intn(len(fired))])
 				}
 			default:
 				k.Reset(seed)
-				ref, ncanceled = ref[:0], 0
+				for _, p := range procs {
+					p.wseq = 0 // as Spawn's fresh Proc would have it
+				}
+				ref, ncanceled, fired = ref[:0], 0, fired[:0]
+				pending = [kinds][4]uint64{}
 			}
 			if n := k.events.len(); n != len(ref) || k.ncanceled != ncanceled {
-				fail(step, "queue holds %d entries (%d canceled), want %d (%d)", n, k.ncanceled, len(ref), ncanceled)
+				fail(step, "queue holds %d entries (%d stale), want %d (%d)", n, k.ncanceled, len(ref), ncanceled)
+			}
+			if len(ref) > 0 && k.events.above(ref[0].t) {
+				fail(step, "above(%d) holds with (%d, %d) queued", ref[0].t, ref[0].t, ref[0].seq)
+			}
+			for who, p := range procs {
+				if p.wseq != pending[kindWake][who] {
+					fail(step, "process %d stamp %d, want %d", who, p.wseq, pending[kindWake][who])
+				}
+			}
+			for who, d := range daemons {
+				if d.seq != pending[kindStep][who] {
+					fail(step, "daemon %d stamp %d, want %d", who, d.seq, pending[kindStep][who])
+				}
 			}
 		}
 	}

@@ -38,9 +38,9 @@ type Time = time.Duration
 type Kernel struct {
 	now       Time
 	events    eventQueue
-	free      []*event // recycled event structs (see event.go)
+	free      []*event // recycled cancelable-event records (see event.go)
 	seq       uint64
-	ncanceled int    // canceled entries still sitting in the queue
+	ncanceled int    // stale entries still sitting in the queue
 	nexec     uint64 // events executed since New
 
 	procs   map[int]*Proc
@@ -99,12 +99,12 @@ func (k *Kernel) NewRNG() *rand.Rand {
 // After schedules fn to run at now+d in scheduler context. fn must not
 // park (it has no process); it may schedule further events, put items on
 // queues and fire conditions.
-func (k *Kernel) After(d Time, fn func()) { k.schedule(k.now+d, fn) }
+func (k *Kernel) After(d Time, fn func()) { k.push(k.now+d, funcRunner(fn)) }
 
 // AfterRunner schedules r.RunEvent at now+d in scheduler context: the
 // closure-free counterpart of After for hot paths that re-arm pooled
 // Runner objects instead of allocating a closure per event.
-func (k *Kernel) AfterRunner(d Time, r Runner) { k.scheduleRunner(k.now+d, r) }
+func (k *Kernel) AfterRunner(d Time, r Runner) { k.push(k.now+d, r) }
 
 // Spawn starts a new simulated process executing fn. The process begins
 // running at the current virtual time, after already-scheduled events.
@@ -131,18 +131,18 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	})
 	k.procs[p.id] = p
 	k.spawned = true
-	k.scheduleWake(k.now, p)
+	p.wakeAt(k.now)
 	return p
 }
 
 // releaseProc returns a finished process's struct to the spawn pool.
-// Pooling is skipped while a wake event is still pending: a stale wake
-// finding the struct reincarnated as a different process would resume it
-// spuriously, so such structs are simply left for the GC. (In practice a
-// process that ran to completion has no pending wake — wakeAt is the sole
-// scheduler of proc events and the wake clears when it fires.)
+// Pooling is skipped while a wake event is still pending: that entry was
+// never counted stale, so the struct is simply left for the GC. (In
+// practice a process that ran to completion has no pending wake —
+// wakeAt is the sole scheduler of proc events and the wake clears when
+// it fires.)
 func (k *Kernel) releaseProc(p *Proc) {
-	if p.wake.valid() {
+	if p.wseq != 0 {
 		return
 	}
 	// Drop the coroutine handles: they hold the process body's closure,
@@ -167,10 +167,14 @@ const (
 // that parks (self == that process): when the parking process's own wake
 // is the next process event the loop simply returns, so a Sleep/Spin with
 // no intervening process switch costs no coroutine switch at all. When
-// another process's wake fires, dispatch records it in k.nextp and
+// another process's wake fires, dispatch leaves it in k.nextp and
 // returns; the parking process then yields to the root loop, which
 // resumes k.nextp — two coroutine switches, neither through the Go
 // scheduler.
+//
+// Every event runs from its queue entry alone: a stale one (see stale)
+// is dropped, a live one advances the clock and its target's RunEvent
+// runs. A process wake's RunEvent only names the process in k.nextp.
 //
 // A panic in a scheduler-context callback is captured into k.panicked
 // rather than propagated, so it surfaces from Run no matter which stack
@@ -186,14 +190,13 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 		if k.lphorizon != 0 && k.events.peek().t >= k.lphorizon {
 			// Conservative window boundary: events at or past the horizon
 			// may still be preceded by cross-LP arrivals, so they wait for
-			// the next window. (Canceled entries past the horizon just sit.)
+			// the next window. (Stale entries past the horizon just sit.)
 			return dispatchQuiet
 		}
 		e := k.events.pop()
-		ev := e.ev
-		if ev.canceled {
+		if stale(&e) {
 			k.ncanceled--
-			k.recycle(ev)
+			k.drop(&e)
 			continue
 		}
 		if e.t < k.now {
@@ -201,30 +204,13 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 		}
 		k.now = e.t
 		k.nexec++
-		// Dispatch on the event's kind; recycle before executing so
-		// stale refs to this event are already invalid (see evref).
-		switch {
-		case ev.proc != nil:
-			p := ev.proc
-			k.recycle(ev)
-			p.wake = evref{}
-			if p.done {
-				continue
-			}
-			k.running = p
+		e.target.RunEvent()
+		if p := k.nextp; p != nil {
 			if p == self {
+				k.nextp = nil
 				return dispatchSelf
 			}
-			k.nextp = p
 			return dispatchOther
-		case ev.run != nil:
-			r := ev.run
-			k.recycle(ev)
-			r.RunEvent()
-		default:
-			fn := ev.fn
-			k.recycle(ev)
-			fn()
 		}
 		if k.panicked != nil {
 			return dispatchQuiet
@@ -296,26 +282,27 @@ func (k *Kernel) SetLP(lp int) {
 }
 
 // NextEventTime returns the timestamp of the kernel's earliest pending
-// event, skimming canceled entries off the front of the queue. ok is
-// false when no live events remain. Called by the LPSet between windows
-// to compute the next conservative horizon.
+// event, skimming stale entries off the front of the queue. ok is false
+// when no live events remain. Called by the LPSet between windows to
+// compute the next conservative horizon.
 func (k *Kernel) NextEventTime() (t Time, ok bool) {
 	for k.events.len() > 0 {
-		if e := k.events.peek(); !e.ev.canceled {
+		if e := k.events.peek(); !stale(e) {
 			return e.t, true
 		}
 		k.ncanceled--
-		k.recycle(k.events.pop().ev)
+		e := k.events.pop()
+		k.drop(&e)
 	}
 	return 0, false
 }
 
 // ScheduleRunnerAt schedules r.RunEvent at absolute virtual time t —
 // the entry point for cross-LP arrivals delivered at a window barrier.
-// t earlier than the kernel clock clamps to now (newEvent's rule), but a
+// t earlier than the kernel clock clamps to now (push's rule), but a
 // conservative exchange never needs the clamp: arrivals land at or past
 // the horizon, and the receiving kernel's clock cannot have passed it.
-func (k *Kernel) ScheduleRunnerAt(t Time, r Runner) { k.scheduleRunner(t, r) }
+func (k *Kernel) ScheduleRunnerAt(t Time, r Runner) { k.push(t, r) }
 
 // RunWindow drains events strictly before horizon, leaving later events
 // (and any deadlock/global-end verdict) to the caller. Unlike Run it
@@ -363,7 +350,8 @@ func (k *Kernel) killProcs() {
 // mid-park by Stop or end-of-Run), releasing their coroutines. Without
 // it, each finished simulation leaks one parked coroutine (a goroutine
 // and its stack) per surviving process, which adds up across the
-// thousands of independent simulations a single bench process runs. (Callback Daemons have no stack and need no release.)
+// thousands of independent simulations a single bench process runs.
+// (Callback Daemons have no stack and need no release.)
 //
 // Shutdown must be called from outside the simulation, after Run has
 // returned (or panicked). The kernel is dead afterwards: Run must not be
@@ -383,25 +371,25 @@ func (k *Kernel) Shutdown() {
 }
 
 // Reset puts the kernel in its just-built state under a new seed,
-// keeping allocated capacity: the event, queue-chunk and proc free
+// keeping allocated capacity: the record, queue-chunk and proc free
 // lists and the registered callback daemons all survive, so a pooled
 // cluster re-runs a program without rebuilding its machinery. Any
 // process still alive (parked by Stop, or abandoned when Run went
 // quiet) is killed exactly as Shutdown kills it. Unlike Shutdown the
-// kernel is fully usable afterwards. New ends in Reset, so the clock, event sequence,
-// executed-event counter and RNG stream numbering are written here
-// only, which is what makes a reused cluster byte-identical to a
-// freshly built one.
+// kernel is fully usable afterwards. New ends in Reset, so the clock,
+// event sequence, executed-event counter and RNG stream numbering are
+// written here only, which is what makes a reused cluster
+// byte-identical to a freshly built one.
 func (k *Kernel) Reset(seed int64) {
 	if k.running != nil {
 		panic("sim: Reset from inside a running process")
 	}
 	k.killProcs()
-	k.sweep(func(*event) bool { return true })
+	k.sweep(true)
+	k.events.scrub()
 	for _, d := range k.daemons {
-		d.scheduled = false
+		d.seq = 0
 		d.at = 0
-		d.ref = evref{}
 		d.status = ""
 	}
 	k.now = 0
@@ -442,7 +430,7 @@ func (k *Kernel) stuckReport() string {
 	idle := 0
 	var csample []string
 	for _, d := range k.daemons {
-		if d.scheduled {
+		if d.seq != 0 {
 			continue // has a pending step; not stuck
 		}
 		idle++

@@ -10,11 +10,6 @@ import (
 	"time"
 )
 
-// fnRunner adapts a closure to the Runner interface for tests.
-type fnRunner func()
-
-func (f fnRunner) RunEvent() { f() }
-
 // lpHarness is a minimal cross-LP transport for tests: each LP appends
 // posts to its outbox during a window; the exchange hook sorts them by
 // (t, lp, seq) and schedules each on the destination kernel — the same
@@ -65,7 +60,7 @@ func (h *lpHarness) exchange() {
 	}
 	for _, m := range all {
 		m := m
-		h.ks[m.dst].ScheduleRunnerAt(m.t, fnRunner(m.fn))
+		h.ks[m.dst].ScheduleRunnerAt(m.t, funcRunner(m.fn))
 	}
 }
 
@@ -172,7 +167,7 @@ func TestLPSetRunnerOnly(t *testing.T) {
 			}
 			h.post(lp, 1-lp, h.ks[lp].Now()+L, func() { relay(1 - lp) })
 		}
-		h.ks[0].ScheduleRunnerAt(0, fnRunner(func() { relay(0) }))
+		h.ks[0].ScheduleRunnerAt(0, funcRunner(func() { relay(0) }))
 		return NewLPSet(h.ks, L, h.exchange).Run(), count
 	}
 	end, count := run()
@@ -494,7 +489,7 @@ func TestLPSetDaemonProcAcrossRuns(t *testing.T) {
 		if len(got) != run+1 || got[run] != run {
 			t.Fatalf("after run %d the daemon has served %v", run, got)
 		}
-		if d.scheduled {
+		if d.seq != 0 {
 			t.Fatalf("after run %d the daemon still has a step pending, want idle", run)
 		}
 	}
@@ -638,10 +633,10 @@ func TestLPSetArrivalBeforePeekedEvent(t *testing.T) {
 	run := func() []fired {
 		h := newLPHarness(2, 1)
 		var log []fired
-		h.ks[1].ScheduleRunnerAt(H+5*time.Microsecond, fnRunner(func() {
+		h.ks[1].ScheduleRunnerAt(H+5*time.Microsecond, funcRunner(func() {
 			log = append(log, fired{"local", h.ks[1].Now()})
 		}))
-		h.ks[0].ScheduleRunnerAt(0, fnRunner(func() {
+		h.ks[0].ScheduleRunnerAt(0, funcRunner(func() {
 			h.post(0, 1, H+2*time.Microsecond, func() {
 				log = append(log, fired{"arrival", h.ks[1].Now()})
 			})
@@ -664,8 +659,8 @@ func TestLPSetArrivalBeforePeekedEvent(t *testing.T) {
 func TestSpawnBeforeSkimmedEvent(t *testing.T) {
 	k := New(1)
 	var log []string
-	k.cancel(k.schedule(10*time.Microsecond, func() { log = append(log, "canceled") }))
-	k.schedule(20*time.Microsecond, func() { log = append(log, fmt.Sprint("timer@", k.Now())) })
+	k.cancel(k.schedule(10*time.Microsecond, funcRunner(func() { log = append(log, "canceled") })))
+	k.After(20*time.Microsecond, func() { log = append(log, fmt.Sprint("timer@", k.Now())) })
 	if next, ok := k.NextEventTime(); !ok || next != 20*time.Microsecond {
 		t.Fatalf("NextEventTime = %v, %v; want 20µs, true", next, ok)
 	}

@@ -24,7 +24,7 @@ type Proc struct {
 	reason   string // what the proc is parked on, for deadlock reports
 	parkAt   Time   // when the proc parked, for deadlock reports
 
-	wake evref  // pending wake event, if parked on one
+	wseq uint64 // seq + 1 of the pending wake's entry, 0 if none (see entry)
 	wpos uint64 // position in a Queue's waiter ring (see queue.go)
 
 	// Signal-handler support (see Interrupt / SpinInterruptible).
@@ -113,16 +113,61 @@ func (p *Proc) park(reason string) {
 	p.reason = ""
 }
 
+// procWake is a process as the target of its wake's queue entry.
+type procWake Proc
+
+// RunEvent fires the wake: the process is made the running one and
+// named in k.nextp, for dispatch to hand control to. A process killed
+// while its wake was queued stays down.
+func (w *procWake) RunEvent() {
+	p := (*Proc)(w)
+	p.wseq = 0
+	if !p.done {
+		p.k.running = p
+		p.k.nextp = p
+	}
+}
+
 // wakeAt schedules this process to resume at time t. It is idempotent
 // while a wake is already pending, so racing wake sources (Put plus
 // timeout, Broadcast plus Interrupt) cannot double-resume a process.
-// Wake events are closure-free: the kernel resumes the process directly
-// when the event fires (see event.go).
+// The wake's entry targets the process itself; its stamp wseq names
+// that entry, so zeroing it cancels the wake (see Interrupt).
 func (p *Proc) wakeAt(t Time) {
-	if p.wake.valid() {
+	if p.wseq != 0 {
 		return
 	}
-	p.wake = p.k.scheduleWake(t, p)
+	p.wseq = p.k.push(t, (*procWake)(p)) + 1
+}
+
+// sleepUntil parks this process until t. When its wake would be the next
+// event to run anyway, the clock is advanced straight to it instead
+// (runAhead).
+func (p *Proc) sleepUntil(t Time, reason string) {
+	if !p.runAhead(t) {
+		p.wakeAt(t)
+		p.park(reason)
+	}
+}
+
+// runAhead moves the clock straight to t, the wake of the running
+// process, when that wake would be the next event to pop: nothing queued
+// can come at or before t (a queued key at t has the lower seq), the
+// process has no other wake pending, and dispatch would not stop first
+// (Stop, a captured panic, or t at or past the LP horizon). It spends a
+// seq and counts the event, as the pushed and popped wake would have
+// done, so the pop order of every later event and Events() are
+// unchanged. It reports whether it did.
+func (p *Proc) runAhead(t Time) bool {
+	k := p.k
+	if p.wseq != 0 || k.stopped || k.panicked != nil ||
+		(k.lphorizon != 0 && t >= k.lphorizon) || !k.events.above(t) {
+		return false
+	}
+	k.now = t
+	k.seq++
+	k.nexec++
+	return true
 }
 
 // Sleep advances this process's local time by d without consuming CPU
@@ -132,8 +177,7 @@ func (p *Proc) Sleep(d Time) {
 		p.Yield()
 		return
 	}
-	p.wakeAt(p.k.now + d)
-	p.park("sleep")
+	p.sleepUntil(p.k.now+d, "sleep")
 }
 
 // Spin busy-waits for d: the same as Sleep in virtual time, but the time
@@ -161,10 +205,10 @@ func (p *Proc) Yield() {
 // own running context.
 func (p *Proc) Interrupt(fn func()) {
 	p.intr = append(p.intr, fn)
-	if p.interruptible && p.wake.valid() {
+	if p.interruptible && p.wseq != 0 {
 		// Preempt the interruptible sleep: fire the wake now.
-		p.k.cancel(p.wake)
-		p.wake = evref{}
+		p.wseq = 0
+		p.k.staled()
 		p.wakeAt(p.k.now)
 	}
 }
@@ -207,8 +251,7 @@ func (p *Proc) SpinInterruptible(d Time) Time {
 		}
 		t0 := p.k.now
 		p.interruptible = true
-		p.wakeAt(t0 + remaining)
-		p.park("spin-interruptible")
+		p.sleepUntil(t0+remaining, "spin-interruptible")
 		p.interruptible = false
 		slept := p.k.now - t0
 		if slept > remaining {

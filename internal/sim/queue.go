@@ -183,11 +183,11 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (T, bool) {
 			return zero, false
 		}
 		timedOut := false
-		ev := p.k.schedule(deadline, func() {
+		ev := p.k.schedule(deadline, funcRunner(func() {
 			timedOut = true
 			q.removeWaiter(p)
 			p.wakeAt(p.k.now)
-		})
+		}))
 		q.addWaiter(p)
 		p.park(q.where)
 		if !timedOut {

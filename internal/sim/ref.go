@@ -3,9 +3,9 @@ package sim
 // EventRef is an exported cancelation handle for a scheduled Runner
 // event. The flow-level engine reschedules a completion event every
 // time max-min fair shares move a flow's rate; it cancels through the
-// ref it holds and schedules a fresh one. Like the internal evref it
-// wraps, an EventRef is generation-checked: canceling after the event
-// has fired (and its storage was recycled) is a harmless no-op.
+// ref it holds and schedules a fresh one. An EventRef names a pooled
+// record and the record's generation: canceling after the event has
+// fired (and the record was recycled) is a harmless no-op.
 //
 // The zero EventRef is valid and cancels nothing.
 type EventRef struct {
@@ -14,7 +14,7 @@ type EventRef struct {
 
 // AfterRunnerRef is AfterRunner returning a cancelation handle.
 func (k *Kernel) AfterRunnerRef(d Time, r Runner) EventRef {
-	return EventRef{ref: k.scheduleRunner(k.now+d, r)}
+	return EventRef{ref: k.schedule(k.now+d, r)}
 }
 
 // CancelRunner cancels the event named by ref if it has not fired.
