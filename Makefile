@@ -95,15 +95,16 @@ gate:
 	go run ./benchmark -runs 3 -out .bench_build/gate/head
 	go run ./benchmark -compare .bench_build/gate/base/results.json .bench_build/gate/head/results.json
 
-# Same-simulation check: build the three CLIs from revision BASE and
+# Same-simulation check: build the four CLIs from revision BASE and
 # from the working tree, run one fixed list of virtual-time
 # commands on each side, and diff the outputs. Exits 1 and prints the
 # diff on any difference; about 10 s per side. The list covers both
 # engines, both tree shapes (radix 6: the topology-aware tree differs
-# from the binomial one), lossy links, 0 and 2 LPs, tenancy and abapp
+# from the binomial one), lossy links, 0 and 2 LPs, tenancy, abapp
 # (on both engines in two program shapes: halo + two reductions, and
-# no halo + three); the flow grid's wall_ms and heap_bytes columns are
-# the only host-dependent output and are cut before comparing.
+# no halo + three) and abtrace's timeline (the paper's Fig. 2); the flow
+# grid's wall_ms and heap_bytes columns are the only host-dependent
+# output and are cut before comparing.
 define same_cmds
 ./abbench -fig all -ablations -iters 60 -csv > figs.csv && \
 ./abbench -fig topo -iters 40 -csv > topo.csv && \
@@ -117,7 +118,8 @@ define same_cmds
 ./abapp -nodes 64 -iters 20 > app.txt && \
 ./abapp -nodes 4096 -iters 5 -engine flow -topo fattree:16 > app_flow.txt && \
 ./abapp -nodes 512 -iters 8 -engine flow -topo fattree:8 -halo=false -reds 3 > app_flow_nohalo.txt && \
-./abapp -nodes 64 -iters 8 -topo fattree:8 -halo=false -reds 3 > app_nohalo.txt
+./abapp -nodes 64 -iters 8 -topo fattree:8 -halo=false -reds 3 > app_nohalo.txt && \
+./abtrace -topo fattree:4 > trace.txt
 endef
 same_cut = awk '/^Flow-engine/ {f=1} f && NF==8 {print $$1,$$2,$$3,$$4,$$6,$$8; next} {print}'
 
@@ -125,9 +127,9 @@ same_cut = awk '/^Flow-engine/ {f=1} f && NF==8 {print $$1,$$2,$$3,$$4,$$6,$$8; 
 same:
 	@test -n "$(BASE)" || { echo "usage: make same BASE=<rev>" >&2; exit 2; }
 	@$(extract_base) && mkdir "$$wt/base" "$$wt/head" && \
-		(cd "$$wt/src" && go build -o "$$wt/base/" ./cmd/abbench ./cmd/abscale ./cmd/abapp) && \
-		go build -o "$$wt/head/" ./cmd/abbench ./cmd/abscale ./cmd/abapp && \
-		for side in base head; do (cd "$$wt/$$side" && $(same_cmds) && rm abbench abscale abapp) || exit 1; done && \
+		(cd "$$wt/src" && go build -o "$$wt/base/" ./cmd/abbench ./cmd/abscale ./cmd/abapp ./cmd/abtrace) && \
+		go build -o "$$wt/head/" ./cmd/abbench ./cmd/abscale ./cmd/abapp ./cmd/abtrace && \
+		for side in base head; do (cd "$$wt/$$side" && $(same_cmds) && rm abbench abscale abapp abtrace) || exit 1; done && \
 		diff -r "$$wt/base" "$$wt/head" && echo "same simulation as $(BASE): $$(ls "$$wt/head" | wc -l) outputs identical"
 
 # Reachability check: which non-test functions does no entry point
@@ -137,8 +139,8 @@ same:
 # coverage instrumentation (through GOFLAGS, so the abserve child that
 # benchmark builds is instrumented too); then `make same`'s command
 # list, the CLI surfaces it lacks (genetic placement, a lossy flow grid,
-# a paper figure on a routed fabric, abtrace, abapp's other imbalance
-# distributions), the five examples, the four benchmark workloads plain
+# a paper figure on a routed fabric, abtrace's JSON trace, abapp's other
+# imbalance distributions), the five examples, the four benchmark workloads plain
 # and traced, and the root package's tests all run. The functions left
 # at 0 % outside benchmark/ and examples/ must be exactly the rows of reach.keep
 # ("file function reason"): a function nothing reaches is deleted with

@@ -34,12 +34,9 @@ type Machine struct {
 
 	// Per-node clocks, advanced arithmetically by the layers above:
 	// Busy is the host's busy-until time; Intr accumulates handler time
-	// charged into the current interruptible spin segment; SigUntil is
-	// the end of the current signal coalescing window (a second NIC
-	// signal raised while one is pending is ignored).
-	Busy     []sim.Time
-	Intr     []sim.Time
-	SigUntil []sim.Time
+	// charged into the current interruptible spin segment.
+	Busy []sim.Time
+	Intr []sim.Time
 
 	nicFree []sim.Time
 
@@ -94,7 +91,6 @@ func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.C
 		CMs:        cms,
 		Busy:       make([]sim.Time, n),
 		Intr:       make([]sim.Time, n),
-		SigUntil:   make([]sim.Time, n),
 		nicFree:    make([]sim.Time, n),
 		SendTokens: gm.DefaultSendTokens,
 		RecvTokens: gm.DefaultRecvTokens,
@@ -165,7 +161,6 @@ func (m *Machine) Reset() {
 	for i := range m.Busy {
 		m.Busy[i] = 0
 		m.Intr[i] = 0
-		m.SigUntil[i] = 0
 		m.nicFree[i] = 0
 		m.outst[i] = 0
 		q := &m.waitq[i]

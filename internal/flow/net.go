@@ -9,7 +9,7 @@
 // whenever a flow starts or finishes, the fair shares of every flow in
 // the affected connected component are recomputed by water-filling and
 // their completion events rescheduled through the existing sim.Kernel
-// (radix event queue, pooled Runner events, generation-checked cancelation).
+// (radix event queue, one sim.Timer per flow re-armed in place).
 //
 // What stays exact relative to the packet engine: skew draws, GM
 // send/receive token accounting, reduction-tree structure, per-node
@@ -80,16 +80,16 @@ type Flow struct {
 	bytes     int64
 	h         Handler
 	tag       uint64
-	ev        sim.EventRef
-	mark      uint32  // closure-membership epoch
-	gen       uint32  // bumped on recycle; guards stale cross-LP messages
-	frozen    bool    // water-filling scratch
-	stub      bool    // remote half of a cross-LP flow (no completion event)
-	xlp       int32   // peer LP of a cross-LP flow, -1 when LP-local
-	xid       int32   // stub only: flow id in the source shard
-	xgen      uint32  // stub only: flow generation in the source shard
-	xcap      float64 // rate bound granted by the peer shard (+Inf local)
-	xsent     float64 // last rate (source) / offer (stub) shipped to peer
+	done      sim.Timer // completion event, the flow its Runner
+	mark      uint32    // closure-membership epoch
+	gen       uint32    // bumped on recycle; guards stale cross-LP messages
+	frozen    bool      // water-filling scratch
+	stub      bool      // remote half of a cross-LP flow (no completion event)
+	xlp       int32     // peer LP of a cross-LP flow, -1 when LP-local
+	xid       int32     // stub only: flow id in the source shard
+	xgen      uint32    // stub only: flow generation in the source shard
+	xcap      float64   // rate bound granted by the peer shard (+Inf local)
+	xsent     float64   // last rate (source) / offer (stub) shipped to peer
 }
 
 // RunEvent fires the flow's completion: the last byte has crossed the
@@ -722,9 +722,8 @@ func (nt *Net) setRate(f *Flow, r float64, now sim.Time) {
 		}
 	}
 	f.updated = now
-	nt.K.CancelRunner(f.ev)
 	f.rate = r
-	f.ev = nt.K.AfterRunnerRef(sim.Time(math.Ceil(f.remaining/r)), f)
+	f.done.Set(nt.K.Now() + sim.Time(math.Ceil(f.remaining/r)))
 	if f.xlp >= 0 && f.rate != f.xsent {
 		f.xsent = f.rate
 		nt.emit(xmsg{t: now + nt.la, kind: kXRate, dst: f.xlp,
@@ -780,6 +779,7 @@ func (nt *Net) getFlow() *Flow {
 			next:  make([]int32, nt.maxRoute),
 			prev:  make([]int32, nt.maxRoute),
 		}
+		f.done.Init(nt.K, f)
 		nt.flows = append(nt.flows, f)
 	}
 	f.stub = false
@@ -793,7 +793,6 @@ func (nt *Net) getFlow() *Flow {
 // any cross-LP message still in flight addressed to this id.
 func (nt *Net) putFlow(f *Flow) {
 	f.h = nil
-	f.ev = sim.EventRef{}
 	f.gen++
 	nt.freef = append(nt.freef, f.id)
 }

@@ -509,7 +509,8 @@ func (n *NIC) Poll() (*Packet, bool) { return n.hostQ.TryGet() }
 func (n *NIC) HasPackets() bool { return n.hostQ.Len() > 0 }
 
 // Recv parks until a packet arrives. The caller models GM's polling
-// receive, so it should charge the blocked time as CPU.
+// receive, so it should charge the blocked time as CPU. Only one
+// process, the node's rank, may wait on a NIC at a time.
 func (n *NIC) Recv(p *sim.Proc) *Packet { return n.hostQ.Get(p) }
 
 // RecvTimeout is Recv bounded by d.

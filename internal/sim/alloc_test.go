@@ -10,36 +10,41 @@ import (
 // fresh closure per scheduled event.
 func nop() {}
 
-// TestScheduleCancelZeroAlloc: in steady state, arming a cancelable
-// timer and canceling it costs no heap allocations — the record comes
-// from the pool and the canceled entry recycles it when popped.
+// TestScheduleCancelZeroAlloc: in steady state, arming a Timer and
+// stopping it costs no heap allocations: the timer lives by value and
+// its stale entry is dropped when popped.
 func TestScheduleCancelZeroAlloc(t *testing.T) {
 	k := New(1)
-	for i := 0; i < 32; i++ { // warm the record pool
-		k.cancel(k.schedule(k.now+Time(i+1), funcRunner(nop)))
+	var tm Timer
+	tm.Init(k, funcRunner(nop))
+	for i := 0; i < 32; i++ { // warm the queue's chunks
+		tm.Set(k.now + Time(i+1))
+		tm.Stop()
 	}
 	k.Run()
 	if avg := testing.AllocsPerRun(200, func() {
-		ev := k.schedule(k.now+100, funcRunner(nop))
-		k.cancel(ev)
+		tm.Set(k.now + 100)
+		tm.Stop()
 		k.Run()
 	}); avg != 0 {
-		t.Errorf("schedule+cancel allocates %.2f per cycle in steady state, want 0", avg)
+		t.Errorf("Set+Stop allocates %.2f per cycle in steady state, want 0", avg)
 	}
 }
 
 // TestScheduleExecuteZeroAlloc: scheduling and firing a plain closure
-// event (After, whose entry targets the closure itself) and a cancelable
-// one (a pooled record) is allocation-free once the record pool is warm.
+// event (After, whose entry targets the closure itself) and a Timer is
+// allocation-free once the queue is warm.
 func TestScheduleExecuteZeroAlloc(t *testing.T) {
 	k := New(1)
+	var tm Timer
+	tm.Init(k, funcRunner(nop))
 	for i := 0; i < 32; i++ {
-		k.schedule(k.now+Time(i+1), funcRunner(nop))
+		k.After(Time(i+1), nop)
 	}
 	k.Run()
 	if avg := testing.AllocsPerRun(200, func() {
 		k.After(100, nop)
-		k.schedule(k.now+100, funcRunner(nop))
+		tm.Set(k.now + 100)
 		k.Run()
 	}); avg != 0 {
 		t.Errorf("schedule+execute allocates %.2f per cycle in steady state, want 0", avg)
@@ -115,17 +120,13 @@ func TestSwitchZeroAllocSteadyState(t *testing.T) {
 // entry is its key and its target, 32 bytes, and chunkLen of them plus
 // the chunk header fill the 768-byte size class with no room for one
 // more; a wider entry or a longer chunk lands every chunk in the
-// 896-byte class. The record behind a cancelable event stays in the
-// 48-byte class.
+// 896-byte class.
 func TestEventAndEntrySizes(t *testing.T) {
 	if s := unsafe.Sizeof(entry{}); s != 32 {
 		t.Fatalf("queue entry is %d bytes, want 32: (t, seq) and the target", s)
 	}
 	if s := unsafe.Sizeof(chunk{}); s > 768 || s+unsafe.Sizeof(entry{}) <= 768 {
 		t.Fatalf("chunk is %d bytes, want the most that fits 768", s)
-	}
-	if s := unsafe.Sizeof(event{}); s > 48 {
-		t.Fatalf("event record is %d bytes, want at most 48", s)
 	}
 }
 
@@ -158,16 +159,18 @@ func TestManyPendingZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestResetReusesQueueMemory: Reset with 10 000 cancelable events
-// pending, then scheduling the same 10 000 again, allocates nothing: the
-// records come back from the record pool and the queue's chunks from its
-// free list.
+// TestResetReusesQueueMemory: Reset with 10 000 timers pending, then
+// arming the same 10 000 again, allocates nothing: the queue's chunks
+// come back from its free list. Each timer is re-Inited after the Reset,
+// as its holder's own reset would.
 func TestResetReusesQueueMemory(t *testing.T) {
 	const n = 10000
 	k := New(1)
+	ts := make([]Timer, n)
 	fill := func() {
-		for i := 0; i < n; i++ {
-			k.schedule(Time(i*7919%n)*time.Nanosecond, funcRunner(nop))
+		for i := range ts {
+			ts[i].Init(k, funcRunner(nop))
+			ts[i].Set(Time(i*7919%n) * time.Nanosecond)
 		}
 	}
 	fill()

@@ -20,17 +20,14 @@ package sim
 // returning without sleeping, and having the resource's release path
 // call Wake.
 type Daemon struct {
-	k    *Kernel
 	name string
-	step func()
 
-	// seq is the stamp of the pending step event (wake or sleep): its
-	// entry's seq + 1, 0 while none is pending. It coalesces Wakes and
-	// keeps the daemon single-threaded in virtual time; at is the
-	// pending step's time, so WakeAt can pull it earlier by zeroing the
-	// stamp and arming afresh.
-	seq uint64
-	at  Time
+	// timer is the pending step event (wake or sleep), its Runner the
+	// step function. It coalesces Wakes and keeps the daemon
+	// single-threaded in virtual time; at is the pending step's time, so
+	// WakeAt can tell whether to pull it earlier.
+	timer Timer
+	at    Time
 
 	// status names what an idle daemon is waiting on; it appears in
 	// deadlock reports, replacing the park reason a goroutine-based
@@ -57,12 +54,13 @@ func (k *Kernel) InitDaemon(d *Daemon, name string, step func()) {
 	if k.shutdown {
 		panic("sim: NewDaemon after Shutdown")
 	}
-	*d = Daemon{k: k, name: name, step: step}
+	*d = Daemon{name: name}
+	d.timer.Init(k, funcRunner(step))
 	k.daemons = append(k.daemons, d)
 }
 
 // Now returns the current virtual time.
-func (d *Daemon) Now() Time { return d.k.now }
+func (d *Daemon) Now() Time { return d.timer.k.now }
 
 // SetStatus records what the daemon is currently waiting on, for
 // deadlock reports.
@@ -73,10 +71,9 @@ func (d *Daemon) SetStatus(s string) { d.status = s }
 // Wake or a Sleep), further Wakes are absorbed. May be called from any
 // process or scheduler context.
 func (d *Daemon) Wake() {
-	if d.seq != 0 {
-		return
+	if !d.timer.Pending() {
+		d.arm(d.timer.k.now)
 	}
-	d.arm(d.k.now)
 }
 
 // WakeAt schedules the next step at time t (clamped to now), for
@@ -85,39 +82,25 @@ func (d *Daemon) Wake() {
 // it is pulled earlier, so the earliest requested deadline always wins.
 // A pending step at or before t is left alone.
 func (d *Daemon) WakeAt(t Time) {
-	if t < d.k.now {
-		t = d.k.now
+	t = max(t, d.timer.k.now)
+	if !d.timer.Pending() || t < d.at {
+		d.arm(t)
 	}
-	if d.seq != 0 {
-		if d.at <= t {
-			return
-		}
-		d.seq = 0
-		d.k.staled()
-	}
-	d.arm(t)
 }
 
 // Sleep schedules the next step at now+dt, modeling time the daemon
 // spends processing. It must be called from inside the step function,
 // at most once per step, with the step returning immediately after.
 func (d *Daemon) Sleep(dt Time) {
-	if d.seq != 0 {
+	if d.timer.Pending() {
 		panic("sim: Daemon.Sleep with a step already pending")
 	}
-	d.arm(d.k.now + dt)
+	d.arm(d.timer.k.now + dt)
 }
 
-// arm schedules the step event at t, recording it for WakeAt. The
-// entry targets the daemon itself and is live while d.seq names it.
+// arm schedules the step at t, replacing a pending one, and records t
+// for WakeAt.
 func (d *Daemon) arm(t Time) {
 	d.at = t
-	d.seq = d.k.push(t, d) + 1
-}
-
-// RunEvent drives one step; the kernel invokes it when the daemon's
-// wake or sleep event fires.
-func (d *Daemon) RunEvent() {
-	d.seq = 0
-	d.step()
+	d.timer.Set(t)
 }

@@ -17,42 +17,49 @@ type funcRunner func()
 
 func (f funcRunner) RunEvent() { f() }
 
-// event is the pooled record behind a cancelable handle: an EventRef or
-// GetTimeout's timer. Its queue entry targets the record; when the entry
-// pops, the record is recycled and then run runs. No other event has a
-// record: a queue entry targets a process wake, a daemon step or a plain
-// Runner itself (see entry).
-//
-// A record is recycled as soon as its entry pops, live or canceled, and
-// recycling advances its generation, so an evref whose generation still
-// matches names a queued record, and stale evrefs held by earlier wake
-// sources can never touch a recycled slot.
-type event struct {
-	run      Runner
-	k        *Kernel
-	gen      uint64 // bumped on recycle; validates evrefs
-	canceled bool
+// Timer is a cancelable event: at most one pending firing of its
+// Runner. Set arms it, replacing a pending firing, and Stop cancels one.
+// Its queue entry targets the timer, live while the stamp seq is the
+// entry's seq + 1, so canceling is zeroing the stamp, as for a process
+// wake. A Timer lives by value in whatever it times (a daemon's step, a
+// flow's completion, a queue's GetTimeout deadline) and never allocates.
+// Kernel.Reset drops every entry but cannot see a Timer's stamp, so the
+// holder of a Timer that may be pending at a Reset clears it then:
+// Kernel.Reset its daemons', Queue.Reset its deadline, and any other
+// holder by calling Init again.
+type Timer struct {
+	k   *Kernel
+	seq uint64 // seq + 1 of the pending firing's entry, 0 if none
+	r   Runner
 }
 
-// RunEvent recycles the record, so that refs to it are already stale,
-// and runs its target.
-func (ev *event) RunEvent() {
-	r := ev.run
-	ev.k.recycle(ev)
-	r.RunEvent()
+// Init binds t to kernel k and target r, with nothing pending.
+func (t *Timer) Init(k *Kernel, r Runner) { *t = Timer{k: k, r: r} }
+
+// Set arms t to fire at at (clamped to the clock), canceling a pending
+// firing first.
+func (t *Timer) Set(at Time) {
+	t.Stop()
+	t.seq = t.k.push(at, t) + 1
 }
 
-// evref is a cancelation handle for a scheduled record. It stays valid
-// only while the record's generation matches: after the event fires (and
-// its storage is recycled for a later schedule), cancel through an old
-// ref is a no-op instead of a use-after-reuse bug.
-type evref struct {
-	ev  *event
-	gen uint64
+// Stop cancels t's pending firing, if any. Its entry stays queued, stale,
+// until popped or compacted away.
+func (t *Timer) Stop() {
+	if t.seq != 0 {
+		t.seq = 0
+		t.k.staled()
+	}
 }
 
-// valid reports whether the ref still names a live scheduled event.
-func (r evref) valid() bool { return r.ev != nil && r.ev.gen == r.gen }
+// Pending reports whether t has a firing queued.
+func (t *Timer) Pending() bool { return t.seq != 0 }
+
+// RunEvent fires t: nothing is pending any more, and its target runs.
+func (t *Timer) RunEvent() {
+	t.seq = 0
+	t.r.RunEvent()
+}
 
 // key orders the queue. Events with equal times fire in schedule order
 // (seq breaks ties), which keeps the simulation deterministic.
@@ -68,26 +75,24 @@ func (a key) less(b key) bool {
 
 // entry is a scheduled event as the queue holds it: the 128-bit key
 // beside its target, which the kernel runs from the entry alone. A
-// process wake targets the process (procWake) and a daemon step the
-// daemon; each is live while its target's stamp is the entry's seq + 1,
-// so canceling one is zeroing the stamp. A record (event) is live while
-// not canceled. Any other Runner is always live.
+// process wake targets the process (procWake) and a cancelable event its
+// Timer; each is live while its target's stamp is the entry's seq + 1,
+// so canceling one is zeroing the stamp. Any other Runner is always
+// live.
 type entry struct {
 	key
 	target Runner
 }
 
 // stale reports whether e no longer names an event to run: a process
-// wake or daemon step whose stamp has moved on (Interrupt, WakeAt), or a
-// canceled record.
+// wake or a Timer firing whose stamp has moved on (Interrupt, Stop, a
+// replacing Set).
 func stale(e *entry) bool {
 	switch r := e.target.(type) {
 	case *procWake:
 		return r.wseq != e.seq+1
-	case *Daemon:
+	case *Timer:
 		return r.seq != e.seq+1
-	case *event:
-		return r.canceled
 	}
 	return false
 }
@@ -305,11 +310,6 @@ func (q *eventQueue) above(t Time) bool {
 	return lo > uint64(t)
 }
 
-// maxEventPool caps the record free list so a burst of cancelable
-// timers doesn't pin its peak record population in memory for the rest
-// of the run; beyond the cap, recycled records are dropped for the GC.
-const maxEventPool = 12 << 10
-
 // push enqueues r to run at time t (clamped to the clock) and returns
 // the entry's seq. It may be called from scheduler context or from a
 // running process.
@@ -323,57 +323,12 @@ func (k *Kernel) push(t Time, r Runner) uint64 {
 	return seq
 }
 
-// schedule enqueues r at time t behind a pooled record, for the events
-// that can be canceled: EventRef and GetTimeout's timer.
-func (k *Kernel) schedule(t Time, r Runner) evref {
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		ev = &event{k: k}
-	}
-	ev.run = r
-	ev.canceled = false
-	k.push(t, ev)
-	return evref{ev: ev, gen: ev.gen}
-}
-
-// cancel marks the referenced record so its entry is skipped, provided
-// the ref is still current (and so names a queued record).
-func (k *Kernel) cancel(r evref) {
-	if !r.valid() || r.ev.canceled {
-		return
-	}
-	r.ev.canceled = true
-	k.staled()
-}
-
-// staled counts one queued entry gone stale: a canceled record, or a
-// wake or step whose stamp was zeroed. Stale entries stay in the queue
-// until popped or until enough accumulate to trigger compaction.
+// staled counts one queued entry gone stale: a wake or Timer firing
+// whose stamp was zeroed. Stale entries stay in the queue until popped
+// or until enough accumulate to trigger compaction.
 func (k *Kernel) staled() {
 	k.ncanceled++
 	k.maybeCompact()
-}
-
-// recycle returns a record to the free list, invalidating all
-// outstanding refs to it.
-func (k *Kernel) recycle(ev *event) {
-	ev.gen++
-	ev.run = nil
-	if len(k.free) < maxEventPool {
-		k.free = append(k.free, ev)
-	}
-}
-
-// drop discards a queued entry that will not run: its record, if it
-// has one, goes back to the pool.
-func (k *Kernel) drop(e *entry) {
-	if ev, ok := e.target.(*event); ok {
-		k.recycle(ev)
-	}
 }
 
 // compactMin is the queue length below which compaction is never worth
@@ -401,7 +356,6 @@ func (k *Kernel) sweep(all bool) {
 		for c := q.take(b); c != nil; c = q.release(c) {
 			for i := range c.e[:c.n] {
 				if e := &c.e[i]; all || stale(e) {
-					k.drop(e)
 					q.n--
 				} else {
 					q.put(b, *e)
@@ -410,7 +364,6 @@ func (k *Kernel) sweep(all bool) {
 		}
 	}
 	if q.top.target != nil && (all || stale(&q.top)) {
-		k.drop(&q.top)
 		q.top = entry{}
 		q.n--
 	}

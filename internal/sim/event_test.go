@@ -13,12 +13,13 @@ import (
 // far-future pop.
 func TestCanceledEventCompaction(t *testing.T) {
 	k := New(1)
-	var refs []evref
-	for i := 0; i < 1000; i++ {
-		refs = append(refs, k.schedule(Time(i+1)*time.Millisecond, funcRunner(nop)))
+	ts := make([]Timer, 1000)
+	for i := range ts {
+		ts[i].Init(k, funcRunner(nop))
+		ts[i].Set(Time(i+1) * time.Millisecond)
 	}
-	for _, r := range refs[:900] {
-		k.cancel(r)
+	for i := range ts[:900] {
+		ts[i].Stop()
 	}
 	if k.events.len() > 200 {
 		t.Fatalf("heap holds %d entries after canceling 900 of 1000", k.events.len())
@@ -37,15 +38,15 @@ func TestCanceledEventCompaction(t *testing.T) {
 func TestCompactionPreservesOrder(t *testing.T) {
 	k := New(1)
 	var fired []int
-	var refs []evref
-	for i := 0; i < 300; i++ {
-		i := i
-		refs = append(refs, k.schedule(Time(300-i)*time.Microsecond, funcRunner(func() { fired = append(fired, 300-i) })))
+	ts := make([]Timer, 300)
+	for i := range ts {
+		ts[i].Init(k, funcRunner(func() { fired = append(fired, 300-i) }))
+		ts[i].Set(Time(300-i) * time.Microsecond)
 	}
 	// Cancel two thirds to force at least one compaction pass.
-	for i := 0; i < len(refs); i++ {
+	for i := range ts {
 		if i%3 != 0 {
-			k.cancel(refs[i])
+			ts[i].Stop()
 		}
 	}
 	k.Run()
@@ -59,58 +60,27 @@ func TestCompactionPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestStaleCancelIsHarmless: canceling through an EventRef whose event
-// already fired, and whose record was recycled for a newer event, must
-// not cancel the newer event.
+// TestStaleCancelIsHarmless: stopping a timer whose firing has already
+// run cancels nothing and counts nothing stale, and the timer re-arms
+// afterwards as if it had never been stopped.
 func TestStaleCancelIsHarmless(t *testing.T) {
 	k := New(1)
-	firstFired, secondFired := false, false
-	stale := k.AfterRunnerRef(time.Microsecond, funcRunner(func() { firstFired = true }))
+	fired := 0
+	var tm Timer
+	tm.Init(k, funcRunner(func() { fired++ }))
+	tm.Set(time.Microsecond)
 	k.Spawn("canceler", func(p *Proc) {
-		p.Sleep(2 * time.Microsecond) // first event has fired; its record is pooled
-		fresh := k.AfterRunnerRef(time.Microsecond, funcRunner(func() { secondFired = true }))
-		if fresh.ref.ev != stale.ref.ev {
-			t.Errorf("the second event did not reuse the first one's record")
+		p.Sleep(2 * time.Microsecond) // the timer has fired
+		tm.Stop()
+		if tm.Pending() || k.ncanceled != 0 {
+			t.Errorf("a stale Stop left pending=%v and %d stale entries, want false and 0", tm.Pending(), k.ncanceled)
 		}
-		k.CancelRunner(stale)         // stale: generation advanced on recycle
+		tm.Set(p.Now() + time.Microsecond)
 		p.Sleep(2 * time.Microsecond) // keep the sim alive until it fires
 	})
 	k.Run()
-	if !firstFired || !secondFired {
-		t.Fatalf("fired=%v,%v; stale cancel must be a no-op", firstFired, secondFired)
-	}
-}
-
-// chainRunner re-arms itself through a fresh EventRef until n events
-// have run, recording the record each one used.
-type chainRunner struct {
-	k       *Kernel
-	n       int
-	records map[*event]bool
-}
-
-func (c *chainRunner) RunEvent() {
-	if c.n--; c.n > 0 {
-		ref := c.k.AfterRunnerRef(time.Microsecond, c)
-		c.records[ref.ref.ev] = true
-	}
-}
-
-// TestEventPoolReuse: the kernel recycles records instead of allocating
-// one per cancelable schedule. A record is recycled before its target
-// runs, so an EventRef chain that re-arms from its own event reuses one
-// record throughout.
-func TestEventPoolReuse(t *testing.T) {
-	k := New(1)
-	c := &chainRunner{k: k, n: 1000, records: map[*event]bool{}}
-	ref := k.AfterRunnerRef(time.Microsecond, c)
-	c.records[ref.ref.ev] = true
-	k.Run()
-	if len(c.records) != 1 || len(k.free) != 1 {
-		t.Fatalf("a single EventRef chain used %d records and left %d pooled, want 1 and 1", len(c.records), len(k.free))
-	}
-	if k.Events() != 1000 {
-		t.Fatalf("Events() = %d, want 1000", k.Events())
+	if fired != 2 || k.ncanceled != 0 {
+		t.Fatalf("fired %d times with %d stale entries; a stale Stop must be a no-op", fired, k.ncanceled)
 	}
 }
 
@@ -118,8 +88,7 @@ func TestEventPoolReuse(t *testing.T) {
 // what can make one stale.
 const (
 	kindPlain = iota // ScheduleRunnerAt: no handle, never stale
-	kindRef          // AfterRunnerRef: canceled through CancelRunner
-	kindTimer        // GetTimeout's timer, a record around a closure: k.cancel
+	kindTimer        // a Timer firing: a replacing Set or a Stop
 	kindWake         // a process wake: Interrupt on an interruptible spin
 	kindStep         // a daemon step: a WakeAt pull-in
 	kinds
@@ -130,41 +99,46 @@ type oracleEntry struct {
 	t     Time
 	seq   uint64
 	kind  int
-	who   int   // kindWake, kindStep: the process or daemon
-	ref   evref // kindRef, kindTimer
+	who   int // kindTimer, kindWake, kindStep: the timer, process or daemon
 	stale bool
 }
 
 // TestQueueMatchesSortedOracle drives the event queue through seeded
-// random sequences of schedules of every entry kind (plain Runners,
-// EventRefs, GetTimeout timers, process wakes and daemon steps), pops in
-// dispatch's way, peeks, schedules below the last minimum taken, cancels
-// of every kind that has one (CancelRunner, a timer's cancel, Interrupt
-// on an interruptible spin, Daemon.WakeAt pulling a step in) with the
-// compaction they trigger, stale cancels, and Kernel.Reset. It checks
-// every popped and peeked (t, seq), whether a popped entry is stale, the
-// queue length and the stale count against a sorted slice, every stamp
-// against the entry the oracle says it names, and that the queue never
-// reports itself above its own minimum (the bound runAhead trusts).
+// random sequences of schedules of every entry kind (plain Runners, Timer
+// firings, process wakes and daemon steps), pops in dispatch's way,
+// peeks, schedules below the last minimum taken, cancels of every kind
+// that has one (a Set replacing a pending firing, Stop, Interrupt on an
+// interruptible spin, Daemon.WakeAt pulling a step in) with the
+// compaction they trigger, Stops with nothing pending, and Kernel.Reset.
+// It checks every popped and peeked (t, seq), whether a popped entry is
+// stale, the queue length and the stale count against a sorted slice,
+// every stamp against the entry the oracle says it names, and that the
+// queue never reports itself above its own minimum (the bound runAhead
+// trusts).
 func TestQueueMatchesSortedOracle(t *testing.T) {
 	const seeds, steps = 300, 3000
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := New(seed)
 		// Processes that are never resumed, only woken: their wakes are
-		// queue entries like any other. A daemon step runs nop.
+		// queue entries like any other. A timer's firing and a daemon
+		// step run nop.
 		procs := make([]*Proc, 4)
 		for i := range procs {
 			procs[i] = &Proc{k: k, interruptible: true}
+		}
+		timers := make([]Timer, 4)
+		for i := range timers {
+			timers[i].Init(k, funcRunner(nop))
 		}
 		daemons := make([]*Daemon, 4)
 		for i := range daemons {
 			daemons[i] = k.NewDaemon("d", nop)
 		}
 		var ref []oracleEntry // sorted by (t, seq)
-		var fired []EventRef  // refs whose event has popped
 		ncanceled := 0
-		// pending[kind][who] is the seq + 1 of the live wake or step.
+		// pending[kind][who] is the seq + 1 of the live firing, wake or
+		// step.
 		var pending [kinds][4]uint64
 		fail := func(step int, format string, args ...any) {
 			t.Helper()
@@ -178,7 +152,7 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 			ref = append(ref, oracleEntry{})
 			copy(ref[i+1:], ref[i:])
 			ref[i] = o
-			if o.kind == kindWake || o.kind == kindStep {
+			if o.kind != kindPlain {
 				pending[o.kind][o.who] = o.seq + 1
 			}
 		}
@@ -204,10 +178,17 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 			}
 			return -1
 		}
+		// cancel marks the live entry of kind's who stale, if it has one.
+		cancel := func(kind, who int) {
+			if s := pending[kind][who]; s != 0 {
+				staled(find(s - 1))
+				pending[kind][who] = 0
+			}
+		}
 		// interrupt preempts process who's spin: its wake goes stale and
 		// a fresh one is queued at the clock.
 		interrupt := func(who int) {
-			staled(find(pending[kindWake][who] - 1))
+			cancel(kindWake, who)
 			seq := k.seq
 			procs[who].Interrupt(nop)
 			procs[who].intr = procs[who].intr[:0]
@@ -217,13 +198,11 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 		// step at or before t, otherwise a pending later one goes stale.
 		wakeAt := func(who int, at Time) {
 			seq := k.seq
-			if s := pending[kindStep][who]; s != 0 {
-				if ref[find(s-1)].t <= at {
-					daemons[who].WakeAt(at)
-					return
-				}
-				staled(find(s - 1))
+			if s := pending[kindStep][who]; s != 0 && ref[find(s-1)].t <= at {
+				daemons[who].WakeAt(at)
+				return
 			}
+			cancel(kindStep, who)
 			daemons[who].WakeAt(at)
 			add(oracleEntry{t: at, seq: seq, kind: kindStep, who: who})
 		}
@@ -233,10 +212,13 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 			switch o.kind {
 			case kindPlain:
 				k.ScheduleRunnerAt(at, funcRunner(nop))
-			case kindRef:
-				o.ref = k.AfterRunnerRef(at-k.now, funcRunner(nop)).ref
 			case kindTimer:
-				o.ref = k.schedule(at, funcRunner(func() {}))
+				// Set replaces a pending firing: that entry goes stale
+				// (and may trigger compaction) before the new one is
+				// pushed.
+				o.who = rng.Intn(len(timers))
+				cancel(kindTimer, o.who)
+				timers[o.who].Set(at)
 			case kindWake:
 				o.who = rng.Intn(len(procs))
 				if pending[kindWake][o.who] != 0 {
@@ -285,7 +267,6 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 				if want.stale {
 					k.ncanceled--
 					ncanceled--
-					k.drop(&e)
 					break
 				}
 				if e.t < k.now {
@@ -294,11 +275,8 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 				k.now = e.t
 				e.target.RunEvent()
 				k.running, k.nextp = nil, nil
-				switch want.kind {
-				case kindWake, kindStep:
+				if want.kind != kindPlain {
 					pending[want.kind][want.who] = 0
-				case kindRef:
-					fired = append(fired, EventRef{want.ref})
 				}
 			case op < 78:
 				if len(ref) == 0 {
@@ -316,12 +294,9 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 					continue
 				}
 				switch o := ref[i]; o.kind {
-				case kindRef:
-					k.CancelRunner(EventRef{o.ref})
-					staled(i)
 				case kindTimer:
-					k.cancel(o.ref)
-					staled(i)
+					timers[o.who].Stop()
+					cancel(kindTimer, o.who)
 				case kindWake:
 					interrupt(o.who)
 				case kindStep:
@@ -330,17 +305,18 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 					}
 				}
 			case op < 99:
-				// A cancel through the ref of an event that has fired
-				// touches nothing, even once its record is reused.
-				if len(fired) > 0 {
-					k.CancelRunner(fired[rng.Intn(len(fired))])
-				}
+				// Stop on any timer, pending or not: with nothing
+				// pending it touches nothing.
+				who := rng.Intn(len(timers))
+				timers[who].Stop()
+				cancel(kindTimer, who)
 			default:
 				k.Reset(seed)
-				for _, p := range procs {
+				for i, p := range procs {
 					p.wseq = 0 // as Spawn's fresh Proc would have it
+					timers[i].Init(k, funcRunner(nop))
 				}
-				ref, ncanceled, fired = ref[:0], 0, fired[:0]
+				ref, ncanceled = ref[:0], 0
 				pending = [kinds][4]uint64{}
 			}
 			if n := k.events.len(); n != len(ref) || k.ncanceled != ncanceled {
@@ -349,14 +325,15 @@ func TestQueueMatchesSortedOracle(t *testing.T) {
 			if len(ref) > 0 && k.events.above(ref[0].t) {
 				fail(step, "above(%d) holds with (%d, %d) queued", ref[0].t, ref[0].t, ref[0].seq)
 			}
-			for who, p := range procs {
-				if p.wseq != pending[kindWake][who] {
-					fail(step, "process %d stamp %d, want %d", who, p.wseq, pending[kindWake][who])
+			for who := range 4 {
+				if s, want := procs[who].wseq, pending[kindWake][who]; s != want {
+					fail(step, "process %d stamp %d, want %d", who, s, want)
 				}
-			}
-			for who, d := range daemons {
-				if d.seq != pending[kindStep][who] {
-					fail(step, "daemon %d stamp %d, want %d", who, d.seq, pending[kindStep][who])
+				if s, want := timers[who].seq, pending[kindTimer][who]; s != want {
+					fail(step, "timer %d stamp %d, want %d", who, s, want)
+				}
+				if s, want := daemons[who].timer.seq, pending[kindStep][who]; s != want {
+					fail(step, "daemon %d stamp %d, want %d", who, s, want)
 				}
 			}
 		}

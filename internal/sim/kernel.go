@@ -38,7 +38,6 @@ type Time = time.Duration
 type Kernel struct {
 	now       Time
 	events    eventQueue
-	free      []*event // recycled cancelable-event records (see event.go)
 	seq       uint64
 	ncanceled int    // stale entries still sitting in the queue
 	nexec     uint64 // events executed since New
@@ -196,7 +195,6 @@ func (k *Kernel) dispatch(self *Proc) (res int) {
 		e := k.events.pop()
 		if stale(&e) {
 			k.ncanceled--
-			k.drop(&e)
 			continue
 		}
 		if e.t < k.now {
@@ -291,8 +289,7 @@ func (k *Kernel) NextEventTime() (t Time, ok bool) {
 			return e.t, true
 		}
 		k.ncanceled--
-		e := k.events.pop()
-		k.drop(&e)
+		k.events.pop()
 	}
 	return 0, false
 }
@@ -362,7 +359,6 @@ func (k *Kernel) Shutdown() {
 	}
 	k.killProcs()
 	k.events = eventQueue{}
-	k.free = nil
 	k.pfree = nil
 	k.daemons = nil
 	k.ncanceled = 0
@@ -371,14 +367,14 @@ func (k *Kernel) Shutdown() {
 }
 
 // Reset puts the kernel in its just-built state under a new seed,
-// keeping allocated capacity: the record, queue-chunk and proc free
-// lists and the registered callback daemons all survive, so a pooled
-// cluster re-runs a program without rebuilding its machinery. Any
-// process still alive (parked by Stop, or abandoned when Run went
-// quiet) is killed exactly as Shutdown kills it. Unlike Shutdown the
-// kernel is fully usable afterwards. New ends in Reset, so the clock,
-// event sequence, executed-event counter and RNG stream numbering are
-// written here only, which is what makes a reused cluster
+// keeping allocated capacity: the queue-chunk and proc free lists and
+// the registered callback daemons (their pending steps disarmed) all
+// survive, so a pooled cluster re-runs a program without rebuilding its
+// machinery. Any process still alive (parked by Stop, or abandoned when
+// Run went quiet) is killed exactly as Shutdown kills it. Unlike
+// Shutdown the kernel is fully usable afterwards. New ends in Reset, so
+// the clock, event sequence, executed-event counter and RNG stream
+// numbering are written here only, which is what makes a reused cluster
 // byte-identical to a freshly built one.
 func (k *Kernel) Reset(seed int64) {
 	if k.running != nil {
@@ -388,7 +384,7 @@ func (k *Kernel) Reset(seed int64) {
 	k.sweep(true)
 	k.events.scrub()
 	for _, d := range k.daemons {
-		d.seq = 0
+		d.timer.seq = 0
 		d.at = 0
 		d.status = ""
 	}
@@ -430,7 +426,7 @@ func (k *Kernel) stuckReport() string {
 	idle := 0
 	var csample []string
 	for _, d := range k.daemons {
-		if d.seq != 0 {
+		if d.timer.Pending() {
 			continue // has a pending step; not stuck
 		}
 		idle++

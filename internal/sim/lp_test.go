@@ -489,7 +489,7 @@ func TestLPSetDaemonProcAcrossRuns(t *testing.T) {
 		if len(got) != run+1 || got[run] != run {
 			t.Fatalf("after run %d the daemon has served %v", run, got)
 		}
-		if d.seq != 0 {
+		if d.timer.Pending() {
 			t.Fatalf("after run %d the daemon still has a step pending, want idle", run)
 		}
 	}
@@ -659,7 +659,10 @@ func TestLPSetArrivalBeforePeekedEvent(t *testing.T) {
 func TestSpawnBeforeSkimmedEvent(t *testing.T) {
 	k := New(1)
 	var log []string
-	k.cancel(k.schedule(10*time.Microsecond, funcRunner(func() { log = append(log, "canceled") })))
+	var canceled Timer
+	canceled.Init(k, funcRunner(func() { log = append(log, "canceled") }))
+	canceled.Set(10 * time.Microsecond)
+	canceled.Stop()
 	k.After(20*time.Microsecond, func() { log = append(log, fmt.Sprint("timer@", k.Now())) })
 	if next, ok := k.NextEventTime(); !ok || next != 20*time.Microsecond {
 		t.Fatalf("NextEventTime = %v, %v; want 20µs, true", next, ok)

@@ -25,7 +25,6 @@ type Proc struct {
 	parkAt   Time   // when the proc parked, for deadlock reports
 
 	wseq uint64 // seq + 1 of the pending wake's entry, 0 if none (see entry)
-	wpos uint64 // position in a Queue's waiter ring (see queue.go)
 
 	// Signal-handler support (see Interrupt / SpinInterruptible).
 	intr          []func()

@@ -1,15 +1,11 @@
 package sim
 
-// Queue is an unbounded FIFO queue in virtual time. Put never blocks;
-// Get parks the calling process until an item is available. A Queue is
-// safe for use by any number of simulated processes (the kernel's strict
-// hand-off scheduling means no real concurrency ever occurs).
-//
-// Both the item store and the waiter list are ring buffers, so the
-// steady state allocates nothing: TryGet does not drift the backing
-// array. Waiter removal is O(1) amortized — each waiting process
-// remembers its ring position, and removal tombstones the slot for the
-// next wake to skip.
+// Queue is an unbounded FIFO queue in virtual time with one consumer.
+// Put never blocks and may come from any process or scheduler context;
+// Get parks the calling process until an item is available. At most one
+// process may be parked on a queue: a second consumer panics, naming the
+// queue. The item store is a ring buffer, so the steady state allocates
+// nothing: TryGet does not drift the backing array.
 type Queue[T any] struct {
 	name  string
 	where string // park label, built once ("queue " + name)
@@ -17,11 +13,8 @@ type Queue[T any] struct {
 	head  int
 	n     int
 
-	waiters  []*Proc // ring buffer; nil entries are removed waiters
-	whead    int     // ring index of the logical head
-	wcount   int     // slots in use, tombstones included
-	wheadPos uint64  // position counter of the slot at whead
-	wnextPos uint64  // position assigned to the next enqueued waiter
+	waiter   *Proc // the parked consumer, nil if none
+	deadline Timer // GetTimeout's, its Runner the queue (queueTimeout)
 }
 
 // NewQueue returns an empty queue; name appears in deadlock reports.
@@ -38,21 +31,18 @@ func (q *Queue[T]) Init(name string) {
 	q.where = "queue " + name
 }
 
-// Reset empties the queue — items and waiters both — keeping ring
-// capacity for reuse. The caller must ensure no parked process still
-// expects a wake from this queue (cluster reset kills leftover
-// processes first).
+// Reset empties the queue, forgets its consumer and disarms a pending
+// GetTimeout deadline, keeping ring capacity for reuse. The caller must
+// ensure no parked process still expects a wake from this queue (cluster
+// reset kills leftover processes first).
 func (q *Queue[T]) Reset() {
 	var zero T
 	for i := 0; i < q.n; i++ {
 		q.items[(q.head+i)%len(q.items)] = zero
 	}
 	q.head, q.n = 0, 0
-	for i := range q.waiters {
-		q.waiters[i] = nil
-	}
-	q.whead, q.wcount = 0, 0
-	q.wheadPos, q.wnextPos = 0, 0
+	q.waiter = nil
+	q.deadline = Timer{}
 }
 
 // Len returns the number of queued items.
@@ -72,67 +62,33 @@ func (q *Queue[T]) grow() {
 	q.head = 0
 }
 
-// Put appends v and wakes the oldest waiting process, if any. It may be
-// called from process or scheduler context.
+// Put appends v and wakes the parked consumer, if any. It may be called
+// from process or scheduler context.
 func (q *Queue[T]) Put(v T) {
 	if q.n == len(q.items) {
 		q.grow()
 	}
 	q.items[(q.head+q.n)%len(q.items)] = v
 	q.n++
-	q.wakeOne()
+	q.wake()
 }
 
-// wakeOne pops the oldest live waiter and schedules its resume, skipping
-// tombstoned slots.
-func (q *Queue[T]) wakeOne() {
-	for q.wcount > 0 {
-		p := q.waiters[q.whead]
-		q.waiters[q.whead] = nil
-		q.whead = (q.whead + 1) % len(q.waiters)
-		q.wheadPos++
-		q.wcount--
-		if p != nil {
-			p.wakeAt(p.k.now)
-			return
-		}
+// wake resumes the parked consumer, if any, at the current time.
+func (q *Queue[T]) wake() {
+	if p := q.waiter; p != nil {
+		q.waiter = nil
+		p.wakeAt(p.k.now)
 	}
 }
 
-// addWaiter parks p at the tail of the waiter ring, recording its
-// position for O(1) removal. A process waits on at most one queue at a
-// time, so the position lives on the Proc itself.
-func (q *Queue[T]) addWaiter(p *Proc) {
-	if q.wcount == len(q.waiters) {
-		c := 2 * len(q.waiters)
-		if c == 0 {
-			c = 4
-		}
-		ws := make([]*Proc, c)
-		for i := 0; i < q.wcount; i++ {
-			ws[i] = q.waiters[(q.whead+i)%len(q.waiters)]
-		}
-		q.waiters = ws
-		q.whead = 0
+// wait parks p as the queue's consumer until Put or GetTimeout's
+// deadline wakes it.
+func (q *Queue[T]) wait(p *Proc) {
+	if q.waiter != nil {
+		panic("sim: a second consumer parked on " + q.where)
 	}
-	q.waiters[(q.whead+q.wcount)%len(q.waiters)] = p
-	p.wpos = q.wnextPos
-	q.wnextPos++
-	q.wcount++
-}
-
-// removeWaiter tombstones p's slot if p is still enqueued; a no-op when
-// a wake already dequeued it. O(1): the slot is computed from the
-// position recorded at addWaiter.
-func (q *Queue[T]) removeWaiter(p *Proc) {
-	off := p.wpos - q.wheadPos
-	if off >= uint64(q.wcount) {
-		return // already dequeued (position fell off the ring head)
-	}
-	i := (q.whead + int(off)) % len(q.waiters)
-	if q.waiters[i] == p {
-		q.waiters[i] = nil
-	}
+	q.waiter = p
+	p.park(q.where)
 }
 
 // TryGet removes and returns the head item without blocking.
@@ -155,8 +111,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 		if v, ok := q.TryGet(); ok {
 			return v
 		}
-		q.addWaiter(p)
-		p.park(q.where)
+		q.wait(p)
 	}
 }
 
@@ -164,17 +119,19 @@ func (q *Queue[T]) Get(p *Proc) T {
 // timeout consumes exactly d of virtual time.
 //
 // Same-tick audit: when a Put lands on the same virtual tick as the
-// timeout event, p resumes exactly once whichever fires first. Timeout
-// first: it tombstones p's waiter slot (wakeOne skips tombstones, so
-// the Put's wake passes to the next live waiter) and its wakeAt is
-// idempotent against any already-pending resume. Put first: wakeOne
-// dequeues p, the late timeout's removeWaiter is a position-checked
-// no-op and its wakeAt is absorbed. Either way p re-checks TryGet
-// before reporting the timeout, so an item landing on the deadline is
-// delivered, never lost.
+// deadline, p resumes exactly once whichever fires first. Deadline
+// first: it takes p off the queue and wakes it, so the Put finds no
+// consumer. Put first: it takes p off the queue and wakes it, and the
+// deadline finds no consumer. Either way p re-checks TryGet before
+// reporting the timeout, so an item landing on the deadline is
+// delivered, never lost. A deadline still pending when p resumes is
+// stopped.
 func (q *Queue[T]) GetTimeout(p *Proc, d Time) (T, bool) {
 	var zero T
 	deadline := p.k.now + d
+	if q.deadline.k == nil {
+		q.deadline.Init(p.k, (*queueTimeout[T])(q))
+	}
 	for {
 		if v, ok := q.TryGet(); ok {
 			return v, true
@@ -182,19 +139,15 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (T, bool) {
 		if p.k.now >= deadline {
 			return zero, false
 		}
-		timedOut := false
-		ev := p.k.schedule(deadline, funcRunner(func() {
-			timedOut = true
-			q.removeWaiter(p)
-			p.wakeAt(p.k.now)
-		}))
-		q.addWaiter(p)
-		p.park(q.where)
-		if !timedOut {
-			// Woken by Put (which dequeued p) — just disarm the timer;
-			// the timeout path already removed p above.
-			p.k.cancel(ev)
-			q.removeWaiter(p)
-		}
+		q.deadline.Set(deadline)
+		q.wait(p)
+		q.deadline.Stop()
 	}
 }
+
+// queueTimeout is a queue as the Runner of its GetTimeout deadline.
+type queueTimeout[T any] Queue[T]
+
+// RunEvent fires the deadline: the consumer, if a Put has not already
+// woken it, is woken to report the timeout.
+func (q *queueTimeout[T]) RunEvent() { (*Queue[T])(q).wake() }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -88,35 +89,75 @@ func TestQueueTimeoutVsPutRace(t *testing.T) {
 	k.Run()
 }
 
-// TestQueueTimeoutSameTickSingleDelivery: a timeout and a Put landing
-// on the same virtual tick, with a second waiter parked behind the
-// timed-out one, must deliver the item exactly once — either to the
-// timed waiter (its wake won the tick) or to the patient one (the
-// timeout won, and its tombstoned waiter slot must not eat the wake).
-func TestQueueTimeoutSameTickSingleDelivery(t *testing.T) {
+// TestQueueSecondConsumerPanics: a Queue has one consumer, so a second
+// process parking on it, through Get or GetTimeout, while the first is
+// still parked panics with the queue's name.
+func TestQueueSecondConsumerPanics(t *testing.T) {
+	for _, second := range []struct {
+		name string
+		get  func(q *Queue[int], p *Proc)
+	}{
+		{"Get", func(q *Queue[int], p *Proc) { q.Get(p) }},
+		{"GetTimeout", func(q *Queue[int], p *Proc) { q.GetTimeout(p, time.Millisecond) }},
+	} {
+		t.Run(second.name, func(t *testing.T) {
+			k := New(1)
+			q := NewQueue[int]("inbox")
+			k.Spawn("first", func(p *Proc) { q.GetTimeout(p, time.Millisecond) })
+			k.Spawn("second", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				second.get(q, p)
+			})
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "second consumer") || !strings.Contains(msg, "inbox") {
+					t.Errorf("Run panicked with %q, want a second-consumer panic naming the queue", msg)
+				}
+				k.Shutdown()
+			}()
+			k.Run()
+		})
+	}
+}
+
+// TestQueueResetDisarmsDeadline: a run stopped while a GetTimeout
+// deadline is pending, then Queue.Reset and Kernel.Reset, leaves the
+// kernel and the queue as a fresh pair: the same scenario runs with the
+// same Events() and stale count. A deadline stamp left set would have
+// the next GetTimeout count a stale entry for one Reset already dropped.
+func TestQueueResetDisarmsDeadline(t *testing.T) {
+	scenario := func(k *Kernel, q *Queue[int]) (uint64, int) {
+		k.Spawn("consumer", func(p *Proc) {
+			q.GetTimeout(p, 100*time.Microsecond) // the Put stops this deadline
+			q.GetTimeout(p, 10*time.Microsecond)  // this one fires
+		})
+		k.Spawn("producer", func(p *Proc) {
+			p.Sleep(3 * time.Microsecond)
+			q.Put(1)
+		})
+		k.Run()
+		return k.Events(), k.ncanceled
+	}
+	fresh := New(1)
+	wantEv, wantStale := scenario(fresh, NewQueue[int]("q"))
+	if wantStale == 0 {
+		t.Fatal("the scenario stops no deadline: the test is vacuous")
+	}
+
 	k := New(1)
 	q := NewQueue[int]("q")
-	timedGot, patientGot := -1, -1
-	k.Spawn("timed", func(p *Proc) {
-		if v, ok := q.GetTimeout(p, 5*time.Microsecond); ok {
-			timedGot = v
-		}
-	})
-	k.Spawn("patient", func(p *Proc) {
-		p.Sleep(time.Microsecond) // park behind "timed" in the waiter ring
-		if v, ok := q.GetTimeout(p, time.Millisecond); ok {
-			patientGot = v
-		}
-	})
-	k.Spawn("producer", func(p *Proc) {
-		p.Sleep(5 * time.Microsecond) // exactly at timed's deadline
-		q.Put(7)
-	})
+	k.Spawn("stopped", func(p *Proc) { q.GetTimeout(p, 10*time.Microsecond) })
+	k.After(5*time.Microsecond, k.Stop)
 	k.Run()
-	if (timedGot == 7) == (patientGot == 7) {
-		t.Errorf("item delivered %d/%d times (timed=%d patient=%d), want exactly once",
-			timedGot, patientGot, timedGot, patientGot)
+	if !q.deadline.Pending() {
+		t.Fatal("the deadline is not pending when the run stops: the test is vacuous")
 	}
+	q.Reset()
+	k.Reset(1)
+	if ev, stale := scenario(k, q); ev != wantEv || stale != wantStale {
+		t.Errorf("after Reset the scenario ran %d events with %d stale, want %d and %d as on a fresh kernel", ev, stale, wantEv, wantStale)
+	}
+	fresh.Shutdown()
+	k.Shutdown()
 }
 
 func TestDaemonDoesNotBlockRun(t *testing.T) {
