@@ -43,6 +43,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "abapp: "+format+"\n", args...)
 		os.Exit(2)
 	}
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{{"nodes", *nodes, 2}, {"iters", *iters, 1}, {"count", *count, 1}, {"reds", *reds, 1}, {"window", *window, 1}} {
+		if f.v < f.floor {
+			bad("-%s %d: must be at least %d", f.name, f.v, f.floor)
+		}
+	}
 	engine, err := cluster.ParseEngine(*engineFlag)
 	if err != nil {
 		bad("%v", err)

@@ -27,6 +27,12 @@ func TestBadFlagExitsTwo(t *testing.T) {
 		{"-dist", "bogus", "unknown distribution"},
 		{"-engine", "bogus", "unknown engine"},
 		{"-topo", "bogus", "bad -topo"},
+		{"-nodes", "1", "-nodes 1: must be at least 2"},
+		{"-iters", "-1", "-iters -1: must be at least 1"},
+		{"-iters", "0", "-iters 0: must be at least 1"},
+		{"-count", "-2", "-count -2: must be at least 1"},
+		{"-reds", "-1", "-reds -1: must be at least 1"},
+		{"-window", "-1", "-window -1: must be at least 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, "-nodes", "4", "-iters", "1", tc.flag, tc.value)

@@ -71,6 +71,10 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	flag.Parse()
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "abbench: -iters %d: must be at least 1\n", *iters)
+		os.Exit(2)
+	}
 	if *loss < 0 || *loss >= 1 {
 		fmt.Fprintf(os.Stderr, "abbench: -loss %v outside [0, 1)\n", *loss)
 		os.Exit(2)

@@ -32,6 +32,8 @@ func TestBadFlagExitsTwo(t *testing.T) {
 		{[]string{"-loss", "2"}, "-loss"},
 		{[]string{"-topo", "bogus"}, "bad -topo"},
 		{[]string{"-fig", "loss", "-loss", "0.01"}, "-loss"},
+		{[]string{"-iters", "-1"}, "-iters -1: must be at least 1"},
+		{[]string{"-iters", "0"}, "-iters 0: must be at least 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append([]string{"-iters", "1"}, tc.args...)...)

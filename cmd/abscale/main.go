@@ -127,6 +127,20 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV")
 	flag.Parse()
 
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{
+		{"iters", *iters, 1}, {"count", *count, 1}, {"bigiters", *bigIters, 1}, {"topoiters", *topoIters, 1},
+		{"flowiters", *flowIters, 1}, {"tenancynodes", *tenancyNodes, 2}, {"tenancyiters", *tenancyIters, 1},
+		{"tenancycount", *tenancyCount, 1},
+	} {
+		if f.v < f.floor {
+			fmt.Fprintf(os.Stderr, "abscale: -%s %d: must be at least %d\n", f.name, f.v, f.floor)
+			os.Exit(2)
+		}
+	}
+
 	// Validate the engine/kernel flag combination up front so a bad mix
 	// (e.g. -lps on an unroutable topology) is a flag-level error, not a
 	// panic deep inside the first sweep. Both engines honour -lps now:

@@ -107,37 +107,40 @@ func TestFlowCrossValidation(t *testing.T) {
 }
 
 // TestFlowDeterminism pins that a flow run is a pure function of its
-// seed regardless of how the cluster was obtained: fresh build, Reset
-// reuse, and pool reuse must be byte-identical.
+// seed and mode regardless of how the cluster was obtained: one pooled
+// cluster runs nab, then ab, then ab again, reusing its rank state
+// across modes and runs, and each run must be byte-identical to a
+// fresh build of the same mode.
 func TestFlowDeterminism(t *testing.T) {
 	base := Config{
 		Specs:   model.Uniform(512),
-		Mode:    AppBypass,
 		MaxSkew: 500 * time.Microsecond,
 		Iters:   3,
 		Seed:    7,
 		Topo:    topo.Spec{Kind: topo.FatTree, K: 16},
 		Engine:  cluster.EngineFlow,
 	}
-	fresh := CPUUtil(base)
+	fresh := map[Mode]CPUUtilResult{}
+	for _, mode := range []Mode{NonAppBypass, AppBypass} {
+		cfg := base
+		cfg.Mode = mode
+		fresh[mode] = CPUUtil(cfg)
+	}
 
-	// Reset reuse: run twice on one pooled cluster; the pool Resets it
-	// between runs.
 	pool := cluster.NewPool()
 	defer pool.Drain()
-	cfg := base
-	cfg.Pool = pool
-	first := CPUUtil(cfg)
-	second := CPUUtil(cfg)
-
-	for name, got := range map[string]CPUUtilResult{"pool-fresh": first, "pool-reset": second} {
-		if got.AvgCPU != fresh.AvgCPU || got.Elapsed != fresh.Elapsed || got.Signals != fresh.Signals {
-			t.Errorf("%s run diverged from fresh: cpu %v vs %v, elapsed %v vs %v, signals %d vs %d",
-				name, got.AvgCPU, fresh.AvgCPU, got.Elapsed, fresh.Elapsed, got.Signals, fresh.Signals)
+	for i, mode := range []Mode{NonAppBypass, AppBypass, AppBypass} {
+		cfg := base
+		cfg.Mode, cfg.Pool = mode, pool
+		got, want := CPUUtil(cfg), fresh[mode]
+		name := fmt.Sprintf("pooled run %d (%v)", i+1, mode)
+		if got.AvgCPU != want.AvgCPU || got.Elapsed != want.Elapsed || got.Signals != want.Signals || got.FCT != want.FCT {
+			t.Errorf("%s diverged from fresh: cpu %v vs %v, elapsed %v vs %v, signals %d vs %d, fct %+v vs %+v",
+				name, got.AvgCPU, want.AvgCPU, got.Elapsed, want.Elapsed, got.Signals, want.Signals, got.FCT, want.FCT)
 		}
-		for r := range fresh.PerNode {
-			if got.PerNode[r] != fresh.PerNode[r] {
-				t.Fatalf("%s run diverged from fresh at rank %d: %v vs %v", name, r, got.PerNode[r], fresh.PerNode[r])
+		for r := range want.PerNode {
+			if got.PerNode[r] != want.PerNode[r] {
+				t.Fatalf("%s diverged from fresh at rank %d: %v vs %v", name, r, got.PerNode[r], want.PerNode[r])
 			}
 		}
 	}

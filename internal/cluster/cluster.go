@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"abred/internal/coll"
 	"abred/internal/core"
 	"abred/internal/fabric"
 	"abred/internal/fault"
@@ -50,8 +51,9 @@ type Cluster struct {
 	// A flow-engine cluster has FlowM in place of Fabric/Nodes: per-node
 	// state lives in flat arrays inside the flow machine, and programs
 	// drive the flow collective API instead of Run.
-	Engine Engine
-	FlowM  *flow.Machine
+	Engine   Engine
+	FlowM    *flow.Machine
+	flowColl *coll.FlowColl // the flow ranks' state, built by the first Exec
 
 	// cms holds one cost-model handle per node on both engines. Nodes of
 	// one hardware class share one model (model.SharedCostModels), and

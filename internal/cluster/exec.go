@@ -11,59 +11,22 @@ import (
 	"abred/internal/sim"
 )
 
-// Outcome is what a run of a coll.Program leaves behind, per rank of the
-// communicator it ran on.
-type Outcome struct {
-	InCall  []sim.Time // time inside reduction calls
-	Intr    []sim.Time // handler time that landed inside spins
-	Signals []uint64   // signal handlers that ran with work
-
-	// Results holds the root's element 0 of every reduction, in
-	// instance order.
-	Results []float64
-
-	// FCT holds a flow-engine run's flow completion times (nil on the
-	// packet engine).
-	FCT []sim.Time
-
-	flow *coll.FlowColl // a flow-engine run's collectives, for quiescence checks
-}
-
-// NewOutcome sizes an Outcome for prog on a size-rank communicator.
-func NewOutcome(size int, prog *coll.Program) *Outcome {
-	return &Outcome{
-		InCall:  make([]sim.Time, size),
-		Intr:    make([]sim.Time, size),
-		Signals: make([]uint64, size),
-		Results: make([]float64, 0, prog.Iters*coll.Reductions(prog.Body)+coll.Reductions(prog.Tail)),
-	}
-}
-
 // Exec runs prog on every node over the world communicator and returns
 // its Outcome and the final virtual time. It is the one place that
 // picks the engine: the packet engine runs Node.Exec as each rank's
-// simulated process; the flow engine hands the table to FlowColl.Run
-// and, since flows carry no data but the reduction structure is exact,
-// fills in the root's results analytically.
-func (c *Cluster) Exec(prog coll.Program) (*Outcome, sim.Time) {
-	size := c.Size()
+// simulated process; the flow engine hands the table to the cluster's
+// FlowColl, built by the first flow Exec and reused by every later one
+// as a packet node reuses its MPI state.
+func (c *Cluster) Exec(prog coll.Program) (*coll.Outcome, sim.Time) {
+	out := coll.NewOutcome(c.Size(), &prog)
 	if c.Engine == EngineFlow {
-		c.FlowM.SampleFCT(true)
-		fc := coll.NewFlowColl(c.FlowM, size)
-		end := fc.Run(prog, c.Drain)
-		out := &Outcome{InCall: fc.InCall, Intr: fc.Intr, Signals: fc.Signals, FCT: c.FlowM.FCTs(), flow: fc}
-		for it := 0; it <= prog.Iters; it++ {
-			steps := prog.Body
-			if it == prog.Iters {
-				steps = prog.Tail
-			}
-			for k := range coll.Reductions(steps) {
-				out.Results = append(out.Results, coll.ExpectedRootSum(size, it, k))
-			}
+		if c.flowColl == nil {
+			c.flowColl = coll.NewFlowColl(c.FlowM, c.Size())
 		}
+		end := c.flowColl.Run(prog, out, c.Drain)
+		out.FCT = c.FlowM.FCTs()
 		return out, end
 	}
-	out := NewOutcome(size, &prog)
 	end := c.Run(func(n *Node, w *mpi.Comm) { n.Exec(w, &prog, out) })
 	return out, end
 }
@@ -82,7 +45,7 @@ func (c *Cluster) Exec(prog coll.Program) (*Outcome, sim.Time) {
 //
 // The step loop is written out here, not in helpers, because every
 // frame under it deepens every rank's coroutine stack.
-func (n *Node) Exec(c *mpi.Comm, prog *coll.Program, out *Outcome) {
+func (n *Node) Exec(c *mpi.Comm, prog *coll.Program, out *coll.Outcome) {
 	x := n.newRankExec(c, prog, out)
 	p, rank := n.Proc, x.rank
 	for it := 0; it <= prog.Iters; it++ {
@@ -125,7 +88,7 @@ func (n *Node) Exec(c *mpi.Comm, prog *coll.Program, out *Outcome) {
 
 // newRankExec installs prog's engine knobs on the node and allocates
 // the rank's interpreter state.
-func (n *Node) newRankExec(c *mpi.Comm, prog *coll.Program, out *Outcome) *rankExec {
+func (n *Node) newRankExec(c *mpi.Comm, prog *coll.Program, out *coll.Outcome) *rankExec {
 	e := n.Engine
 	if prog.Delay != nil {
 		e.SetDelayPolicy(prog.Delay)
@@ -174,7 +137,7 @@ type rankExec struct {
 	nd   *Node
 	c    *mpi.Comm
 	prog *coll.Program
-	out  *Outcome
+	out  *coll.Outcome
 	rank int
 	sig0 uint64 // the node's SignalsHandled when the program started
 

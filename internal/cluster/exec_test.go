@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"abred/internal/coll"
@@ -77,10 +79,11 @@ func wantResults(prog *coll.Program, size int) []float64 {
 }
 
 // TestGeneratedPrograms runs seeded programs on both engines and checks
-// on every draw that every rank finishes (Exec panics otherwise: the
-// packet kernel reports a deadlock, FlowColl.Run an unfinished rank),
-// that the packet root computed ExpectedRootSum for every instance in
-// order, and that both engines end quiescent.
+// on every draw that every rank finishes and the flow engine ends
+// quiescent (Exec panics otherwise: the packet kernel reports a
+// deadlock, FlowColl.Run an unfinished or non-quiescent rank), that
+// both roots report ExpectedRootSum for every instance in order, and
+// that the packet engine ends quiescent.
 func TestGeneratedPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -103,15 +106,9 @@ func TestGeneratedPrograms(t *testing.T) {
 					t.Fatalf("seed %d %v: result %d = %v, want %v", seed, eng, i, out.Results[i], want[i])
 				}
 			}
-			if eng == EngineFlow {
-				if err := out.flow.Quiescent(); err != nil {
-					t.Errorf("seed %d flow: %v", seed, err)
-				}
-			} else {
-				for _, n := range cl.Nodes {
-					if q, d := n.Engine.UBQLen(), n.Engine.OutstandingDescriptors(); q != 0 || d != 0 {
-						t.Errorf("seed %d packet rank %d: %d AB-unexpected, %d descriptors left", seed, n.ID, q, d)
-					}
+			for _, n := range cl.Nodes {
+				if q, d := n.Engine.UBQLen(), n.Engine.OutstandingDescriptors(); q != 0 || d != 0 {
+					t.Errorf("seed %d packet rank %d: %d AB-unexpected, %d descriptors left", seed, n.ID, q, d)
 				}
 			}
 			cl.Close()
@@ -140,5 +137,56 @@ func TestExecAllocsFlatInIters(t *testing.T) {
 			t.Errorf("algo %d: 11 iterations allocate %v, 1 iteration %v", algo, eleven, one)
 		}
 		pool.Drain()
+	}
+}
+
+// TestFlowExecReusesRankState: a flow cluster keeps its ranks' state
+// across runs, as a packet node keeps its MPI process and AB engine, so
+// a second Exec on a pooled cluster allocates its Outcome and little
+// else. Building the rank state per Exec read 338–420 B per rank and
+// 4051–8172 mallocs here. Under -race the runs still go (LP runners
+// touch state that outlives the run) but the ceilings are not checked.
+func TestFlowExecReusesRankState(t *testing.T) {
+	const size, iters = 4096, 2
+	skew := make([][]sim.Time, iters)
+	for it := range skew {
+		skew[it] = make([]sim.Time, size)
+		for r := range skew[it] {
+			skew[it][r] = sim.Time((r*2654435761+it*977)%500) * us
+		}
+	}
+	for _, lps := range []int{1, 2} {
+		for _, algo := range []coll.Algo{coll.AlgoBinomial, coll.AlgoAB} {
+			t.Run(fmt.Sprintf("%v_lps%d", algo, lps), func(t *testing.T) {
+				prog := coll.Program{Iters: iters, Count: 4, Algo: algo, Body: []coll.Step{
+					{Kind: coll.StepSpin, Matrix: skew}, {Kind: coll.StepReduce},
+					{Kind: coll.StepSpin, Budget: 1000 * us}, {Kind: coll.StepBarrier},
+				}}
+				cfg := Config{Specs: model.PaperCluster(size), Seed: 1, Engine: EngineFlow, LPs: lps,
+					Topo: topo.Spec{Kind: topo.FatTree, K: 16}}
+				pool := NewPool()
+				defer pool.Drain()
+				cl := pool.Get(cfg)
+				cl.Exec(prog)
+				pool.Put(cl)
+				cl = pool.Get(cfg)
+				defer pool.Put(cl)
+
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				cl.Exec(prog)
+				runtime.ReadMemStats(&after)
+				perRank := float64(after.TotalAlloc-before.TotalAlloc) / size
+				mallocs := after.Mallocs - before.Mallocs
+				t.Logf("second Exec: %.1f B per rank, %d mallocs", perRank, mallocs)
+				if raceEnabled {
+					return
+				}
+				if perRank > 128 || mallocs >= 64 {
+					t.Errorf("second Exec allocates %.1f B per rank and %d mallocs, want <= 128 and < 64; rank state rebuilt per run?",
+						perRank, mallocs)
+				}
+			})
+		}
 	}
 }

@@ -15,6 +15,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 
 	"abred/internal/flow"
 	"abred/internal/sim"
@@ -109,7 +110,9 @@ type frank struct {
 // FlowColl runs the collectives of one communicator on the flow engine,
 // under the rank program Run interprets (flowprog.go): a step's call
 // starts at the rank's host time, and when the blocking call returns
-// (in scheduler context) the rank moves to its next step.
+// (in scheduler context) the rank moves to its next step. It is built
+// once per machine and reused by every Run, as a packet node keeps its
+// mpi.Process and core.Engine; each Run writes the caller's Outcome.
 // Contract: every payload must fit the eager protocol — rendezvous
 // transfers have a different synchronization structure and are not
 // modeled at flow fidelity.
@@ -117,21 +120,10 @@ type FlowColl struct {
 	M    *flow.Machine
 	Size int
 
-	// Signals counts handlers that ran with work, per rank (the flow
-	// image of Engine.Metrics.SignalsHandled).
-	Signals []uint64
-
-	// InCall and Intr are Run's per-rank results: time inside reduction
-	// calls, and handler time that landed inside spins.
-	InCall, Intr []sim.Time
-
 	prog  Program
-	bytes int // a contribution: prog.Count doubles
+	bytes int      // a contribution: prog.Count doubles
+	out   *Outcome // the Run in progress writes here
 	ranks []frank
-	// pendFree is the descriptor pending-list pool, one free list per
-	// logical process (descriptors are taken and returned on the
-	// owning rank's LP).
-	pendFree [][][]int32
 }
 
 // NewFlowColl builds the flow-mode collective engine for a size-rank
@@ -140,29 +132,7 @@ func NewFlowColl(m *flow.Machine, size int) *FlowColl {
 	if size < 1 {
 		panic(fmt.Sprintf("coll: flow communicator size=%d", size))
 	}
-	return &FlowColl{
-		M: m, Size: size,
-		Signals:  make([]uint64, size),
-		ranks:    make([]frank, size),
-		pendFree: make([][][]int32, m.LPs()),
-	}
-}
-
-func (fc *FlowColl) getPend(rank int) []int32 {
-	free := &fc.pendFree[fc.M.LP(rank)]
-	if l := len(*free); l > 0 {
-		p := (*free)[l-1]
-		*free = (*free)[:l-1]
-		return p
-	}
-	return nil
-}
-
-func (fc *FlowColl) putPend(rank int, p []int32) {
-	free := &fc.pendFree[fc.M.LP(rank)]
-	if cap(p) > 0 && len(*free) < 64 {
-		*free = append(*free, p[:0])
-	}
+	return &FlowColl{M: m, Size: size, ranks: make([]frank, size)}
 }
 
 // reduce runs one reduction call for rank starting at host time at; ab
@@ -309,18 +279,19 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, tr Tree) {
 	t := m.HostRun(rank, at, cm.HostCopy(fc.bytes))
 	t = m.HostRun(rank, t, cm.DescriptorOvh())
 
-	pend := fc.getPend(rank)
+	// Grow into the next slot, reusing the pending array parked there.
+	di := len(fr.descs)
+	fr.descs = slices.Grow(fr.descs, 1)[:di+1]
+	d := &fr.descs[di]
+	d.seq, d.parent, d.pending = mseq(seq), int32(tr.Parent(rank)), d.pending[:0]
 	it := tr.Kids(rank)
 	for c := it.Next(); c >= 0; c = it.Next() {
-		pend = append(pend, int32(c))
+		d.pending = append(d.pending, int32(c))
 	}
-	fr.descs = append(fr.descs, fdesc{seq: mseq(seq), parent: int32(tr.Parent(rank)), pending: pend})
-	di := len(fr.descs) - 1
 
 	// drainUBQ: combine queued early messages straight from the queue.
-	for i := 0; i < len(fr.abq) && len(fr.descs[di].pending) > 0; {
+	for i := 0; i < len(fr.abq) && len(d.pending) > 0; {
 		pk := fr.abq[i]
-		d := &fr.descs[di]
 		if pk.seq != d.seq || !pendingHas(d, pk.src) {
 			i++
 			continue
@@ -330,7 +301,7 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, tr Tree) {
 		t = m.HostRun(rank, t, cm.ReduceOp(fc.prog.Count, 8))
 		removePending(d, pk.src)
 	}
-	if len(fr.descs[di].pending) == 0 {
+	if len(d.pending) == 0 {
 		fc.completeDesc(rank, fr, di, false)
 	} else {
 		// syncPhase's progress pass: handle every delivered message.
@@ -430,14 +401,19 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 }
 
 // completeDesc finishes descriptor di: the eager upward send of the
-// combined result and the Fig. 3 signal re-arm.
+// combined result and the Fig. 3 signal re-arm. The later descriptors
+// shift down and the retired pending array is parked in the slot
+// vacated past len; left as it is, that slot would alias the last live
+// descriptor's list.
 func (fc *FlowColl) completeDesc(rank int, fr *frank, di int, intr bool) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	d := fr.descs[di]
 	t := fc.hostCharge(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.bytes), intr)
 	m.Send(t, rank, int(d.parent), fc.bytes, fc, ptag(fkReduce, true, int(d.parent), rank, d.seq))
-	fc.putPend(rank, d.pending)
-	fr.descs = append(fr.descs[:di], fr.descs[di+1:]...)
+	last := len(fr.descs) - 1
+	copy(fr.descs[di:], fr.descs[di+1:])
+	fr.descs[last] = fdesc{pending: d.pending[:0]}
+	fr.descs = fr.descs[:last]
 	fr.sigOn = len(fr.descs) > 0
 }
 
@@ -566,7 +542,7 @@ func (fc *FlowColl) onSignal(rank int, th sim.Time) {
 		return
 	}
 	m.HostIntr(rank, th, cm.SignalOvh())
-	fc.Signals[rank]++
+	fc.out.Signals[rank]++
 	for fr.nh < len(fr.nicq) {
 		pkt := fr.nicq[fr.nh]
 		fr.nh++

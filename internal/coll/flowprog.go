@@ -35,12 +35,15 @@ func (p *Program) at(pos *flowPos) *Step {
 // which it first checks for packet-only knobs (FlowRefusal) — and
 // returns what drain returns: the caller's run-to-quiescence
 // (cluster.Drain). A rank cannot be a simulated process at flow scale,
-// so its position in the step table is its whole state. Each rank first
-// pins its eager bounce-buffer pool, the one virtual-time charge
-// mpi.NewProcess makes before a packet rank's program starts.
-// Afterwards InCall holds each rank's time inside reduction calls and
-// Intr the handler time that landed inside its spins.
-func (fc *FlowColl) Run(prog Program, drain func() sim.Time) sim.Time {
+// so its position in the step table is its whole state; Run resets
+// every rank, keeping the capacity of its queues and descriptor lists.
+// Each rank first pins its eager bounce-buffer pool, the one
+// virtual-time charge mpi.NewProcess makes before a packet rank's
+// program starts. Run adds each rank's InCall, Intr and Signals to out;
+// flows carry no data but the reduction structure is exact, so the root
+// appends ExpectedRootSum to out.Results as it leaves each reduction. A
+// run that drains with a rank unfinished or not Quiescent panics.
+func (fc *FlowColl) Run(prog Program, out *Outcome, drain func() sim.Time) sim.Time {
 	if err := prog.FlowRefusal(); err != nil {
 		panic(err.Error())
 	}
@@ -51,9 +54,11 @@ func (fc *FlowColl) Run(prog Program, drain func() sim.Time) sim.Time {
 	if thr := fc.M.CMs[0].EagerThreshold(); fc.bytes > thr {
 		panic(fmt.Sprintf("coll: flow engine models eager reductions only (%d bytes > threshold %d)", fc.bytes, thr))
 	}
-	fc.InCall = make([]sim.Time, fc.Size)
-	fc.Intr = make([]sim.Time, fc.Size)
-	for r := 0; r < fc.Size; r++ {
+	fc.out = out
+	// enter touches no other rank before drain delivers messages.
+	for r := range fc.ranks {
+		fr := &fc.ranks[r]
+		*fr = frank{nicq: fr.nicq[:0], unexp: fr.unexp[:0], abq: fr.abq[:0], descs: fr.descs[:0]}
 		cm := fc.M.CMs[r]
 		fc.enter(r, fc.M.HostRun(r, 0, cm.Pin(mpi.EagerPoolBytes(cm))))
 	}
@@ -67,6 +72,11 @@ func (fc *FlowColl) Run(prog Program, drain func() sim.Time) sim.Time {
 	if done != fc.Size {
 		panic(fmt.Sprintf("coll: flow run drained with %d/%d ranks finished", done, fc.Size))
 	}
+	if err := fc.Quiescent(); err != nil {
+		panic("coll: flow run not quiescent: " + err.Error())
+	}
+	// fc outlives the run: hold neither the caller's program nor its Outcome.
+	fc.prog, fc.out = Program{}, nil
 	return end
 }
 
@@ -125,7 +135,11 @@ func (fc *FlowColl) leave(rank int, t sim.Time) {
 			t = fc.haloSend(rank, t, uint64(pos.iter))
 		}
 	case StepReduce:
-		fc.InCall[rank] += t - pos.start
+		fc.out.InCall[rank] += t - pos.start
+		if rank == fc.prog.Root {
+			k := int(pos.reds) - 1 - int(pos.iter)*Reductions(fc.prog.Body)
+			fc.out.Results = append(fc.out.Results, ExpectedRootSum(fc.Size, int(pos.iter), k))
+		}
 	}
 	pos.step++
 	if int(pos.iter) < fc.prog.Iters && int(pos.step) == len(fc.prog.Body) {
@@ -148,7 +162,7 @@ func (fc *FlowColl) spinEnd(rank int, at sim.Time) {
 		return
 	}
 	m.HostRun(rank, at, 0)
-	fc.Intr[rank] += intr
+	fc.out.Intr[rank] += intr
 	fc.leave(rank, at)
 }
 

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,13 +23,11 @@ func newFlowWorld(n int) (*sim.Kernel, *FlowColl) {
 	return k, NewFlowColl(m, n)
 }
 
-// assertFlowQuiescent: after a run nothing is left queued, posted or
-// pending on any rank.
-func assertFlowQuiescent(t *testing.T, fc *FlowColl) {
-	t.Helper()
-	if err := fc.Quiescent(); err != nil {
-		t.Error(err)
-	}
+// run runs prog on fc with drain and returns what it wrote.
+func run(fc *FlowColl, prog Program, drain func() sim.Time) (*Outcome, sim.Time) {
+	out := NewOutcome(fc.Size, &prog)
+	end := fc.Run(prog, out, drain)
+	return out, end
 }
 
 // The paper's Fig. 2 on four flow ranks: rank 3 enters 250 µs late,
@@ -44,12 +43,12 @@ func TestFlowProgramSpinDisplacement(t *testing.T) {
 		if ab {
 			algo = AlgoAB
 		}
-		end := fc.Run(Program{Iters: 1, Algo: algo, Count: 4, Body: []Step{
+		out, end := run(fc, Program{Iters: 1, Algo: algo, Count: 4, Body: []Step{
 			{Kind: StepSpin, Matrix: late},
 			{Kind: StepReduce},
 			{Kind: StepSpin, Budget: 400 * us},
 		}}, k.Run)
-		inCall, intr, sig := fc.InCall[2], fc.Intr[2], fc.Signals[2]
+		inCall, intr, sig := out.InCall[2], out.Intr[2], out.Signals[2]
 		if ab {
 			if inCall >= 50*us || intr <= 0 || sig < 1 {
 				t.Errorf("ab: rank 2 InCall=%v Intr=%v Signals=%d, want < 50µs, > 0, >= 1", inCall, intr, sig)
@@ -61,17 +60,17 @@ func TestFlowProgramSpinDisplacement(t *testing.T) {
 		} else if inCall < 250*us || intr != 0 || sig != 0 {
 			t.Errorf("nab: rank 2 InCall=%v Intr=%v Signals=%d, want >= 250µs, 0, 0", inCall, intr, sig)
 		}
-		assertFlowQuiescent(t, fc)
 	}
 }
 
 // A Body with the halo step finishes on the end-rank, odd and even
-// shapes, in both modes, and leaves every queue empty.
+// shapes, in both modes (Run panics unless every queue is left empty),
+// and the root reports every reduction's sum in instance order.
 func TestFlowProgramHalo(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		for _, algo := range []Algo{AlgoBinomial, AlgoAB} {
 			k, fc := newFlowWorld(n)
-			fc.Run(Program{Iters: 3, Algo: algo, Count: 4,
+			out, _ := run(fc, Program{Iters: 3, Algo: algo, Count: 4,
 				Body: []Step{{Kind: StepSpin, Budget: 10 * us}, {Kind: StepHalo}, {Kind: StepReduce}, {Kind: StepReduce}},
 				Tail: []Step{{Kind: StepSpin, Budget: 20 * us}, {Kind: StepBarrier}},
 			}, k.Run)
@@ -80,7 +79,13 @@ func TestFlowProgramHalo(t *testing.T) {
 					t.Errorf("n=%d algo=%d rank %d stopped at %+v", n, algo, r, pos)
 				}
 			}
-			assertFlowQuiescent(t, fc)
+			var want []float64
+			for it := range 3 {
+				want = append(want, ExpectedRootSum(n, it, 0), ExpectedRootSum(n, it, 1))
+			}
+			if !slices.Equal(out.Results, want) {
+				t.Errorf("n=%d algo=%d: root results %v, want %v", n, algo, out.Results, want)
+			}
 		}
 	}
 }
@@ -94,8 +99,25 @@ func TestFlowProgramUndrainedPanics(t *testing.T) {
 			t.Errorf("panic %q does not name the finished ranks", msg)
 		}
 	}()
-	fc.Run(Program{Iters: 1, Count: 4, Body: []Step{{Kind: StepSpin, Budget: us}, {Kind: StepReduce}}},
+	run(fc, Program{Iters: 1, Count: 4, Body: []Step{{Kind: StepSpin, Budget: us}, {Kind: StepReduce}}},
 		func() sim.Time { return 0 })
+}
+
+// A run whose ranks all finish but leave something behind is a bug in
+// the interpreter, and Run says which rank holds what.
+func TestFlowRunAssertsQuiescence(t *testing.T) {
+	k, fc := newFlowWorld(4)
+	defer func() {
+		want := "coll: flow run not quiescent: rank 1: 1 messages left in the NIC queue"
+		if msg := fmt.Sprint(recover()); msg != want {
+			t.Errorf("panic %q, want %q", msg, want)
+		}
+	}()
+	run(fc, Program{Iters: 1, Count: 4, Body: []Step{{Kind: StepReduce}}}, func() sim.Time {
+		end := k.Run()
+		fc.ranks[1].nicq = append(fc.ranks[1].nicq, fpkt{kind: fkP2P})
+		return end
+	})
 }
 
 // FlowColl.Run refuses every packet-only knob of a Program before it
@@ -120,7 +142,7 @@ func TestFlowRefusals(t *testing.T) {
 					t.Errorf("panic %q, want %q", got, want)
 				}
 			}()
-			fc.Run(c.prog, func() sim.Time { return 0 })
+			run(fc, c.prog, func() sim.Time { return 0 })
 		})
 	}
 }

@@ -98,6 +98,32 @@ type Program struct {
 	RendezvousAB bool
 }
 
+// Outcome is what a run of a Program leaves behind, per rank of the
+// communicator it ran on; both interpreters write it.
+type Outcome struct {
+	InCall  []sim.Time // time inside reduction calls
+	Intr    []sim.Time // handler time that landed inside spins
+	Signals []uint64   // signal handlers that ran with work
+
+	// Results holds the root's element 0 of every reduction, in
+	// instance order.
+	Results []float64
+
+	// FCT holds a flow-engine run's flow completion times (nil on the
+	// packet engine).
+	FCT []sim.Time
+}
+
+// NewOutcome sizes an Outcome for prog on a size-rank communicator.
+func NewOutcome(size int, prog *Program) *Outcome {
+	return &Outcome{
+		InCall:  make([]sim.Time, size),
+		Intr:    make([]sim.Time, size),
+		Signals: make([]uint64, size),
+		Results: make([]float64, 0, prog.Iters*Reductions(prog.Body)+Reductions(prog.Tail)),
+	}
+}
+
 // Reductions returns how many StepReduce steps one pass over steps runs.
 func Reductions(steps []Step) int {
 	n := 0

@@ -44,7 +44,6 @@ func newTestNet(t *testing.T, n int, spec topo.Spec) (*sim.Kernel, *Net) {
 func TestSingleFlowUncontended(t *testing.T) {
 	k, nt := newTestNet(t, 4, topo.Spec{})
 	var r rec
-	nt.SampleFCT(true)
 	nt.Start(0, 1, 1000, 0, &r, 7)
 	k.Run()
 	// 1000 bytes at 0.25 B/ns = 4000 ns transfer + one crossbar stage.
@@ -137,7 +136,6 @@ func TestRouteLinksMatchTopo(t *testing.T) {
 func TestNetResetDeterminism(t *testing.T) {
 	run := func(nt *Net, k *sim.Kernel) []sim.Time {
 		var r rec
-		nt.SampleFCT(true)
 		for i := 0; i < 8; i++ {
 			src, dst := i%4, (i+1)%4
 			sz := 100 + 137*i

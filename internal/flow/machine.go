@@ -118,12 +118,6 @@ func (m *Machine) lpr(r int32) int32 {
 	return m.pmap[r]
 }
 
-// LP returns the logical process rank r's events run on.
-func (m *Machine) LP(r int) int { return int(m.lpr(int32(r))) }
-
-// LPs returns the shard count.
-func (m *Machine) LPs() int { return len(m.ks) }
-
 // Par returns the window-barrier coupling for sim.LPSet.
 func (m *Machine) Par() *Par { return m.par }
 
@@ -191,13 +185,6 @@ func (m *Machine) Tokens() (hostStalls, recvStalls uint64, expRetransmits float6
 		expRetransmits += s.expRetr
 	}
 	return
-}
-
-// SampleFCT enables flow-completion-time recording on every shard.
-func (m *Machine) SampleFCT(on bool) {
-	for _, nt := range m.nets {
-		nt.SampleFCT(on)
-	}
 }
 
 // FCTs returns the recorded flow completion times, shard-concatenated

@@ -171,8 +171,7 @@ type Net struct {
 	delayed    uint64
 	delayTotal sim.Time
 
-	sampleFCT bool
-	fct       []sim.Time
+	fct []sim.Time // flow completion times, in completion order
 }
 
 // NewNet builds the substrate for n hosts on topology t (nil =
@@ -219,11 +218,8 @@ func (nt *Net) Reset() {
 	nt.fct = nt.fct[:0]
 }
 
-// SampleFCT enables per-flow completion-time recording (delivery minus
-// start) for distribution summaries.
-func (nt *Net) SampleFCT(on bool) { nt.sampleFCT = on }
-
-// FCTs returns the recorded flow completion times in completion order.
+// FCTs returns every flow's completion time (delivery minus start) in
+// completion order.
 func (nt *Net) FCTs() []sim.Time { return nt.fct }
 
 // Stats reports flows started, the peak concurrent flow population, and
@@ -357,9 +353,7 @@ func (nt *Net) finish(f *Flow) {
 		nt.delayed++
 		nt.delayTotal += want - f.uncont
 	}
-	if nt.sampleFCT {
-		nt.fct = append(nt.fct, end-f.start)
-	}
+	nt.fct = append(nt.fct, end-f.start)
 	h, tag := f.h, f.tag
 	if f.xlp >= 0 {
 		// Cross-LP flow: the source side (token return, next launch)

@@ -26,7 +26,6 @@ func (nopH) FlowEvent(uint64, sim.Time) {}
 // times must instead match an unpoisoned net exactly.
 func TestEpochWrapClearsMarks(t *testing.T) {
 	prog := func(nt *Net, k *sim.Kernel) []sim.Time {
-		nt.SampleFCT(true)
 		var r rec
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 32; i++ {
@@ -239,7 +238,6 @@ func TestHeapScanEquivalence(t *testing.T) {
 	run := func(scan bool) []sim.Time {
 		k, nt := newTestNet(t, 16, topo.Spec{Kind: topo.FatTree, K: 4})
 		nt.scanFill = scan
-		nt.SampleFCT(true)
 		randProgram(t, []*sim.Kernel{k}, []*Net{nt}, nil, 16, 150, 0, 99)
 		k.Run()
 		return append([]sim.Time(nil), nt.FCTs()...)

@@ -213,7 +213,7 @@ type jobRun struct {
 	start    sim.Time
 	end      sim.Time
 	finished int
-	out      *cluster.Outcome // per local rank
+	out      *coll.Outcome // per local rank
 }
 
 // schedState is the shared scheduler state. The cluster runs on one
@@ -266,7 +266,7 @@ func Tenancy(cfg TenancyConfig) TenancyResult {
 			members := cfg.Place.Place(cl.Topo, st.free, js.size, placeRNG)
 			st.free = removeAll(st.free, members)
 			jr := &jobRun{id: j, shape: js, members: members,
-				start: p.Now(), out: cluster.NewOutcome(js.size, &js.prog)}
+				start: p.Now(), out: coll.NewOutcome(js.size, &js.prog)}
 			st.runs = append(st.runs, jr)
 			for _, m := range members {
 				st.assign[m] = jr
