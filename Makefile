@@ -36,7 +36,7 @@ figures:
 # The large-scale projection as CSV on stdout: the standard 32–1024
 # grid, the 2048–16384 scaling envelope, the 1024–16384
 # crossbar-vs-fat-tree topology sweep, the flow-engine grid
-# (65536–1048576 nodes; its wall_ms and heap_bytes columns are the only
+# (65536–1048576 nodes; its wall_ms and live_bytes columns are the only
 # host-dependent ones) and the multi-tenant sweep. EXPERIMENTS.md quotes
 # these tables.
 .PHONY: scale
@@ -103,7 +103,7 @@ gate:
 # from the binomial one), lossy links, 0 and 2 LPs, tenancy, abapp
 # (on both engines in two program shapes: halo + two reductions, and
 # no halo + three) and abtrace's timeline (the paper's Fig. 2); the flow
-# grid's wall_ms and heap_bytes columns are the only host-dependent
+# grid's wall_ms and live_bytes columns are the only host-dependent
 # output and are cut before comparing.
 define same_cmds
 ./abbench -fig all -ablations -iters 60 -csv > figs.csv && \

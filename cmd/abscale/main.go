@@ -39,7 +39,7 @@
 // -engine flow adds the flow-engine scaling grid: the -flowsizes node
 // counts (default 65536–1048576, far past what the packet engine can
 // hold) on the -topo fabric, nab versus ab, with per-size wall, events
-// and peak-heap columns. The packet-engine sweeps above still run. The
+// and peak live-heap columns. The packet-engine sweeps above still run. The
 // flow engine also honours -lps: the max-min substrate is sharded along
 // pod boundaries and run under the conservative parallel kernel, with
 // cross-spine flows coupled through a stub/grant protocol.
@@ -53,7 +53,7 @@
 // and the AB-vs-binomial reduction-CPU advantage.
 //
 // Everything printed is virtual time and deterministic per seed, except
-// the flow grid's wall_ms and heap_bytes columns. Wall-clock numbers
+// the flow grid's wall_ms and live_bytes columns. Wall-clock numbers
 // with repetitions, a spread and a host description come from
 // `go run ./benchmark`.
 package main
@@ -241,10 +241,10 @@ func main() {
 			fmt.Printf("Flow-engine scaling sweep — %s, max skew %v, %d elements, %d iters\n",
 				ft, *skew, *count, *flowIters)
 			fmt.Printf("%10s %10s %10s %8s %12s %14s %14s %12s\n",
-				"nodes", "nab_us", "ab_us", "factor", "wall_ms", "events", "heap_bytes", "fct_p99_us")
+				"nodes", "nab_us", "ab_us", "factor", "wall_ms", "events", "live_bytes", "fct_p99_us")
 			for _, p := range points {
 				fmt.Printf("%10d %10.3f %10.3f %8.2f %12.1f %14d %14d %12.1f\n",
-					p.Nodes, p.NabUS, p.AbUS, p.Factor, p.WallMS, p.Events, p.HeapPeak, p.FCTp99US)
+					p.Nodes, p.NabUS, p.AbUS, p.Factor, p.WallMS, p.Events, p.LivePeak, p.FCTp99US)
 			}
 			fmt.Println()
 		}

@@ -127,7 +127,7 @@ func TestFlowLPsDeterministic(t *testing.T) {
 		run := func(lps int) FlowPoint {
 			p := FlowSweep([]int{4096}, sim.Time(time.Millisecond), 4,
 				Config{Iters: 2, Seed: 20030701, LPs: lps, Topo: topo.Spec{Kind: topo.FatTree, K: 16}})[0]
-			p.WallMS, p.HeapPeak = 0, 0 // host-dependent
+			p.WallMS, p.LivePeak = 0, 0 // host-dependent
 			return p
 		}
 		mono := run(0)
@@ -162,7 +162,7 @@ func TestSweepsHonourFault(t *testing.T) {
 	lossy := fault.Config{Seed: 1, Rule: fault.Rule{Drop: 0.05}}
 	flowRun := func(f fault.Config) FlowPoint {
 		p := FlowSweep([]int{16}, sim.Time(time.Millisecond), 4, Config{Iters: 2, Seed: 7, Fault: f, Topo: ft})[0]
-		p.WallMS, p.HeapPeak = 0, 0 // host-dependent
+		p.WallMS, p.LivePeak = 0, 0 // host-dependent
 		return p
 	}
 	if clean, got := flowRun(fault.Config{}), flowRun(lossy); got == clean {

@@ -12,7 +12,7 @@ import (
 
 // FlowPoint is one node count of the flow-engine scaling sweep: the
 // paper's nab/ab comparison plus the execution-cost columns (wall,
-// events, peak heap) that certify the point was simulable at all, and
+// events, peak live heap) that certify the point was simulable at all, and
 // the flow-completion-time percentiles from the ab run.
 type FlowPoint struct {
 	Nodes    int
@@ -21,7 +21,7 @@ type FlowPoint struct {
 	Factor   float64
 	WallMS   float64
 	Events   uint64
-	HeapPeak uint64
+	LivePeak uint64
 	FCTp50US float64
 	FCTp95US float64
 	FCTp99US float64
@@ -63,7 +63,7 @@ func FlowSweep(sizes []int, maxSkew sim.Time, count int, base Config) []FlowPoin
 			AbUS:     float64(ab.AvgCPU) / float64(time.Microsecond),
 			WallMS:   float64(res.Perf.Wall) / float64(time.Millisecond),
 			Events:   res.Perf.Events,
-			HeapPeak: res.Perf.HeapPeak,
+			LivePeak: res.Perf.LivePeak,
 			FCTp50US: float64(ab.FCT.P50) / float64(time.Microsecond),
 			FCTp95US: float64(ab.FCT.P95) / float64(time.Microsecond),
 			FCTp99US: float64(ab.FCT.P99) / float64(time.Microsecond),

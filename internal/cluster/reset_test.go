@@ -371,6 +371,47 @@ func TestConstructionBytesPerNode(t *testing.T) {
 	}
 }
 
+// TestFlowRetainedBytesPerRank: the heap a pooled flow cluster keeps,
+// per rank, once a skewed AB reduction and barrier have run on it — the
+// rank state that bounds how many ranks fit on one host. Two GCs on
+// each side, so garbage is not counted. When every spin end and signal
+// wake was a pooled record of its own, each link carried a closure
+// mark, and a rank kept 256 bytes of record plus slices of its own for
+// its queues, this read 795 at 65536 ranks.
+func TestFlowRetainedBytesPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("byte ceilings are calibrated without -race instrumentation")
+	}
+	const size = 65536
+	skew := [][]sim.Time{make([]sim.Time, size)}
+	for r := range skew[0] {
+		skew[0][r] = sim.Time(r*2654435761%1000) * us
+	}
+	prog := coll.Program{Iters: 1, Count: 4, Algo: coll.AlgoAB, Body: []coll.Step{
+		{Kind: coll.StepSpin, Matrix: skew}, {Kind: coll.StepReduce},
+		{Kind: coll.StepSpin, Budget: 1000*us + coll.LatencyBound(size, 4, 150*us)}, {Kind: coll.StepBarrier},
+	}}
+	cfg := Config{Specs: model.PaperCluster(size), Seed: 1, Engine: EngineFlow,
+		Topo: topo.Spec{Kind: topo.FatTree, K: 16}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pool := NewPool()
+	c := pool.Get(cfg)
+	c.Exec(prog)
+	pool.Put(c)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRank := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / size
+	pool.Drain()
+	t.Logf("pooled flow cluster, %d ranks, after one Exec: %.0f B/rank", size, perRank)
+	if perRank > 530 {
+		t.Errorf("a pooled flow cluster keeps %.0f B/rank after one Exec (> 530); per-rank wake records or queue slices?", perRank)
+	}
+}
+
 // TestLossyPeerCount: a reduction tree plus a barrier talk to O(log N)
 // peers, and reliable GM must hold state for those and no others.
 func TestLossyPeerCount(t *testing.T) {

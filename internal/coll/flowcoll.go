@@ -15,21 +15,17 @@ package coll
 
 import (
 	"fmt"
-	"slices"
 
 	"abred/internal/flow"
 	"abred/internal/sim"
 )
 
-// Message kinds carried in flow tags. The last two are not messages
-// but WakeAt tags: a coalesced NIC signal handler and a spin's end.
+// Message kinds carried in flow tags.
 const (
 	fkReduce  uint8 = iota // reduction contribution to the parent
 	fkBarUp                // barrier combine token
 	fkBarDown              // barrier release token
 	fkP2P                  // point-to-point payload (the halo step)
-	fkSignal
-	fkSpin
 )
 
 // op interpreter states.
@@ -45,12 +41,13 @@ const (
 // any iteration count with a window of 2^18 concurrent instances.
 const seqMask = 1<<18 - 1
 
-func mseq(seq uint64) uint64 { return seq & seqMask }
+// mseq masks instance number n for a tag.
+func mseq(n int32) uint32 { return uint32(n) & seqMask }
 
 // ptag packs a message descriptor into a flow tag:
 // [kind:3][coll:1][dst:21][src:21][seq:18].
-func ptag(kind uint8, coll bool, dst, src int, seq uint64) uint64 {
-	t := uint64(kind) | uint64(dst)<<4 | uint64(src)<<25 | mseq(seq)<<46
+func ptag(kind uint8, coll bool, dst, src int, seq uint32) uint64 {
+	t := uint64(kind) | uint64(dst)<<4 | uint64(src)<<25 | uint64(seq)<<46
 	if coll {
 		t |= 8
 	}
@@ -59,22 +56,22 @@ func ptag(kind uint8, coll bool, dst, src int, seq uint64) uint64 {
 
 // fpkt is one delivered message awaiting (or undergoing) host
 // processing — the flow-mode image of a gm packet in the NIC host
-// queue.
+// queue. Its size follows from its kind (FlowColl.size).
 type fpkt struct {
+	tr   sim.Time // NIC deposit time
+	src  int32
+	seq  uint32 // masked instance number (mseq)
 	kind uint8
 	coll bool // gm Collective type: eligible for the AB hook and signals
-	src  int32
-	size int32
-	seq  uint64
-	tr   sim.Time // NIC deposit time
 }
 
 // fdesc is an application-bypass reduction descriptor: the instance and
-// the children whose contributions are still pending.
+// the children whose contributions are still pending, a list in its
+// LP's kids slab.
 type fdesc struct {
-	seq     uint64
+	seq     uint32
 	parent  int32
-	pending []int32
+	pending int32
 }
 
 // fop is a rank's in-progress blocking operation: the interpreter state
@@ -82,29 +79,147 @@ type fdesc struct {
 type fop struct {
 	kind    uint8
 	phase   uint8
-	waiting bool // a posted receive is outstanding
-	coll    bool // this instance's sends are collective-typed
-	seq     uint64
-	it      ChildIter
+	waiting bool  // a posted receive is outstanding
+	coll    bool  // this instance's sends are collective-typed
+	pkind   uint8 // the posted receive's kind
+	seq     uint32
 	parent  int32
-	// The posted receive's match key.
-	pkind uint8
-	psrc  int32
-	pseq  uint64
-	psize int32
+	psrc    int32 // the posted receive's source; it matches seq too
+	kids    int32 // children taken so far from the op's tree walk (KidsFrom)
 }
 
-// frank is one rank's progress-engine state.
+// frank is one rank's progress-engine state. Its queues are lists
+// threaded through its LP's slabs, and it is the target of its own
+// wakes: a spin's end (frank.RunEvent) and a NIC signal handler
+// (sigWake).
 type frank struct {
-	nicq    []fpkt // delivered, not yet host-processed (FIFO from nh)
-	nh      int
-	unexp   []fpkt // MPICH unexpected-message queue
-	abq     []fpkt // AB unexpected queue (early contributions)
-	descs   []fdesc
-	op      fop
-	pos     flowPos
+	lp      *flowLP
+	rank    int32
 	sigOn   bool // NIC signals armed (descriptors outstanding)
 	sigPend bool // a signal was raised and its handler has not run
+	nicq    fifo // delivered, not yet host-processed
+	unexp   fifo // MPICH unexpected-message queue
+	abq     fifo // AB unexpected queue (early contributions)
+	descs   fifo
+	nunexp  int32
+	ndesc   int32
+	op      fop
+	pos     flowPos
+}
+
+// RunEvent is the rank's spin-end wake.
+func (fr *frank) RunEvent() { fr.lp.fc.spinEnd(int(fr.rank), fr.lp.k.Now()) }
+
+// sigWake is a rank's record as the target of its NIC signal wakes.
+// A signal that a polling pass consumes leaves its wake queued, and
+// that wake serves whatever raise is pending when it fires, so a wake
+// is a plain event on the record and never a re-armed sim.Timer: a
+// later raise must not cancel or move the earlier wake.
+type sigWake frank
+
+// RunEvent runs the rank's signal handler.
+func (w *sigWake) RunEvent() {
+	fr := (*frank)(w)
+	fr.lp.fc.onSignal(int(fr.rank), fr.lp.k.Now())
+}
+
+// flowLP is one LP's share of a FlowColl: the kernel its ranks' events
+// run on and the slabs their queues are threaded through. Ranks of
+// different LPs run concurrently, so each LP has its own slabs, as
+// each has its own flow.Machine pools.
+type flowLP struct {
+	fc    *FlowColl
+	k     *sim.Kernel
+	pkts  slab[fpkt]
+	descs slab[fdesc]
+	kids  slab[int32] // descriptors' pending children
+}
+
+// reset empties the LP's slabs, keeping their capacity.
+func (lp *flowLP) reset() {
+	lp.pkts.reset()
+	lp.descs.reset()
+	lp.kids.reset()
+}
+
+// wake schedules r, one of a rank's wake targets, at virtual time t.
+func (lp *flowLP) wake(t sim.Time, r sim.Runner) {
+	if t < lp.k.Now() {
+		panic("coll: flow wake in the virtual past")
+	}
+	lp.k.ScheduleRunnerAt(t, r)
+}
+
+// slab is an int32-linked record store. Index 0 is the nil link;
+// next[i] is the record after i on its list, or on the free list.
+type slab[T any] struct {
+	v    []T
+	next []int32
+	free int32
+}
+
+func (s *slab[T]) reset() {
+	var zero T
+	s.v, s.next, s.free = append(s.v[:0], zero), append(s.next[:0], 0), 0
+}
+
+// get stores x in a free record and returns its index, unlinked.
+func (s *slab[T]) get(x T) int32 {
+	i := s.free
+	if i == 0 {
+		i = int32(len(s.v))
+		s.v = append(s.v, x)
+		s.next = append(s.next, 0)
+		return i
+	}
+	s.free = s.next[i]
+	s.v[i], s.next[i] = x, 0
+	return i
+}
+
+// fifo is a list of slab records in arrival order: its head and tail
+// indexes, 0 when empty.
+type fifo struct{ h, t int32 }
+
+// push appends record i to q.
+func (s *slab[T]) push(q *fifo, i int32) {
+	if q.t == 0 {
+		q.h = i
+	} else {
+		s.next[q.t] = i
+	}
+	q.t = i
+}
+
+// unlink removes record i, which follows prev (0 at the head), from q
+// and frees it.
+func (s *slab[T]) unlink(q *fifo, prev, i int32) {
+	nx := s.next[i]
+	if prev == 0 {
+		q.h = nx
+	} else {
+		s.next[prev] = nx
+	}
+	if q.t == i {
+		q.t = prev
+	}
+	s.next[i], s.free = s.free, i
+}
+
+// pop removes q's head and returns its value.
+func (s *slab[T]) pop(q *fifo) T {
+	x := s.v[q.h]
+	s.unlink(q, 0, q.h)
+	return x
+}
+
+// count returns q's length.
+func (s *slab[T]) count(q fifo) int {
+	n := 0
+	for i := q.h; i != 0; i = s.next[i] {
+		n++
+	}
+	return n
 }
 
 // FlowColl runs the collectives of one communicator on the flow engine,
@@ -124,6 +239,7 @@ type FlowColl struct {
 	bytes int      // a contribution: prog.Count doubles
 	out   *Outcome // the Run in progress writes here
 	ranks []frank
+	lps   []flowLP
 }
 
 // NewFlowColl builds the flow-mode collective engine for a size-rank
@@ -132,13 +248,34 @@ func NewFlowColl(m *flow.Machine, size int) *FlowColl {
 	if size < 1 {
 		panic(fmt.Sprintf("coll: flow communicator size=%d", size))
 	}
-	return &FlowColl{M: m, Size: size, ranks: make([]frank, size)}
+	fc := &FlowColl{M: m, Size: size, ranks: make([]frank, size)}
+	ks := m.Kernels()
+	fc.lps = make([]flowLP, len(ks))
+	for i, k := range ks {
+		fc.lps[i] = flowLP{fc: fc, k: k}
+		fc.lps[i].reset()
+	}
+	for r := range fc.ranks {
+		fc.ranks[r] = frank{lp: &fc.lps[m.LPOf(r)], rank: int32(r)}
+	}
+	return fc
+}
+
+// size returns the payload of a message of the given kind.
+func (fc *FlowColl) size(kind uint8) int {
+	switch kind {
+	case fkReduce:
+		return fc.bytes
+	case fkP2P:
+		return HaloBytes
+	}
+	return 1 // barrier tokens
 }
 
 // reduce runs one reduction call for rank starting at host time at; ab
 // selects the application-bypass implementation. seq is the instance
 // number (every rank must pass the same one per instance).
-func (fc *FlowColl) reduce(rank int, at sim.Time, ab bool, seq uint64) {
+func (fc *FlowColl) reduce(rank int, at sim.Time, ab bool, seq uint32) {
 	if !ab {
 		fc.reduceStart(rank, at, seq, false)
 		return
@@ -174,13 +311,13 @@ func (fc *FlowColl) tree(ab bool) Tree {
 
 // barrier enters the MPICH tree barrier (combine up to rank 0, release
 // down) for rank at host time at.
-func (fc *FlowColl) barrier(rank int, at sim.Time, seq uint64) {
+func (fc *FlowColl) barrier(rank int, at sim.Time, seq uint32) {
 	if fc.Size == 1 {
 		fc.opDone(rank, at)
 		return
 	}
 	fr := &fc.ranks[rank]
-	fr.op = fop{kind: opBarrier, seq: mseq(seq), parent: int32(Parent(rank, 0, fc.Size)), it: Kids(rank, 0, fc.Size)}
+	fr.op = fop{kind: opBarrier, seq: seq, parent: int32(Parent(rank, 0, fc.Size))}
 	fc.M.HostRun(rank, at, 0)
 	fc.barrierLoop(rank, fr)
 }
@@ -188,12 +325,12 @@ func (fc *FlowColl) barrier(rank int, at sim.Time, seq uint64) {
 // reduceStart runs the blocking MPICH reduction chain (ReduceOn):
 // all of NAB mode, plus the AB root. coll marks the instance's sends
 // collective-typed.
-func (fc *FlowColl) reduceStart(rank int, at sim.Time, seq uint64, coll bool) {
+func (fc *FlowColl) reduceStart(rank int, at sim.Time, seq uint32, coll bool) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	fr := &fc.ranks[rank]
 	tr := fc.tree(coll)
 	parent := tr.Parent(rank)
-	fr.op = fop{kind: opReduce, seq: mseq(seq), coll: coll, parent: int32(parent), it: tr.Kids(rank)}
+	fr.op = fop{kind: opReduce, seq: seq, coll: coll, parent: int32(parent)}
 	if tr.ChildCount(rank) == 0 {
 		if parent < 0 { // single-process communicator
 			fc.opDone(rank, at)
@@ -214,8 +351,9 @@ func (fc *FlowColl) reduceStart(rank int, at sim.Time, seq uint64, coll bool) {
 func (fc *FlowColl) reduceLoop(rank int, fr *frank) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	op := &fr.op
+	it := fc.tree(op.coll).KidsFrom(rank, int(op.kids))
 	for {
-		c := op.it.Next()
+		c := it.Next()
 		if c < 0 {
 			if op.parent >= 0 {
 				t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.bytes))
@@ -224,7 +362,8 @@ func (fc *FlowColl) reduceLoop(rank int, fr *frank) {
 			fc.opDone(rank, m.Busy[rank])
 			return
 		}
-		if !fc.recvStart(rank, fr, fkReduce, int32(c), op.seq, int32(fc.bytes)) {
+		op.kids++
+		if !fc.recvStart(rank, fr, fkReduce, int32(c)) {
 			return // blocked; a future delivery resumes via opAdvance
 		}
 		m.HostRun(rank, m.Busy[rank], cm.ReduceOp(fc.prog.Count, 8))
@@ -238,13 +377,15 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	op := &fr.op
 	if op.phase == 0 {
+		it := Binomial(0, fc.Size).KidsFrom(rank, int(op.kids))
 		for {
-			c := op.it.Next()
+			c := it.Next()
 			if c < 0 {
 				op.phase = 1
 				break
 			}
-			if !fc.recvStart(rank, fr, fkBarUp, int32(c), op.seq, 1) {
+			op.kids++
+			if !fc.recvStart(rank, fr, fkBarUp, int32(c)) {
 				return
 			}
 		}
@@ -254,7 +395,7 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 		if op.parent >= 0 {
 			t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(1))
 			m.Send(t, rank, int(op.parent), 1, fc, ptag(fkBarUp, false, int(op.parent), rank, op.seq))
-			if !fc.recvStart(rank, fr, fkBarDown, op.parent, op.seq, 1) {
+			if !fc.recvStart(rank, fr, fkBarDown, op.parent) {
 				return
 			}
 		}
@@ -272,74 +413,78 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 // push, drain early contributions from the AB unexpected queue, run one
 // progress pass over whatever the NIC already delivered, re-arm signals
 // iff the instance is still outstanding, and return.
-func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint64, tr Tree) {
+func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint32, tr Tree) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	fr := &fc.ranks[rank]
+	lp := fr.lp
 	fr.sigOn = false
 	t := m.HostRun(rank, at, cm.HostCopy(fc.bytes))
 	t = m.HostRun(rank, t, cm.DescriptorOvh())
 
-	// Grow into the next slot, reusing the pending array parked there.
-	di := len(fr.descs)
-	fr.descs = slices.Grow(fr.descs, 1)[:di+1]
-	d := &fr.descs[di]
-	d.seq, d.parent, d.pending = mseq(seq), int32(tr.Parent(rank)), d.pending[:0]
+	prev := fr.descs.t
+	di := lp.descs.get(fdesc{seq: seq, parent: int32(tr.Parent(rank))})
+	lp.descs.push(&fr.descs, di)
+	fr.ndesc++
+	d := &lp.descs.v[di] // the descs slab does not grow until the call returns
 	it := tr.Kids(rank)
 	for c := it.Next(); c >= 0; c = it.Next() {
-		d.pending = append(d.pending, int32(c))
+		k := lp.kids.get(int32(c))
+		lp.kids.next[k] = d.pending
+		d.pending = k
 	}
 
-	// drainUBQ: combine queued early messages straight from the queue.
-	for i := 0; i < len(fr.abq) && len(d.pending) > 0; {
-		pk := fr.abq[i]
-		if pk.seq != d.seq || !pendingHas(d, pk.src) {
-			i++
+	// drainUBQ: combine queued early messages straight from the queue;
+	// pos is the message's 1-based place in the queue as it stands.
+	for pi, pprev, pos := fr.abq.h, int32(0), 1; pi != 0 && d.pending != 0; {
+		pk := lp.pkts.v[pi]
+		nx := lp.pkts.next[pi]
+		if pk.seq != d.seq || !lp.pendingHas(d, pk.src) {
+			pprev, pi = pi, nx
+			pos++
 			continue
 		}
-		t = m.HostRun(rank, t, cm.QueueSearch(i+1))
-		fr.abq = append(fr.abq[:i], fr.abq[i+1:]...)
+		t = m.HostRun(rank, t, cm.QueueSearch(pos))
+		lp.pkts.unlink(&fr.abq, pprev, pi)
+		pi = nx
 		t = m.HostRun(rank, t, cm.ReduceOp(fc.prog.Count, 8))
-		removePending(d, pk.src)
+		lp.removePending(d, pk.src)
 	}
-	if len(d.pending) == 0 {
-		fc.completeDesc(rank, fr, di, false)
+	if d.pending == 0 {
+		fc.completeDesc(rank, fr, prev, di, false)
 	} else {
 		// syncPhase's progress pass: handle every delivered message.
-		for fr.nh < len(fr.nicq) {
-			pkt := fr.nicq[fr.nh]
-			fr.nh++
-			fc.processPkt(rank, fr, pkt, false)
+		for fr.nicq.h != 0 {
+			fc.processPkt(rank, fr, lp.pkts.pop(&fr.nicq), false)
 		}
-		fr.resetq()
 	}
-	fr.sigOn = len(fr.descs) > 0
+	fr.sigOn = fr.ndesc > 0
 	fc.opDone(rank, m.Busy[rank])
 }
 
-// recvStart begins a blocking receive at rank's current host time:
-// charge the receive overhead and unexpected-queue search, match a
-// buffered message (second copy) or post and drain the NIC queue until
-// matched. Returns true when the receive completed synchronously; false
-// when the rank is parked polling and a future delivery will resume it.
-func (fc *FlowColl) recvStart(rank int, fr *frank, kind uint8, src int32, seq uint64, size int32) bool {
+// recvStart begins a blocking receive of kind from src, in the op's
+// instance, at rank's current host time: charge the receive overhead
+// and unexpected-queue search, match a buffered message (second copy)
+// or post and drain the NIC queue until matched. Returns true when the
+// receive completed synchronously; false when the rank is parked
+// polling and a future delivery will resume it.
+func (fc *FlowColl) recvStart(rank int, fr *frank, kind uint8, src int32) bool {
 	m, cm := fc.M, fc.M.CMs[rank]
-	t := m.HostRun(rank, m.Busy[rank], cm.HostRecvOvh()+cm.QueueSearch(len(fr.unexp)))
-	for i, pk := range fr.unexp {
-		if pk.kind == kind && pk.src == src && pk.seq == seq {
-			fr.unexp = append(fr.unexp[:i], fr.unexp[i+1:]...)
-			m.HostRun(rank, t, cm.HostCopy(int(size)))
+	lp := fr.lp
+	op := &fr.op
+	t := m.HostRun(rank, m.Busy[rank], cm.HostRecvOvh()+cm.QueueSearch(int(fr.nunexp)))
+	for i, prev := fr.unexp.h, int32(0); i != 0; prev, i = i, lp.pkts.next[i] {
+		if pk := &lp.pkts.v[i]; pk.kind == kind && pk.src == src && pk.seq == op.seq {
+			lp.pkts.unlink(&fr.unexp, prev, i)
+			fr.nunexp--
+			m.HostRun(rank, t, cm.HostCopy(fc.size(kind)))
 			return true
 		}
 	}
-	op := &fr.op
-	op.pkind, op.psrc, op.pseq, op.psize = kind, src, seq, size
+	op.pkind, op.psrc = kind, src
 	op.waiting = true
-	for op.waiting && fr.nh < len(fr.nicq) {
-		pkt := fr.nicq[fr.nh]
-		fr.nh++
-		fc.processPkt(rank, fr, pkt, false)
+	for op.waiting && fr.nicq.h != 0 {
+		fc.processPkt(rank, fr, lp.pkts.pop(&fr.nicq), false)
 	}
-	fr.resetq()
 	return !op.waiting
 }
 
@@ -351,6 +496,8 @@ func (fc *FlowColl) recvStart(rank int, fr *frank, kind uint8, src int32, seq ui
 // ledger (signal-handler context).
 func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 	m, cm := fc.M, fc.M.CMs[rank]
+	lp := fr.lp
+	size := fc.size(pkt.kind)
 	ts := m.Busy[rank]
 	if pkt.tr > ts {
 		ts = pkt.tr
@@ -365,22 +512,22 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 	}
 	if pkt.coll {
 		// AB hook: search the descriptor queue for the instance.
-		cost += cm.QueueSearch(len(fr.descs))
-		if di := fc.findDesc(fr, pkt.seq, pkt.src); di >= 0 {
+		cost += cm.QueueSearch(int(fr.ndesc))
+		if prev, di := fc.findDesc(fr, pkt.seq, pkt.src); di != 0 {
 			cost += cm.ReduceOp(fc.prog.Count, 8)
 			fc.hostCharge(rank, ts, cost, intr)
-			d := &fr.descs[di]
-			removePending(d, pkt.src)
-			if len(d.pending) == 0 {
-				fc.completeDesc(rank, fr, di, intr)
+			d := &lp.descs.v[di]
+			lp.removePending(d, pkt.src)
+			if d.pending == 0 {
+				fc.completeDesc(rank, fr, prev, di, intr)
 			}
 			return false
 		}
 		if rank != fc.prog.Root {
 			// No descriptor yet: copy into the AB unexpected queue.
-			cost += cm.HostCopy(int(pkt.size))
+			cost += cm.HostCopy(size)
 			fc.hostCharge(rank, ts, cost, intr)
-			fr.abq = append(fr.abq, pkt)
+			lp.pkts.push(&fr.abq, lp.pkts.get(pkt))
 			return false
 		}
 		// Fig. 4 root check: fall through to default matching.
@@ -390,31 +537,28 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 		posted = 1
 	}
 	cost += cm.QueueSearch(posted)
-	cost += cm.HostCopy(int(pkt.size))
+	cost += cm.HostCopy(size)
 	fc.hostCharge(rank, ts, cost, intr)
-	if fr.op.waiting && pkt.kind == fr.op.pkind && pkt.src == fr.op.psrc && pkt.seq == fr.op.pseq {
-		fr.op.waiting = false
+	if op := &fr.op; op.waiting && pkt.kind == op.pkind && pkt.src == op.psrc && pkt.seq == op.seq {
+		op.waiting = false
 		return true
 	}
-	fr.unexp = append(fr.unexp, pkt)
+	lp.pkts.push(&fr.unexp, lp.pkts.get(pkt))
+	fr.nunexp++
 	return false
 }
 
-// completeDesc finishes descriptor di: the eager upward send of the
-// combined result and the Fig. 3 signal re-arm. The later descriptors
-// shift down and the retired pending array is parked in the slot
-// vacated past len; left as it is, that slot would alias the last live
-// descriptor's list.
-func (fc *FlowColl) completeDesc(rank int, fr *frank, di int, intr bool) {
+// completeDesc finishes descriptor di, which follows prev in rank's
+// descriptor list: the eager upward send of the combined result and
+// the Fig. 3 signal re-arm.
+func (fc *FlowColl) completeDesc(rank int, fr *frank, prev, di int32, intr bool) {
 	m, cm := fc.M, fc.M.CMs[rank]
-	d := fr.descs[di]
+	d := fr.lp.descs.v[di]
 	t := fc.hostCharge(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.bytes), intr)
 	m.Send(t, rank, int(d.parent), fc.bytes, fc, ptag(fkReduce, true, int(d.parent), rank, d.seq))
-	last := len(fr.descs) - 1
-	copy(fr.descs[di:], fr.descs[di+1:])
-	fr.descs[last] = fdesc{pending: d.pending[:0]}
-	fr.descs = fr.descs[:last]
-	fr.sigOn = len(fr.descs) > 0
+	fr.lp.descs.unlink(&fr.descs, prev, di)
+	fr.ndesc--
+	fr.sigOn = fr.ndesc > 0
 }
 
 // hostCharge advances rank's host clock, routing to the interrupt
@@ -426,28 +570,33 @@ func (fc *FlowColl) hostCharge(rank int, at, cost sim.Time, intr bool) sim.Time 
 	return fc.M.HostRun(rank, at, cost)
 }
 
-func (fc *FlowColl) findDesc(fr *frank, seq uint64, src int32) int {
-	for i := range fr.descs {
-		if fr.descs[i].seq == seq && pendingHas(&fr.descs[i], src) {
-			return i
+// findDesc returns the first of rank's descriptors for instance seq
+// still waiting on src, and the descriptor before it; di is 0 if none.
+func (fc *FlowColl) findDesc(fr *frank, seq uint32, src int32) (prev, di int32) {
+	lp := fr.lp
+	for di = fr.descs.h; di != 0; prev, di = di, lp.descs.next[di] {
+		if d := &lp.descs.v[di]; d.seq == seq && lp.pendingHas(d, src) {
+			return prev, di
 		}
 	}
-	return -1
+	return 0, 0
 }
 
-func pendingHas(d *fdesc, src int32) bool {
-	for _, c := range d.pending {
-		if c == src {
+func (lp *flowLP) pendingHas(d *fdesc, src int32) bool {
+	for k := d.pending; k != 0; k = lp.kids.next[k] {
+		if lp.kids.v[k] == src {
 			return true
 		}
 	}
 	return false
 }
 
-func removePending(d *fdesc, src int32) {
-	for i, c := range d.pending {
-		if c == src {
-			d.pending = append(d.pending[:i], d.pending[i+1:]...)
+func (lp *flowLP) removePending(d *fdesc, src int32) {
+	q := fifo{h: d.pending} // the tail is not kept: unlink only reads it
+	for k, prev := d.pending, int32(0); k != 0; prev, k = k, lp.kids.next[k] {
+		if lp.kids.v[k] == src {
+			lp.kids.unlink(&q, prev, k)
+			d.pending = q.h
 			return
 		}
 	}
@@ -477,35 +626,15 @@ func (fc *FlowColl) opAdvance(rank int, fr *frank) {
 	}
 }
 
-// FlowEvent receives Machine callbacks: message deliveries, signal-
-// handler wakeups and spin ends.
+// FlowEvent receives Machine callbacks: message deliveries.
 func (fc *FlowColl) FlowEvent(tag uint64, at sim.Time) {
-	kind := uint8(tag & 7)
-	dst := int(tag >> 4 & 0x1FFFFF)
-	switch kind {
-	case fkSignal:
-		fc.onSignal(dst, at)
-		return
-	case fkSpin:
-		fc.spinEnd(dst, at)
-		return
-	}
-	pkt := fpkt{
-		kind: kind,
+	fc.deliver(int(tag>>4&0x1FFFFF), fpkt{
+		kind: uint8(tag & 7),
 		coll: tag&8 != 0,
 		src:  int32(tag >> 25 & 0x1FFFFF),
-		seq:  tag >> 46,
+		seq:  uint32(tag >> 46),
 		tr:   at,
-	}
-	switch kind {
-	case fkReduce:
-		pkt.size = int32(fc.bytes)
-	case fkBarUp, fkBarDown:
-		pkt.size = 1
-	case fkP2P:
-		pkt.size = HaloBytes
-	}
-	fc.deliver(dst, pkt)
+	})
 }
 
 // deliver routes one NIC deposit: raise a (coalesced) signal for
@@ -515,7 +644,7 @@ func (fc *FlowColl) deliver(dst int, pkt fpkt) {
 	fr := &fc.ranks[dst]
 	if pkt.coll && fr.sigOn && !fr.sigPend {
 		fr.sigPend = true
-		fc.M.WakeAt(dst, pkt.tr+fc.M.CMs[dst].SignalDelay(), fc, ptag(fkSignal, false, dst, 0, 0))
+		fr.lp.wake(pkt.tr+fc.M.CMs[dst].SignalDelay(), (*sigWake)(fr))
 	}
 	if fr.op.waiting {
 		if fc.processPkt(dst, fr, pkt, false) {
@@ -523,7 +652,7 @@ func (fc *FlowColl) deliver(dst int, pkt fpkt) {
 		}
 		return
 	}
-	fr.nicq = append(fr.nicq, pkt)
+	fr.lp.pkts.push(&fr.nicq, fr.lp.pkts.get(pkt))
 }
 
 // onSignal is the NIC signal handler at its delayed start time: stale
@@ -537,18 +666,15 @@ func (fc *FlowColl) onSignal(rank int, th sim.Time) {
 	}
 	fr.sigPend = false
 	m, cm := fc.M, fc.M.CMs[rank]
-	if fr.nh >= len(fr.nicq) {
+	if fr.nicq.h == 0 {
 		m.HostIntr(rank, th, cm.SignalIgnoredOvh())
 		return
 	}
 	m.HostIntr(rank, th, cm.SignalOvh())
 	fc.out.Signals[rank]++
-	for fr.nh < len(fr.nicq) {
-		pkt := fr.nicq[fr.nh]
-		fr.nh++
-		fc.processPkt(rank, fr, pkt, true)
+	for fr.nicq.h != 0 {
+		fc.processPkt(rank, fr, fr.lp.pkts.pop(&fr.nicq), true)
 	}
-	fr.resetq()
 }
 
 // Quiescent returns nil when a finished run left nothing queued, posted
@@ -557,22 +683,17 @@ func (fc *FlowColl) onSignal(rank int, th sim.Time) {
 func (fc *FlowColl) Quiescent() error {
 	for r := range fc.ranks {
 		fr := &fc.ranks[r]
-		if n := len(fr.nicq) - fr.nh; n != 0 {
+		pk := &fr.lp.pkts
+		if n := pk.count(fr.nicq); n != 0 {
 			return fmt.Errorf("rank %d: %d messages left in the NIC queue", r, n)
 		}
-		if len(fr.unexp) != 0 || len(fr.abq) != 0 || len(fr.descs) != 0 {
+		if fr.unexp.h != 0 || fr.abq.h != 0 || fr.descs.h != 0 {
 			return fmt.Errorf("rank %d: unexpected=%d ab-unexpected=%d descriptors=%d at quiescence",
-				r, len(fr.unexp), len(fr.abq), len(fr.descs))
+				r, pk.count(fr.unexp), pk.count(fr.abq), fr.lp.descs.count(fr.descs))
 		}
 		if fr.sigPend || fr.op.kind != opNone {
 			return fmt.Errorf("rank %d: signal pending=%v, op kind=%d at quiescence", r, fr.sigPend, fr.op.kind)
 		}
 	}
 	return nil
-}
-
-func (fr *frank) resetq() {
-	if fr.nh >= len(fr.nicq) {
-		fr.nicq, fr.nh = fr.nicq[:0], 0
-	}
 }

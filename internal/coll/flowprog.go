@@ -36,7 +36,7 @@ func (p *Program) at(pos *flowPos) *Step {
 // returns what drain returns: the caller's run-to-quiescence
 // (cluster.Drain). A rank cannot be a simulated process at flow scale,
 // so its position in the step table is its whole state; Run resets
-// every rank, keeping the capacity of its queues and descriptor lists.
+// every rank and empties each LP's slabs, keeping their capacity.
 // Each rank first pins its eager bounce-buffer pool, the one
 // virtual-time charge mpi.NewProcess makes before a packet rank's
 // program starts. Run adds each rank's InCall, Intr and Signals to out;
@@ -55,10 +55,13 @@ func (fc *FlowColl) Run(prog Program, out *Outcome, drain func() sim.Time) sim.T
 		panic(fmt.Sprintf("coll: flow engine models eager reductions only (%d bytes > threshold %d)", fc.bytes, thr))
 	}
 	fc.out = out
+	for i := range fc.lps {
+		fc.lps[i].reset()
+	}
 	// enter touches no other rank before drain delivers messages.
 	for r := range fc.ranks {
 		fr := &fc.ranks[r]
-		*fr = frank{nicq: fr.nicq[:0], unexp: fr.unexp[:0], abq: fr.abq[:0], descs: fr.descs[:0]}
+		*fr = frank{lp: fr.lp, rank: fr.rank}
 		cm := fc.M.CMs[r]
 		fc.enter(r, fc.M.HostRun(r, 0, cm.Pin(mpi.EagerPoolBytes(cm))))
 	}
@@ -83,7 +86,8 @@ func (fc *FlowColl) Run(prog Program, out *Outcome, drain func() sim.Time) sim.T
 // enter starts the step rank stands on at host time t.
 func (fc *FlowColl) enter(rank int, t sim.Time) {
 	m := fc.M
-	pos := &fc.ranks[rank].pos
+	fr := &fc.ranks[rank]
+	pos := &fr.pos
 	s := fc.prog.at(pos)
 	if s == nil {
 		return
@@ -96,25 +100,25 @@ func (fc *FlowColl) enter(rank int, t sim.Time) {
 		}
 		pos.start, pos.budget, pos.mark = t, b, m.Intr[rank]
 		m.HostRun(rank, t, 0)
-		m.WakeAt(rank, t+b, fc, ptag(fkSpin, false, rank, 0, 0))
+		fr.lp.wake(t+b, fr)
 	case StepHalo:
 		// The packet interpreter's order: even ranks send to both
 		// neighbours then receive from both, odd ranks receive first.
 		// Eager sends hand back at once, so the orders compose without
 		// deadlock.
 		if rank%2 == 0 {
-			t = fc.haloSend(rank, t, uint64(pos.iter))
+			t = fc.haloSend(rank, t, mseq(pos.iter))
 		}
 		pos.halo = 0
 		src, _ := fc.haloSrc(rank, 0) // size >= 2: every rank has a neighbour
-		fc.recvP2P(rank, t, src, uint64(pos.iter))
+		fc.recvP2P(rank, t, src, mseq(pos.iter))
 	case StepReduce:
 		pos.start = t
 		pos.reds++
-		fc.reduce(rank, t, fc.prog.Algo == AlgoAB, uint64(pos.reds-1))
+		fc.reduce(rank, t, fc.prog.Algo == AlgoAB, mseq(pos.reds-1))
 	case StepBarrier:
 		pos.bars++
-		fc.barrier(rank, t, uint64(pos.bars-1))
+		fc.barrier(rank, t, mseq(pos.bars-1))
 	}
 }
 
@@ -128,11 +132,11 @@ func (fc *FlowColl) leave(rank int, t sim.Time) {
 		// exchange with the odd ranks' sends.
 		pos.halo++
 		if src, ok := fc.haloSrc(rank, pos.halo); ok {
-			fc.recvP2P(rank, t, src, uint64(pos.iter))
+			fc.recvP2P(rank, t, src, mseq(pos.iter))
 			return
 		}
 		if rank%2 == 1 {
-			t = fc.haloSend(rank, t, uint64(pos.iter))
+			t = fc.haloSend(rank, t, mseq(pos.iter))
 		}
 	case StepReduce:
 		fc.out.InCall[rank] += t - pos.start
@@ -155,10 +159,11 @@ func (fc *FlowColl) leave(rank int, t sim.Time) {
 // cannot remove, so it is reported per rank.
 func (fc *FlowColl) spinEnd(rank int, at sim.Time) {
 	m := fc.M
-	pos := &fc.ranks[rank].pos
+	fr := &fc.ranks[rank]
+	pos := &fr.pos
 	intr := m.Intr[rank] - pos.mark
 	if want := pos.start + pos.budget + intr; want > at {
-		m.WakeAt(rank, want, fc, ptag(fkSpin, false, rank, 0, 0))
+		fr.lp.wake(want, fr)
 		return
 	}
 	m.HostRun(rank, at, 0)
@@ -168,7 +173,7 @@ func (fc *FlowColl) spinEnd(rank int, at sim.Time) {
 
 // haloSend posts rank's eager neighbour sends, returning the time the
 // host hands back.
-func (fc *FlowColl) haloSend(rank int, t sim.Time, tag uint64) sim.Time {
+func (fc *FlowColl) haloSend(rank int, t sim.Time, tag uint32) sim.Time {
 	m, cm := fc.M, fc.M.CMs[rank]
 	for _, dst := range [2]int{rank - 1, rank + 1} {
 		if dst >= 0 && dst < fc.Size {
@@ -196,11 +201,11 @@ func (fc *FlowColl) haloSrc(rank int, idx uint8) (int, bool) {
 
 // recvP2P blocks rank on a point-to-point receive; the step is left
 // when it matches.
-func (fc *FlowColl) recvP2P(rank int, at sim.Time, src int, tag uint64) {
+func (fc *FlowColl) recvP2P(rank int, at sim.Time, src int, tag uint32) {
 	fr := &fc.ranks[rank]
-	fr.op = fop{kind: opRecv}
+	fr.op = fop{kind: opRecv, seq: tag}
 	fc.M.HostRun(rank, at, 0)
-	if fc.recvStart(rank, fr, fkP2P, int32(src), mseq(tag), HaloBytes) {
+	if fc.recvStart(rank, fr, fkP2P, int32(src)) {
 		fc.opDone(rank, fc.M.Busy[rank])
 	}
 }

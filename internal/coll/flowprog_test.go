@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"abred/internal/flow"
 	"abred/internal/model"
@@ -115,7 +116,8 @@ func TestFlowRunAssertsQuiescence(t *testing.T) {
 	}()
 	run(fc, Program{Iters: 1, Count: 4, Body: []Step{{Kind: StepReduce}}}, func() sim.Time {
 		end := k.Run()
-		fc.ranks[1].nicq = append(fc.ranks[1].nicq, fpkt{kind: fkP2P})
+		fr := &fc.ranks[1]
+		fr.lp.pkts.push(&fr.nicq, fr.lp.pkts.get(fpkt{kind: fkP2P}))
 		return end
 	})
 }
@@ -152,3 +154,78 @@ func TestFlowRefusals(t *testing.T) {
 type fixedDelay sim.Time
 
 func (d fixedDelay) Delay(int, int) sim.Time { return sim.Time(d) }
+
+// A NIC signal's wake is an event on the rank, never re-armed: when a
+// polling pass consumes a raise and a second collective delivery raises
+// again before the first wake fires, the first wake runs the handler
+// at its own time and the second finds nothing pending. Rank 2 of four
+// (binomial, root 0: parent 0, child 3) enters two AB reductions 50 µs
+// apart; rank 3's first contribution lands before rank 2's second call
+// polls it, and its second lands after, within the signal delay.
+func TestFlowSignalWakeServesLaterRaise(t *testing.T) {
+	const n, delay = 4, 200 * us
+	k := sim.New(1)
+	c := model.DefaultCosts()
+	c.SignalDelay = delay
+	cms := model.SharedCostModels(model.Uniform(n), c)
+	fc := NewFlowColl(flow.NewMachines([]*sim.Kernel{k}, nil, nil, cms, c), n)
+	fr := &fc.ranks[2]
+
+	// Step the kernel 1 µs at a time, logging rank 2's raise state and
+	// handled signals at each window's end.
+	type obs struct {
+		at      sim.Time
+		pending bool
+		signals uint64
+	}
+	var log []obs
+	var out *Outcome
+	drain := func() sim.Time {
+		for h := us; ; h += us {
+			k.RunWindow(h)
+			if o := (obs{h, fr.sigPend, out.Signals[2]}); len(log) == 0 ||
+				o.pending != log[len(log)-1].pending || o.signals != log[len(log)-1].signals {
+				log = append(log, o)
+			}
+			if _, ok := k.NextEventTime(); !ok {
+				return k.Now()
+			}
+		}
+	}
+	m1 := [][]sim.Time{{0, 0, 0, 20 * us}}
+	m2 := [][]sim.Time{{0, 0, 50 * us, 60 * us}}
+	prog := Program{Iters: 1, Algo: AlgoAB, Count: 4, Body: []Step{
+		{Kind: StepSpin, Matrix: m1}, {Kind: StepReduce},
+		{Kind: StepSpin, Matrix: m2}, {Kind: StepReduce},
+		{Kind: StepSpin, Budget: 1000 * us},
+	}}
+	out = NewOutcome(n, &prog)
+	fc.Run(prog, out, drain)
+
+	// Raised, consumed by the poll, raised again, then handled. A raise
+	// happens as the flow completes, the wake a NIC deposit plus the
+	// signal delay later: the first wake, within the 1 µs windows.
+	if len(log) != 5 || !log[1].pending || log[2].pending || log[2].signals != 0 ||
+		!log[3].pending || log[4].pending || log[4].signals != 1 {
+		t.Fatalf("rank 2 signal history %+v, want raise, poll, raise, handle", log)
+	}
+	cm := cms[2]
+	if got, want := log[4].at-log[1].at, cm.NICPkt(32)+delay; got <= want-us || got >= want+us {
+		t.Errorf("handler ran %v after the first raise, want %v: the first raise's wake", got, want)
+	}
+	want := cm.SignalOvh() + cm.PollIter() + cm.QueueSearch(1) + cm.ReduceOp(4, 8) +
+		cm.HostSendOvh() + cm.HostCopy(32)
+	if out.Signals[2] != 1 || out.Intr[2] != want {
+		t.Errorf("rank 2 Signals=%d Intr=%v, want 1 and %v", out.Signals[2], out.Intr[2], want)
+	}
+}
+
+// The rank record is what a flow cluster keeps per rank beyond the
+// machine's clocks: queue heads into its LP's slabs, the op and the
+// program position. It read 256 bytes when it held four queue slices
+// and a ChildIter of its own.
+func TestFlowRankSize(t *testing.T) {
+	if s := unsafe.Sizeof(frank{}); s > 128 {
+		t.Errorf("frank is %d bytes, want <= 128", s)
+	}
+}

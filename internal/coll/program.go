@@ -110,7 +110,9 @@ type Outcome struct {
 	Results []float64
 
 	// FCT holds a flow-engine run's flow completion times (nil on the
-	// packet engine).
+	// packet engine), on any LP count a buffer the cluster keeps: valid
+	// until the cluster's next Exec or Reset, so a caller that keeps
+	// the times past that copies them.
 	FCT []sim.Time
 }
 

@@ -124,11 +124,19 @@ func (t Tree) ChildCount(rank int) int {
 // reduction receives them: ascending mask order on the binomial tree;
 // intra-leaf children first, then (for a group leader) the leaders of
 // subordinate groups, on a topology-aware one.
-func (t Tree) Kids(rank int) ChildIter {
+func (t Tree) Kids(rank int) ChildIter { return t.KidsFrom(rank, 0) }
+
+// KidsFrom returns the iterator Kids returns once n children have been
+// taken from it, so a walk can be parked as a count and resumed. On
+// the binomial tree the k'th child sits at mask 1<<k: a child past the
+// communicator's end ends the walk, since every later mask is larger.
+func (t Tree) KidsFrom(rank, n int) ChildIter {
 	if t.topo != nil {
-		return ChildIter{kids: t.topo.kids[t.topo.off[rank]:t.topo.off[rank+1]]}
+		return ChildIter{kids: t.topo.kids[int(t.topo.off[rank])+n : t.topo.off[rank+1]]}
 	}
-	return Kids(rank, t.root, t.size)
+	it := Kids(rank, t.root, t.size)
+	it.mask <<= n
+	return it
 }
 
 // AppendChildren appends rank's children to dst in Kids order and

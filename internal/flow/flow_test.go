@@ -288,21 +288,6 @@ func TestLossModelRejectsNonUniform(t *testing.T) {
 	}
 }
 
-func TestWakeAtOrder(t *testing.T) {
-	k, m := newTestMachine(2)
-	var r rec
-	m.WakeAt(0, 300, &r, 3)
-	m.WakeAt(0, 100, &r, 1)
-	m.WakeAt(0, 200, &r, 2)
-	k.Run()
-	if len(r.tags) != 3 || r.tags[0] != 1 || r.tags[1] != 2 || r.tags[2] != 3 {
-		t.Fatalf("wake order = %v", r.tags)
-	}
-	if r.ats[0] != 100 || r.ats[1] != 200 || r.ats[2] != 300 {
-		t.Fatalf("wake times = %v", r.ats)
-	}
-}
-
 func TestHostClockHelpers(t *testing.T) {
 	_, m := newTestMachine(2)
 	if got := m.HostRun(0, 100, 50); got != 150 || m.Busy[0] != 150 {

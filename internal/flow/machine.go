@@ -23,10 +23,10 @@ import (
 // partitioned by the owning LP: element r is only touched by events
 // running on rank r's LP (Send and token return on the source's LP,
 // NIC deposit and receive gating on the destination's), so the shards
-// share the arrays race-free. Per-LP mutable scalars and pools live in
-// mshard. Timestamps handed to Send/WakeAt may lie in the virtual
-// future (host chains extend past the current event) but never in the
-// past.
+// share the arrays race-free. Per-LP mutable scalars, pools and the
+// rare token-stalled send queues live in mshard. Timestamps handed to
+// Send may lie in the virtual future (host chains extend past the
+// current event) but never in the past.
 type Machine struct {
 	K   *sim.Kernel // shard 0's kernel (the only one on a 1-LP machine)
 	Net *Net        // shard 0's net
@@ -51,7 +51,6 @@ type Machine struct {
 	RecvTokens int
 
 	outst    []int32
-	waitq    []sendq
 	recvPend [][]sim.Time
 
 	lossP    float64 // per-frame drop probability (uniform rule)
@@ -62,23 +61,27 @@ type Machine struct {
 	pmap []int32 // host -> owning LP, nil when every host is on LP 0
 	sh   []mshard
 	par  *Par
+	fct  []sim.Time // FCTs' gather buffer on a multi-LP machine
 }
 
-// mshard is one LP's mutable scalars and event pools; indexed by the
-// LP a rank belongs to, so concurrent windows never share an entry.
+// mshard is one LP's mutable scalars, msg pool and token-stalled send
+// queues; indexed by the LP a rank belongs to, so concurrent windows
+// never share an entry.
 type mshard struct {
 	hostStall uint64  // sends that waited for a send token
 	recvStall uint64  // deliveries that waited for a receive token
 	expRetr   float64 // expected retransmitted frames (loss model)
 	mfree     []*msg
-	tfree     []*timer
+	// waitq holds the FIFO of each of the LP's ranks that has sends
+	// waiting for a token, keyed by rank. A rank needs one only past
+	// SendTokens sends outstanding, so the queues live here rather than
+	// in a per-rank array.
+	waitq map[int32]sendq
 }
 
-// sendq is one node's FIFO of token-stalled sends.
-type sendq struct {
-	q []*msg
-	h int
-}
+// sendq is one rank's FIFO of token-stalled sends, linked through
+// msg.next.
+type sendq struct{ h, t *msg }
 
 // NewMachines builds the per-node layer LP-partitioned over one kernel
 // per shard, with pmap assigning each rank to a shard (topo.Partition).
@@ -95,7 +98,6 @@ func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.C
 		SendTokens: gm.DefaultSendTokens,
 		RecvTokens: gm.DefaultRecvTokens,
 		outst:      make([]int32, n),
-		waitq:      make([]sendq, n),
 		recvPend:   make([][]sim.Time, n),
 		maxFrame:   c.MaxPayload,
 		ks:         ks,
@@ -107,6 +109,9 @@ func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.C
 		m.pmap = pmap
 	}
 	m.par = NewPar(m.nets)
+	for i := range m.sh {
+		m.sh[i].waitq = make(map[int32]sendq)
+	}
 	return m
 }
 
@@ -117,6 +122,15 @@ func (m *Machine) lpr(r int32) int32 {
 	}
 	return m.pmap[r]
 }
+
+// LPOf returns the LP whose kernel runs rank r's events: an index into
+// Kernels.
+func (m *Machine) LPOf(r int) int { return int(m.lpr(int32(r))) }
+
+// Kernels returns the machine's kernels, indexed by LP. A layer above
+// that schedules its own per-rank events (a spin's end, a signal
+// handler) schedules them on Kernels()[LPOf(r)].
+func (m *Machine) Kernels() []*sim.Kernel { return m.ks }
 
 // Par returns the window-barrier coupling for sim.LPSet.
 func (m *Machine) Par() *Par { return m.par }
@@ -157,17 +171,13 @@ func (m *Machine) Reset() {
 		m.Intr[i] = 0
 		m.nicFree[i] = 0
 		m.outst[i] = 0
-		q := &m.waitq[i]
-		for j := q.h; j < len(q.q); j++ {
-			q.q[j] = nil
-		}
-		q.q, q.h = q.q[:0], 0
 		m.recvPend[i] = m.recvPend[i][:0]
 	}
 	m.lossP = 0
 	for i := range m.sh {
 		s := &m.sh[i]
 		s.hostStall, s.recvStall, s.expRetr = 0, 0, 0
+		clear(s.waitq)
 	}
 	for _, nt := range m.nets {
 		nt.Reset()
@@ -188,16 +198,18 @@ func (m *Machine) Tokens() (hostStalls, recvStalls uint64, expRetransmits float6
 }
 
 // FCTs returns the recorded flow completion times, shard-concatenated
-// in LP order (callers summarize, which sorts).
+// in LP order (callers summarize, which sorts). The slice is the
+// machine's own — the Net's record on one LP, a gather buffer the
+// machine keeps on several — so it is valid until the next Reset.
 func (m *Machine) FCTs() []sim.Time {
 	if len(m.nets) == 1 {
 		return m.Net.FCTs()
 	}
-	var all []sim.Time
+	m.fct = m.fct[:0]
 	for _, nt := range m.nets {
-		all = append(all, nt.FCTs()...)
+		m.fct = append(m.fct, nt.FCTs()...)
 	}
-	return all
+	return m.fct
 }
 
 // NetStats sums the per-shard substrate counters. started, delayed and
@@ -250,6 +262,7 @@ type msg struct {
 	extra   sim.Time
 	h       Handler
 	tag     uint64
+	next    *msg // the next token-stalled send of the same source
 	split   bool // source side already ran via FlowSrcEvent
 }
 
@@ -258,8 +271,16 @@ type msg struct {
 func (ms *msg) RunEvent() {
 	m := ms.m
 	if int(m.outst[ms.src]) >= m.SendTokens {
-		m.sh[m.lpr(ms.src)].hostStall++
-		m.waitq[ms.src].q = append(m.waitq[ms.src].q, ms)
+		sh := &m.sh[m.lpr(ms.src)]
+		sh.hostStall++
+		q := sh.waitq[ms.src]
+		if q.t == nil {
+			q.h = ms
+		} else {
+			q.t.next = ms
+		}
+		q.t = ms
+		sh.waitq[ms.src] = q
 		return
 	}
 	m.launch(ms)
@@ -281,18 +302,25 @@ func (m *Machine) launch(ms *msg) {
 func (m *Machine) kOf(r int32) *sim.Kernel { return m.ks[m.lpr(r)] }
 
 // tokenDone returns src's send token and launches the next queued
-// send, if any.
+// send, if any. It runs on src's LP, as RunEvent does.
 func (m *Machine) tokenDone(src int32) {
 	m.outst[src]--
-	if q := &m.waitq[src]; q.h < len(q.q) {
-		next := q.q[q.h]
-		q.q[q.h] = nil
-		q.h++
-		if q.h == len(q.q) {
-			q.q, q.h = q.q[:0], 0
-		}
-		m.launch(next)
+	sh := &m.sh[m.lpr(src)]
+	if len(sh.waitq) == 0 {
+		return
 	}
+	q, ok := sh.waitq[src]
+	if !ok {
+		return
+	}
+	next := q.h
+	if q.h = next.next; q.h == nil {
+		delete(sh.waitq, src)
+	} else {
+		sh.waitq[src] = q
+	}
+	next.next = nil
+	m.launch(next)
 }
 
 // FlowSrcEvent runs the source half of a cross-LP completion: the
@@ -392,46 +420,6 @@ func (m *Machine) ReleaseRecv(dst int, t sim.Time) {
 		rp = rp[:copy(rp, rp[len(rp)-tok:])]
 	}
 	m.recvPend[dst] = rp
-}
-
-// timer is a pooled WakeAt event; lp is the shard whose pool owns it,
-// which is also the shard it fires on.
-type timer struct {
-	m   *Machine
-	h   Handler
-	tag uint64
-	at  sim.Time
-	lp  int32
-}
-
-// RunEvent delivers the wakeup.
-func (t *timer) RunEvent() {
-	m, h, tag, at := t.m, t.h, t.tag, t.at
-	t.h = nil
-	m.sh[t.lp].tfree = append(m.sh[t.lp].tfree, t)
-	h.FlowEvent(tag, at)
-}
-
-// WakeAt schedules h.FlowEvent(tag, t) at virtual time t (>= now) on
-// rank r's LP — the wakeup belongs to a rank's timeline, and under
-// partitioning it must fire where that rank's events run.
-func (m *Machine) WakeAt(r int, t sim.Time, h Handler, tag uint64) {
-	lp := m.lpr(int32(r))
-	sh := &m.sh[lp]
-	var tm *timer
-	if n := len(sh.tfree); n > 0 {
-		tm = sh.tfree[n-1]
-		sh.tfree = sh.tfree[:n-1]
-	} else {
-		tm = &timer{m: m}
-	}
-	tm.h, tm.tag, tm.at, tm.lp = h, tag, t, lp
-	k := m.ks[lp]
-	d := t - k.Now()
-	if d < 0 {
-		panic("flow: WakeAt in the virtual past")
-	}
-	k.AfterRunner(d, tm)
 }
 
 // HostRun charges cost on rank r's host timeline starting no earlier

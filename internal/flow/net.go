@@ -117,15 +117,14 @@ type Net struct {
 	hopLat   sim.Time
 	maxRoute int
 
-	// Link state. Under LP partitioning these four slices are the
-	// SAME backing arrays in every shard, partitioned by ownership:
-	// element li is only ever read or written by the shard lpOf[li]
-	// belongs to, so sharing them is race-free and keeps the 1M-node
-	// footprint flat in the LP count.
+	// Link state, 12 bytes a link. Under LP partitioning these three
+	// slices are the SAME backing arrays in every shard, partitioned by
+	// ownership: element li is only ever read or written by the shard
+	// lpOf[li] belongs to, so sharing them is race-free and keeps the
+	// 1M-node footprint flat in the LP count.
 	head  []int32 // per link: packed ref of the first flow slot, -1 none
 	nf    []int32 // per link: active flows routed over it
-	lmark []uint32
-	lslot []int32 // link -> index into the current closure's clinks
+	lslot []int32 // link -> index into clinks; see inClosure
 
 	flows []*Flow // shard-local: list refs on owned links index this pool
 	freef []int32
@@ -193,7 +192,6 @@ func NewNet(k *sim.Kernel, t *topo.Topology, n int, c model.Costs) *Net {
 		nt.head[i] = -1
 	}
 	nt.nf = make([]int32, nlinks)
-	nt.lmark = make([]uint32, nlinks)
 	nt.lslot = make([]int32, nlinks)
 	return nt
 }
@@ -373,23 +371,29 @@ func (nt *Net) finish(f *Flow) {
 	h.FlowEvent(tag, end)
 }
 
-// bumpEpoch advances the mark epoch for the next closure expansion.
-// On uint32 wraparound every surviving mark from 2³² reshares ago
-// could falsely match a fresh epoch, so owned link marks and all
-// pooled flow marks are cleared before restarting at 1.
+// bumpEpoch advances the flow-mark epoch for the next closure
+// expansion. On uint32 wraparound every surviving mark from 2³²
+// reshares ago could falsely match a fresh epoch, so all pooled flow
+// marks are cleared before restarting at 1. Links carry no mark (see
+// inClosure).
 func (nt *Net) bumpEpoch() {
 	nt.epoch++
 	if nt.epoch == 0 {
-		for i := range nt.lmark {
-			if nt.lpOf == nil || nt.lpOf[i] == nt.lp {
-				nt.lmark[i] = 0
-			}
-		}
 		for _, f := range nt.flows {
 			f.mark = 0
 		}
 		nt.epoch = 1
 	}
+}
+
+// inClosure reports whether link li is already in the closure being
+// expanded: lslot and clinks form a sparse set, so a stale lslot left
+// by an earlier reshare — out of range, or naming another link's slot
+// — reads as absent and nothing needs clearing between reshares. Only
+// the shard that owns li writes lslot[li].
+func (nt *Net) inClosure(li int32) bool {
+	s := int(nt.lslot[li])
+	return s < len(nt.clinks) && nt.clinks[s] == li
 }
 
 // reshare runs exact max-min water-filling over the connected component
@@ -414,10 +418,9 @@ func (nt *Net) reshare(now sim.Time) {
 		w++
 		f.frozen = false
 		for _, li := range f.links {
-			if nt.lmark[li] == nt.epoch {
+			if nt.inClosure(li) {
 				continue
 			}
-			nt.lmark[li] = nt.epoch
 			nt.lslot[li] = int32(len(nt.clinks))
 			nt.clinks = append(nt.clinks, li)
 			for ref := nt.head[li]; ref >= 0; {

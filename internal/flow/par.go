@@ -263,7 +263,7 @@ func NewNets(ks []*sim.Kernel, pmap []int32, t *topo.Topology, n int, c model.Co
 				K: ks[i], T: b.T,
 				n: b.n, base: b.base, capBns: b.capBns,
 				hopLat: b.hopLat, la: b.la, maxRoute: b.maxRoute,
-				head: b.head, nf: b.nf, lmark: b.lmark, lslot: b.lslot,
+				head: b.head, nf: b.nf, lslot: b.lslot,
 			}
 		}
 		nt := nts[i]

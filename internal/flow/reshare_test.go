@@ -1,8 +1,10 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"abred/internal/model"
@@ -18,14 +20,16 @@ type nopH struct{}
 
 func (nopH) FlowEvent(uint64, sim.Time) {}
 
-// TestEpochWrapClearsMarks forces the closure-mark epoch through its
-// uint32 wraparound with every link mark poisoned to 1 — the value the
-// epoch restarts at. If bumpEpoch failed to clear surviving marks on
-// wrap, the first post-wrap expansion would treat every link as
-// already in the closure and mis-share the component; the completion
-// times must instead match an unpoisoned net exactly.
+// TestEpochWrapClearsMarks forces the flow-mark epoch through its
+// uint32 wraparound mid-run, with flows active and every pooled flow's
+// mark poisoned to 1 — the value the epoch restarts at. If bumpEpoch
+// failed to clear surviving marks on wrap, the first post-wrap
+// expansion would treat the active flows as already in the closure and
+// mis-share the component; the completion times must instead match an
+// unpoisoned net exactly.
 func TestEpochWrapClearsMarks(t *testing.T) {
-	prog := func(nt *Net, k *sim.Kernel) []sim.Time {
+	prog := func(poison bool) ([]sim.Time, *Net) {
+		k, nt := newTestNet(t, 8, topo.Spec{})
 		var r rec
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 32; i++ {
@@ -39,23 +43,26 @@ func TestEpochWrapClearsMarks(t *testing.T) {
 			i := i
 			k.After(at, func() { nt.Start(src, dst, sz, 0, &r, uint64(i)) })
 		}
+		k.After(3000, func() {
+			if nt.active < 4 {
+				t.Fatalf("%d flows active at the wrap, want a shared component", nt.active)
+			}
+			if poison {
+				nt.epoch = ^uint32(0) // the next bump wraps to 0
+				for _, f := range nt.flows {
+					f.mark = 1
+				}
+			}
+		})
 		k.Run()
 		if len(r.tags) != 32 {
 			t.Fatalf("deliveries = %d, want 32", len(r.tags))
 		}
-		return append([]sim.Time(nil), nt.FCTs()...)
+		return append([]sim.Time(nil), nt.FCTs()...), nt
 	}
 
-	k1, n1 := newTestNet(t, 8, topo.Spec{})
-	want := prog(n1, k1)
-
-	k2, n2 := newTestNet(t, 8, topo.Spec{})
-	n2.epoch = ^uint32(0) // the next bump wraps to 0
-	for i := range n2.lmark {
-		n2.lmark[i] = 1
-	}
-	got := prog(n2, k2)
-
+	want, _ := prog(false)
+	got, n2 := prog(true)
 	if len(got) != len(want) {
 		t.Fatalf("fct count %d vs %d", len(got), len(want))
 	}
@@ -66,6 +73,118 @@ func TestEpochWrapClearsMarks(t *testing.T) {
 	}
 	if n2.epoch == 0 || n2.epoch > 1<<20 {
 		t.Fatalf("epoch %d did not restart after the wrap", n2.epoch)
+	}
+}
+
+// checkClosure compares the closure the last reshare built, seeded by
+// flow f alone, with a map-based search of f's component over the
+// shard's link lists: clinks must hold each component link exactly
+// once, and cflows each component flow.
+func checkClosure(t *testing.T, nt *Net, f *Flow) {
+	t.Helper()
+	links := map[int32]bool{}
+	flows := map[*Flow]bool{f: true}
+	for todo := []*Flow{f}; len(todo) > 0; {
+		g := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		for _, li := range g.links {
+			if links[li] {
+				continue
+			}
+			links[li] = true
+			for ref := nt.head[li]; ref >= 0; {
+				h := nt.flows[ref>>slotBits]
+				if !flows[h] {
+					flows[h] = true
+					todo = append(todo, h)
+				}
+				ref = h.next[ref&(1<<slotBits-1)]
+			}
+		}
+	}
+	seen := map[int32]bool{}
+	for _, li := range nt.clinks {
+		if seen[li] || !links[li] {
+			t.Errorf("lp %d: closure link %d repeated or outside the component", nt.lp, li)
+		}
+		seen[li] = true
+	}
+	if len(seen) != len(links) {
+		t.Errorf("lp %d: closure holds %d links, component %d", nt.lp, len(seen), len(links))
+	}
+	inC := map[*Flow]bool{}
+	for _, g := range nt.cflows {
+		inC[g] = true
+	}
+	if len(inC) != len(flows) || len(nt.cflows) != len(flows) {
+		t.Errorf("lp %d: closure holds %d flows, component %d", nt.lp, len(nt.cflows), len(flows))
+	}
+	for g := range flows {
+		if !inC[g] {
+			t.Errorf("lp %d: component flow %d missing from the closure", nt.lp, g.id)
+		}
+	}
+}
+
+// TestClosureSparseSet drives seeded-random traffic whose components
+// come and go, so links rejoin closures with lslot values left by
+// earlier reshares — out of range, or naming another link's slot — and
+// checks every Start's closure against checkClosure's map oracle, on
+// one LP and on two. Errorf, not Fatalf: shard checks run on LP
+// goroutines.
+func TestClosureSparseSet(t *testing.T) {
+	const n = 16
+	tp := topo.Build(topo.Spec{Kind: topo.FatTree, K: 4}, n)
+	for _, lps := range []int{1, 2} {
+		t.Run(fmt.Sprintf("lps%d", lps), func(t *testing.T) {
+			var pmap []int32
+			if lps > 1 {
+				pmap, _ = tp.Partition(lps)
+			}
+			ks := make([]*sim.Kernel, lps)
+			for i := range ks {
+				ks[i] = sim.New(int64(i + 1))
+			}
+			nets := NewNets(ks, pmap, tp, n, model.DefaultCosts())
+			checks := make([]int, lps)
+			rng := rand.New(rand.NewSource(20031))
+			var h nopH
+			for i := 0; i < 200; i++ {
+				src := rng.Intn(n)
+				dst := rng.Intn(n - 1)
+				if dst >= src {
+					dst++
+				}
+				sz := 64 + rng.Intn(8192)
+				at := sim.Time(rng.Intn(40000))
+				lp := 0
+				if pmap != nil {
+					lp = int(pmap[src])
+				}
+				nt := nets[lp]
+				ks[lp].After(at, func() {
+					epoch := nt.epoch
+					nt.Start(src, dst, sz, 0, h, 0)
+					if nt.epoch == epoch {
+						return // alone on its links: no reshare
+					}
+					checks[lp]++
+					checkClosure(t, nt, nt.cflows[0])
+				})
+			}
+			if lps == 1 {
+				ks[0].Run()
+			} else {
+				par := NewPar(nets)
+				sim.NewLPSet(ks, par.Lookahead(), par.Exchange).Run()
+			}
+			t.Logf("closures checked per LP: %v", checks)
+			for lp, c := range checks {
+				if c < 50 {
+					t.Errorf("lp %d checked %d closures, want a busy fabric", lp, c)
+				}
+			}
+		})
 	}
 }
 
@@ -300,3 +419,21 @@ func benchReshare(b *testing.B, scan bool) {
 
 func BenchmarkReshareHeap(b *testing.B) { benchReshare(b, false) }
 func BenchmarkReshareScan(b *testing.B) { benchReshare(b, true) }
+
+// TestLinkStateBytes sums the element sizes of every Net slice that
+// holds one entry per link: the flow lists' heads and counts and the
+// closure slot, 12 bytes. A per-link closure mark made it 16.
+func TestLinkStateBytes(t *testing.T) {
+	_, nt := newTestNet(t, 16, topo.Spec{Kind: topo.FatTree, K: 4})
+	nlinks := len(nt.head)
+	v := reflect.ValueOf(nt).Elem()
+	var per uintptr
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == nlinks {
+			per += f.Type().Elem().Size()
+		}
+	}
+	if per != 12 {
+		t.Errorf("a Net keeps %d bytes per link, want 12", per)
+	}
+}

@@ -11,11 +11,12 @@
 // Points[i] always belongs to Jobs[i] no matter which worker computed it
 // or in what order jobs finished. With pure jobs, output is bit-for-bit
 // identical for any worker count, including 1 (serial). Only the Perf
-// block — wall-clock, peak heap — varies between runs.
+// block — wall-clock, peak live heap — varies between runs.
 package sweep
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -43,11 +44,13 @@ type Perf struct {
 	Wall   time.Duration // elapsed wall-clock for the whole sweep
 	Events uint64        // simulated events across all jobs
 
-	// HeapPeak is the largest live-heap sample observed while the sweep
-	// ran (HeapAlloc, sampled every 25 ms plus once at each end). It
-	// bounds the sweep's real memory footprint — the number that decides
+	// LivePeak is the largest live heap observed while the sweep ran:
+	// /gc/heap/live:bytes, the heap the last GC cycle marked reachable,
+	// sampled every 25 ms plus once at each end. Garbage not yet
+	// collected is not in it, so it reads what the runs need rather
+	// than how far the GC let the heap grow — the number that decides
 	// whether a 1M-node point fits on the machine at all.
-	HeapPeak uint64
+	LivePeak uint64
 }
 
 // Result pairs a sweep's points (in job order) with its execution
@@ -92,27 +95,22 @@ type Sweep[T any] struct {
 func (s Sweep[T]) Run(workers int) *Result[T] {
 	workers = Workers(workers, len(s.Jobs))
 	points := make([]Point[T], len(s.Jobs))
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	heapPeak := ms.HeapAlloc
+	livePeak := liveBytes()
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
 	go func() {
-		// Low-rate sampler; 25 ms catches every grid cell that lives
-		// long enough to matter while costing the workers nothing.
+		// Low-rate sampler; 25 ms catches every GC cycle of a grid cell
+		// that lives long enough to matter, and reading a runtime
+		// metric does not stop the world.
 		defer close(watchDone)
 		tick := time.NewTicker(25 * time.Millisecond)
 		defer tick.Stop()
-		var wms runtime.MemStats
 		for {
 			select {
 			case <-stopWatch:
 				return
 			case <-tick.C:
-				runtime.ReadMemStats(&wms)
-				if wms.HeapAlloc > heapPeak {
-					heapPeak = wms.HeapAlloc
-				}
+				livePeak = max(livePeak, liveBytes())
 			}
 		}
 	}()
@@ -142,11 +140,7 @@ func (s Sweep[T]) Run(workers int) *Result[T] {
 	perf := Perf{Wall: time.Since(start)}
 	close(stopWatch)
 	<-watchDone
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > heapPeak {
-		heapPeak = ms.HeapAlloc
-	}
-	perf.HeapPeak = heapPeak
+	perf.LivePeak = max(livePeak, liveBytes())
 	for i := range points {
 		perf.Events += points[i].Events
 	}
@@ -156,6 +150,13 @@ func (s Sweep[T]) Run(workers int) *Result[T] {
 // Run is the convenience form: execute jobs as a named sweep.
 func Run[T any](name string, jobs []Job[T], workers int) *Result[T] {
 	return Sweep[T]{Name: name, Jobs: jobs}.Run(workers)
+}
+
+// liveBytes reads the heap the last GC cycle marked live.
+func liveBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // runJob executes one job.

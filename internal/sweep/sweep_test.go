@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,14 +44,16 @@ func TestOrderedReassembly(t *testing.T) {
 }
 
 // TestPerfAccounting: events aggregate exactly for any worker count;
-// wall clock and peak heap are recorded.
+// wall clock and peak live heap are recorded. The live heap reads 0
+// until a GC cycle has marked it, so one runs first.
 func TestPerfAccounting(t *testing.T) {
+	runtime.GC()
 	for _, workers := range []int{1, 4} {
 		res := Run("acct", squareJobs(10), workers)
 		if res.Perf.Events != 45 { // 0+1+...+9
 			t.Errorf("workers=%d: events = %d, want 45", workers, res.Perf.Events)
 		}
-		if res.Perf.Wall <= 0 || res.Perf.HeapPeak == 0 {
+		if res.Perf.Wall <= 0 || res.Perf.LivePeak == 0 {
 			t.Errorf("workers=%d: cost not recorded: %+v", workers, res.Perf)
 		}
 	}
