@@ -228,6 +228,6 @@ func CPUUtil(cfg Config) CPUUtilResult {
 		LinkWaits: waits,
 		LinkWait:  waitTime,
 		Elapsed:   end,
-		FCT:       stats.Summarize(out.FCT),
+		FCT:       stats.SummarizeHist(out.FCT),
 	}
 }

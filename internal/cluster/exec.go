@@ -17,7 +17,8 @@ import (
 // simulated process; the flow engine hands the table to the cluster's
 // FlowColl, built by the first flow Exec and reused by every later one
 // as a packet node reuses its MPI state. A flow Outcome's FCT is the
-// flow machine's own record, valid until the next Exec or Reset.
+// flow machine's own completion-time histogram, valid until the next
+// Exec or Reset.
 func (c *Cluster) Exec(prog coll.Program) (*coll.Outcome, sim.Time) {
 	out := coll.NewOutcome(c.Size(), &prog)
 	if c.Engine == EngineFlow {

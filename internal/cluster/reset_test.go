@@ -377,7 +377,9 @@ func TestConstructionBytesPerNode(t *testing.T) {
 // each side, so garbage is not counted. When every spin end and signal
 // wake was a pooled record of its own, each link carried a closure
 // mark, and a rank kept 256 bytes of record plus slices of its own for
-// its queues, this read 795 at 65536 ranks.
+// its queues, this read 795 at 65536 ranks; while each Net kept every
+// flow's completion time and the machine the host clocks, 440. It
+// reads 401.
 func TestFlowRetainedBytesPerRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte ceilings are calibrated without -race instrumentation")
@@ -407,8 +409,8 @@ func TestFlowRetainedBytesPerRank(t *testing.T) {
 	perRank := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / size
 	pool.Drain()
 	t.Logf("pooled flow cluster, %d ranks, after one Exec: %.0f B/rank", size, perRank)
-	if perRank > 530 {
-		t.Errorf("a pooled flow cluster keeps %.0f B/rank after one Exec (> 530); per-rank wake records or queue slices?", perRank)
+	if perRank > 460 {
+		t.Errorf("a pooled flow cluster keeps %.0f B/rank after one Exec (> 460); per-rank wake records, queue slices or per-flow records?", perRank)
 	}
 }
 

@@ -88,10 +88,10 @@ type fop struct {
 	kids    int32 // children taken so far from the op's tree walk (KidsFrom)
 }
 
-// frank is one rank's progress-engine state. Its queues are lists
-// threaded through its LP's slabs, and it is the target of its own
-// wakes: a spin's end (frank.RunEvent) and a NIC signal handler
-// (sigWake).
+// frank is one rank's progress-engine state and host clocks. Its
+// queues are lists threaded through its LP's slabs, and it is the
+// target of its own wakes: a spin's end (frank.RunEvent) and a NIC
+// signal handler (sigWake).
 type frank struct {
 	lp      *flowLP
 	rank    int32
@@ -105,6 +105,37 @@ type frank struct {
 	ndesc   int32
 	op      fop
 	pos     flowPos
+	busy    sim.Time // the host is busy until then (hostRun)
+	sintr   sim.Time // handler time charged since the spin in progress began (hostIntr)
+}
+
+// hostRun charges cost on the rank's host timeline starting no earlier
+// than at, returning the completion time.
+func (fr *frank) hostRun(at, cost sim.Time) sim.Time {
+	t := fr.busy
+	if at > t {
+		t = at
+	}
+	t += cost
+	fr.busy = t
+	return t
+}
+
+// hostIntr is hostRun for asynchronous handler work that interrupts the
+// application: the cost also accrues to sintr, which the spin in
+// progress consumes (spinEnd).
+func (fr *frank) hostIntr(at, cost sim.Time) sim.Time {
+	fr.sintr += cost
+	return fr.hostRun(at, cost)
+}
+
+// hostCharge advances the rank's host clock, routing to hostIntr in
+// handler context.
+func (fr *frank) hostCharge(at, cost sim.Time, intr bool) sim.Time {
+	if intr {
+		return fr.hostIntr(at, cost)
+	}
+	return fr.hostRun(at, cost)
 }
 
 // RunEvent is the rank's spin-end wake.
@@ -291,7 +322,7 @@ func (fc *FlowColl) reduce(rank int, at sim.Time, ab bool, seq uint32) {
 		// Leaf: one eager collective send, then the call returns.
 		m, cm := fc.M, fc.M.CMs[rank]
 		parent := tr.Parent(rank)
-		t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.bytes))
+		t := fc.ranks[rank].hostRun(at, cm.HostSendOvh()+cm.HostCopy(fc.bytes))
 		m.Send(t, rank, parent, fc.bytes, fc, ptag(fkReduce, true, parent, rank, seq))
 		fc.opDone(rank, t)
 		return
@@ -318,7 +349,7 @@ func (fc *FlowColl) barrier(rank int, at sim.Time, seq uint32) {
 	}
 	fr := &fc.ranks[rank]
 	fr.op = fop{kind: opBarrier, seq: seq, parent: int32(Parent(rank, 0, fc.Size))}
-	fc.M.HostRun(rank, at, 0)
+	fr.hostRun(at, 0)
 	fc.barrierLoop(rank, fr)
 }
 
@@ -336,13 +367,13 @@ func (fc *FlowColl) reduceStart(rank int, at sim.Time, seq uint32, coll bool) {
 			fc.opDone(rank, at)
 			return
 		}
-		t := m.HostRun(rank, at, cm.HostSendOvh()+cm.HostCopy(fc.bytes))
+		t := fr.hostRun(at, cm.HostSendOvh()+cm.HostCopy(fc.bytes))
 		m.Send(t, rank, parent, fc.bytes, fc, ptag(fkReduce, coll, parent, rank, seq))
 		fc.opDone(rank, t)
 		return
 	}
 	// Accumulator init: the charged copy out of sendbuf.
-	m.HostRun(rank, at, cm.HostCopy(fc.bytes))
+	fr.hostRun(at, cm.HostCopy(fc.bytes))
 	fc.reduceLoop(rank, fr)
 }
 
@@ -356,17 +387,17 @@ func (fc *FlowColl) reduceLoop(rank int, fr *frank) {
 		c := it.Next()
 		if c < 0 {
 			if op.parent >= 0 {
-				t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.bytes))
+				t := fr.hostRun(fr.busy, cm.HostSendOvh()+cm.HostCopy(fc.bytes))
 				m.Send(t, rank, int(op.parent), fc.bytes, fc, ptag(fkReduce, op.coll, int(op.parent), rank, op.seq))
 			}
-			fc.opDone(rank, m.Busy[rank])
+			fc.opDone(rank, fr.busy)
 			return
 		}
 		op.kids++
 		if !fc.recvStart(rank, fr, fkReduce, int32(c)) {
 			return // blocked; a future delivery resumes via opAdvance
 		}
-		m.HostRun(rank, m.Busy[rank], cm.ReduceOp(fc.prog.Count, 8))
+		fr.hostRun(fr.busy, cm.ReduceOp(fc.prog.Count, 8))
 	}
 }
 
@@ -393,7 +424,7 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 	if op.phase == 1 {
 		op.phase = 2
 		if op.parent >= 0 {
-			t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(1))
+			t := fr.hostRun(fr.busy, cm.HostSendOvh()+cm.HostCopy(1))
 			m.Send(t, rank, int(op.parent), 1, fc, ptag(fkBarUp, false, int(op.parent), rank, op.seq))
 			if !fc.recvStart(rank, fr, fkBarDown, op.parent) {
 				return
@@ -402,10 +433,10 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 	}
 	it := Kids(rank, 0, fc.Size)
 	for c := it.Next(); c >= 0; c = it.Next() {
-		t := m.HostRun(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(1))
+		t := fr.hostRun(fr.busy, cm.HostSendOvh()+cm.HostCopy(1))
 		m.Send(t, rank, c, 1, fc, ptag(fkBarDown, false, c, rank, op.seq))
 	}
-	fc.opDone(rank, m.Busy[rank])
+	fc.opDone(rank, fr.busy)
 }
 
 // abInternal is the internal-rank application-bypass call (Fig. 3 left
@@ -414,12 +445,12 @@ func (fc *FlowColl) barrierLoop(rank int, fr *frank) {
 // progress pass over whatever the NIC already delivered, re-arm signals
 // iff the instance is still outstanding, and return.
 func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint32, tr Tree) {
-	m, cm := fc.M, fc.M.CMs[rank]
+	cm := fc.M.CMs[rank]
 	fr := &fc.ranks[rank]
 	lp := fr.lp
 	fr.sigOn = false
-	t := m.HostRun(rank, at, cm.HostCopy(fc.bytes))
-	t = m.HostRun(rank, t, cm.DescriptorOvh())
+	t := fr.hostRun(at, cm.HostCopy(fc.bytes))
+	t = fr.hostRun(t, cm.DescriptorOvh())
 
 	prev := fr.descs.t
 	di := lp.descs.get(fdesc{seq: seq, parent: int32(tr.Parent(rank))})
@@ -443,10 +474,10 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint32, tr Tree) {
 			pos++
 			continue
 		}
-		t = m.HostRun(rank, t, cm.QueueSearch(pos))
+		t = fr.hostRun(t, cm.QueueSearch(pos))
 		lp.pkts.unlink(&fr.abq, pprev, pi)
 		pi = nx
-		t = m.HostRun(rank, t, cm.ReduceOp(fc.prog.Count, 8))
+		t = fr.hostRun(t, cm.ReduceOp(fc.prog.Count, 8))
 		lp.removePending(d, pk.src)
 	}
 	if d.pending == 0 {
@@ -458,7 +489,7 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint32, tr Tree) {
 		}
 	}
 	fr.sigOn = fr.ndesc > 0
-	fc.opDone(rank, m.Busy[rank])
+	fc.opDone(rank, fr.busy)
 }
 
 // recvStart begins a blocking receive of kind from src, in the op's
@@ -468,15 +499,15 @@ func (fc *FlowColl) abInternal(rank int, at sim.Time, seq uint32, tr Tree) {
 // receive completed synchronously; false when the rank is parked
 // polling and a future delivery will resume it.
 func (fc *FlowColl) recvStart(rank int, fr *frank, kind uint8, src int32) bool {
-	m, cm := fc.M, fc.M.CMs[rank]
+	cm := fc.M.CMs[rank]
 	lp := fr.lp
 	op := &fr.op
-	t := m.HostRun(rank, m.Busy[rank], cm.HostRecvOvh()+cm.QueueSearch(int(fr.nunexp)))
+	t := fr.hostRun(fr.busy, cm.HostRecvOvh()+cm.QueueSearch(int(fr.nunexp)))
 	for i, prev := fr.unexp.h, int32(0); i != 0; prev, i = i, lp.pkts.next[i] {
 		if pk := &lp.pkts.v[i]; pk.kind == kind && pk.src == src && pk.seq == op.seq {
 			lp.pkts.unlink(&fr.unexp, prev, i)
 			fr.nunexp--
-			m.HostRun(rank, t, cm.HostCopy(fc.size(kind)))
+			fr.hostRun(t, cm.HostCopy(fc.size(kind)))
 			return true
 		}
 	}
@@ -498,7 +529,7 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 	m, cm := fc.M, fc.M.CMs[rank]
 	lp := fr.lp
 	size := fc.size(pkt.kind)
-	ts := m.Busy[rank]
+	ts := fr.busy
 	if pkt.tr > ts {
 		ts = pkt.tr
 	}
@@ -515,7 +546,7 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 		cost += cm.QueueSearch(int(fr.ndesc))
 		if prev, di := fc.findDesc(fr, pkt.seq, pkt.src); di != 0 {
 			cost += cm.ReduceOp(fc.prog.Count, 8)
-			fc.hostCharge(rank, ts, cost, intr)
+			fr.hostCharge(ts, cost, intr)
 			d := &lp.descs.v[di]
 			lp.removePending(d, pkt.src)
 			if d.pending == 0 {
@@ -526,7 +557,7 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 		if rank != fc.prog.Root {
 			// No descriptor yet: copy into the AB unexpected queue.
 			cost += cm.HostCopy(size)
-			fc.hostCharge(rank, ts, cost, intr)
+			fr.hostCharge(ts, cost, intr)
 			lp.pkts.push(&fr.abq, lp.pkts.get(pkt))
 			return false
 		}
@@ -538,7 +569,7 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 	}
 	cost += cm.QueueSearch(posted)
 	cost += cm.HostCopy(size)
-	fc.hostCharge(rank, ts, cost, intr)
+	fr.hostCharge(ts, cost, intr)
 	if op := &fr.op; op.waiting && pkt.kind == op.pkind && pkt.src == op.psrc && pkt.seq == op.seq {
 		op.waiting = false
 		return true
@@ -554,20 +585,11 @@ func (fc *FlowColl) processPkt(rank int, fr *frank, pkt fpkt, intr bool) bool {
 func (fc *FlowColl) completeDesc(rank int, fr *frank, prev, di int32, intr bool) {
 	m, cm := fc.M, fc.M.CMs[rank]
 	d := fr.lp.descs.v[di]
-	t := fc.hostCharge(rank, m.Busy[rank], cm.HostSendOvh()+cm.HostCopy(fc.bytes), intr)
+	t := fr.hostCharge(fr.busy, cm.HostSendOvh()+cm.HostCopy(fc.bytes), intr)
 	m.Send(t, rank, int(d.parent), fc.bytes, fc, ptag(fkReduce, true, int(d.parent), rank, d.seq))
 	fr.lp.descs.unlink(&fr.descs, prev, di)
 	fr.ndesc--
 	fr.sigOn = fr.ndesc > 0
-}
-
-// hostCharge advances rank's host clock, routing to the interrupt
-// ledger in handler context.
-func (fc *FlowColl) hostCharge(rank int, at, cost sim.Time, intr bool) sim.Time {
-	if intr {
-		return fc.M.HostIntr(rank, at, cost)
-	}
-	return fc.M.HostRun(rank, at, cost)
 }
 
 // findDesc returns the first of rank's descriptors for instance seq
@@ -612,15 +634,15 @@ func (fc *FlowColl) opDone(rank int, t sim.Time) {
 
 // opAdvance resumes rank's op after a posted receive matched.
 func (fc *FlowColl) opAdvance(rank int, fr *frank) {
-	m, cm := fc.M, fc.M.CMs[rank]
+	cm := fc.M.CMs[rank]
 	switch fr.op.kind {
 	case opReduce:
-		m.HostRun(rank, m.Busy[rank], cm.ReduceOp(fc.prog.Count, 8))
+		fr.hostRun(fr.busy, cm.ReduceOp(fc.prog.Count, 8))
 		fc.reduceLoop(rank, fr)
 	case opBarrier:
 		fc.barrierLoop(rank, fr)
 	case opRecv:
-		fc.opDone(rank, m.Busy[rank])
+		fc.opDone(rank, fr.busy)
 	default:
 		panic("coll: flow delivery resumed an idle rank")
 	}
@@ -665,12 +687,12 @@ func (fc *FlowColl) onSignal(rank int, th sim.Time) {
 		return
 	}
 	fr.sigPend = false
-	m, cm := fc.M, fc.M.CMs[rank]
+	cm := fc.M.CMs[rank]
 	if fr.nicq.h == 0 {
-		m.HostIntr(rank, th, cm.SignalIgnoredOvh())
+		fr.hostIntr(th, cm.SignalIgnoredOvh())
 		return
 	}
-	m.HostIntr(rank, th, cm.SignalOvh())
+	fr.hostIntr(th, cm.SignalOvh())
 	fc.out.Signals[rank]++
 	for fr.nicq.h != 0 {
 		fc.processPkt(rank, fr, fr.lp.pkts.pop(&fr.nicq), true)

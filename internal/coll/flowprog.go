@@ -14,10 +14,10 @@ type flowPos struct {
 	step             uint16
 	halo             uint8 // halo receives completed
 	// The spin in progress: a spin of budget b started at t ends at t+b
-	// plus the handler time that accrued on the rank's interrupt ledger
-	// past mark while it ran — handler work displaces a busy loop's
-	// cycles (the flow image of Proc.SpinInterruptible).
-	start, budget, mark sim.Time
+	// plus the handler time that accrued in the rank's sintr while it
+	// ran — handler work displaces a busy loop's cycles (the flow image
+	// of Proc.SpinInterruptible).
+	start, budget sim.Time
 }
 
 // at returns the step p stands on, nil once the program is finished.
@@ -63,7 +63,7 @@ func (fc *FlowColl) Run(prog Program, out *Outcome, drain func() sim.Time) sim.T
 		fr := &fc.ranks[r]
 		*fr = frank{lp: fr.lp, rank: fr.rank}
 		cm := fc.M.CMs[r]
-		fc.enter(r, fc.M.HostRun(r, 0, cm.Pin(mpi.EagerPoolBytes(cm))))
+		fc.enter(r, fr.hostRun(0, cm.Pin(mpi.EagerPoolBytes(cm))))
 	}
 	end := drain()
 	done := 0
@@ -85,7 +85,6 @@ func (fc *FlowColl) Run(prog Program, out *Outcome, drain func() sim.Time) sim.T
 
 // enter starts the step rank stands on at host time t.
 func (fc *FlowColl) enter(rank int, t sim.Time) {
-	m := fc.M
 	fr := &fc.ranks[rank]
 	pos := &fr.pos
 	s := fc.prog.at(pos)
@@ -98,8 +97,8 @@ func (fc *FlowColl) enter(rank int, t sim.Time) {
 		if s.Matrix != nil {
 			b += s.Matrix[pos.iter][rank]
 		}
-		pos.start, pos.budget, pos.mark = t, b, m.Intr[rank]
-		m.HostRun(rank, t, 0)
+		pos.start, pos.budget, fr.sintr = t, b, 0
+		fr.hostRun(t, 0)
 		fr.lp.wake(t+b, fr)
 	case StepHalo:
 		// The packet interpreter's order: even ranks send to both
@@ -158,15 +157,13 @@ func (fc *FlowColl) leave(rank int, t sim.Time) {
 // The settled delta is CPU a benchmark's subtraction of the spin budget
 // cannot remove, so it is reported per rank.
 func (fc *FlowColl) spinEnd(rank int, at sim.Time) {
-	m := fc.M
 	fr := &fc.ranks[rank]
-	pos := &fr.pos
-	intr := m.Intr[rank] - pos.mark
-	if want := pos.start + pos.budget + intr; want > at {
+	intr := fr.sintr
+	if want := fr.pos.start + fr.pos.budget + intr; want > at {
 		fr.lp.wake(want, fr)
 		return
 	}
-	m.HostRun(rank, at, 0)
+	fr.hostRun(at, 0)
 	fc.out.Intr[rank] += intr
 	fc.leave(rank, at)
 }
@@ -174,10 +171,10 @@ func (fc *FlowColl) spinEnd(rank int, at sim.Time) {
 // haloSend posts rank's eager neighbour sends, returning the time the
 // host hands back.
 func (fc *FlowColl) haloSend(rank int, t sim.Time, tag uint32) sim.Time {
-	m, cm := fc.M, fc.M.CMs[rank]
+	m, cm, fr := fc.M, fc.M.CMs[rank], &fc.ranks[rank]
 	for _, dst := range [2]int{rank - 1, rank + 1} {
 		if dst >= 0 && dst < fc.Size {
-			t = m.HostRun(rank, t, cm.HostSendOvh()+cm.HostCopy(HaloBytes))
+			t = fr.hostRun(t, cm.HostSendOvh()+cm.HostCopy(HaloBytes))
 			m.Send(t, rank, dst, HaloBytes, fc, ptag(fkP2P, false, dst, rank, tag))
 		}
 	}
@@ -204,8 +201,8 @@ func (fc *FlowColl) haloSrc(rank int, idx uint8) (int, bool) {
 func (fc *FlowColl) recvP2P(rank int, at sim.Time, src int, tag uint32) {
 	fr := &fc.ranks[rank]
 	fr.op = fop{kind: opRecv, seq: tag}
-	fc.M.HostRun(rank, at, 0)
+	fr.hostRun(at, 0)
 	if fc.recvStart(rank, fr, fkP2P, int32(src)) {
-		fc.opDone(rank, fc.M.Busy[rank])
+		fc.opDone(rank, fr.busy)
 	}
 }

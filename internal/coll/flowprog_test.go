@@ -55,7 +55,7 @@ func TestFlowProgramSpinDisplacement(t *testing.T) {
 				t.Errorf("ab: rank 2 InCall=%v Intr=%v Signals=%d, want < 50µs, > 0, >= 1", inCall, intr, sig)
 			}
 			// The displaced spin ends late by exactly the handler time.
-			if busy := fc.M.Busy[2]; busy < 400*us+intr || end < busy {
+			if busy := fc.ranks[2].busy; busy < 400*us+intr || end < busy {
 				t.Errorf("ab: rank 2 busy until %v, run ended %v, Intr=%v", busy, end, intr)
 			}
 		} else if inCall < 250*us || intr != 0 || sig != 0 {
@@ -220,10 +220,26 @@ func TestFlowSignalWakeServesLaterRaise(t *testing.T) {
 	}
 }
 
+// A rank's host clock never runs backwards, and handler time lands on
+// both the clock and the spin's interrupt accumulator.
+func TestHostClockHelpers(t *testing.T) {
+	var fr frank
+	if got := fr.hostRun(100, 50); got != 150 || fr.busy != 150 {
+		t.Fatalf("hostRun = %d busy %d", got, fr.busy)
+	}
+	// Earlier "at" does not rewind the clock.
+	if got := fr.hostRun(0, 10); got != 160 {
+		t.Fatalf("hostRun monotonicity: %d", got)
+	}
+	if got := fr.hostIntr(0, 40); got != 200 || fr.sintr != 40 {
+		t.Fatalf("hostIntr = %d sintr %d", got, fr.sintr)
+	}
+}
+
 // The rank record is what a flow cluster keeps per rank beyond the
-// machine's clocks: queue heads into its LP's slabs, the op and the
-// program position. It read 256 bytes when it held four queue slices
-// and a ChildIter of its own.
+// machine's NIC and token state: queue heads into its LP's slabs, the
+// op, the program position and the host clocks. It read 256 bytes when
+// it held four queue slices and a ChildIter of its own.
 func TestFlowRankSize(t *testing.T) {
 	if s := unsafe.Sizeof(frank{}); s > 128 {
 		t.Errorf("frank is %d bytes, want <= 128", s)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abred/internal/sim"
+	"abred/internal/stats"
 )
 
 // StepKind names what a rank does in one step of its program.
@@ -109,11 +110,12 @@ type Outcome struct {
 	// instance order.
 	Results []float64
 
-	// FCT holds a flow-engine run's flow completion times (nil on the
-	// packet engine), on any LP count a buffer the cluster keeps: valid
-	// until the cluster's next Exec or Reset, so a caller that keeps
-	// the times past that copies them.
-	FCT []sim.Time
+	// FCT counts a flow-engine run's flow completion times by value
+	// (nil on the packet engine; stats.SummarizeHist summarizes it). It
+	// is a histogram the cluster keeps, on any LP count: valid until the
+	// cluster's next Exec or Reset, so a caller that keeps the counts
+	// past that copies them.
+	FCT stats.Hist
 }
 
 // NewOutcome sizes an Outcome for prog on a size-rank communicator.

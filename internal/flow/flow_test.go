@@ -25,6 +25,21 @@ func (r *rec) FlowEvent(tag uint64, at sim.Time) {
 	r.ats = append(r.ats, at)
 }
 
+// mustEqual fails t unless r and o both hold n deliveries, the same
+// (tag, at) pairs in the same completion order.
+func (r *rec) mustEqual(t *testing.T, o *rec, n int, what string) {
+	t.Helper()
+	if len(r.tags) != n || len(o.tags) != n {
+		t.Fatalf("deliveries %d vs %d, want %d", len(r.tags), len(o.tags), n)
+	}
+	for i := range r.tags {
+		if r.tags[i] != o.tags[i] || r.ats[i] != o.ats[i] {
+			t.Fatalf("delivery %d: tag %d at %d vs tag %d at %d %s",
+				i, r.tags[i], r.ats[i], o.tags[i], o.ats[i], what)
+		}
+	}
+}
+
 // Default costs: 0.25 bytes/ns wire, 800 ns per switch crossing.
 const (
 	bps    = 0.25
@@ -51,8 +66,8 @@ func TestSingleFlowUncontended(t *testing.T) {
 	if len(r.ats) != 1 || r.ats[0] != want || r.tags[0] != 7 {
 		t.Fatalf("delivery = %v %v, want [%d] tag 7", r.ats, r.tags, want)
 	}
-	if len(nt.FCTs()) != 1 || nt.FCTs()[0] != want {
-		t.Fatalf("FCTs = %v, want [%d]", nt.FCTs(), want)
+	if h := nt.FCTs(); len(h) != 1 || h[want] != 1 {
+		t.Fatalf("FCTs = %v, want one flow of %d", h, want)
 	}
 	if _, _, delayed, _ := nt.Stats(); delayed != 0 {
 		t.Fatalf("uncontended flow counted as delayed (%d)", delayed)
@@ -132,9 +147,10 @@ func TestRouteLinksMatchTopo(t *testing.T) {
 }
 
 // Determinism: the same flow program yields byte-identical completion
-// sequences on a fresh net and after Reset.
+// sequences on a fresh net and after Reset, and Reset empties the
+// completion-time histogram.
 func TestNetResetDeterminism(t *testing.T) {
-	run := func(nt *Net, k *sim.Kernel) []sim.Time {
+	run := func(nt *Net, k *sim.Kernel) *rec {
 		var r rec
 		for i := 0; i < 8; i++ {
 			src, dst := i%4, (i+1)%4
@@ -143,21 +159,17 @@ func TestNetResetDeterminism(t *testing.T) {
 			k.After(at, func() { nt.Start(src, dst, sz, 0, &r, uint64(i)) })
 		}
 		k.Run()
-		return append([]sim.Time(nil), nt.FCTs()...)
+		return &r
 	}
 	k, nt := newTestNet(t, 4, topo.Spec{})
 	first := run(nt, k)
 	k.Reset(1)
 	nt.Reset()
+	if len(nt.FCTs()) != 0 {
+		t.Fatalf("FCTs = %v after Reset, want empty", nt.FCTs())
+	}
 	second := run(nt, k)
-	if len(first) != len(second) || len(first) != 8 {
-		t.Fatalf("fct lengths %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("fct[%d]: %d vs %d after Reset", i, first[i], second[i])
-		}
-	}
+	first.mustEqual(t, second, 8, "after Reset")
 }
 
 func newTestMachine(n int) (*sim.Kernel, *Machine) {
@@ -248,6 +260,29 @@ func TestRecvTokenGate(t *testing.T) {
 	if h.ats[1] < h.ats[0]+h.cost {
 		t.Fatalf("second delivery %d before first release %d", h.ats[1], h.ats[0]+h.cost)
 	}
+
+}
+
+// Without receive tokens nothing gates a delivery, so the receive
+// ledger records nothing, however many deliveries a node takes.
+func TestRecvLedgerEmptyWithoutTokens(t *testing.T) {
+	k, m := newTestMachine(4)
+	m.RecvTokens = 0
+	h := &relHandler{m: m, cost: 1000}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		m.Send(sim.Time(i)*100, 1+i%3, 0, 64, h, uint64(i))
+	}
+	k.Run()
+	if len(h.ats) != n {
+		t.Fatalf("deliveries = %d, want %d", len(h.ats), n)
+	}
+	if rp := m.recvPend[0]; len(rp) != 0 || cap(rp) != 0 {
+		t.Fatalf("receive ledger holds %d entries (cap %d) with RecvTokens=0, want none", len(rp), cap(rp))
+	}
+	if _, stalls, _ := m.Tokens(); stalls != 0 {
+		t.Fatalf("%d receive stalls with RecvTokens=0", stalls)
+	}
 }
 
 // The loss model adds the deterministic expected-retransmission latency
@@ -285,19 +320,5 @@ func TestLossModelRejectsNonUniform(t *testing.T) {
 	bad.Dup = 0.5
 	if err := m.SetFaults(bad); err == nil {
 		t.Fatal("duplication accepted by the flow loss model")
-	}
-}
-
-func TestHostClockHelpers(t *testing.T) {
-	_, m := newTestMachine(2)
-	if got := m.HostRun(0, 100, 50); got != 150 || m.Busy[0] != 150 {
-		t.Fatalf("HostRun = %d busy %d", got, m.Busy[0])
-	}
-	// Earlier "at" does not rewind the clock.
-	if got := m.HostRun(0, 0, 10); got != 160 {
-		t.Fatalf("HostRun monotonicity: %d", got)
-	}
-	if got := m.HostIntr(0, 0, 40); got != 200 || m.Intr[0] != 40 {
-		t.Fatalf("HostIntr = %d intr %d", got, m.Intr[0])
 	}
 }

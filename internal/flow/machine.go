@@ -7,16 +7,15 @@ import (
 	"abred/internal/gm"
 	"abred/internal/model"
 	"abred/internal/sim"
+	"abred/internal/stats"
 	"abred/internal/topo"
 )
 
 // Machine wraps a Net with the per-node machinery the packet engine
 // models with goroutines and daemons: NIC packet-processing
 // serialization, GM send/receive token accounting, and the expected-
-// retransmission loss cost. It also owns the per-node virtual clocks
-// (host busy-until, interrupt accrual, signal coalescing windows) that
-// the flow-mode collective and workload layers advance arithmetically
-// instead of executing on simulated processes.
+// retransmission loss cost. The host clocks a rank's calls advance are
+// the layer above's: each coll flow rank record keeps its own.
 //
 // Everything runs in scheduler context on one kernel — or, under LP
 // partitioning, on one kernel per shard with every per-node array
@@ -31,12 +30,6 @@ type Machine struct {
 	K   *sim.Kernel // shard 0's kernel (the only one on a 1-LP machine)
 	Net *Net        // shard 0's net
 	CMs []model.CostModel
-
-	// Per-node clocks, advanced arithmetically by the layers above:
-	// Busy is the host's busy-until time; Intr accumulates handler time
-	// charged into the current interruptible spin segment.
-	Busy []sim.Time
-	Intr []sim.Time
 
 	nicFree []sim.Time
 
@@ -61,7 +54,7 @@ type Machine struct {
 	pmap []int32 // host -> owning LP, nil when every host is on LP 0
 	sh   []mshard
 	par  *Par
-	fct  []sim.Time // FCTs' gather buffer on a multi-LP machine
+	fct  stats.Hist // FCTs' merge buffer on a multi-LP machine
 }
 
 // mshard is one LP's mutable scalars, msg pool and token-stalled send
@@ -92,8 +85,6 @@ func NewMachines(ks []*sim.Kernel, pmap []int32, t *topo.Topology, cms []model.C
 	m := &Machine{
 		K:          ks[0],
 		CMs:        cms,
-		Busy:       make([]sim.Time, n),
-		Intr:       make([]sim.Time, n),
 		nicFree:    make([]sim.Time, n),
 		SendTokens: gm.DefaultSendTokens,
 		RecvTokens: gm.DefaultRecvTokens,
@@ -166,9 +157,7 @@ func (m *Machine) SetFaults(fc fault.Config) error {
 
 // Reset returns the machine (and its Nets) to the just-built state.
 func (m *Machine) Reset() {
-	for i := range m.Busy {
-		m.Busy[i] = 0
-		m.Intr[i] = 0
+	for i := range m.nicFree {
 		m.nicFree[i] = 0
 		m.outst[i] = 0
 		m.recvPend[i] = m.recvPend[i][:0]
@@ -197,17 +186,20 @@ func (m *Machine) Tokens() (hostStalls, recvStalls uint64, expRetransmits float6
 	return
 }
 
-// FCTs returns the recorded flow completion times, shard-concatenated
-// in LP order (callers summarize, which sorts). The slice is the
-// machine's own — the Net's record on one LP, a gather buffer the
-// machine keeps on several — so it is valid until the next Reset.
-func (m *Machine) FCTs() []sim.Time {
+// FCTs returns the flow completion times of every LP, counted by value
+// (stats.SummarizeHist summarizes them). The histogram is the machine's
+// own — the Net's on one LP, a merge buffer the machine keeps on
+// several — so it is valid until the next Reset or FCTs call.
+func (m *Machine) FCTs() stats.Hist {
 	if len(m.nets) == 1 {
 		return m.Net.FCTs()
 	}
-	m.fct = m.fct[:0]
+	if m.fct == nil {
+		m.fct = stats.Hist{}
+	}
+	clear(m.fct)
 	for _, nt := range m.nets {
-		m.fct = append(m.fct, nt.FCTs()...)
+		m.fct.Merge(nt.FCTs())
 	}
 	return m.fct
 }
@@ -412,33 +404,18 @@ func (m *Machine) Send(at sim.Time, src, dst, payload int, h Handler, tag uint64
 }
 
 // ReleaseRecv records that dst's host returned a delivered message's
-// buffer at time t — one call per delivery, in delivery order.
+// buffer at time t — one call per delivery, in delivery order. Without
+// receive tokens (RecvTokens <= 0) nothing gates a delivery, so nothing
+// is recorded.
 func (m *Machine) ReleaseRecv(dst int, t sim.Time) {
+	tok := m.RecvTokens
+	if tok <= 0 {
+		return
+	}
 	rp := append(m.recvPend[dst], t)
 	// Only the last RecvTokens entries can ever gate; prune in bulk.
-	if tok := m.RecvTokens; tok > 0 && len(rp) > 4*tok {
+	if len(rp) > 4*tok {
 		rp = rp[:copy(rp, rp[len(rp)-tok:])]
 	}
 	m.recvPend[dst] = rp
-}
-
-// HostRun charges cost on rank r's host timeline starting no earlier
-// than at, returning the completion time.
-func (m *Machine) HostRun(r int, at, cost sim.Time) sim.Time {
-	t := m.Busy[r]
-	if at > t {
-		t = at
-	}
-	t += cost
-	m.Busy[r] = t
-	return t
-}
-
-// HostIntr is HostRun for asynchronous handler work that interrupts the
-// application: the cost also accrues to the rank's interrupt ledger,
-// which the spin-segment drivers consume (see bench's flow path).
-func (m *Machine) HostIntr(r int, at, cost sim.Time) sim.Time {
-	t := m.HostRun(r, at, cost)
-	m.Intr[r] += cost
-	return t
 }

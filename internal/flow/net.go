@@ -26,6 +26,7 @@ import (
 
 	"abred/internal/model"
 	"abred/internal/sim"
+	"abred/internal/stats"
 	"abred/internal/topo"
 )
 
@@ -170,7 +171,7 @@ type Net struct {
 	delayed    uint64
 	delayTotal sim.Time
 
-	fct []sim.Time // flow completion times, in completion order
+	fct stats.Hist // flow completion times, counted by value
 }
 
 // NewNet builds the substrate for n hosts on topology t (nil =
@@ -193,6 +194,7 @@ func NewNet(k *sim.Kernel, t *topo.Topology, n int, c model.Costs) *Net {
 	}
 	nt.nf = make([]int32, nlinks)
 	nt.lslot = make([]int32, nlinks)
+	nt.fct = stats.Hist{}
 	return nt
 }
 
@@ -213,12 +215,13 @@ func (nt *Net) Reset() {
 	nt.maxActive = 0
 	nt.delayed = 0
 	nt.delayTotal = 0
-	nt.fct = nt.fct[:0]
+	clear(nt.fct)
 }
 
-// FCTs returns every flow's completion time (delivery minus start) in
-// completion order.
-func (nt *Net) FCTs() []sim.Time { return nt.fct }
+// FCTs returns the completion times (delivery minus start) of the
+// flows finished since the last Reset, counted by value. The histogram
+// is the Net's own, so it is valid until the next Reset.
+func (nt *Net) FCTs() stats.Hist { return nt.fct }
 
 // Stats reports flows started, the peak concurrent flow population, and
 // the contention totals (flows delayed past their uncontended
@@ -351,7 +354,7 @@ func (nt *Net) finish(f *Flow) {
 		nt.delayed++
 		nt.delayTotal += want - f.uncont
 	}
-	nt.fct = append(nt.fct, end-f.start)
+	nt.fct[end-f.start]++
 	h, tag := f.h, f.tag
 	if f.xlp >= 0 {
 		// Cross-LP flow: the source side (token return, next launch)

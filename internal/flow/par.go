@@ -42,6 +42,7 @@ import (
 
 	"abred/internal/model"
 	"abred/internal/sim"
+	"abred/internal/stats"
 	"abred/internal/topo"
 )
 
@@ -264,6 +265,7 @@ func NewNets(ks []*sim.Kernel, pmap []int32, t *topo.Topology, n int, c model.Co
 				n: b.n, base: b.base, capBns: b.capBns,
 				hopLat: b.hopLat, la: b.la, maxRoute: b.maxRoute,
 				head: b.head, nf: b.nf, lslot: b.lslot,
+				fct: stats.Hist{},
 			}
 		}
 		nt := nts[i]

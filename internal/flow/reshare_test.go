@@ -25,10 +25,10 @@ func (nopH) FlowEvent(uint64, sim.Time) {}
 // mark poisoned to 1 — the value the epoch restarts at. If bumpEpoch
 // failed to clear surviving marks on wrap, the first post-wrap
 // expansion would treat the active flows as already in the closure and
-// mis-share the component; the completion times must instead match an
-// unpoisoned net exactly.
+// mis-share the component; the deliveries (tag and time, in completion
+// order) must instead match an unpoisoned net's exactly.
 func TestEpochWrapClearsMarks(t *testing.T) {
-	prog := func(poison bool) ([]sim.Time, *Net) {
+	prog := func(poison bool) (*rec, *Net) {
 		k, nt := newTestNet(t, 8, topo.Spec{})
 		var r rec
 		rng := rand.New(rand.NewSource(7))
@@ -55,22 +55,12 @@ func TestEpochWrapClearsMarks(t *testing.T) {
 			}
 		})
 		k.Run()
-		if len(r.tags) != 32 {
-			t.Fatalf("deliveries = %d, want 32", len(r.tags))
-		}
-		return append([]sim.Time(nil), nt.FCTs()...), nt
+		return &r, nt
 	}
 
 	want, _ := prog(false)
 	got, n2 := prog(true)
-	if len(got) != len(want) {
-		t.Fatalf("fct count %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fct[%d] = %d after wrap, want %d", i, got[i], want[i])
-		}
-	}
+	got.mustEqual(t, want, 32, "after the wrap")
 	if n2.epoch == 0 || n2.epoch > 1<<20 {
 		t.Fatalf("epoch %d did not restart after the wrap", n2.epoch)
 	}
@@ -352,24 +342,18 @@ func TestMaxMinPropertyShards(t *testing.T) {
 
 // TestHeapScanEquivalence pins the heap water-fill to the linear-scan
 // reference implementation: the same seeded-random program must yield
-// byte-identical completion times through either solver.
+// the same deliveries (tag and time, in completion order) through
+// either solver.
 func TestHeapScanEquivalence(t *testing.T) {
-	run := func(scan bool) []sim.Time {
+	run := func(scan bool) *rec {
 		k, nt := newTestNet(t, 16, topo.Spec{Kind: topo.FatTree, K: 4})
 		nt.scanFill = scan
-		randProgram(t, []*sim.Kernel{k}, []*Net{nt}, nil, 16, 150, 0, 99)
+		r := randProgram(t, []*sim.Kernel{k}, []*Net{nt}, nil, 16, 150, 0, 99)[0]
 		k.Run()
-		return append([]sim.Time(nil), nt.FCTs()...)
+		return r
 	}
 	heap, scan := run(false), run(true)
-	if len(heap) != len(scan) || len(heap) != 150 {
-		t.Fatalf("fct counts %d vs %d, want 150", len(heap), len(scan))
-	}
-	for i := range heap {
-		if heap[i] != scan[i] {
-			t.Fatalf("fct[%d]: heap %d vs scan %d", i, heap[i], scan[i])
-		}
-	}
+	heap.mustEqual(t, scan, 150, "(heap vs scan)")
 }
 
 // reshareProgram is the alloc/benchmark workload: M sources fan into

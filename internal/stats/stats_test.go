@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -222,5 +225,79 @@ func TestMicros(t *testing.T) {
 	}
 	if got := Micros(2 * time.Millisecond); got != "2000.0" {
 		t.Errorf("Micros = %q", got)
+	}
+}
+
+// histOf counts xs by value.
+func histOf(xs []time.Duration) Hist {
+	h := Hist{}
+	for _, x := range xs {
+		h[x]++
+	}
+	return h
+}
+
+// TestSummarizeHistMatchesExpanded pins SummarizeHist to Summarize on
+// the sample the histogram counts: N, Min, Max and the nearest-rank
+// percentiles exactly, the moments to within a nanosecond.
+func TestSummarizeHistMatchesExpanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	samples := map[string][]time.Duration{
+		"n=1":       {42},
+		"n=2":       {7, 3},
+		"all-equal": {5, 5, 5, 5, 5, 5, 5},
+		"ties":      {4, 1, 4, 4, 9, 1, 4, 2, 9, 9, 4},
+	}
+	for i := 0; i < 8; i++ {
+		// Few distinct values over many points: every percentile lands
+		// inside a run of ties, as flow completion times do.
+		xs := make([]time.Duration, 1+rng.Intn(5000))
+		for j := range xs {
+			xs[j] = time.Duration(1e6 + rng.Intn(1+rng.Intn(500))*137)
+		}
+		samples[fmt.Sprintf("seeded-%d", i)] = xs
+	}
+	for name, xs := range samples {
+		want, got := Summarize(xs), SummarizeHist(histOf(xs))
+		if got.N != want.N || got.Min != want.Min || got.Max != want.Max ||
+			got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
+			t.Errorf("%s: hist %+v, expanded %+v", name, got, want)
+		}
+		for _, d := range [][2]time.Duration{{got.Mean, want.Mean}, {got.Std, want.Std}, {got.CI95, want.CI95}} {
+			if diff := d[0] - d[1]; diff < -1 || diff > 1 {
+				t.Errorf("%s: moments hist %+v, expanded %+v", name, got, want)
+			}
+		}
+	}
+	if s := SummarizeHist(nil); s != (Summary{}) {
+		t.Errorf("empty histogram summary = %+v", s)
+	}
+}
+
+// TestSummarizeHistOrderFree: the summary depends on the counts alone —
+// not on the order the values were added in, nor on map iteration
+// order, which differs from one range loop to the next.
+func TestSummarizeHistOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	xs := make([]time.Duration, 3000)
+	for i := range xs {
+		xs[i] = time.Duration(rng.Int63n(1e9))
+		if i%3 == 0 {
+			xs[i] = xs[i/2] // ties
+		}
+	}
+	want := SummarizeHist(histOf(xs))
+	rev := slices.Clone(xs)
+	slices.Reverse(rev)
+	merged := histOf(rev[:1000])
+	merged.Merge(histOf(rev[1000:]))
+	for i := 0; i < 20; i++ {
+		rng.Shuffle(len(xs), func(a, b int) { xs[a], xs[b] = xs[b], xs[a] })
+		if got := SummarizeHist(histOf(xs)); got != want {
+			t.Fatalf("shuffled insertion: %+v, want %+v", got, want)
+		}
+	}
+	if got := SummarizeHist(merged); got != want {
+		t.Fatalf("merged halves in reverse order: %+v, want %+v", got, want)
 	}
 }
