@@ -54,6 +54,7 @@ type Cluster struct {
 	Engine   Engine
 	FlowM    *flow.Machine
 	flowColl *coll.FlowColl // the flow ranks' state, built by the first Exec
+	out      *coll.Outcome  // what Exec returns, cleared by every Exec
 
 	// cms holds one cost-model handle per node on both engines. Nodes of
 	// one hardware class share one model (model.SharedCostModels), and

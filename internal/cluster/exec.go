@@ -16,11 +16,21 @@ import (
 // picks the engine: the packet engine runs Node.Exec as each rank's
 // simulated process; the flow engine hands the table to the cluster's
 // FlowColl, built by the first flow Exec and reused by every later one
-// as a packet node reuses its MPI state. A flow Outcome's FCT is the
-// flow machine's own completion-time histogram, valid until the next
-// Exec or Reset.
+// as a packet node reuses its MPI state.
+//
+// The Outcome is the cluster's own, like the FlowColl: every Exec
+// clears and refills it, so it and everything it holds (the per-rank
+// slices, Results, a flow run's FCT, which is the flow machine's own
+// completion-time histogram) are valid until the next Exec, and FCT
+// until the next Reset as well. A caller that keeps any of it past
+// that copies it.
 func (c *Cluster) Exec(prog coll.Program) (*coll.Outcome, sim.Time) {
-	out := coll.NewOutcome(c.Size(), &prog)
+	if c.out == nil {
+		c.out = coll.NewOutcome(c.Size(), &prog)
+	} else {
+		c.out.Clear(&prog)
+	}
+	out := c.out
 	if c.Engine == EngineFlow {
 		if c.flowColl == nil {
 			c.flowColl = coll.NewFlowColl(c.FlowM, c.Size())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"abred/internal/coll"
@@ -141,13 +142,14 @@ func TestExecAllocsFlatInIters(t *testing.T) {
 }
 
 // TestFlowExecReusesRankState: a flow cluster keeps its ranks' state
-// across runs, as a packet node keeps its MPI process and AB engine, so
-// a second Exec on a pooled cluster allocates its Outcome (24 B per
-// rank) and little else, on one LP and on two. Building the rank state
-// per Exec read 338–420 B per rank and 4051–8172 mallocs here; gathering
-// the shards' flow completion times into a fresh slice per Exec read
-// 98.6 B per rank on two LPs. Under -race the runs still go (LP runners
-// touch state that outlives the run) but the ceilings are not checked.
+// and its Outcome across runs, as a packet node keeps its MPI process
+// and AB engine, so a second Exec on a pooled cluster allocates next to
+// nothing (0–0.6 B per rank), on one LP and on two. Building the rank
+// state per Exec read 338–420 B per rank and 4051–8172 mallocs here;
+// gathering the shards' flow completion times into a fresh slice per
+// Exec read 98.6 B per rank on two LPs, and a fresh Outcome per Exec
+// 24. Under -race the runs still go (LP runners touch state that
+// outlives the run) but the ceilings are not checked.
 func TestFlowExecReusesRankState(t *testing.T) {
 	const size, iters = 4096, 2
 	skew := make([][]sim.Time, iters)
@@ -184,11 +186,69 @@ func TestFlowExecReusesRankState(t *testing.T) {
 				if raceEnabled {
 					return
 				}
-				if perRank > 32 || mallocs >= 48 {
-					t.Errorf("second Exec allocates %.1f B per rank and %d mallocs, want <= 32 and < 48; rank state rebuilt per run?",
+				if perRank > 8 || mallocs >= 48 {
+					t.Errorf("second Exec allocates %.1f B per rank and %d mallocs, want <= 8 and < 48; rank state or Outcome rebuilt per run?",
 						perRank, mallocs)
 				}
 			})
 		}
+	}
+}
+
+// TestOutcomeReuse: Exec clears the Outcome the cluster keeps, so on a
+// pooled cluster a short program run after a longer one (more
+// iterations, more reductions a pass, a reducing Tail) reports exactly
+// what a fresh cluster reports for it, on both engines.
+func TestOutcomeReuse(t *testing.T) {
+	const size = 16
+	prog := func(iters, reds int, tail bool) coll.Program {
+		skew := make([][]sim.Time, iters)
+		for it := range skew {
+			skew[it] = make([]sim.Time, size)
+			for r := range skew[it] {
+				skew[it][r] = sim.Time((r*37+it*11)%50) * us
+			}
+		}
+		body := []coll.Step{{Kind: coll.StepSpin, Matrix: skew}}
+		for range reds {
+			body = append(body, coll.Step{Kind: coll.StepReduce})
+		}
+		body = append(body, coll.Step{Kind: coll.StepSpin, Budget: 100 * us}, coll.Step{Kind: coll.StepBarrier})
+		p := coll.Program{Iters: iters, Count: 2, Algo: coll.AlgoAB, Body: body}
+		if tail {
+			p.Tail = []coll.Step{{Kind: coll.StepReduce}, {Kind: coll.StepBarrier}}
+		}
+		return p
+	}
+	long, short := prog(5, 3, true), prog(2, 1, false)
+	for _, eng := range []Engine{EnginePacket, EngineFlow} {
+		cfg := Config{Specs: model.PaperCluster(size), Seed: 7, Engine: eng,
+			Topo: topo.Spec{Kind: topo.FatTree, K: 4}}
+		fresh := New(cfg)
+		want, _ := fresh.Exec(short)
+		fresh.Close()
+
+		pool := NewPool()
+		cl := pool.Get(cfg)
+		cl.Exec(long)
+		pool.Put(cl)
+		if again := pool.Get(cfg); again != cl {
+			t.Fatalf("%v: the pool built a second cluster", eng)
+		}
+		got, _ := cl.Exec(short)
+		if !slices.Equal(got.InCall, want.InCall) || !slices.Equal(got.Intr, want.Intr) ||
+			!slices.Equal(got.Signals, want.Signals) || !slices.Equal(got.Results, want.Results) {
+			t.Errorf("%v: after a longer program the Outcome reads\n InCall %v\n Intr %v\n Signals %v\n Results %v\nwant\n InCall %v\n Intr %v\n Signals %v\n Results %v",
+				eng, got.InCall, got.Intr, got.Signals, got.Results, want.InCall, want.Intr, want.Signals, want.Results)
+		}
+		var sig uint64
+		for _, s := range want.Signals {
+			sig += s
+		}
+		if sig == 0 || slices.Max(want.Intr) == 0 {
+			t.Errorf("%v: the short program raised %d signals and no spin was interrupted; the check needs both", eng, sig)
+		}
+		pool.Put(cl)
+		pool.Drain()
 	}
 }

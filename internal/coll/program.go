@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"abred/internal/sim"
@@ -124,8 +125,24 @@ func NewOutcome(size int, prog *Program) *Outcome {
 		InCall:  make([]sim.Time, size),
 		Intr:    make([]sim.Time, size),
 		Signals: make([]uint64, size),
-		Results: make([]float64, 0, prog.Iters*Reductions(prog.Body)+Reductions(prog.Tail)),
+		Results: make([]float64, 0, results(prog)),
 	}
+}
+
+// Clear readies o for a run of prog on the communicator it was sized
+// for, keeping its memory: the per-rank sums zeroed, no results (with
+// room for prog's) and no FCT.
+func (o *Outcome) Clear(prog *Program) {
+	clear(o.InCall)
+	clear(o.Intr)
+	clear(o.Signals)
+	o.Results = slices.Grow(o.Results[:0], results(prog))
+	o.FCT = nil
+}
+
+// results is how many reductions a run of prog reports.
+func results(prog *Program) int {
+	return prog.Iters*Reductions(prog.Body) + Reductions(prog.Tail)
 }
 
 // Reductions returns how many StepReduce steps one pass over steps runs.

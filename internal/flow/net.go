@@ -72,6 +72,7 @@ type Flow struct {
 	links     []int32 // route: inject, topo links (up then down), eject
 	next      []int32 // per-slot intrusive list refs (packed id<<6|slot)
 	prev      []int32 // packed ref, or -2-link when first in the list
+	cslot     []int32 // per-slot index of the link in clinks; see inClosure
 	rate      float64 // current fair share, bytes/ns; <0 before first fill
 	remaining float64 // wire bytes not yet through the bottleneck
 	updated   sim.Time
@@ -118,14 +119,15 @@ type Net struct {
 	hopLat   sim.Time
 	maxRoute int
 
-	// Link state, 12 bytes a link. Under LP partitioning these three
-	// slices are the SAME backing arrays in every shard, partitioned by
-	// ownership: element li is only ever read or written by the shard
-	// lpOf[li] belongs to, so sharing them is race-free and keeps the
-	// 1M-node footprint flat in the LP count.
-	head  []int32 // per link: packed ref of the first flow slot, -1 none
-	nf    []int32 // per link: active flows routed over it
-	lslot []int32 // link -> index into clinks; see inClosure
+	// Link state, 4 bytes a link: the head of the link's flow list, a
+	// packed ref of its first flow slot or -1. A link's flow count is
+	// its list's length, which only a reshare needs and counts while it
+	// walks the list. Under LP partitioning head is the SAME backing
+	// array in every shard, partitioned by ownership: element li is only
+	// ever read or written by the shard lpOf[li] belongs to, so sharing
+	// it is race-free and keeps the 1M-node footprint flat in the LP
+	// count.
+	head []int32
 
 	flows []*Flow // shard-local: list refs on owned links index this pool
 	freef []int32
@@ -192,8 +194,6 @@ func NewNet(k *sim.Kernel, t *topo.Topology, n int, c model.Costs) *Net {
 	for i := range nt.head {
 		nt.head[i] = -1
 	}
-	nt.nf = make([]int32, nlinks)
-	nt.lslot = make([]int32, nlinks)
 	nt.fct = stats.Hist{}
 	return nt
 }
@@ -301,7 +301,7 @@ func (nt *Net) Start(src, dst, wireBytes int, extraLat sim.Time, h Handler, tag 
 	alone := true
 	for s, li := range f.links {
 		nt.link(f, s, li)
-		if nt.nf[li] > 1 {
+		if f.next[s] >= 0 {
 			alone = false
 		}
 	}
@@ -331,7 +331,7 @@ func (nt *Net) finish(f *Flow) {
 	needs := false
 	for s, li := range f.links {
 		nt.unlink(f, s, li)
-		if nt.nf[li] > 0 {
+		if nt.head[li] >= 0 {
 			needs = true
 			for ref := nt.head[li]; ref >= 0; {
 				g := nt.flows[ref>>slotBits]
@@ -389,14 +389,15 @@ func (nt *Net) bumpEpoch() {
 	}
 }
 
-// inClosure reports whether link li is already in the closure being
-// expanded: lslot and clinks form a sparse set, so a stale lslot left
-// by an earlier reshare — out of range, or naming another link's slot
-// — reads as absent and nothing needs clearing between reshares. Only
-// the shard that owns li writes lslot[li].
-func (nt *Net) inClosure(li int32) bool {
-	s := int(nt.lslot[li])
-	return s < len(nt.clinks) && nt.clinks[s] == li
+// inClosure reports whether the link under f's route slot s is already
+// in the closure being expanded. reshare writes cslot on every flow
+// slot of a link's list as it adds the link to clinks, so cslot and
+// clinks form a sparse set: a stale cslot left by an earlier reshare —
+// out of range, or naming another link's closure slot — reads as
+// absent, and nothing needs clearing between reshares.
+func (nt *Net) inClosure(f *Flow, s int) bool {
+	c := int(f.cslot[s])
+	return c < len(nt.clinks) && nt.clinks[c] == f.links[s]
 }
 
 // reshare runs exact max-min water-filling over the connected component
@@ -409,6 +410,7 @@ func (nt *Net) inClosure(li int32) bool {
 // rather than a per-round scan (quadratic).
 func (nt *Net) reshare(now sim.Time) {
 	nt.clinks = nt.clinks[:0]
+	nt.acnt = nt.acnt[:0]
 	w := 0
 	for i := 0; i < len(nt.cflows); i++ {
 		f := nt.cflows[i]
@@ -420,20 +422,25 @@ func (nt *Net) reshare(now sim.Time) {
 		nt.cflows[w] = f
 		w++
 		f.frozen = false
-		for _, li := range f.links {
-			if nt.inClosure(li) {
+		for s, li := range f.links {
+			if nt.inClosure(f, s) {
 				continue
 			}
-			nt.lslot[li] = int32(len(nt.clinks))
+			// Add the link, and on the way through its list count its
+			// flows and point each of their slots at it.
+			ci := int32(len(nt.clinks))
 			nt.clinks = append(nt.clinks, li)
-			for ref := nt.head[li]; ref >= 0; {
-				g := nt.flows[ref>>slotBits]
+			n := int32(0)
+			for ref := nt.head[li]; ref >= 0; n++ {
+				g, gs := nt.flows[ref>>slotBits], ref&(1<<slotBits-1)
+				g.cslot[gs] = ci
 				if g.mark != nt.epoch {
 					g.mark = nt.epoch
 					nt.cflows = append(nt.cflows, g)
 				}
-				ref = g.next[ref&(1<<slotBits-1)]
+				ref = g.next[gs]
 			}
+			nt.acnt = append(nt.acnt, n)
 		}
 	}
 	nt.cflows = nt.cflows[:w]
@@ -441,13 +448,10 @@ func (nt *Net) reshare(now sim.Time) {
 	nl := len(nt.clinks)
 	if cap(nt.resid) < nl {
 		nt.resid = make([]float64, nl)
-		nt.acnt = make([]int32, nl)
 	}
 	nt.resid = nt.resid[:nl]
-	nt.acnt = nt.acnt[:nl]
-	for ci, li := range nt.clinks {
+	for ci := range nt.resid {
 		nt.resid[ci] = nt.capBns
-		nt.acnt[ci] = nt.nf[li]
 	}
 
 	nt.capped = nt.capped[:0]
@@ -549,8 +553,7 @@ func (nt *Net) fillHeap(now sim.Time) {
 // consume charges rate r to every link on f's route and refreshes
 // their heap entries.
 func (nt *Net) consume(f *Flow, r float64) {
-	for _, lj := range f.links {
-		cj := nt.lslot[lj]
+	for _, cj := range f.cslot[:len(f.links)] {
 		nt.resid[cj] -= r
 		nt.acnt[cj]--
 		nt.lver[cj]++
@@ -598,8 +601,7 @@ func (nt *Net) fillScan(now sim.Time) {
 			f.frozen = true
 			unfrozen--
 			nt.setRate(f, bs, now)
-			for _, lj := range f.links {
-				cj := nt.lslot[lj]
+			for _, cj := range f.cslot[:len(f.links)] {
 				nt.resid[cj] -= bs
 				nt.acnt[cj]--
 			}
@@ -617,8 +619,8 @@ func (nt *Net) shipOffers(now sim.Time) {
 			continue
 		}
 		offer := math.Inf(1)
-		for _, li := range f.links {
-			if r := nt.resid[nt.lslot[li]]; r < offer {
+		for _, cj := range f.cslot[:len(f.links)] {
+			if r := nt.resid[cj]; r < offer {
 				offer = r
 			}
 		}
@@ -735,8 +737,6 @@ func (nt *Net) setRate(f *Flow, r float64, now sim.Time) {
 func (nt *Net) link(f *Flow, s int, li int32) {
 	old := nt.head[li]
 	ref := f.id<<slotBits | int32(s)
-	f.next = f.next[:cap(f.next)]
-	f.prev = f.prev[:cap(f.prev)]
 	f.next[s] = old
 	f.prev[s] = -2 - li
 	if old >= 0 {
@@ -744,7 +744,6 @@ func (nt *Net) link(f *Flow, s int, li int32) {
 		g.prev[old&(1<<slotBits-1)] = ref
 	}
 	nt.head[li] = ref
-	nt.nf[li]++
 }
 
 // unlink removes f's slot s from link li's flow list.
@@ -760,11 +759,10 @@ func (nt *Net) unlink(f *Flow, s int, li int32) {
 		g := nt.flows[nx>>slotBits]
 		g.prev[nx&(1<<slotBits-1)] = pv
 	}
-	nt.nf[li]--
 }
 
-// getFlow takes a Flow from the pool, allocating route-sized slices on
-// first use.
+// getFlow takes a Flow from the pool, allocating its four route-sized
+// slices, one backing array, on first use.
 func (nt *Net) getFlow() *Flow {
 	var f *Flow
 	if n := len(nt.freef); n > 0 {
@@ -772,12 +770,15 @@ func (nt *Net) getFlow() *Flow {
 		nt.freef = nt.freef[:n-1]
 		f = nt.flows[id]
 	} else {
+		r := nt.maxRoute
+		buf := make([]int32, 4*r)
 		f = &Flow{
 			nt:    nt,
 			id:    int32(len(nt.flows)),
-			links: make([]int32, 0, nt.maxRoute),
-			next:  make([]int32, nt.maxRoute),
-			prev:  make([]int32, nt.maxRoute),
+			links: buf[0:0:r],
+			next:  buf[r : 2*r : 2*r],
+			prev:  buf[2*r : 3*r : 3*r],
+			cslot: buf[3*r:],
 		}
 		f.done.Init(nt.K, f)
 		nt.flows = append(nt.flows, f)

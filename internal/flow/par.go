@@ -264,8 +264,8 @@ func NewNets(ks []*sim.Kernel, pmap []int32, t *topo.Topology, n int, c model.Co
 				K: ks[i], T: b.T,
 				n: b.n, base: b.base, capBns: b.capBns,
 				hopLat: b.hopLat, la: b.la, maxRoute: b.maxRoute,
-				head: b.head, nf: b.nf, lslot: b.lslot,
-				fct: stats.Hist{},
+				head: b.head,
+				fct:  stats.Hist{},
 			}
 		}
 		nt := nts[i]

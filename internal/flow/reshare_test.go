@@ -69,7 +69,8 @@ func TestEpochWrapClearsMarks(t *testing.T) {
 // checkClosure compares the closure the last reshare built, seeded by
 // flow f alone, with a map-based search of f's component over the
 // shard's link lists: clinks must hold each component link exactly
-// once, and cflows each component flow.
+// once, cflows each component flow, and every route slot of every
+// component flow must name its own link's closure slot.
 func checkClosure(t *testing.T, nt *Net, f *Flow) {
 	t.Helper()
 	links := map[int32]bool{}
@@ -113,15 +114,20 @@ func checkClosure(t *testing.T, nt *Net, f *Flow) {
 		if !inC[g] {
 			t.Errorf("lp %d: component flow %d missing from the closure", nt.lp, g.id)
 		}
+		for s, li := range g.links {
+			if c := int(g.cslot[s]); c >= len(nt.clinks) || nt.clinks[c] != li {
+				t.Errorf("lp %d: flow %d slot %d names closure slot %d, not its link %d", nt.lp, g.id, s, c, li)
+			}
+		}
 	}
 }
 
 // TestClosureSparseSet drives seeded-random traffic whose components
-// come and go, so links rejoin closures with lslot values left by
-// earlier reshares — out of range, or naming another link's slot — and
-// checks every Start's closure against checkClosure's map oracle, on
-// one LP and on two. Errorf, not Fatalf: shard checks run on LP
-// goroutines.
+// come and go, so flows rejoin closures with per-slot cslot values left
+// by earlier reshares — out of range, or naming another link's closure
+// slot — and checks every Start's closure against checkClosure's map
+// oracle, on one LP and on two. Errorf, not Fatalf: shard checks run on
+// LP goroutines.
 func TestClosureSparseSet(t *testing.T) {
 	const n = 16
 	tp := topo.Build(topo.Spec{Kind: topo.FatTree, K: 4}, n)
@@ -405,8 +411,9 @@ func BenchmarkReshareHeap(b *testing.B) { benchReshare(b, false) }
 func BenchmarkReshareScan(b *testing.B) { benchReshare(b, true) }
 
 // TestLinkStateBytes sums the element sizes of every Net slice that
-// holds one entry per link: the flow lists' heads and counts and the
-// closure slot, 12 bytes. A per-link closure mark made it 16.
+// holds one entry per link: the flow lists' heads alone, 4 bytes. With
+// a per-link flow count and closure slot beside them it was 12, and a
+// per-link closure mark made it 16.
 func TestLinkStateBytes(t *testing.T) {
 	_, nt := newTestNet(t, 16, topo.Spec{Kind: topo.FatTree, K: 4})
 	nlinks := len(nt.head)
@@ -417,7 +424,7 @@ func TestLinkStateBytes(t *testing.T) {
 			per += f.Type().Elem().Size()
 		}
 	}
-	if per != 12 {
-		t.Errorf("a Net keeps %d bytes per link, want 12", per)
+	if per != 4 {
+		t.Errorf("a Net keeps %d bytes per link, want 4", per)
 	}
 }

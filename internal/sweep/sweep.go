@@ -95,7 +95,7 @@ type Sweep[T any] struct {
 func (s Sweep[T]) Run(workers int) *Result[T] {
 	workers = Workers(workers, len(s.Jobs))
 	points := make([]Point[T], len(s.Jobs))
-	livePeak := liveBytes()
+	livePeak := LiveBytes()
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
 	go func() {
@@ -110,7 +110,7 @@ func (s Sweep[T]) Run(workers int) *Result[T] {
 			case <-stopWatch:
 				return
 			case <-tick.C:
-				livePeak = max(livePeak, liveBytes())
+				livePeak = max(livePeak, LiveBytes())
 			}
 		}
 	}()
@@ -140,7 +140,7 @@ func (s Sweep[T]) Run(workers int) *Result[T] {
 	perf := Perf{Wall: time.Since(start)}
 	close(stopWatch)
 	<-watchDone
-	perf.LivePeak = max(livePeak, liveBytes())
+	perf.LivePeak = max(livePeak, LiveBytes())
 	for i := range points {
 		perf.Events += points[i].Events
 	}
@@ -152,8 +152,8 @@ func Run[T any](name string, jobs []Job[T], workers int) *Result[T] {
 	return Sweep[T]{Name: name, Jobs: jobs}.Run(workers)
 }
 
-// liveBytes reads the heap the last GC cycle marked live.
-func liveBytes() uint64 {
+// LiveBytes reads the heap the last GC cycle marked live.
+func LiveBytes() uint64 {
 	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	metrics.Read(s)
 	return s[0].Value.Uint64()

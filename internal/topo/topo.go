@@ -27,16 +27,18 @@
 // ECMP collapse used by InfiniBand fat-tree routing engines: at climb
 // level l the packet takes the uplink indexed by digit l of the
 // destination's base-m address. The choice makes every route a pure
-// function of (src, dst), computable from per-destination tables built
-// once at construction time, and concentrates fan-in traffic exactly
-// where a deterministically routed Clos concentrates it: all flows to
-// one destination share that destination's down-path links, and
-// leaf-mates sending to the same destination share their leaf's
-// uplink. That is the contention the topology sweep measures.
+// function of (src, dst), computed tier by tier from the two addresses'
+// base-m digits with no per-host table, and concentrates fan-in
+// traffic exactly where a deterministically routed Clos concentrates
+// it: all flows to one destination share that destination's down-path
+// links, and leaf-mates sending to the same destination share their
+// leaf's uplink. That is the contention the topology sweep measures.
 package topo
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -187,40 +189,38 @@ type Path struct {
 	Switches int // crossbar stages crossed (1 on a single-switch route)
 }
 
-// Topology is a built fabric graph with its routing tables.
+// Topology is a built fabric graph: the per-tier link numbering that
+// Route's arithmetic indexes into.
 type Topology struct {
 	spec   Spec
 	n      int
-	m      int   // down-ports (and up-ports) per switch; 0 for crossbar
-	levels int   // switch tiers; 1 = every host on one switch
-	pow    []int // pow[l] = m^l, l in 0..levels
-	upBase []int // first up-link id of climb level l
-	dnBase []int // first down-link id of descent level l
-	// lcap[l] is the number of distinct up-links (and down-links) each
-	// subtree of pow[l+1] hosts keeps at climb level l: the full
-	// bisection pow[l+1] divided by the oversubscription ratio (floored,
-	// never below one). At ratio 1 this is exactly pow[l+1] and the link
-	// numbering is byte-identical to the pre-oversubscription scheme; at
-	// higher ratios the D-mod-k link choice is collapsed modulo lcap, so
-	// the same wire-speed links carry more flows and the per-port FIFO
-	// queues — not a slower wire — model the taper.
-	lcap   []int
+	m      int    // down-ports (and up-ports) per switch; 0 for crossbar
+	mrec   uint64 // ⌈2⁶⁴/m⌉, the reciprocal divm multiplies by
+	levels int    // switch tiers; 1 = every host on one switch
+	pow    []int  // pow[l] = m^l, l in 0..levels
+	tiers  []tier // climb levels 0..levels-2
 	nLinks int
+}
 
-	// Per-destination routing tables, levels-1 entries per host:
-	// dnLink[dst*(levels-1)+l] is the directed link from the level-(l+1)
-	// switch down into the level-l switch toward dst; upOff holds the
-	// dst-determined part of the up-link id at climb level l (the src
-	// contributes only its subtree prefix).
-	dnLink []int32
-	upOff  []int32
+// tier numbers the links between switch level l and level l+1.
+type tier struct {
+	up, dn int // first up-link and first down-link id
+	// lcap is the number of distinct up-links (and down-links) each
+	// subtree of pow[l+1] hosts keeps: the full bisection pow[l+1]
+	// divided by the oversubscription ratio (floored, never below one).
+	// At ratio 1 this is exactly pow[l+1] and the link numbering is
+	// byte-identical to the pre-oversubscription scheme; at higher
+	// ratios the D-mod-k link choice is collapsed modulo lcap, so the
+	// same wire-speed links carry more flows and the per-port FIFO
+	// queues — not a slower wire — model the taper.
+	lcap int
 }
 
 // Build constructs the topology for n hosts. Building is deterministic:
 // the same (spec, n) always yields identical link numbering and routes,
 // which the route-determinism tests pin down.
 func Build(spec Spec, n int) *Topology {
-	if n < 1 {
+	if n < 1 || n > math.MaxInt32 {
 		panic(fmt.Sprintf("topo: %d hosts", n))
 	}
 	if err := spec.Validate(); err != nil {
@@ -255,9 +255,7 @@ func Build(spec Spec, n int) *Topology {
 	if oversub < 1 {
 		oversub = 1
 	}
-	t.upBase = make([]int, t.levels-1)
-	t.dnBase = make([]int, t.levels-1)
-	t.lcap = make([]int, t.levels-1)
+	t.tiers = make([]tier, t.levels-1)
 	for l := 0; l < t.levels-1; l++ {
 		// Level-l switches: one group of pow[l] parallel switches per
 		// subtree of pow[l+1] hosts, pow[l+1] = pow[l]*m uplinks between
@@ -267,27 +265,21 @@ func Build(spec Spec, n int) *Topology {
 		if lc < 1 {
 			lc = 1
 		}
-		t.lcap[l] = lc
 		cnt := ((n + t.pow[l+1] - 1) / t.pow[l+1]) * lc
-		t.upBase[l] = t.nLinks
-		t.nLinks += cnt
-		t.dnBase[l] = t.nLinks
-		t.nLinks += cnt
+		t.tiers[l] = tier{up: t.nLinks, dn: t.nLinks + cnt, lcap: lc}
+		t.nLinks += 2 * cnt
 	}
-	t.dnLink = make([]int32, n*(t.levels-1))
-	t.upOff = make([]int32, n*(t.levels-1))
-	for dst := 0; dst < n; dst++ {
-		for l := 0; l < t.levels-1; l++ {
-			p := dst % t.pow[l]         // parallel switch index on dst's path
-			r := (dst / t.pow[l]) % t.m // D-mod-k: digit l picks the parallel tier
-			// Full-bisection port choice p*m+r, collapsed onto the
-			// tapered link set; at ratio 1 the modulus is pow[l+1] and
-			// the id is exactly the historical p*m+r.
-			t.upOff[dst*(t.levels-1)+l] = int32((p*t.m + r) % t.lcap[l])
-			t.dnLink[dst*(t.levels-1)+l] = int32(t.dnBase[l] + (dst/t.pow[l+1])*t.lcap[l] + (p*t.m+r)%t.lcap[l])
-		}
-	}
+	t.mrec = math.MaxUint64/uint64(t.m) + 1
 	return t
+}
+
+// divm returns x/m with one multiply by the reciprocal mrec (Lemire,
+// Kaser and Kurz, "Faster remainder by direct computation"): exact for
+// every x < 2³² and m >= 2, which covers every host and subtree index
+// Build accepts. Every multi-tier topology has m >= 2.
+func (t *Topology) divm(x uint64) uint64 {
+	q, _ := bits.Mul64(t.mrec, x)
+	return q
 }
 
 // Nodes returns the host count.
@@ -377,13 +369,13 @@ func (t *Topology) LinkOwners(pmap []int32) []int32 {
 		panic(fmt.Sprintf("topo: partition map for %d hosts on a %d-host topology", len(pmap), t.n))
 	}
 	own := make([]int32, t.nLinks)
-	for l := 0; l < t.levels-1; l++ {
+	for l, tr := range t.tiers {
 		cnt := (t.n + t.pow[l+1] - 1) / t.pow[l+1]
 		for s := 0; s < cnt; s++ {
 			lp := pmap[s*t.pow[l+1]]
-			for j := 0; j < t.lcap[l]; j++ {
-				own[t.upBase[l]+s*t.lcap[l]+j] = lp
-				own[t.dnBase[l]+s*t.lcap[l]+j] = lp
+			for j := 0; j < tr.lcap; j++ {
+				own[tr.up+s*tr.lcap+j] = lp
+				own[tr.dn+s*tr.lcap+j] = lp
 			}
 		}
 	}
@@ -394,9 +386,12 @@ func (t *Topology) LinkOwners(pmap []int32) []int32 {
 // lowest tier at which both share a subtree, clamped at the top tier
 // (the clamp is what lets LeafSpine's spines see every leaf).
 func (t *Topology) climb(src, dst int) int {
+	s, d := uint64(src), uint64(dst)
 	a := 0
-	for a < t.levels-1 && src/t.pow[a+1] != dst/t.pow[a+1] {
-		a++
+	for ; a < t.levels-1; a++ {
+		if s, d = t.divm(s), t.divm(d); s == d {
+			break
+		}
 	}
 	return a
 }
@@ -424,17 +419,40 @@ func (t *Topology) Route(src, dst int, p *Path) {
 		p.Switches = 1
 		return
 	}
-	a := t.climb(src, dst)
-	base := dst * (t.levels - 1)
-	idx := 0
+	// Climb one tier per pass, as climb does, while src and dst still
+	// sit in different subtrees: s and d are src/pow[l] and dst/pow[l],
+	// off is dst mod pow[l] (the parallel switch on dst's path), and
+	// digit l of dst, d mod m, picks the port (D-mod-k). The down-links
+	// come out in climb order and are laid after the up-links reversed.
+	m := uint64(t.m)
+	s, d := uint64(src), uint64(dst)
+	off, pw := uint64(0), uint64(1)
+	var dn [MaxHops / 2]int32
+	a := 0
+	for ; a < len(t.tiers); a++ {
+		s1, d1 := t.divm(s), t.divm(d)
+		if s1 == d1 {
+			break
+		}
+		tr := &t.tiers[a]
+		r := d - d1*m
+		// Full-bisection port choice off*m+r, collapsed onto the
+		// tapered link set; at ratio 1 lcap is pow[l+1], which off*m+r
+		// never reaches.
+		lc := uint64(tr.lcap)
+		port := off*m + r
+		if port >= lc {
+			port %= lc
+		}
+		p.Links[a] = int32(uint64(tr.up) + s1*lc + port)
+		dn[a] = int32(uint64(tr.dn) + d1*lc + port)
+		off += r * pw
+		pw *= m
+		s, d = s1, d1
+	}
 	for l := 0; l < a; l++ {
-		p.Links[idx] = int32(t.upBase[l]+(src/t.pow[l+1])*t.lcap[l]) + t.upOff[base+l]
-		idx++
+		p.Links[2*a-1-l] = dn[l]
 	}
-	for l := a - 1; l >= 0; l-- {
-		p.Links[idx] = t.dnLink[base+l]
-		idx++
-	}
-	p.N = idx
+	p.N = 2 * a
 	p.Switches = 2*a + 1
 }

@@ -117,6 +117,8 @@ func Run(cfg Config, algo coll.Algo) Result {
 		JobTime:     wall,
 		ReduceCalls: stats.Summarize(out.InCall),
 		Signals:     signals,
+		// The cluster's own slice, which only its next Exec would
+		// reuse; cl is closed on return and never runs again.
 		RootResults: out.Results,
 		Events:      cl.Events(),
 	}
