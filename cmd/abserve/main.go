@@ -22,8 +22,14 @@
 // concurrent requests share a single simulation. The X-Cache response
 // header reports miss, hit or dedup.
 //
+// -workers bounds the repetitions simulated at once. A slot runs one
+// repetition: each scenario holds one slot and borrows idle ones for
+// its first -minreps repetitions, so a queued request waits for at most
+// one borrowed repetition.
+//
 // GET /healthz is the liveness probe; GET /metrics reports request,
-// cache, single-flight, cluster-pool and run-latency counters as JSON.
+// repetition, cache, single-flight, cluster-pool and run-latency
+// counters as JSON.
 //
 // -budget bounds the wall-clock spent repeating one scenario; leaving
 // it 0 (the default) keeps responses byte-deterministic even when they
@@ -49,7 +55,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "max repetitions simulated at once; a scenario holds one slot and borrows idle ones (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cachesize", 0, "in-memory result-cache capacity (0 = 4096)")
 	cacheDir := flag.String("cachedir", "", "on-disk result store directory (empty = memory only)")
 	relCI := flag.Float64("relci", 0, "default relative CI95 convergence target (0 = 0.05)")

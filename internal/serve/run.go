@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 	"time"
 
 	"abred/internal/bench"
@@ -69,77 +69,156 @@ type runner struct {
 	// servers that want strict byte-determinism leave it zero.
 	budget time.Duration
 
-	events  uint64
-	samples map[string][]float64
+	// slots is the server's worker semaphore, one slot of which the
+	// caller holds for the whole run. Each of the first MinReps
+	// repetitions may borrow an idle slot for itself alone; nil borrows
+	// none.
+	slots chan struct{}
+	// hook, when set, runs at the start of every repetition; test-only
+	// (the worker-bound and failure tests need slow or failing reps).
+	hook func(rep int)
+
+	ran, borrowed int // repetitions simulated, and how many on a borrowed slot
 }
 
-// record appends one repetition's value for a named metric.
-func (r *runner) record(name string, v float64) {
-	r.samples[name] = append(r.samples[name], v)
+// repOut is one repetition's outcome: the primary metric, the simulated
+// events, every named metric, and the error a simulator panic became.
+type repOut struct {
+	primary float64
+	events  uint64
+	metrics []metric
+	err     error
+}
+
+// metric is one named per-repetition value.
+type metric struct {
+	name string
+	v    float64
 }
 
 // run executes the scenario: repeat the per-rep simulation under
 // rep-derived seeds until the primary metric's confidence interval
 // converges, then summarize every recorded metric over the reps.
+//
+// Without a wall budget, Converge draws repetitions 0…MinReps−1
+// whatever they return, so those are run up front, borrowing idle
+// worker slots (ahead); the rest run one at a time as Converge draws
+// them. Converge consumes every value in repetition order either way,
+// so the Result is the same at any worker count.
 func (r *runner) run() (*Result, error) {
-	r.samples = make(map[string][]float64)
-	var primary string
-	var sample func(rep int) float64
-	switch {
-	case r.spec.Jobs > 0:
-		primary = "jct_p50_us"
-		sample = r.tenancyRep
-	default:
-		primary = "avg_cpu_us"
-		sample = r.cpuRep
-	}
-
-	var err error
-	conv := stats.Converge(stats.ConvergeOpts{
+	opts := stats.ConvergeOpts{
 		RelCI:   r.spec.RelCI,
 		MinReps: r.spec.MinReps,
 		MaxReps: r.spec.MaxReps,
 		Budget:  r.budget,
-	}, func(rep int) (v float64) {
-		defer func() {
-			// A panic deep inside the simulator (an unmodelable knob
-			// combination that survived Normalize) becomes a clean
-			// scenario error, not a dead server goroutine.
-			if p := recover(); p != nil {
-				if err == nil {
-					err = fmt.Errorf("scenario failed: %v", p)
-				}
-			}
-		}()
-		return sample(rep)
+	}
+	var outs []repOut
+	if r.budget == 0 {
+		outs = r.ahead(opts.Defaults().MinReps)
+	}
+	var err error
+	conv := stats.Converge(opts, func(rep int) float64 {
+		if err != nil {
+			return 0 // a repetition failed: the run is lost, simulate no more
+		}
+		if rep == len(outs) {
+			r.ran++
+			outs = append(outs, r.rep(rep))
+		}
+		err = outs[rep].err
+		return outs[rep].primary
 	})
 	if err != nil {
 		return nil, err
 	}
 
+	scenario, primary := "cpu", "avg_cpu_us"
+	if r.spec.Jobs > 0 {
+		scenario, primary = "tenancy", "jct_p50_us"
+	}
+	var events uint64
+	samples := make(map[string][]float64)
+	for _, o := range outs {
+		events += o.events
+		for _, m := range o.metrics {
+			samples[m.name] = append(samples[m.name], m.v)
+		}
+	}
 	res := &Result{
 		Spec:        r.spec,
 		Key:         r.spec.Key(),
-		Scenario:    map[bool]string{true: "tenancy", false: "cpu"}[r.spec.Jobs > 0],
+		Scenario:    scenario,
 		Primary:     primary,
 		Reps:        len(conv.Xs),
 		Converged:   conv.Converged,
 		Stopped:     conv.Stopped,
 		TargetRelCI: r.spec.RelCI,
 		RelCI:       conv.Summary.RelCI95(),
-		Metrics:     make(map[string]stats.FloatSummary, len(r.samples)),
+		Metrics:     make(map[string]stats.FloatSummary, len(samples)),
 		Samples:     conv.Xs,
-		Events:      r.events,
+		Events:      events,
 	}
-	names := make([]string, 0, len(r.samples))
-	for name := range r.samples {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		res.Metrics[name] = stats.SummarizeFloats(r.samples[name])
+	for name, xs := range samples {
+		res.Metrics[name] = stats.SummarizeFloats(xs)
 	}
 	return res, nil
+}
+
+// ahead runs repetitions 0…n−1. The caller runs them itself and,
+// before each one it starts, hands the next ones to idle worker slots
+// while any are free. A borrowed slot runs exactly one repetition and
+// is released, so a request queued on the semaphore waits for at most
+// one repetition and no more than cap(slots) simulate at once.
+func (r *runner) ahead(n int) []repOut {
+	outs := make([]repOut, n)
+	var wg sync.WaitGroup
+	for next := 0; next < n; {
+		mine := next
+		next++
+		for next < n && r.borrow() {
+			r.borrowed++
+			wg.Add(1)
+			go func(rep int) {
+				defer wg.Done()
+				defer func() { <-r.slots }()
+				outs[rep] = r.rep(rep)
+			}(next)
+			next++
+		}
+		outs[mine] = r.rep(mine)
+	}
+	wg.Wait()
+	r.ran += n
+	return outs
+}
+
+// borrow takes an idle worker slot without blocking. A full semaphore
+// (every slot running, or requests queued on it) lends nothing.
+func (r *runner) borrow() bool {
+	select {
+	case r.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// rep runs one repetition of the scenario. A panic deep inside the
+// simulator (an unmodelable knob combination that survived Normalize)
+// becomes the repetition's error, not a dead server goroutine.
+func (r *runner) rep(rep int) (out repOut) {
+	defer func() {
+		if p := recover(); p != nil {
+			out = repOut{err: fmt.Errorf("scenario failed: %v", p)}
+		}
+	}()
+	if r.hook != nil {
+		r.hook(rep)
+	}
+	if r.spec.Jobs > 0 {
+		return r.tenancyRep(rep)
+	}
+	return r.cpuRep(rep)
 }
 
 // benchConfig assembles the per-repetition bench.Config for the CPU
@@ -173,33 +252,34 @@ func (r *runner) benchConfig(rep int) bench.Config {
 	return cfg
 }
 
-// cpuRep runs one repetition of the CPU-utilization scenario and
-// records every metric; it returns the primary (mean per-node reduction
-// CPU, µs).
-func (r *runner) cpuRep(rep int) float64 {
+// cpuRep runs one repetition of the CPU-utilization scenario; its
+// primary is the mean per-node reduction CPU, µs.
+func (r *runner) cpuRep(rep int) repOut {
 	res := bench.CPUUtil(r.benchConfig(rep))
-	r.events += res.Events
-	r.record("avg_cpu_us", us(res.AvgCPU))
-	r.record("node_cpu_p99_us", us(res.Summary.P99))
-	r.record("elapsed_us", us(res.Elapsed))
-	r.record("signals", float64(res.Signals))
+	out := repOut{primary: us(res.AvgCPU), events: res.Events, metrics: []metric{
+		{"avg_cpu_us", us(res.AvgCPU)},
+		{"node_cpu_p99_us", us(res.Summary.P99)},
+		{"elapsed_us", us(res.Elapsed)},
+		{"signals", float64(res.Signals)},
+	}}
 	if ts, _ := topo.ParseSpec(r.spec.Topo); ts.Kind != topo.Crossbar {
-		r.record("link_waits", float64(res.LinkWaits))
-		r.record("link_wait_us", us(res.LinkWait))
+		out.metrics = append(out.metrics,
+			metric{"link_waits", float64(res.LinkWaits)},
+			metric{"link_wait_us", us(res.LinkWait)})
 	}
 	if r.spec.Engine == "flow" {
-		r.record("fct_p99_us", us(res.FCT.P99))
+		out.metrics = append(out.metrics, metric{"fct_p99_us", us(res.FCT.P99)})
 	}
 	if r.spec.Loss > 0 {
-		r.record("retransmits", float64(res.Rel.Retransmits))
+		out.metrics = append(out.metrics, metric{"retransmits", float64(res.Rel.Retransmits)})
 	}
-	return us(res.AvgCPU)
+	return out
 }
 
 // tenancyRep runs one repetition of the multi-tenant scenario: Jobs
 // concurrent jobs with Poisson arrivals under the requested placement,
 // reported as per-job completion-time percentiles.
-func (r *runner) tenancyRep(rep int) float64 {
+func (r *runner) tenancyRep(rep int) repOut {
 	s := r.spec
 	specs, err := clusterSpecs(s.Cluster, s.Nodes)
 	if err != nil {
@@ -225,10 +305,10 @@ func (r *runner) tenancyRep(rep int) float64 {
 		cfg.Fault = fault.Config{Seed: repSeed(s.FaultSeed, rep), Rule: fault.Rule{Drop: s.Loss}}
 	}
 	res := workload.Tenancy(cfg)
-	r.events += res.Events
-	r.record("jct_p50_us", us(res.JCT.P50))
-	r.record("jct_p95_us", us(res.JCT.P95))
-	r.record("cpu_us", us(res.CPU.Mean))
-	r.record("makespan_us", us(res.Makespan))
-	return us(res.JCT.P50)
+	return repOut{primary: us(res.JCT.P50), events: res.Events, metrics: []metric{
+		{"jct_p50_us", us(res.JCT.P50)},
+		{"jct_p95_us", us(res.JCT.P95)},
+		{"cpu_us", us(res.CPU.Mean)},
+		{"makespan_us", us(res.Makespan)},
+	}}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -110,6 +111,11 @@ func TestGoldenResponse(t *testing.T) {
 	if m.Pool.Misses == 0 {
 		t.Fatalf("pool saw no builds: %+v", m.Pool)
 	}
+	// The lone run found the second worker slot idle and borrowed it
+	// for its second repetition.
+	if m.Reps != uint64(res.Reps) || m.RepsBorrowed != 1 {
+		t.Fatalf("metrics reps %d, borrowed %d; want %d, 1", m.Reps, m.RepsBorrowed, res.Reps)
+	}
 }
 
 func TestSpellingVariantsCollapse(t *testing.T) {
@@ -153,7 +159,7 @@ func TestSpellingVariantsCollapse(t *testing.T) {
 
 func TestSingleFlight(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 4})
-	s.testDelay = 200 * time.Millisecond
+	s.testRep = func(int) { time.Sleep(200 * time.Millisecond) }
 	h := s.Handler()
 
 	const clients = 4
@@ -365,7 +371,7 @@ func TestDiskCache(t *testing.T) {
 
 func TestGracefulShutdown(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 2})
-	s.testDelay = 300 * time.Millisecond
+	s.testRep = func(int) { time.Sleep(300 * time.Millisecond) }
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -456,31 +462,162 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
-// TestWorkerBound asserts the semaphore really bounds concurrent
-// simulations: with one worker and several distinct specs in flight,
-// the observed in-flight maximum inside compute never exceeds one
-// queued-past-the-semaphore count is visible via inflight.
-func TestWorkerBound(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	s.testDelay = 50 * time.Millisecond
-	h := s.Handler()
+// TestBodiesIndependentOfWorkers: a body is a pure function of its
+// spec, whichever slots ran its repetitions. The serve_mix benchmark's
+// five cold shapes at its three pinned repetitions, a tenancy spec and
+// a spec that converges past MinReps, posted concurrently to servers
+// with one worker and with four, come back byte-identical.
+func TestBodiesIndependentOfWorkers(t *testing.T) {
+	specs := []string{
+		`{"nodes":64,"mode":"ab","seed":11,"minreps":3,"maxreps":3}`,
+		`{"nodes":64,"mode":"nab","seed":12,"minreps":3,"maxreps":3}`,
+		`{"nodes":64,"topo":"fattree:8","loss":0.01,"seed":13,"minreps":3,"maxreps":3}`,
+		`{"nodes":64,"topo":"fattree:8:o4","jobs":4,"place":"greedy","seed":14,"minreps":3,"maxreps":3}`,
+		`{"nodes":4096,"engine":"flow","topo":"fattree:16","iters":3,"seed":15,"minreps":3,"maxreps":3}`,
+		`{"nodes":16,"topo":"fattree:4","jobs":2,"iters":3,"seed":3}`,
+		`{"nodes":64,"iters":4,"relci":0.1,"seed":1}`, // converges at 7 reps
+	}
+	bodies := func(workers int) [][]byte {
+		s := newTestServer(t, Options{Workers: workers})
+		out := make([][]byte, len(specs))
+		var wg sync.WaitGroup
+		for i, spec := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := post(t, s.Handler(), spec)
+				if w.Code != http.StatusOK {
+					t.Errorf("workers %d, %s: status %d, body %s", workers, spec, w.Code, w.Body.String())
+				}
+				out[i] = w.Body.Bytes()
+			}()
+		}
+		wg.Wait()
+		if workers > 1 && s.borrowed.Load() == 0 {
+			t.Errorf("workers %d: no repetition borrowed a slot", workers)
+		}
+		return out
+	}
+	one, four := bodies(1), bodies(4)
+	for i, spec := range specs {
+		if !bytes.Equal(one[i], four[i]) {
+			t.Errorf("%s: body at 1 worker differs from body at 4:\n%s\nvs\n%s", spec, one[i], four[i])
+		}
+	}
+	var last Result
+	if err := json.Unmarshal(one[len(specs)-1], &last); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if last.Reps <= last.Spec.MinReps || !last.Converged {
+		t.Fatalf("last spec ran %d reps (minreps %d, converged %v): it no longer converges past MinReps",
+			last.Reps, last.Spec.MinReps, last.Converged)
+	}
+}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"nodes":8,"cluster":"uniform","iters":2,"seed":%d,"minreps":2,"maxreps":2}`, 100+i)
-			if w := post(t, h, body); w.Code != http.StatusOK {
-				t.Errorf("spec %d: status %d", i, w.Code)
+// TestWorkerBound asserts the semaphore bounds the repetitions in
+// flight at Workers 1 and 2: a lone request borrows the idle slot for
+// its second up-front repetition, three distinct concurrent requests
+// queue, and the peak count of repetitions running at once is exactly
+// Workers. Every slot is back once the requests drain.
+func TestWorkerBound(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
+			s := newTestServer(t, Options{Workers: workers})
+			var running, peak atomic.Int64
+			s.testRep = func(int) {
+				n := running.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(50 * time.Millisecond)
+				running.Add(-1)
 			}
-		}(i)
+			h := s.Handler()
+			spec := func(i int) string {
+				return fmt.Sprintf(`{"nodes":8,"cluster":"uniform","iters":2,"seed":%d,"minreps":2,"maxreps":2}`, 100+i)
+			}
+
+			if w := post(t, h, spec(0)); w.Code != http.StatusOK {
+				t.Fatalf("lone spec: status %d", w.Code)
+			}
+			if got, want := s.borrowed.Load(), uint64(workers-1); got != want {
+				t.Fatalf("lone request borrowed %d slots, want %d", got, want)
+			}
+			var wg sync.WaitGroup
+			for i := 1; i <= 3; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					if w := post(t, h, spec(i)); w.Code != http.StatusOK {
+						t.Errorf("spec %d: status %d", i, w.Code)
+					}
+				}(i)
+			}
+			wg.Wait()
+			if got := peak.Load(); got != int64(workers) {
+				t.Fatalf("peak repetitions in flight = %d, want %d", got, workers)
+			}
+			if got := s.runs.Load(); got != 4 {
+				t.Fatalf("runs = %d, want 4 distinct scenarios", got)
+			}
+			if got := s.reps.Load(); got != 8 {
+				t.Fatalf("reps = %d, want 8", got)
+			}
+			if got := s.inflight.Load(); got != 0 {
+				t.Fatalf("in-flight = %d after drain, want 0", got)
+			}
+			if got := len(s.sem); got != 0 {
+				t.Fatalf("%d worker slots still held after drain", got)
+			}
+		})
 	}
-	wg.Wait()
-	if got := s.runs.Load(); got != 3 {
-		t.Fatalf("runs = %d, want 3 distinct scenarios", got)
-	}
-	if got := s.inflight.Load(); got != 0 {
-		t.Fatalf("in-flight = %d after drain, want 0", got)
+}
+
+// TestRepPanic: a repetition that panics fails the request with a 500,
+// on the caller's slot or a borrowed one, releases every slot it held,
+// and stops the run: no repetition after the failed one is simulated.
+func TestRepPanic(t *testing.T) {
+	// relci 0.0001 keeps the convergence loop drawing to maxreps 20
+	// unless the failure stops it.
+	const body = `{"nodes":8,"iters":2,"minreps":3,"maxreps":20,"relci":0.0001}`
+	for _, tc := range []struct {
+		name    string
+		workers int
+		fail    int // the repetition that panics
+		want    int // repetitions started
+	}{
+		{"caller", 1, 1, 3},   // the up-front reps all start; the run stops after them
+		{"borrowed", 2, 1, 3}, // rep 1 always runs on the slot left idle beside the caller's
+		{"later", 2, 4, 5},    // a rep drawn one at a time, past MinReps
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Options{Workers: tc.workers})
+			var started atomic.Int64
+			s.testRep = func(rep int) {
+				started.Add(1)
+				if rep == tc.fail {
+					panic("injected")
+				}
+			}
+			w := post(t, s.Handler(), body)
+			if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "scenario failed: injected") {
+				t.Fatalf("status %d, body %q; want 500 naming the panic", w.Code, w.Body.String())
+			}
+			if got := started.Load(); got != int64(tc.want) {
+				t.Fatalf("%d repetitions started, want %d", got, tc.want)
+			}
+			// Whether rep 2 borrows too depends on how soon rep 1 ends.
+			if got := s.borrowed.Load(); (got > 0) != (tc.workers > 1) {
+				t.Fatalf("%d repetitions borrowed a slot at %d workers", got, tc.workers)
+			}
+			if got := s.inflight.Load(); got != 0 {
+				t.Fatalf("in-flight = %d after the failure, want 0", got)
+			}
+			if got := len(s.sem); got != 0 {
+				t.Fatalf("%d worker slots still held after the failure", got)
+			}
+			if got := s.runs.Load(); got != 0 {
+				t.Fatalf("a failed scenario counted as %d runs", got)
+			}
+		})
 	}
 }

@@ -15,8 +15,11 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Workers bounds the simulations in flight at once; requests past
-	// the bound queue on the semaphore. 0 means GOMAXPROCS.
+	// Workers bounds the repetitions simulated at once. A slot runs one
+	// repetition: a run holds one slot for its whole convergence loop
+	// and borrows idle ones, each for one of its first MinReps
+	// repetitions, so requests past the bound queue on the semaphore
+	// for at most one borrowed repetition. 0 means GOMAXPROCS.
 	Workers int
 	// CacheSize is the in-memory LRU capacity in responses (0 = 4096).
 	CacheSize int
@@ -43,6 +46,8 @@ type Server struct {
 	requests atomic.Uint64 // POST /run requests accepted (parsed OK)
 	badSpecs atomic.Uint64 // POST /run requests rejected with 400
 	runs     atomic.Uint64 // scenarios actually simulated
+	reps     atomic.Uint64 // repetitions simulated, over every run
+	borrowed atomic.Uint64 // of which on an idle worker slot the run borrowed
 	dedups   atomic.Uint64 // requests that rode another request's run
 	inflight atomic.Int64  // simulations running or queued right now
 
@@ -51,9 +56,10 @@ type Server struct {
 	latNext int
 	latN    int
 
-	// testDelay stretches every run; test-only (single-flight and
-	// shutdown tests need a predictably slow scenario).
-	testDelay time.Duration
+	// testRep runs at the start of every repetition; test-only
+	// (single-flight, shutdown and worker-bound tests need slow or
+	// failing repetitions).
+	testRep func(rep int)
 }
 
 // flight is one in-progress computation other requests can wait on.
@@ -107,6 +113,8 @@ type Metrics struct {
 	Requests     uint64             `json:"requests"`
 	BadSpecs     uint64             `json:"bad_specs"`
 	Runs         uint64             `json:"runs"`
+	Reps         uint64             `json:"reps"`          // repetitions simulated
+	RepsBorrowed uint64             `json:"reps_borrowed"` // of which on an idle worker slot
 	Dedups       uint64             `json:"singleflight_dedups"`
 	InFlight     int64              `json:"in_flight"`
 	Workers      int                `json:"workers"`
@@ -127,6 +135,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Requests:     s.requests.Load(),
 		BadSpecs:     s.badSpecs.Load(),
 		Runs:         s.runs.Load(),
+		Reps:         s.reps.Load(),
+		RepsBorrowed: s.borrowed.Load(),
 		Dedups:       s.dedups.Load(),
 		InFlight:     s.inflight.Load(),
 		Workers:      s.opts.Workers,
@@ -220,8 +230,9 @@ func (s *Server) lookupOrRun(r *http.Request, spec Spec, key string) ([]byte, st
 	return f.body, "miss", f.err
 }
 
-// compute simulates one scenario on the shared pool, bounded by the
-// worker semaphore, and stores the body in the cache.
+// compute simulates one scenario on the shared pool, holding one slot
+// of the worker semaphore and borrowing idle ones, and stores the body
+// in the cache.
 func (s *Server) compute(spec Spec, key string) ([]byte, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -229,11 +240,11 @@ func (s *Server) compute(spec Spec, key string) ([]byte, error) {
 	defer func() { <-s.sem }()
 
 	start := time.Now()
-	if s.testDelay > 0 {
-		time.Sleep(s.testDelay)
-	}
-	rn := &runner{spec: spec, pool: s.pool, budget: s.opts.Limits.TimeBudget}
+	rn := &runner{spec: spec, pool: s.pool, budget: s.opts.Limits.TimeBudget,
+		slots: s.sem, hook: s.testRep}
 	res, err := rn.run()
+	s.reps.Add(uint64(rn.ran))
+	s.borrowed.Add(uint64(rn.borrowed))
 	if err != nil {
 		return nil, err
 	}

@@ -100,7 +100,9 @@ type Convergence struct {
 // MinReps..MaxReps times, one at a time, with the interval re-tested
 // after each draw once MinReps have accumulated. A wall budget, when
 // set, is checked between repetitions, so one repetition beyond the
-// budget may still run to completion.
+// budget may still run to completion. Without a budget the first
+// MinReps draws happen whatever they return, so a caller may compute
+// them ahead, in parallel, and hand them over in order.
 //
 // With a deterministic sample function the entire trajectory — the
 // repetition count, every sample, the final summary — is a pure
