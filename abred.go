@@ -284,10 +284,11 @@ func (r *Rank) SetExitDelay(base, perProc time.Duration) {
 	r.node.Engine.SetDelayPolicy(core.ProcCountDelay{Base: base, PerProc: perProc})
 }
 
-// buffers allocates the receive buffer only where MPI requires one.
+// buffers allocates the receive buffer only where MPI requires one:
+// every reduction reads recvbuf at the root alone.
 func (r *Rank) buffers(count, root int) []byte {
-	if r.Rank() == root {
-		return make([]byte, count*8)
+	if r.Rank() != root {
+		return nil
 	}
-	return make([]byte, count*8) // non-roots pass scratch; keeps API simple
+	return make([]byte, count*8)
 }

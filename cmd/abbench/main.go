@@ -75,7 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "abbench: -iters %d: must be at least 1\n", *iters)
 		os.Exit(2)
 	}
-	if *loss < 0 || *loss >= 1 {
+	if fault.CheckDrop(*loss) != nil {
 		fmt.Fprintf(os.Stderr, "abbench: -loss %v outside [0, 1)\n", *loss)
 		os.Exit(2)
 	}

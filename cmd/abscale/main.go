@@ -141,16 +141,17 @@ func main() {
 		}
 	}
 
-	// Validate the engine/kernel flag combination up front so a bad mix
-	// (e.g. -lps on an unroutable topology) is a flag-level error, not a
-	// panic deep inside the first sweep. Both engines honour -lps now:
+	// Validate the engine/kernel/loss flag combination up front so a bad
+	// mix (e.g. -lps on an unroutable topology, or -loss outside [0, 1))
+	// is a flag-level error, not a panic deep inside the first sweep. Both engines honour -lps now:
 	// the packet fabric and the flow substrate each shard along pods.
 	engine, err := cluster.ParseEngine(*engineFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "abscale: %v\n", err)
 		os.Exit(2)
 	}
-	if verr := (cluster.Config{Specs: model.Uniform(2), Engine: engine, LPs: *lps}).Validate(); verr != nil {
+	faults := fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}
+	if verr := (cluster.Config{Specs: model.Uniform(2), Engine: engine, LPs: *lps, Fault: faults}).Validate(); verr != nil {
 		fmt.Fprintf(os.Stderr, "abscale: %v\n", verr)
 		os.Exit(2)
 	}
@@ -186,8 +187,7 @@ func main() {
 
 	pool := cluster.NewPool()
 	defer pool.Drain()
-	base := bench.Config{Seed: *seed, Pool: pool, LPs: *lps,
-		Fault: fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}}
+	base := bench.Config{Seed: *seed, Pool: pool, LPs: *lps, Fault: faults}
 	workers := *parallel
 
 	runGrid := func(grid string, gridSizes []int, gridIters int) {

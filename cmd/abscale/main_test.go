@@ -27,6 +27,8 @@ func TestBadFlagExitsTwo(t *testing.T) {
 		{"-tenancynodes", "1", "-tenancynodes 1: must be at least 2"},
 		{"-tenancyiters", "0", "-tenancyiters 0: must be at least 1"},
 		{"-tenancycount", "0", "-tenancycount 0: must be at least 1"},
+		{"-loss", "1.5", "fault: drop probability 1.5 outside [0, 1)"},
+		{"-loss", "-0.5", "fault: drop probability -0.5 outside [0, 1)"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, "-sizes", "8", "-iters", "1", "-bigsizes", "", tc.flag, tc.value)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"abred/internal/coll"
@@ -56,27 +55,27 @@ type cell struct {
 }
 
 // cpuJob wraps one CPU-utilization simulation as a pure sweep job.
-func cpuJob(name string, cfg Config) sweep.Job[cell] {
-	return sweep.Job[cell]{Name: name, Seed: cfg.Seed, Run: func() (cell, uint64) {
+func cpuJob(cfg Config) func() cell {
+	return func() cell {
 		r := CPUUtil(cfg)
 		return cell{us: us(r.AvgCPU), signals: r.Signals, rel: r.Rel,
-			linkWaits: r.LinkWaits, linkWait: r.LinkWait}, r.Events
-	}}
+			linkWaits: r.LinkWaits, linkWait: r.LinkWait}
+	}
 }
 
 // latJob wraps one latency simulation as a pure sweep job.
-func latJob(name string, cfg Config) sweep.Job[cell] {
-	return sweep.Job[cell]{Name: name, Seed: cfg.Seed, Run: func() (cell, uint64) {
+func latJob(cfg Config) func() cell {
+	return func() cell {
 		r := Latency(cfg)
-		return cell{us: us(r.AvgLatency), rel: r.Rel}, r.Events
-	}}
+		return cell{us: us(r.AvgLatency), rel: r.Rel}
+	}
 }
 
 // runGrid executes a figure's cells (row-major: len(jobs)/len(xs) cells
 // per x) through the sweep engine and assembles each row with mk.
-func runGrid(t *Table, xs []float64, jobs []sweep.Job[cell], mk func(cells []cell) []float64, workers int) *Table {
+func runGrid(t *Table, xs []float64, jobs []func() cell, mk func(cells []cell) []float64, workers int) *Table {
 	per := len(jobs) / len(xs)
-	vals := sweep.Run(t.Title, jobs, workers).Values()
+	vals := sweep.Run(jobs, workers)
 	for i, x := range xs {
 		t.X = append(t.X, x)
 		t.Rows = append(t.Rows, mk(vals[i*per:(i+1)*per]))
@@ -91,15 +90,15 @@ var cpuModes = []Mode{NonAppBypass, AppBypass}
 // series and an ab series across counts, plus nab/ab factor columns.
 // vary sets what x changes on a cell that already has its mode and
 // count.
-func cpuGrid(t *Table, fig string, xs []float64, counts []int, base Config, workers int, vary func(xi int, c *Config)) *Table {
-	var jobs []sweep.Job[cell]
-	for xi, x := range xs {
+func cpuGrid(t *Table, xs []float64, counts []int, base Config, workers int, vary func(xi int, c *Config)) *Table {
+	var jobs []func() cell
+	for xi := range xs {
 		for _, mode := range cpuModes {
 			for _, count := range counts {
 				c := base
 				c.Count, c.Mode = count, mode
 				vary(xi, &c)
-				jobs = append(jobs, cpuJob(fmt.Sprintf("%s/x=%v/%s/n=%d", fig, x, mode, count), c))
+				jobs = append(jobs, cpuJob(c))
 			}
 		}
 	}
@@ -114,13 +113,13 @@ func cpuGrid(t *Table, fig string, xs []float64, counts []int, base Config, work
 
 // pairGrid declares a two-implementation comparison: per x, cells j = 0
 // and 1 (vary sets both apart), rendering each row as [a, b, a/b].
-func pairGrid(t *Table, fig string, names [2]string, xs []float64, base Config, workers int, vary func(xi, j int, c *Config)) *Table {
-	var jobs []sweep.Job[cell]
-	for xi, x := range xs {
+func pairGrid(t *Table, xs []float64, base Config, workers int, vary func(xi, j int, c *Config)) *Table {
+	var jobs []func() cell
+	for xi := range xs {
 		for j := 0; j < 2; j++ {
 			c := base
 			vary(xi, j, &c)
-			jobs = append(jobs, cpuJob(fmt.Sprintf("%s/x=%v/%s", fig, x, names[j]), c))
+			jobs = append(jobs, cpuJob(c))
 		}
 	}
 	return runGrid(t, xs, jobs, func(cells []cell) []float64 {
@@ -131,14 +130,14 @@ func pairGrid(t *Table, fig string, names [2]string, xs []float64, base Config, 
 
 // latGrid declares a latency comparison: per x a nab and an ab run,
 // rendered as [nab, ab, ab-nab].
-func latGrid(t *Table, fig string, xs []float64, base Config, workers int, vary func(xi int, c *Config)) *Table {
-	var jobs []sweep.Job[cell]
-	for xi, x := range xs {
+func latGrid(t *Table, xs []float64, base Config, workers int, vary func(xi int, c *Config)) *Table {
+	var jobs []func() cell
+	for xi := range xs {
 		for _, mode := range cpuModes {
 			c := base
 			c.Mode = mode
 			vary(xi, &c)
-			jobs = append(jobs, latJob(fmt.Sprintf("%s/x=%v/%s", fig, x, mode), c))
+			jobs = append(jobs, latJob(c))
 		}
 	}
 	return runGrid(t, xs, jobs, func(cells []cell) []float64 {
@@ -199,7 +198,7 @@ func Fig6(base Config, workers int) *Table {
 	for i, s := range skews {
 		xs[i] = us(s)
 	}
-	return cpuGrid(t, "fig6", xs, counts, base, workers, func(xi int, c *Config) {
+	return cpuGrid(t, xs, counts, base, workers, func(xi int, c *Config) {
 		c.Specs, c.MaxSkew = specs, skews[xi]
 	})
 }
@@ -218,7 +217,7 @@ func Fig7(base Config, workers int) *Table {
 		},
 	}
 	sizes := PaperSizes()
-	return cpuGrid(t, "fig7", floats(sizes), counts, base, workers, func(xi int, c *Config) {
+	return cpuGrid(t, floats(sizes), counts, base, workers, func(xi int, c *Config) {
 		c.Specs, c.MaxSkew = model.PaperCluster(sizes[xi]), 1000*time.Microsecond
 	})
 }
@@ -238,7 +237,7 @@ func Fig8(base Config, workers int) *Table {
 		},
 	}
 	sizes := PaperSizes()
-	return cpuGrid(t, "fig8", floats(sizes), counts, base, workers, func(xi int, c *Config) {
+	return cpuGrid(t, floats(sizes), counts, base, workers, func(xi int, c *Config) {
 		c.Specs = model.PaperCluster(sizes[xi])
 	})
 }
@@ -247,7 +246,7 @@ func Fig8(base Config, workers int) *Table {
 // skew for single-element messages, on the heterogeneous cluster (a) and
 // the homogeneous 700 MHz cluster (b).
 func Fig9(base Config, workers int) (hetero, homog *Table) {
-	mk := func(title, fig string, sizes []int, specsFor func(int) []model.NodeSpec) *Table {
+	mk := func(title string, sizes []int, specsFor func(int) []model.NodeSpec) *Table {
 		t := &Table{
 			Title: title,
 			XName: "nodes",
@@ -257,12 +256,12 @@ func Fig9(base Config, workers int) (hetero, homog *Table) {
 				"pays a signal overhead that stabilizes (Fig. 10).",
 			},
 		}
-		return latGrid(t, fig, floats(sizes), base, workers, func(xi int, c *Config) {
+		return latGrid(t, floats(sizes), base, workers, func(xi int, c *Config) {
 			c.Specs, c.Count = specsFor(sizes[xi]), 1
 		})
 	}
-	hetero = mk("Fig. 9a — reduce latency vs. nodes (heterogeneous, 1 element)", "fig9a", PaperSizes(), model.PaperCluster)
-	homog = mk("Fig. 9b — reduce latency vs. nodes (homogeneous 700 MHz, 1 element)", "fig9b", []int{2, 4, 8, 16}, model.Homogeneous700)
+	hetero = mk("Fig. 9a — reduce latency vs. nodes (heterogeneous, 1 element)", PaperSizes(), model.PaperCluster)
+	homog = mk("Fig. 9b — reduce latency vs. nodes (homogeneous 700 MHz, 1 element)", []int{2, 4, 8, 16}, model.Homogeneous700)
 	return hetero, homog
 }
 
@@ -280,7 +279,7 @@ func Fig10(base Config, workers int) *Table {
 	}
 	specs := model.PaperCluster32()
 	counts := []int{1, 2, 4, 8, 16, 32, 64, 128}
-	return latGrid(t, "fig10", floats(counts), base, workers, func(xi int, c *Config) {
+	return latGrid(t, floats(counts), base, workers, func(xi int, c *Config) {
 		c.Specs, c.Count = specs, counts[xi]
 	})
 }
@@ -298,7 +297,7 @@ func ScaleProjection(sizes []int, skew sim.Time, count int, base Config, workers
 			"Extension of Figs. 7/8 past the paper's 32-node testbed.",
 		},
 	}
-	return pairGrid(t, "scale", [2]string{"nab", "ab"}, floats(sizes), base, workers, func(xi, j int, c *Config) {
+	return pairGrid(t, floats(sizes), base, workers, func(xi, j int, c *Config) {
 		c.Specs, c.Count, c.Mode, c.MaxSkew = model.PaperCluster(sizes[xi]), count, cpuModes[j], skew
 	})
 }
@@ -317,7 +316,7 @@ func AblationDelay(size, count int, skew sim.Time, base Config, workers int) *Ta
 	}
 	base.Specs, base.Count, base.Mode, base.MaxSkew = model.PaperCluster(size), count, AppBypass, skew
 	delays := []sim.Time{0, 5 * time.Microsecond, 15 * time.Microsecond, 30 * time.Microsecond, 60 * time.Microsecond}
-	var jobs []sweep.Job[cell]
+	var jobs []func() cell
 	xs := make([]float64, len(delays))
 	for i, d := range delays {
 		xs[i] = us(d)
@@ -325,7 +324,7 @@ func AblationDelay(size, count int, skew sim.Time, base Config, workers int) *Ta
 		if d > 0 {
 			c.Delay = core.FixedDelay{D: d}
 		}
-		jobs = append(jobs, cpuJob(fmt.Sprintf("delay/x=%v", d), c))
+		jobs = append(jobs, cpuJob(c))
 	}
 	return runGrid(t, xs, jobs, func(cells []cell) []float64 {
 		return []float64{cells[0].us, float64(cells[0].signals)}
@@ -354,7 +353,7 @@ func AblationSignalCost(size, count int, skew sim.Time, base Config, workers int
 		scosts[i] *= time.Microsecond
 		xs[i] = us(scosts[i])
 	}
-	return pairGrid(t, "sigcost", [2]string{"nab", "ab"}, xs, base, workers, func(xi, j int, c *Config) {
+	return pairGrid(t, xs, base, workers, func(xi, j int, c *Config) {
 		costs := model.DefaultCosts()
 		costs.SignalOvh = scosts[xi]
 		costs.SignalIgnored = scosts[xi] / 2
@@ -377,7 +376,7 @@ func AblationHeterogeneity(size, count int, base Config, workers int) *Table {
 	}
 	base.Count = count
 	clusters := [][]model.NodeSpec{model.PaperCluster(size), model.Homogeneous1G(size)}
-	return pairGrid(t, "hetero", [2]string{"nab", "ab"}, []float64{0, 1}, base, workers, func(xi, j int, c *Config) {
+	return pairGrid(t, []float64{0, 1}, base, workers, func(xi, j int, c *Config) {
 		c.Specs, c.Mode = clusters[xi], cpuModes[j]
 	})
 }
@@ -398,7 +397,7 @@ func AblationRendezvousAB(size int, skew sim.Time, base Config, workers int) *Ta
 	}
 	base.Specs, base.Mode, base.MaxSkew = model.PaperCluster(size), AppBypass, skew
 	counts := []int{4096, 8192, 16384} // 32, 64, 128 KiB
-	return pairGrid(t, "rendezvous", [2]string{"fallback", "rendezvous"}, floats(counts), base, workers, func(xi, j int, c *Config) {
+	return pairGrid(t, floats(counts), base, workers, func(xi, j int, c *Config) {
 		c.Count, c.RendezvousAB = counts[xi], j == 1
 	})
 }
@@ -419,12 +418,12 @@ func AblationNICReduce(size int, skew sim.Time, base Config, workers int) *Table
 	}
 	base.Specs, base.MaxSkew = model.PaperCluster(size), skew
 	counts := []int{4, 32, 128}
-	var jobs []sweep.Job[cell]
+	var jobs []func() cell
 	for _, count := range counts {
 		for _, mode := range []Mode{NonAppBypass, AppBypass, coll.AlgoNIC} {
 			c := base
 			c.Count, c.Mode = count, mode
-			jobs = append(jobs, cpuJob(fmt.Sprintf("nicreduce/x=%d/%s", count, mode), c))
+			jobs = append(jobs, cpuJob(c))
 		}
 	}
 	return runGrid(t, floats(counts), jobs, func(cells []cell) []float64 {
@@ -459,7 +458,7 @@ func LossSweep(rates []float64, base Config, workers int) *Table {
 		},
 	}
 	base.Specs = model.PaperCluster32()
-	var jobs []sweep.Job[cell]
+	var jobs []func() cell
 	xs := make([]float64, len(rates))
 	for xi, rate := range rates {
 		xs[xi] = rate * 100
@@ -468,12 +467,12 @@ func LossSweep(rates []float64, base Config, workers int) *Table {
 		for _, mode := range cpuModes {
 			c := row
 			c.Count, c.Mode, c.MaxSkew = 4, mode, 1000*time.Microsecond
-			jobs = append(jobs, cpuJob(fmt.Sprintf("loss/x=%v/cpu/%s", rate, mode), c))
+			jobs = append(jobs, cpuJob(c))
 		}
 		for _, mode := range cpuModes {
 			c := row
 			c.Count, c.Mode = 1, mode
-			jobs = append(jobs, latJob(fmt.Sprintf("loss/x=%v/lat/%s", rate, mode), c))
+			jobs = append(jobs, latJob(c))
 		}
 	}
 	return runGrid(t, xs, jobs, func(cells []cell) []float64 {

@@ -177,3 +177,35 @@ func TestSweepsHonourFault(t *testing.T) {
 		t.Errorf("TenancySweep ignored Fault: %+v", got)
 	}
 }
+
+// TestFlowSweepMeasures pins the cost columns of a flow point: events
+// is the sum of the size's two runs, and wall and live heap are read.
+func TestFlowSweepMeasures(t *testing.T) {
+	ft := topo.Spec{Kind: topo.FatTree, K: 4}
+	base := Config{Iters: 2, Seed: 7, Topo: ft}
+	p := FlowSweep([]int{16}, sim.Time(time.Millisecond), 4, base)[0]
+	base.Specs, base.Count, base.MaxSkew, base.Engine = model.PaperCluster(16), 4, sim.Time(time.Millisecond), cluster.EngineFlow
+	nab, ab := base, base
+	nab.Mode, ab.Mode, ab.TopoAware = NonAppBypass, AppBypass, true
+	if want := CPUUtil(nab).Events + CPUUtil(ab).Events; p.Events != want {
+		t.Errorf("events = %d, want the two runs' sum %d", p.Events, want)
+	}
+	if p.WallMS <= 0 || p.LivePeak == 0 {
+		t.Errorf("cost not recorded: %+v", p)
+	}
+}
+
+// TestLiveHeapPeak: the sampler times fn and sees a 64 MiB allocation
+// that fn holds live across a GC.
+func TestLiveHeapPeak(t *testing.T) {
+	const size = 64 << 20
+	var keep []byte
+	wall, peak := liveHeapPeak(func() {
+		keep = make([]byte, size)
+		runtime.GC()
+	})
+	runtime.KeepAlive(keep)
+	if wall <= 0 || peak < size {
+		t.Errorf("wall %v, peak %d bytes; want wall > 0 and peak >= %d", wall, peak, size)
+	}
+}

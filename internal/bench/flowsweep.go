@@ -1,23 +1,20 @@
 package bench
 
 import (
-	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"abred/internal/cluster"
 	"abred/internal/model"
 	"abred/internal/sim"
-	"abred/internal/sweep"
 )
 
 // FlowPoint is one node count of the flow-engine scaling sweep: the
-// paper's nab/ab comparison plus the execution-cost columns (wall,
-// events, peak live heap) that certify the point was simulable at all, and
-// the flow-completion-time percentiles from the ab run. LivePeak is the
-// larger of the sweep's sampled live-heap peak and the live heap after
-// a GC run once both cells have finished, while their pooled cluster
-// is still held.
+// paper's nab/ab comparison, the ab run's p99 flow completion time, and
+// the execution-cost columns that certify the point was simulable at
+// all: wall time, events and peak live heap (liveHeapPeak) of the
+// size's two runs, the heap read while their pooled cluster is held.
 type FlowPoint struct {
 	Nodes    int
 	NabUS    float64
@@ -26,8 +23,6 @@ type FlowPoint struct {
 	WallMS   float64
 	Events   uint64
 	LivePeak uint64
-	FCTp50US float64
-	FCTp95US float64
 	FCTp99US float64
 }
 
@@ -50,33 +45,18 @@ func FlowSweep(sizes []int, maxSkew sim.Time, count int, base Config) []FlowPoin
 			return c
 		}
 		var nab, ab CPUUtilResult
-		res := sweep.Run(fmt.Sprintf("flow/n=%d", n), []sweep.Job[int]{
-			{Name: fmt.Sprintf("flow/nab/n=%d", n), Seed: base.Seed, Run: func() (int, uint64) {
-				nab = CPUUtil(mk(NonAppBypass, false))
-				return 0, nab.Events
-			}},
-			{Name: fmt.Sprintf("flow/ab/n=%d", n), Seed: base.Seed, Run: func() (int, uint64) {
-				ab = CPUUtil(mk(AppBypass, true))
-				return 0, ab.Events
-			}},
-		}, 1)
-		// The sampled peak reads whatever the last GC cycle marked, and
-		// at the largest sizes every cycle can fall inside the first
-		// cluster build. One more cycle here, with the pooled cluster
-		// still held and the wall clock stopped, reads what a cell
-		// keeps.
-		runtime.GC()
-		live := max(res.Perf.LivePeak, sweep.LiveBytes())
+		wall, live := liveHeapPeak(func() {
+			nab = CPUUtil(mk(NonAppBypass, false))
+			ab = CPUUtil(mk(AppBypass, true))
+		})
 		pool.Drain()
 		p := FlowPoint{
 			Nodes:    n,
 			NabUS:    float64(nab.AvgCPU) / float64(time.Microsecond),
 			AbUS:     float64(ab.AvgCPU) / float64(time.Microsecond),
-			WallMS:   float64(res.Perf.Wall) / float64(time.Millisecond),
-			Events:   res.Perf.Events,
+			WallMS:   float64(wall) / float64(time.Millisecond),
+			Events:   nab.Events + ab.Events,
 			LivePeak: live,
-			FCTp50US: float64(ab.FCT.P50) / float64(time.Microsecond),
-			FCTp95US: float64(ab.FCT.P95) / float64(time.Microsecond),
 			FCTp99US: float64(ab.FCT.P99) / float64(time.Microsecond),
 		}
 		if p.AbUS > 0 {
@@ -85,4 +65,49 @@ func FlowSweep(sizes []int, maxSkew sim.Time, count int, base Config) []FlowPoin
 		points = append(points, p)
 	}
 	return points
+}
+
+// liveHeapPeak runs fn and returns its wall time and the largest live
+// heap seen: /gc/heap/live:bytes, the heap the last GC cycle marked
+// reachable, sampled every 25 ms plus once at each end. Garbage not yet
+// collected is not in it, so it reads what the runs need rather than
+// how far the GC let the heap grow — the number that decides whether a
+// 1M-node point fits on the machine at all. A sample reads whatever the
+// last cycle marked, and at the largest sizes every cycle can fall
+// inside the first cluster build, so one more cycle after fn, with the
+// wall clock stopped, adds what fn's results still hold.
+func liveHeapPeak(fn func()) (time.Duration, uint64) {
+	peak := liveBytes()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		// Low-rate sampler; 25 ms catches every GC cycle of a run that
+		// lives long enough to matter, and reading a runtime metric
+		// does not stop the world.
+		defer close(done)
+		tick := time.NewTicker(25 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				peak = max(peak, liveBytes())
+			}
+		}
+	}()
+	start := time.Now()
+	fn()
+	wall := time.Since(start)
+	close(stop)
+	<-done
+	peak = max(peak, liveBytes())
+	runtime.GC()
+	return wall, max(peak, liveBytes())
+}
+
+// liveBytes reads the heap the last GC cycle marked live.
+func liveBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

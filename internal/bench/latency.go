@@ -11,9 +11,7 @@ import (
 // LatencyResult is one latency measurement.
 type LatencyResult struct {
 	AvgLatency sim.Time
-	OneWay     sim.Time // measured root↔last-node one-way latency
-	Summary    stats.Summary
-	Events     uint64    // simulated events executed (simulation cost)
+	OneWay     sim.Time  // measured root↔last-node one-way latency
 	Rel        RelTotals // fault/reliability activity (zero on a clean fabric)
 }
 
@@ -91,8 +89,6 @@ func Latency(cfg Config) LatencyResult {
 	return LatencyResult{
 		AvgLatency: stats.Mean(samples),
 		OneWay:     oneWay,
-		Summary:    stats.Summarize(samples),
-		Events:     cl.Events(),
 		Rel:        relTotals(cl),
 	}
 }

@@ -38,7 +38,7 @@ type TenancyPoint struct {
 // workload.TenancyConfig's defaults. All cells run as one sweep.
 func TenancySweep(jobCounts, oversubs []int, places []workload.Placement, meanArrival sim.Time, base Config, workers int) []TenancyPoint {
 	var points []TenancyPoint
-	var runs []sweep.Job[workload.TenancyResult]
+	var runs []func() workload.TenancyResult
 	for _, oversub := range oversubs {
 		ft := base.Topo
 		ft.Oversub = oversub
@@ -52,18 +52,12 @@ func TenancySweep(jobCounts, oversubs []int, places []workload.Placement, meanAr
 						Iters: base.Iters, Count: base.Count,
 						Style: mode, Place: place, Pool: base.Pool,
 					}
-					runs = append(runs, sweep.Job[workload.TenancyResult]{
-						Name: fmt.Sprintf("tenancy/j=%d/o=%d/%s/%s", jobs, oversub, place.Name(), mode),
-						Seed: base.Seed,
-						Run: func() (workload.TenancyResult, uint64) {
-							r := workload.Tenancy(cfg)
-							return r, r.Events
-						}})
+					runs = append(runs, func() workload.TenancyResult { return workload.Tenancy(cfg) })
 				}
 			}
 		}
 	}
-	res := sweep.Run("tenancy", runs, workers).Values()
+	res := sweep.Run(runs, workers)
 	for i := range points {
 		nab, ab, p := res[2*i], res[2*i+1], &points[i]
 		p.JCTp50US, p.JCTp95US, p.JCTCI95US = us(ab.JCT.P50), us(ab.JCT.P95), us(ab.JCT.CI95)

@@ -6,7 +6,6 @@ import (
 
 	"abred/internal/model"
 	"abred/internal/sim"
-	"abred/internal/sweep"
 	"abred/internal/topo"
 )
 
@@ -36,25 +35,24 @@ func TopoSweep(sizes []int, skew sim.Time, count int, base Config, workers int) 
 		},
 	}
 	cells := []struct {
-		name string
 		mode Mode
 		topo topo.Spec
 		hier bool
 	}{
-		{"xbar/nab", NonAppBypass, topo.Spec{}, false},
-		{"xbar/ab", AppBypass, topo.Spec{}, false},
-		{"ft/nab", NonAppBypass, ft, false},
-		{"ft/ab", AppBypass, ft, false},
-		{"ft/ab-hier", AppBypass, ft, true},
+		{NonAppBypass, topo.Spec{}, false},
+		{AppBypass, topo.Spec{}, false},
+		{NonAppBypass, ft, false},
+		{AppBypass, ft, false},
+		{AppBypass, ft, true},
 	}
 	base.Count, base.MaxSkew = count, skew
-	var jobs []sweep.Job[cell]
+	var jobs []func() cell
 	for _, size := range sizes {
 		specs := model.PaperCluster(size)
 		for _, tc := range cells {
 			c := base
 			c.Specs, c.Mode, c.Topo, c.TopoAware = specs, tc.mode, tc.topo, tc.hier
-			jobs = append(jobs, cpuJob(fmt.Sprintf("topo/x=%d/%s", size, tc.name), c))
+			jobs = append(jobs, cpuJob(c))
 		}
 	}
 	return runGrid(t, floats(sizes), jobs, func(cells []cell) []float64 {

@@ -119,8 +119,9 @@ type Config struct {
 // Validate checks a Config for construction-time contradictions,
 // returning an error instead of the panic New raises. Callers holding
 // flag-level input (abscale, abbench) run it first so a bad combination
-// — an oversubscribed crossbar, an empty spec table — surfaces as a
-// usage error, not a stack trace.
+// — an oversubscribed crossbar, an empty spec table, a cluster-wide
+// drop rate outside [0, 1) — surfaces as a usage error, not a stack
+// trace.
 func (cfg Config) Validate() error {
 	if len(cfg.Specs) == 0 {
 		return fmt.Errorf("cluster: no node specs")
@@ -128,7 +129,7 @@ func (cfg Config) Validate() error {
 	if err := cfg.Topo.Validate(); err != nil {
 		return err
 	}
-	return nil
+	return fault.CheckDrop(cfg.Fault.Drop)
 }
 
 // costs returns the cost constants cfg asks for: Costs, or

@@ -118,7 +118,6 @@ func (e *Engine) beginInternal(c *mpi.Comm, t coll.Tree, kind mpi.CtxKind, seq u
 	d.req = req
 	d.recvbuf = recvbuf
 	d.completed = false
-	d.created = pr.P.Now()
 	e.pushDesc(d)
 	e.drainUBQ(d)
 	return d

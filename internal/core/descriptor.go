@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"abred/internal/mpi"
-	"abred/internal/sim"
 )
 
 // descriptor holds the intermediate state of one in-flight reduction
@@ -29,7 +28,6 @@ type descriptor struct {
 	recvbuf   []byte   // result destination; split-phase root only
 	req       *Request // completion handle; split-phase only
 	completed bool
-	created   sim.Time
 }
 
 // maxDescPool caps the recycled-descriptor list; the descriptor queue

@@ -35,7 +35,6 @@ type Frame struct {
 	Src, Dst int
 	Size     int // bytes on the wire, including headers
 	Payload  any
-	SentAt   sim.Time
 }
 
 // Verdict is one frame's fate on a faulty fabric. The zero Verdict is a
@@ -304,7 +303,6 @@ func (f *Fabric) Send(frame Frame) {
 	}
 	sh := &f.shards[f.lpOf(frame.Src)]
 	now := sh.k.Now()
-	frame.SentAt = now
 
 	depart := now
 	if f.injectFree[frame.Src] > depart {

@@ -17,6 +17,7 @@
 package fault
 
 import (
+	"fmt"
 	"math/rand"
 
 	"abred/internal/fabric"
@@ -67,6 +68,15 @@ func (c Config) Enabled() bool {
 		}
 	}
 	return false
+}
+
+// CheckDrop refuses a cluster-wide drop probability outside [0, 1): at 1
+// every frame is lost and reliable delivery declares every port dead.
+func CheckDrop(p float64) error {
+	if p >= 0 && p < 1 {
+		return nil
+	}
+	return fmt.Errorf("fault: drop probability %v outside [0, 1)", p)
 }
 
 // Plan is a compiled fault plan for one simulation. Plans hold mutable

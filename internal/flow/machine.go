@@ -148,8 +148,8 @@ func (m *Machine) SetFaults(fc fault.Config) error {
 	if len(fc.Links) > 0 || len(fc.Scripts) > 0 || fc.Dup != 0 || fc.JitterP != 0 {
 		return fmt.Errorf("flow: only a uniform drop rule is modeled (got %+v)", fc)
 	}
-	if fc.Drop < 0 || fc.Drop >= 1 {
-		return fmt.Errorf("flow: drop probability %v out of [0,1)", fc.Drop)
+	if err := fault.CheckDrop(fc.Drop); err != nil {
+		return err
 	}
 	m.lossP = fc.Drop
 	return nil

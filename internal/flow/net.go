@@ -154,7 +154,6 @@ type Net struct {
 	lps      int
 	pmap     []int32  // host -> owning LP
 	lpOf     []int32  // link -> owning LP
-	peers    []*Net   // all shards, indexed by LP
 	la       sim.Time // conservative lookahead, 2·(WireProp+SwitchHop)
 	stubs    map[xkey]int32
 	outbox   []xmsg

@@ -273,7 +273,6 @@ func NewNets(ks []*sim.Kernel, pmap []int32, t *topo.Topology, n int, c model.Co
 		nt.lps = len(ks)
 		nt.pmap = pmap
 		nt.lpOf = lpOf
-		nt.peers = nts
 		nt.stubs = make(map[xkey]int32)
 	}
 	return nts

@@ -56,10 +56,6 @@ type Process struct {
 	// the default matching logic. Returning true consumes the packet.
 	abHook func(*gm.Packet) bool
 
-	// eagerPool models the pre-pinned bounce buffers MPICH-over-GM
-	// keeps for eager sends.
-	eagerPool *gm.Region
-
 	// reqFree recycles request handles for the blocking receive path,
 	// where the handle never escapes the call.
 	reqFree []*Request
@@ -207,7 +203,8 @@ func (pr *Process) Reset(p *sim.Proc) {
 	pr.eagerDone = Request{}
 	pr.Stats = ProcStats{}
 	pr.Mem.Reset()
-	pr.eagerPool = pr.Mem.Pin(p, EagerPoolBytes(pr.CM))
+	// The eager bounce buffers MPICH-over-GM keeps pinned.
+	pr.Mem.Pin(p, EagerPoolBytes(pr.CM))
 }
 
 // Rank returns this process's rank in the world.

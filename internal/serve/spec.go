@@ -128,6 +128,9 @@ type Spec struct {
 	MaxReps int `json:"maxreps,omitempty"`
 }
 
+// defIters is the Iters a spec that leaves it 0 runs.
+const defIters = 20
+
 // Limits are the server-side bounds and defaults Normalize applies.
 type Limits struct {
 	MaxNodes   int           // largest accepted cluster (0 = 1<<20)
@@ -135,7 +138,6 @@ type Limits struct {
 	MinReps    int           // default minimum repetitions (0 = 3)
 	RelCI      float64       // default convergence target (0 = 0.05)
 	MaxIters   int           // per-repetition iteration ceiling (0 = 1000)
-	DefIters   int           // default Iters (0 = 20)
 	TimeBudget time.Duration // wall budget per scenario (0 = none; breaks byte-determinism of unconverged responses)
 }
 
@@ -154,9 +156,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.MaxIters <= 0 {
 		l.MaxIters = 1000
-	}
-	if l.DefIters <= 0 {
-		l.DefIters = 20
 	}
 	return l
 }
@@ -236,7 +235,7 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 		return s, fmt.Errorf("count must be positive (got %d)", s.Count)
 	}
 	if s.Iters == 0 {
-		s.Iters = lim.DefIters
+		s.Iters = defIters
 	}
 	if s.Iters < 1 || s.Iters > lim.MaxIters {
 		return s, fmt.Errorf("iters must be in [1, %d] (got %d)", lim.MaxIters, s.Iters)

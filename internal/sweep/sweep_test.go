@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,24 +9,19 @@ import (
 
 // squareJobs builds n jobs whose results encode their index, with
 // deliberately uneven run times so parallel completion order scrambles.
-func squareJobs(n int) []Job[int] {
-	jobs := make([]Job[int], n)
+func squareJobs(n int) []func() int {
+	jobs := make([]func() int, n)
 	for i := range jobs {
-		i := i
-		jobs[i] = Job[int]{
-			Name: fmt.Sprintf("sq/%d", i),
-			Seed: int64(i),
-			Run: func() (int, uint64) {
-				time.Sleep(time.Duration((n-i)%7) * time.Millisecond)
-				return i * i, uint64(i)
-			},
+		jobs[i] = func() int {
+			time.Sleep(time.Duration((n-i)%7) * time.Millisecond)
+			return i * i
 		}
 	}
 	return jobs
 }
 
-// TestOrderedReassembly: points come back in job order for every worker
-// count, regardless of completion order.
+// TestOrderedReassembly: results come back in job order for every
+// worker count, regardless of completion order.
 func TestOrderedReassembly(t *testing.T) {
 	const n = 40
 	want := make([]int, n)
@@ -36,25 +29,8 @@ func TestOrderedReassembly(t *testing.T) {
 		want[i] = i * i
 	}
 	for _, workers := range []int{1, 2, 8, 64} {
-		res := Run("squares", squareJobs(n), workers)
-		if got := res.Values(); !reflect.DeepEqual(got, want) {
+		if got := Run(squareJobs(n), workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: results out of order: %v", workers, got)
-		}
-	}
-}
-
-// TestPerfAccounting: events aggregate exactly for any worker count;
-// wall clock and peak live heap are recorded. The live heap reads 0
-// until a GC cycle has marked it, so one runs first.
-func TestPerfAccounting(t *testing.T) {
-	runtime.GC()
-	for _, workers := range []int{1, 4} {
-		res := Run("acct", squareJobs(10), workers)
-		if res.Perf.Events != 45 { // 0+1+...+9
-			t.Errorf("workers=%d: events = %d, want 45", workers, res.Perf.Events)
-		}
-		if res.Perf.Wall <= 0 || res.Perf.LivePeak == 0 {
-			t.Errorf("workers=%d: cost not recorded: %+v", workers, res.Perf)
 		}
 	}
 }
@@ -64,9 +40,9 @@ func TestPerfAccounting(t *testing.T) {
 func TestBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32
-	jobs := make([]Job[struct{}], 24)
+	jobs := make([]func() struct{}, 24)
 	for i := range jobs {
-		jobs[i] = Job[struct{}]{Run: func() (struct{}, uint64) {
+		jobs[i] = func() struct{} {
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -76,10 +52,10 @@ func TestBoundedConcurrency(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 			inFlight.Add(-1)
-			return struct{}{}, 0
-		}}
+			return struct{}{}
+		}
 	}
-	Run("bounded", jobs, workers)
+	Run(jobs, workers)
 	if p := peak.Load(); p > workers {
 		t.Fatalf("%d jobs in flight, pool bound is %d", p, workers)
 	}
@@ -100,8 +76,7 @@ func TestWorkersResolution(t *testing.T) {
 
 // TestEmptySweep: zero jobs is a valid, empty result.
 func TestEmptySweep(t *testing.T) {
-	res := Run[int]("empty", nil, 4)
-	if len(res.Points) != 0 || res.Perf.Events != 0 {
-		t.Fatalf("unexpected result for empty sweep: %+v", res)
+	if res := Run[int](nil, 4); len(res) != 0 {
+		t.Fatalf("unexpected result for empty sweep: %v", res)
 	}
 }

@@ -177,18 +177,15 @@ func TestTenancyGenetic(t *testing.T) {
 func TestTenancyParallelDeterminism(t *testing.T) {
 	styles := []Style{coll.AlgoBinomial, StyleBypass}
 	run := func(workers int) []TenancyResult {
-		jobs := make([]sweep.Job[TenancyResult], len(styles))
+		jobs := make([]func() TenancyResult, len(styles))
 		for i, s := range styles {
-			s := s
-			jobs[i] = sweep.Job[TenancyResult]{Name: "tenancy/" + s.String(), Seed: 11,
-				Run: func() (TenancyResult, uint64) {
-					cfg := tenancyBase(GreedyPlacement{}, false)
-					cfg.Style = s
-					r := Tenancy(cfg)
-					return r, r.Events
-				}}
+			jobs[i] = func() TenancyResult {
+				cfg := tenancyBase(GreedyPlacement{}, false)
+				cfg.Style = s
+				return Tenancy(cfg)
+			}
 		}
-		return sweep.Run("tenancy", jobs, workers).Values()
+		return sweep.Run(jobs, workers)
 	}
 	serial := run(1)
 	parallel := run(4)

@@ -129,13 +129,9 @@ func Run(cfg Config, algo coll.Algo) Result {
 // run is an independent simulation (own kernel, own cluster, same
 // seed), so the results do not depend on workers.
 func CompareParallel(cfg Config, workers int, algos ...coll.Algo) []Result {
-	jobs := make([]sweep.Job[Result], len(algos))
+	jobs := make([]func() Result, len(algos))
 	for i, a := range algos {
-		jobs[i] = sweep.Job[Result]{Name: "workload/" + a.String(), Seed: cfg.Seed,
-			Run: func() (Result, uint64) {
-				r := Run(cfg, a)
-				return r, r.Events
-			}}
+		jobs[i] = func() Result { return Run(cfg, a) }
 	}
-	return sweep.Run("workload", jobs, workers).Values()
+	return sweep.Run(jobs, workers)
 }
