@@ -30,6 +30,21 @@ func main() {
 	jsonPath := flag.String("json", "", "also write the bypass run as Chrome trace-event JSON\n(open in chrome://tracing; includes per-hop fabric spans on routed topologies)")
 	flag.Parse()
 
+	// A bad flag value is a usage error: stderr and exit status 2,
+	// before the first line of the timeline.
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{{"count", *count, 1}, {"width", *width, 1}} {
+		if f.v < f.floor {
+			fmt.Fprintf(os.Stderr, "abtrace: -%s %d: must be at least %d\n", f.name, f.v, f.floor)
+			os.Exit(2)
+		}
+	}
+	if *lateBy < 0 {
+		fmt.Fprintf(os.Stderr, "abtrace: -late %v: must be at least 0s\n", *lateBy)
+		os.Exit(2)
+	}
 	spec, err := topo.ParseSpec(*topoFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abtrace:", err)

@@ -16,7 +16,9 @@ import (
 // picks the engine: the packet engine runs Node.Exec as each rank's
 // simulated process; the flow engine hands the table to the cluster's
 // FlowColl, built by the first flow Exec and reused by every later one
-// as a packet node reuses its MPI state.
+// as a packet node reuses its MPI state. After each run of a flow
+// cluster of hugePageRanks or more, the process's memory is advised for
+// transparent huge pages (adviseHugePages); no simulated number moves.
 //
 // The Outcome is the cluster's own, like the FlowColl: every Exec
 // clears and refills it, so it and everything it holds (the per-rank
@@ -36,12 +38,26 @@ func (c *Cluster) Exec(prog coll.Program) (*coll.Outcome, sim.Time) {
 			c.flowColl = coll.NewFlowColl(c.FlowM, c.Size())
 		}
 		end := c.flowColl.Run(prog, out, c.Drain)
+		if c.Size() >= hugePageRanks {
+			adviseHugePages()
+		}
 		out.FCT = c.FlowM.FCTs()
 		return out, end
 	}
 	end := c.Run(func(n *Node, w *mpi.Comm) { n.Exec(w, &prog, out) })
 	return out, end
 }
+
+// hugePageRanks is the flow cluster size from which Exec advises the
+// process's memory for transparent huge pages after each run. A flow
+// rank's state in flight is ~300–400 B, so from 16384 ranks it outgrows
+// the ~6 MiB a ~1536-entry second-level TLB reaches in 4 KiB pages (on
+// 2 MiB pages, 3 GiB). After a run, not before the first: by then the
+// rank slabs, queue chunks and message and flow pools exist and are
+// resident to be collapsed. After every run, because what the heap grew
+// by since the last pass is a mapping of its own, on 4 KiB pages
+// (adviseHugePages skips the pass when nothing was mapped since).
+const hugePageRanks = 1 << 14
 
 // Exec runs prog as this node's rank of communicator c — the packet
 // interpreter of a coll.Program — and adds the rank's share to out,
