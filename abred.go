@@ -43,7 +43,8 @@ type FaultScript = fault.Script
 
 // Cluster is a simulated machine room ready to run SPMD programs.
 type Cluster struct {
-	c *cluster.Cluster
+	c   *cluster.Cluster
+	cfg cluster.Config // what Run resets c to before each phase
 }
 
 // NewCluster builds a cluster; see the With* options. By default it has
@@ -56,12 +57,13 @@ func NewCluster(opts ...Option) *Cluster {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Cluster{c: cluster.New(cluster.Config{
+	ccfg := cluster.Config{
 		Specs: cfg.specs,
 		Costs: cfg.costs,
 		Seed:  cfg.seed,
 		Fault: cfg.fault,
-	})}
+	}
+	return &Cluster{c: cluster.New(ccfg), cfg: ccfg}
 }
 
 // Size returns the number of nodes.
@@ -69,20 +71,22 @@ func (cl *Cluster) Size() int { return len(cl.c.Nodes) }
 
 // Close releases the cluster's simulated processes (including per-node
 // NIC control programs). Programs that build many clusters should Close
-// each when done; the cluster cannot Run again afterwards.
+// each when done; a Run afterwards panics.
 func (cl *Cluster) Close() { cl.c.Close() }
 
 // Run executes fn once per rank (each on its own simulated process) and
 // drives the simulation until every rank returns. It reports the virtual
-// time consumed. Run may be called repeatedly for phased programs.
+// time consumed. Run may be called repeatedly for phased programs: each
+// phase runs as on a new cluster built with the same options.
 func (cl *Cluster) Run(fn func(r *Rank)) time.Duration {
+	cl.c.Reset(cl.cfg)
 	return cl.c.Run(func(n *cluster.Node, w *mpi.Comm) {
 		fn(&Rank{node: n, w: w})
 	})
 }
 
-// EngineMetrics returns rank r's application-bypass counters after (or
-// between) runs.
+// EngineMetrics returns rank r's application-bypass counters for the
+// last Run alone.
 func (cl *Cluster) EngineMetrics(r int) Metrics {
 	return cl.c.Nodes[r].Engine.Metrics
 }

@@ -153,24 +153,30 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestMultiPhaseRun: each phase of a phased program computes its own
+// result and runs exactly as it would on a new cluster built with the
+// same options, so the duration it returns is that phase's alone.
 func TestMultiPhaseRun(t *testing.T) {
-	cl := NewCluster(WithNodes(4), WithSeed(6))
-	var first []float64
-	cl.Run(func(r *Rank) {
-		if v := r.Reduce([]float64{1}, Sum, 0); r.Rank() == 0 {
-			first = v
+	opts := []Option{WithNodes(4), WithSeed(6)}
+	phase := func(v float64, got *[]float64) func(r *Rank) {
+		return func(r *Rank) {
+			if res := r.Reduce([]float64{v}, Sum, 0); r.Rank() == 0 {
+				*got = res
+			}
+			r.Barrier()
 		}
-		r.Barrier()
-	})
-	var second []float64
-	cl.Run(func(r *Rank) {
-		if v := r.Reduce([]float64{2}, Sum, 0); r.Rank() == 0 {
-			second = v
-		}
-		r.Barrier()
-	})
+	}
+	cl := NewCluster(opts...)
+	var first, second, scratch []float64
+	d1 := cl.Run(phase(1, &first))
+	d2 := cl.Run(phase(2, &second))
 	if first[0] != 4 || second[0] != 8 {
 		t.Errorf("phases = %v, %v", first, second)
+	}
+	for i, d := range []time.Duration{d1, d2} {
+		if want := NewCluster(opts...).Run(phase(float64(i+1), &scratch)); d != want {
+			t.Errorf("phase %d took %v, the same program on a new cluster %v", i+1, d, want)
+		}
 	}
 }
 
@@ -387,13 +393,11 @@ func TestFacadeTable(t *testing.T) {
 			r.Barrier()
 		})
 
-		// A second program on the same cluster: three reductions, each
-		// counted once per rank as a root, internal or leaf instance.
+		// A second program on the same cluster starts from the
+		// just-built state: its counters hold its three reductions, each
+		// counted once per rank as a root, internal or leaf instance,
+		// and nothing of the first program's NIC reduction.
 		instances := func(m Metrics) uint64 { return m.RootReductions + m.ABReductions + m.LeafReductions }
-		was := make([]uint64, n)
-		for i := range was {
-			was[i] = instances(cl.EngineMetrics(i))
-		}
 		cl.Run(func(r *Rank) {
 			for i := 0; i < 3; i++ {
 				r.Reduce([]float64{1}, Sum, 0)
@@ -401,10 +405,10 @@ func TestFacadeTable(t *testing.T) {
 				r.Barrier()
 			}
 		})
-		for i := range was {
-			if m := cl.EngineMetrics(i); instances(m)-was[i] != 3 || m.NICReductions != 1 {
-				t.Errorf("%s: rank %d counted %d reductions in the second run and %d on the NIC, want 3 and 1",
-					row.name, i, instances(m)-was[i], m.NICReductions)
+		for i := range n {
+			if m := cl.EngineMetrics(i); instances(m) != 3 || m.NICReductions != 0 {
+				t.Errorf("%s: rank %d counted %d reductions in the second run and %d on the NIC, want 3 and 0",
+					row.name, i, instances(m), m.NICReductions)
 			}
 		}
 		cl.Close()

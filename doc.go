@@ -26,5 +26,7 @@
 //
 // Everything runs in virtual time: Run executes one coroutine per rank
 // under a strict one-at-a-time scheduler, so results (including every
-// reported duration) are bit-for-bit reproducible for a given seed.
+// reported duration) are bit-for-bit reproducible for a given seed. A
+// later Run on the same cluster is a new phase that starts from the
+// cluster's just-built state.
 package abred

@@ -31,12 +31,10 @@ type Node struct {
 	Proc   *sim.Proc
 	MPI    *mpi.Process
 	Engine *core.Engine
-	world  *mpi.Comm
 
 	cl      *Cluster
 	pname   string          // proc name, built once ("rank" + ID)
 	spawnFn func(*sim.Proc) // bound body method, built once (no per-Run closure)
-	fresh   bool            // Reset since the last Run: re-initialize MPI state in place
 }
 
 // Cluster is a simulated machine room.
@@ -71,14 +69,23 @@ type Cluster struct {
 	pmap   []int32 // node -> LP, nil when every node is on LP 0
 	lpset  *sim.LPSet
 
-	program Program // body of the Run in progress
-	// running is set while Run or Drain is inside the simulation and
-	// stays set when one panics out: processes are then parked
-	// mid-collective with tokens out, a state Reset was never written
-	// for, and Pool.Put closes such a cluster instead of pooling it.
-	running bool
-	key     poolKey // shape key, computed once for Pool.Put
+	program Program   // body of the Run in progress
+	state   lifecycle // one program per arm (New or Reset), none after Close
+	key     poolKey   // shape key, computed once for Pool.Put
 }
+
+// lifecycle is where a cluster stands in its run contract. A run that
+// panics out of the simulation stays running: processes are then parked
+// mid-collective with tokens out, a state Reset was never written for,
+// so Pool.Put closes such a cluster instead of pooling it.
+type lifecycle uint8
+
+const (
+	armed   lifecycle = iota // built or Reset: ready for one Run or Exec
+	running                  // inside the simulation, or panicked out of it
+	ran                      // finished: the next run needs a Reset
+	closed                   // Close shut the kernels down for good
+)
 
 // Config controls cluster construction.
 type Config struct {
@@ -248,6 +255,7 @@ func (c *Cluster) buildPacket() {
 // resets the NICs (reliable exactly when fc injects faults) and the
 // node state.
 func (c *Cluster) arm(fc fault.Config) {
+	c.state = armed
 	if c.Engine == EngineFlow {
 		c.FlowM.Reset()
 		if err := c.FlowM.SetFaults(fc); err != nil {
@@ -260,7 +268,6 @@ func (c *Cluster) arm(fc fault.Config) {
 	for _, n := range c.Nodes {
 		n.NIC.Reset(reliable)
 		n.Proc = nil
-		n.fresh = n.MPI != nil
 	}
 	c.program = nil
 }
@@ -319,8 +326,11 @@ func (c *Cluster) shapeDiff(cfg Config) string {
 // are construction-time properties (they shape cost tables and fabric
 // rates), so a mismatch panics; use a Pool to route configs to matching
 // clusters automatically. Seed and fault plan are run-time properties
-// and may change freely.
+// and may change freely. A closed cluster cannot be Reset.
 func (c *Cluster) Reset(cfg Config) {
+	if c.state == closed {
+		panic("cluster: Reset of a closed cluster")
+	}
 	if d := c.shapeDiff(cfg); d != "" {
 		panic("cluster: Reset with " + d)
 	}
@@ -336,45 +346,53 @@ func (c *Cluster) Reset(cfg Config) {
 type Program func(n *Node, w *mpi.Comm)
 
 // body is the spawned entry point of one rank; a method rather than a
-// per-Run closure so repeated Runs on a reused cluster allocate nothing
-// per node beyond the goroutine itself.
+// per-Run closure so a Run on a reused cluster allocates nothing per
+// node beyond the goroutine itself. A rank that ran before re-enters
+// the Resets NewProcess and NewEngine end in (including the eager
+// bounce-buffer pin charged to p).
 func (n *Node) body(p *sim.Proc) {
 	c := n.cl
 	n.Proc = p
-	switch {
-	case n.MPI == nil:
+	if n.MPI == nil {
 		n.MPI = mpi.NewProcess(p, n.ID, len(c.Nodes), n.NIC, n.CM)
 		n.Engine = core.NewEngine(n.MPI)
-		n.world = mpi.World(n.MPI)
-	case n.fresh:
-		// First program after a Reset: re-initialize the rank in place
-		// through the same Resets NewProcess and NewEngine end in
-		// (including the eager bounce-buffer pin charged to p).
+	} else {
 		n.MPI.Reset(p)
 		n.Engine.Reset()
-		n.world = mpi.World(n.MPI)
-		n.fresh = false
-	default:
-		// Follow-up program on the same cluster: rebind the rank to its
-		// fresh simulated process, keeping queues, sequence counters and
-		// engine state.
-		n.MPI.Rebind(p)
 	}
-	c.program(n, n.world)
+	c.program(n, mpi.World(n.MPI))
+}
+
+// begin moves an armed cluster to running and refuses any other state
+// before the run does any simulation work.
+func (c *Cluster) begin() {
+	switch c.state {
+	case running, ran:
+		panic("cluster: second run on one cluster; Reset it (or Pool.Put it and Get another) first")
+	case closed:
+		panic("cluster: run on a closed cluster")
+	}
+	c.state = running
 }
 
 // Run executes program once per node and drives the simulation to
-// completion, returning the final virtual time. Run may be called again
-// to execute a follow-up program on the same cluster.
+// completion, returning the final virtual time. A cluster runs one
+// program per New or Reset: a second Run or Exec without a Reset in
+// between, or one after Close, panics before any simulation work.
 func (c *Cluster) Run(program Program) sim.Time {
 	if c.Engine == EngineFlow {
 		panic("cluster: a flow-engine cluster has no per-rank processes; run a coll.Program through Exec")
 	}
+	c.begin()
+	return c.run(program)
+}
+
+// run is Run past begin.
+func (c *Cluster) run(program Program) sim.Time {
 	c.program = program
 	for _, n := range c.Nodes {
 		c.kernelOf(n.ID).Spawn(n.pname, n.spawnFn)
 	}
-	c.running = true
 	end := c.lpset.Run()
 	for _, n := range c.Nodes {
 		if err := n.NIC.RelError(); err != nil {
@@ -384,7 +402,7 @@ func (c *Cluster) Run(program Program) sim.Time {
 			panic(fmt.Sprintf("cluster: %v", err))
 		}
 	}
-	c.running = false
+	c.state = ran
 	return end
 }
 
@@ -394,17 +412,6 @@ func (c *Cluster) kernelOf(id int) *sim.Kernel {
 		return c.K
 	}
 	return c.Ks[c.pmap[id]]
-}
-
-// Drain runs the already-scheduled event population to quiescence and
-// returns the final virtual time. This is how Exec runs a flow-engine
-// cluster: FlowColl.Run seeds events through the flow API rather than
-// spawning processes.
-func (c *Cluster) Drain() sim.Time {
-	c.running = true
-	end := c.lpset.Run()
-	c.running = false
-	return end
 }
 
 // Events returns the number of simulated events executed, summed over
@@ -420,9 +427,10 @@ func (c *Cluster) Events() uint64 {
 // Close shuts the simulation down, unblocking and exiting every parked
 // process — the daemon NIC control programs above all — so back-to-back
 // simulations in one OS process don't accumulate goroutines. The cluster
-// cannot run further programs afterwards.
+// cannot run or be Reset afterwards.
 func (c *Cluster) Close() {
 	for _, k := range c.Ks {
 		k.Shutdown()
 	}
+	c.state = closed
 }

@@ -15,18 +15,20 @@ import (
 // its Outcome and the final virtual time. It is the one place that
 // picks the engine: the packet engine runs Node.Exec as each rank's
 // simulated process; the flow engine hands the table to the cluster's
-// FlowColl, built by the first flow Exec and reused by every later one
-// as a packet node reuses its MPI state. After each run of a flow
-// cluster of hugePageRanks or more, the process's memory is advised for
-// transparent huge pages (adviseHugePages); no simulated number moves.
+// FlowColl, built by the first flow Exec and reused after each Reset
+// as a packet node reuses its MPI state. Like Run, Exec refuses a
+// second run without a Reset, or one after Close. After each run of a
+// flow cluster of hugePageRanks or more, the process's memory is
+// advised for transparent huge pages (adviseHugePages); no simulated
+// number moves.
 //
 // The Outcome is the cluster's own, like the FlowColl: every Exec
 // clears and refills it, so it and everything it holds (the per-rank
 // slices, Results, a flow run's FCT, which is the flow machine's own
-// completion-time histogram) are valid until the next Exec, and FCT
-// until the next Reset as well. A caller that keeps any of it past
-// that copies it.
+// completion-time histogram) are valid until the next Reset. A caller
+// that keeps any of it past that copies it.
 func (c *Cluster) Exec(prog coll.Program) (*coll.Outcome, sim.Time) {
+	c.begin()
 	if c.out == nil {
 		c.out = coll.NewOutcome(c.Size(), &prog)
 	} else {
@@ -37,14 +39,15 @@ func (c *Cluster) Exec(prog coll.Program) (*coll.Outcome, sim.Time) {
 		if c.flowColl == nil {
 			c.flowColl = coll.NewFlowColl(c.FlowM, c.Size())
 		}
-		end := c.flowColl.Run(prog, out, c.Drain)
+		end := c.flowColl.Run(prog, out, c.lpset.Run)
+		c.state = ran
 		if c.Size() >= hugePageRanks {
 			adviseHugePages()
 		}
 		out.FCT = c.FlowM.FCTs()
 		return out, end
 	}
-	end := c.Run(func(n *Node, w *mpi.Comm) { n.Exec(w, &prog, out) })
+	end := c.run(func(n *Node, w *mpi.Comm) { n.Exec(w, &prog, out) })
 	return out, end
 }
 

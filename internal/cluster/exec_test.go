@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"abred/internal/coll"
 	"abred/internal/model"
+	"abred/internal/mpi"
 	"abred/internal/sim"
 	"abred/internal/topo"
 )
@@ -79,12 +81,27 @@ func wantResults(prog *coll.Program, size int) []float64 {
 	return want
 }
 
+// refusal runs f and returns what it panicked with, "" if it returned.
+func refusal(f func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	f()
+	return ""
+}
+
 // TestGeneratedPrograms runs seeded programs on both engines and checks
 // on every draw that every rank finishes and the flow engine ends
 // quiescent (Exec panics otherwise: the packet kernel reports a
 // deadlock, FlowColl.Run an unfinished or non-quiescent rank), that
 // both roots report ExpectedRootSum for every instance in order, and
-// that the packet engine ends quiescent.
+// that the packet engine ends quiescent. It also holds each draw to the
+// run contract: a second Exec refuses, naming Reset, without moving any
+// kernel's clock or event count; after a Reset the program reruns to
+// the same results, end time and events; and after Close, Run, Exec and
+// Reset all refuse.
 func TestGeneratedPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -97,8 +114,9 @@ func TestGeneratedPrograms(t *testing.T) {
 		want := wantResults(&prog, size)
 
 		for _, eng := range []Engine{EnginePacket, EngineFlow} {
-			cl := New(Config{Specs: model.PaperCluster(size), Seed: seed, Topo: ts, Engine: eng})
-			out, _ := cl.Exec(prog)
+			cfg := Config{Specs: model.PaperCluster(size), Seed: seed, Topo: ts, Engine: eng}
+			cl := New(cfg)
+			out, end := cl.Exec(prog)
 			if len(out.Results) != len(want) {
 				t.Fatalf("seed %d %v: %d results, want %d (%+v)", seed, eng, len(out.Results), len(want), prog)
 			}
@@ -112,7 +130,43 @@ func TestGeneratedPrograms(t *testing.T) {
 					t.Errorf("seed %d packet rank %d: %d AB-unexpected, %d descriptors left", seed, n.ID, q, d)
 				}
 			}
+
+			events := cl.Events()
+			var nows []sim.Time
+			for _, k := range cl.Ks {
+				nows = append(nows, k.Now())
+			}
+			if msg := refusal(func() { cl.Exec(prog) }); !strings.Contains(msg, "Reset") {
+				t.Fatalf("seed %d %v: a second Exec panicked with %q, want a refusal naming Reset", seed, eng, msg)
+			}
+			for i, k := range cl.Ks {
+				if k.Now() != nows[i] || cl.Events() != events {
+					t.Fatalf("seed %d %v: the refused Exec moved LP %d to %v and %d events, from %v and %d",
+						seed, eng, i, k.Now(), cl.Events(), nows[i], events)
+				}
+			}
+
+			results := slices.Clone(out.Results)
+			cl.Reset(cfg)
+			out, again := cl.Exec(prog)
+			if again != end || cl.Events() != events || !slices.Equal(out.Results, results) {
+				t.Errorf("seed %d %v: rerun after Reset ended at %v with %d events and results %v, the first run at %v with %d and %v",
+					seed, eng, again, cl.Events(), out.Results, end, events, results)
+			}
+
 			cl.Close()
+			closed := map[string]func(){
+				"Exec":  func() { cl.Exec(prog) },
+				"Reset": func() { cl.Reset(cfg) },
+			}
+			if eng == EnginePacket { // a flow cluster refuses every Run
+				closed["Run"] = func() { cl.Run(func(*Node, *mpi.Comm) {}) }
+			}
+			for what, f := range closed {
+				if msg := refusal(f); !strings.Contains(msg, "closed") {
+					t.Errorf("seed %d %v: %s after Close panicked with %q, want a refusal naming the closed cluster", seed, eng, what, msg)
+				}
+			}
 		}
 	}
 }

@@ -51,11 +51,17 @@ func TestFlowRoutesMatchPacketFabric(t *testing.T) {
 	}
 
 	// Packet side: send one eager message per pair and record the
-	// inter-switch links its frames traverse.
-	pcl := New(Config{Specs: model.Uniform(n), Seed: 1, Topo: spec})
+	// inter-switch links its frames traverse. A cluster runs one program
+	// per Reset, and Reset clears OnHop, so each pair after the first
+	// resets before its hook goes in.
+	pcfg := Config{Specs: model.Uniform(n), Seed: 1, Topo: spec}
+	pcl := New(pcfg)
 	defer pcl.Close()
 	for i, pr := range pairs {
 		pr := pr
+		if i > 0 {
+			pcl.Reset(pcfg)
+		}
 		var recorded []int32
 		pcl.Fabric.OnHop = func(fr fabric.Frame, link int32, start, end sim.Time) {
 			if fr.Src == pr.src && fr.Dst == pr.dst {

@@ -138,10 +138,10 @@ func (p *Pool) Get(cfg Config) *Cluster {
 
 // Put returns a cluster to the pool for later reuse. The cluster must
 // not be used by the caller afterwards. A cluster whose last run
-// panicked out of the simulation is closed, not pooled, so a deferred
-// Put is safe on every path.
+// panicked out of the simulation is closed, not pooled, and a closed
+// one stays out of the pool, so a deferred Put is safe on every path.
 func (p *Pool) Put(c *Cluster) {
-	if p == nil || c.running {
+	if p == nil || c.state == running || c.state == closed {
 		c.Close()
 		return
 	}

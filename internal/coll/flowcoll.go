@@ -257,7 +257,8 @@ func (s *slab[T]) count(q fifo) int {
 // under the rank program Run interprets (flowprog.go): a step's call
 // starts at the rank's host time, and when the blocking call returns
 // (in scheduler context) the rank moves to its next step. It is built
-// once per machine and reused by every Run, as a packet node keeps its
+// once per machine and reused by every Run on a just-built or Reset
+// machine (host clocks start at 0), as a packet node reuses its
 // mpi.Process and core.Engine; each Run writes the caller's Outcome.
 // Contract: every payload must fit the eager protocol — rendezvous
 // transfers have a different synchronization structure and are not

@@ -33,10 +33,10 @@ func (p *Program) at(pos *flowPos) *Step {
 
 // Run executes prog on every rank — the flow interpreter of a Program,
 // which it first checks for packet-only knobs (FlowRefusal) — and
-// returns what drain returns: the caller's run-to-quiescence
-// (cluster.Drain). A rank cannot be a simulated process at flow scale,
-// so its position in the step table is its whole state; Run resets
-// every rank and empties each LP's slabs, keeping their capacity.
+// returns what drain returns: the caller's run-to-quiescence (the
+// cluster's sim.LPSet.Run). A rank cannot be a simulated process at
+// flow scale, so its position in the step table is its whole state; Run
+// resets every rank and empties each LP's slabs, keeping their capacity.
 // Each rank first pins its eager bounce-buffer pool, the one
 // virtual-time charge mpi.NewProcess makes before a packet rank's
 // program starts. Run adds each rank's InCall, Intr and Signals to out;

@@ -23,16 +23,6 @@ func TestCommBasics(t *testing.T) {
 	})
 }
 
-func TestRebind(t *testing.T) {
-	runRanks(t, 1, func(pr *Process) {
-		old := pr.P
-		pr.Rebind(old) // same proc: must be a no-op rebind
-		if pr.P != old {
-			t.Error("rebind lost the proc")
-		}
-	})
-}
-
 func TestDatatypeAndOpStrings(t *testing.T) {
 	for _, d := range []Datatype{Byte, Float64} {
 		if d.String() == "" || d.String() == "unknown" {

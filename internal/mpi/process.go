@@ -176,10 +176,6 @@ func NewProcess(p *sim.Proc, rank, size int, nic *gm.NIC, cm model.CostModel) *P
 	return pr
 }
 
-// Rebind attaches the process to a new simulated proc; used when a
-// cluster runs several programs back to back, each with fresh procs.
-func (pr *Process) Rebind(p *sim.Proc) { pr.P = p }
-
 // Reset puts the process in its just-built state, attached to proc p:
 // empty queues and maps, zero counters, and the eager bounce-buffer pool
 // pinned, charging the one-time registration cost to p. NewProcess ends

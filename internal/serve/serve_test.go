@@ -227,6 +227,8 @@ func TestMalformedSpec(t *testing.T) {
 		{"tenancy topoaware", `{"nodes":16,"topo":"fattree:4","jobs":3,"topoaware":true}`, "no lps or topoaware"},
 		{"tenancy lps topoaware", `{"nodes":16,"topo":"fattree:4","jobs":3,"lps":4,"topoaware":true}`, "no lps or topoaware"},
 		{"reps over limit", `{"nodes":8,"maxreps":999}`, "exceeds the server limit"},
+		{"count over limit", `{"nodes":2,"mode":"nab","count":65537}`, "count must be in [1, 65536]"},
+		{"count far over limit", `{"nodes":2,"mode":"nab","count":2000000000}`, "count must be in [1, 65536]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,7 +242,8 @@ func TestMalformedSpec(t *testing.T) {
 		})
 	}
 
-	// Wrong method is 405, and bad specs never reach the simulator.
+	// Wrong method is 405, and bad specs never reach the simulator or
+	// build a cluster.
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/run", nil))
 	if w.Code != http.StatusMethodNotAllowed {
@@ -248,6 +251,9 @@ func TestMalformedSpec(t *testing.T) {
 	}
 	if got := s.runs.Load(); got != 0 {
 		t.Fatalf("bad specs triggered %d runs", got)
+	}
+	if got := s.pool.Stats().Misses; got != 0 {
+		t.Fatalf("bad specs built %d clusters", got)
 	}
 	if got := s.badSpecs.Load(); got != uint64(len(cases)) {
 		t.Fatalf("badSpecs = %d, want %d", got, len(cases))
@@ -429,20 +435,23 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// keySpecs are distinct scenarios: distinct keys, each a fixed point of
+// Normalize.
+var keySpecs = []Spec{
+	{Nodes: 8},
+	{Nodes: 16},
+	{Nodes: 8, Mode: "nab"},
+	{Nodes: 8, Loss: 0.001},
+	{Nodes: 16, Topo: "fattree:4", Jobs: 2},
+}
+
 // TestKeyStability pins the normalization-then-hash pipeline: a few
 // distinct scenarios must produce distinct keys, and normalizing twice
 // must be a fixed point.
 func TestKeyStability(t *testing.T) {
 	lim := Limits{}
-	specs := []Spec{
-		{Nodes: 8},
-		{Nodes: 16},
-		{Nodes: 8, Mode: "nab"},
-		{Nodes: 8, Loss: 0.001},
-		{Nodes: 16, Topo: "fattree:4", Jobs: 2},
-	}
 	seen := make(map[string]int)
-	for i, sp := range specs {
+	for i, sp := range keySpecs {
 		n1, err := sp.Normalize(lim)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)

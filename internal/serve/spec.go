@@ -131,6 +131,14 @@ type Spec struct {
 // defIters is the Iters a spec that leaves it 0 runs.
 const defIters = 20
 
+// maxCount bounds Count, the doubles per reduction: 1<<16 elements,
+// 512 KiB per buffer. The packet interpreter allocates two such buffers
+// per rank (more under split-phase windows), so an unbounded count asks
+// for gigabytes and dies out of memory, which no recover catches. The
+// largest count any benchmark driver runs is 16384, in the rendezvous
+// ablation (bench.AblationRendezvousAB).
+const maxCount = 1 << 16
+
 // Limits are the server-side bounds and defaults Normalize applies.
 type Limits struct {
 	MaxNodes   int           // largest accepted cluster (0 = 1<<20)
@@ -231,8 +239,8 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 	if s.Count == 0 {
 		s.Count = 4
 	}
-	if s.Count < 1 {
-		return s, fmt.Errorf("count must be positive (got %d)", s.Count)
+	if s.Count < 1 || s.Count > maxCount {
+		return s, fmt.Errorf("count must be in [1, %d] (got %d)", maxCount, s.Count)
 	}
 	if s.Iters == 0 {
 		s.Iters = defIters
