@@ -55,6 +55,12 @@ func main() {
 	if err != nil {
 		bad("%v", err)
 	}
+	// The style filter below asks FlowRefusal per style; a count the flow
+	// engine refuses would drop them all, so it is a flag error here.
+	eager := model.DefaultCosts().EagerThreshold
+	if err := (&coll.Program{Count: *count}).FlowRefusal(eager); engine == cluster.EngineFlow && err != nil {
+		bad("-count %d: %v", *count, err)
+	}
 	var ts topo.Spec
 	if *topoFlag != "" {
 		ts, err = topo.ParseSpec(*topoFlag)
@@ -109,7 +115,7 @@ func main() {
 		{coll.AlgoSplit, "split-phase"},
 		{coll.AlgoNIC, "nic-based"},
 	} {
-		if engine == cluster.EngineFlow && (&coll.Program{Algo: s.algo}).FlowRefusal() != nil {
+		if engine == cluster.EngineFlow && (&coll.Program{Algo: s.algo, Count: *count}).FlowRefusal(eager) != nil {
 			continue
 		}
 		algos, labels = append(algos, s.algo), append(labels, s.label)

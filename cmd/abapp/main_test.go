@@ -23,26 +23,27 @@ func build(t *testing.T) string {
 // nothing on stdout, exit status 2.
 func TestBadFlagExitsTwo(t *testing.T) {
 	bin := build(t)
-	for _, tc := range []struct{ flag, value, want string }{
-		{"-dist", "bogus", "unknown distribution"},
-		{"-engine", "bogus", "unknown engine"},
-		{"-topo", "bogus", "bad -topo"},
-		{"-nodes", "1", "-nodes 1: must be at least 2"},
-		{"-iters", "-1", "-iters -1: must be at least 1"},
-		{"-iters", "0", "-iters 0: must be at least 1"},
-		{"-count", "-2", "-count -2: must be at least 1"},
-		{"-reds", "-1", "-reds -1: must be at least 1"},
-		{"-window", "-1", "-window -1: must be at least 1"},
+	for _, tc := range []struct{ args, want string }{
+		{"-dist bogus", "unknown distribution"},
+		{"-engine bogus", "unknown engine"},
+		{"-topo bogus", "bad -topo"},
+		{"-nodes 1", "-nodes 1: must be at least 2"},
+		{"-iters -1", "-iters -1: must be at least 1"},
+		{"-iters 0", "-iters 0: must be at least 1"},
+		{"-count -2", "-count -2: must be at least 1"},
+		{"-reds -1", "-reds -1: must be at least 1"},
+		{"-window -1", "-window -1: must be at least 1"},
+		{"-engine flow -count 4096", "-count 4096: coll: the flow engine models eager reductions only"},
 	} {
 		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, "-nodes", "4", "-iters", "1", tc.flag, tc.value)
+		cmd := exec.Command(bin, append([]string{"-nodes", "4", "-iters", "1"}, strings.Fields(tc.args)...)...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		var exit *exec.ExitError
 		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%s %s: err = %v, want exit status 2", tc.flag, tc.value, err)
+			t.Errorf("%s: err = %v, want exit status 2", tc.args, err)
 		}
 		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "abapp: "+tc.want) {
-			t.Errorf("%s %s: stdout %q, stderr %q", tc.flag, tc.value, stdout.String(), stderr.String())
+			t.Errorf("%s: stdout %q, stderr %q", tc.args, stdout.String(), stderr.String())
 		}
 	}
 }

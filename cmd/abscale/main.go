@@ -39,7 +39,9 @@
 // -engine flow adds the flow-engine scaling grid: the -flowsizes node
 // counts (default 65536–1048576, far past what the packet engine can
 // hold) on the -topo fabric, nab versus ab, with per-size wall, events
-// and peak live-heap columns. The packet-engine sweeps above still run. The
+// and peak live-heap columns. The packet-engine sweeps above still run.
+// The flow engine models eager reductions only, so -engine flow refuses
+// a -count past the eager threshold (2048 doubles) up front. The
 // flow engine also honours -lps: the max-min substrate is sharded along
 // pod boundaries and run under the conservative parallel kernel, with
 // cross-spine flows coupled through a stub/grant protocol.
@@ -68,6 +70,7 @@ import (
 
 	"abred/internal/bench"
 	"abred/internal/cluster"
+	"abred/internal/coll"
 	"abred/internal/fault"
 	"abred/internal/model"
 	"abred/internal/prof"
@@ -148,6 +151,10 @@ func main() {
 	engine, err := cluster.ParseEngine(*engineFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "abscale: %v\n", err)
+		os.Exit(2)
+	}
+	if err := (&coll.Program{Count: *count}).FlowRefusal(model.DefaultCosts().EagerThreshold); engine == cluster.EngineFlow && err != nil {
+		fmt.Fprintf(os.Stderr, "abscale: -count %d: %v\n", *count, err)
 		os.Exit(2)
 	}
 	faults := fault.Config{Seed: *faultSeed, Rule: fault.Rule{Drop: *loss}}

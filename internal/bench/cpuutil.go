@@ -82,7 +82,8 @@ type Config struct {
 	// packet is the default full-fidelity path, flow the large-scale
 	// flow-level engine. The flow engine refuses knobs it cannot model
 	// at committed fidelity (NIC-based reduction, delay policies,
-	// rendezvous AB; see coll.Program).
+	// rendezvous AB, counts past the eager threshold; see
+	// coll.Program.FlowRefusal).
 	Engine cluster.Engine
 
 	// Pool, when set, sources the simulated cluster from a reuse pool

@@ -32,7 +32,7 @@ func (p *Program) at(pos *flowPos) *Step {
 }
 
 // Run executes prog on every rank — the flow interpreter of a Program,
-// which it first checks for packet-only knobs (FlowRefusal) — and
+// which it first checks for knobs it does not model (FlowRefusal) — and
 // returns what drain returns: the caller's run-to-quiescence (the
 // cluster's sim.LPSet.Run). A rank cannot be a simulated process at
 // flow scale, so its position in the step table is its whole state; Run
@@ -44,16 +44,13 @@ func (p *Program) at(pos *flowPos) *Step {
 // appends ExpectedRootSum to out.Results as it leaves each reduction. A
 // run that drains with a rank unfinished or not Quiescent panics.
 func (fc *FlowColl) Run(prog Program, out *Outcome, drain func() sim.Time) sim.Time {
-	if err := prog.FlowRefusal(); err != nil {
+	if err := prog.FlowRefusal(fc.M.CMs[0].EagerThreshold()); err != nil {
 		panic(err.Error())
 	}
 	if prog.Root < 0 || prog.Root >= fc.Size {
 		panic(fmt.Sprintf("coll: flow communicator size=%d root=%d", fc.Size, prog.Root))
 	}
 	fc.prog, fc.bytes = prog, prog.Count*8
-	if thr := fc.M.CMs[0].EagerThreshold(); fc.bytes > thr {
-		panic(fmt.Sprintf("coll: flow engine models eager reductions only (%d bytes > threshold %d)", fc.bytes, thr))
-	}
 	fc.out = out
 	for i := range fc.lps {
 		fc.lps[i].reset()

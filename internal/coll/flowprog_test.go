@@ -149,6 +149,37 @@ func TestFlowRefusals(t *testing.T) {
 	}
 }
 
+// FlowRefusal names each knob the flow engine does not model, and a
+// Count whose doubles pass the eager threshold: 2048 doubles fill the
+// default 16384 bytes exactly, 2049 are one double over.
+func TestFlowRefusalTable(t *testing.T) {
+	const thr = 16384
+	for _, c := range []struct {
+		prog Program
+		want string // "" = accepted
+	}{
+		{Program{Algo: AlgoAB, Count: 2048}, ""},
+		{Program{Algo: AlgoBinomial, Count: 2048}, ""},
+		{Program{Algo: AlgoAB, Count: 2049}, "models eager reductions only (Program.Count = 2049: 16392 bytes > threshold 16384)"},
+		{Program{Algo: AlgoBinomial, Count: 4096}, "models eager reductions only (Program.Count = 4096: 32768 bytes > threshold 16384)"},
+		{Program{Algo: AlgoNIC, Count: 4}, "does not model Program.Algo = AlgoNIC"},
+		{Program{Algo: AlgoSplit, Count: 4, Window: 2}, "does not model Program.Algo = AlgoSplit"},
+		{Program{Algo: AlgoAB, Count: 4, Delay: fixedDelay(us)}, "does not model Program.Delay"},
+		{Program{Algo: AlgoAB, Count: 4, RendezvousAB: true}, "does not model Program.RendezvousAB"},
+	} {
+		err := c.prog.FlowRefusal(thr)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%v count %d: refused: %v", c.prog.Algo, c.prog.Count, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != "coll: the flow engine "+c.want {
+			t.Errorf("%v count %d: err %v, want %q", c.prog.Algo, c.prog.Count, err, c.want)
+		}
+	}
+}
+
 // fixedDelay is a delay policy of one constant (core.FixedDelay, which
 // coll cannot import).
 type fixedDelay sim.Time

@@ -158,9 +158,12 @@ func Reductions(steps []Step) int {
 
 // FlowRefusal names the first field of p the flow engine does not model
 // at committed fidelity, nil if it models them all — the one place
-// those refusals live. FlowColl.Run panics with it; callers that choose
-// what to run ask it first.
-func (p *Program) FlowRefusal() error {
+// those refusals live. The flow engine models eager reductions only, so
+// a Count whose doubles exceed eagerBytes (the cluster's eager
+// threshold, model.CostModel.EagerThreshold) is refused too.
+// FlowColl.Run panics with it; callers that choose what to run ask it
+// first.
+func (p *Program) FlowRefusal(eagerBytes int) error {
 	var field string
 	switch {
 	case p.Algo == AlgoNIC:
@@ -171,6 +174,9 @@ func (p *Program) FlowRefusal() error {
 		field = "Delay"
 	case p.RendezvousAB:
 		field = "RendezvousAB"
+	case p.Count*8 > eagerBytes:
+		return fmt.Errorf("coll: the flow engine models eager reductions only (Program.Count = %d: %d bytes > threshold %d)",
+			p.Count, p.Count*8, eagerBytes)
 	default:
 		return nil
 	}

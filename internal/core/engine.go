@@ -223,12 +223,12 @@ func (e *Engine) EnableRendezvousAB() { e.rendezvousAB = true }
 // hook is the application-bypass pre-processing step the paper splices
 // into the MPICH progress engine (Fig. 4 gray boxes, Fig. 5 logic). It
 // sees every collective-typed packet before default matching. Returning
-// true consumes the packet.
+// true consumes the packet. A CollectiveRTS is a rendezvous-sized
+// child's announcement (§V-B extension): the same logic, with the
+// payload streamed rather than carried in the packet.
 func (e *Engine) hook(pkt *gm.Packet) bool {
-	if pkt.Type == gm.CollectiveRTS {
-		return e.hookLargeReduce(pkt)
-	}
-	if mpi.KindOfCtx(pkt.Ctx) == mpi.CtxBcast {
+	rts := pkt.Type == gm.CollectiveRTS
+	if !rts && mpi.KindOfCtx(pkt.Ctx) == mpi.CtxBcast {
 		return e.hookBcast(pkt)
 	}
 
@@ -243,14 +243,13 @@ func (e *Engine) hook(pkt *gm.Packet) bool {
 			panic(fmt.Sprintf("core: FIFO violation: packet seq %d from %d, descriptor seq %d",
 				pkt.Seq, pkt.SrcRank, d.seq))
 		}
+		if rts {
+			e.acceptLargeChild(d, pkt)
+			return true
+		}
 		// Expected or late message: combined straight from the packet
 		// buffer — zero host copies (§V-C).
-		e.Metrics.ZeroCopyChildren++
-		if e.inSync > 0 {
-			e.Metrics.SyncChildren++
-		} else {
-			e.Metrics.AsyncChildren++
-		}
+		e.countChild()
 		e.processChild(d, int(pkt.SrcRank), pkt.Data)
 		return true
 	}
@@ -258,59 +257,42 @@ func (e *Engine) hook(pkt *gm.Packet) bool {
 	if int(pkt.Root) == e.pr.Rank() && mpi.KindOfCtx(pkt.Ctx) != mpi.CtxIReduce {
 		// Blocking reduction: the root's behaviour is necessarily
 		// synchronous; leave the packet to the default point-to-point
-		// path (Fig. 4). Split-phase roots instead use descriptors, so
-		// their early packets fall through to the AB unexpected queue
-		// below and are drained when the root posts its IReduce.
+		// (or rendezvous) path (Fig. 4). Split-phase roots instead use
+		// descriptors, so their early packets fall through to the AB
+		// unexpected queue below and are drained when the root posts
+		// its IReduce.
 		return false
 	}
 
-	// Truly unexpected: one copy into the AB unexpected queue (§V-A).
-	e.pr.P.Spin(e.pr.CM.HostCopy(len(pkt.Data)))
-	e.pr.Stats.HostCopies++
-	e.pr.Stats.HostCopiedBytes += uint64(len(pkt.Data))
-	e.Metrics.ABCopies++
+	// Truly unexpected: one copy into the AB unexpected queue (§V-A);
+	// an early large child queues its announcement, with no payload to
+	// copy.
+	m := &abMsg{ctx: pkt.Ctx, srcRank: pkt.SrcRank, seq: pkt.Seq, root: pkt.Root}
+	if rts {
+		m.rts = pkt
+	} else {
+		e.pr.P.Spin(e.pr.CM.HostCopy(len(pkt.Data)))
+		e.pr.Stats.HostCopies++
+		e.pr.Stats.HostCopiedBytes += uint64(len(pkt.Data))
+		e.Metrics.ABCopies++
+		m.data = append([]byte(nil), pkt.Data...)
+	}
+	m.at = e.pr.P.Now()
 	e.Metrics.ABUnexpected++
-	e.ubq = append(e.ubq, &abMsg{
-		ctx:     pkt.Ctx,
-		srcRank: pkt.SrcRank,
-		seq:     pkt.Seq,
-		root:    pkt.Root,
-		data:    append([]byte(nil), pkt.Data...),
-		at:      e.pr.P.Now(),
-	})
+	e.ubq = append(e.ubq, m)
 	return true
 }
 
-// hookLargeReduce handles a rendezvous-sized collective announcement:
-// the Fig. 5 logic with the child's payload streamed rather than
-// carried in the packet.
-func (e *Engine) hookLargeReduce(pkt *gm.Packet) bool {
-	e.pr.P.Spin(e.pr.CM.QueueSearch(len(e.descQ)))
-	for _, d := range e.descQ {
-		if d.ctx != pkt.Ctx || !d.waitingOn(int(pkt.SrcRank)) {
-			continue
-		}
-		if d.seq != pkt.Seq {
-			panic(fmt.Sprintf("core: FIFO violation: RTS seq %d from %d, descriptor seq %d",
-				pkt.Seq, pkt.SrcRank, d.seq))
-		}
-		e.acceptLargeChild(d, pkt)
-		return true
+// countChild counts a child combined straight from its buffer, in the
+// component — Reduce's synchronous loop or the async handler — whose
+// progress delivered it.
+func (e *Engine) countChild() {
+	e.Metrics.ZeroCopyChildren++
+	if e.inSync > 0 {
+		e.Metrics.SyncChildren++
+	} else {
+		e.Metrics.AsyncChildren++
 	}
-	if int(pkt.Root) == e.pr.Rank() && mpi.KindOfCtx(pkt.Ctx) != mpi.CtxIReduce {
-		return false // blocking root: default rendezvous path
-	}
-	// Early large child: queue the announcement (no payload to copy).
-	e.Metrics.ABUnexpected++
-	e.ubq = append(e.ubq, &abMsg{
-		ctx:     pkt.Ctx,
-		srcRank: pkt.SrcRank,
-		seq:     pkt.Seq,
-		root:    pkt.Root,
-		rts:     pkt,
-		at:      e.pr.P.Now(),
-	})
-	return true
 }
 
 // acceptLargeChild pins a landing buffer for a rendezvous child and
@@ -322,12 +304,7 @@ func (e *Engine) acceptLargeChild(d *descriptor, rts *gm.Packet) {
 	tmp := make([]byte, rts.TotalLen)
 	e.Metrics.RendezvousChildren++
 	e.pr.RegisterRendezvous(rts, tmp, func() {
-		if e.inSync > 0 {
-			e.Metrics.SyncChildren++
-		} else {
-			e.Metrics.AsyncChildren++
-		}
-		e.Metrics.ZeroCopyChildren++
+		e.countChild()
 		e.processChild(d, child, tmp)
 	})
 }

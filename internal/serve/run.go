@@ -29,7 +29,7 @@ type Result struct {
 
 	Reps        int     `json:"reps"`         // repetitions executed
 	Converged   bool    `json:"converged"`    // target relative CI95 reached
-	Stopped     string  `json:"stopped"`      // converged|maxreps|budget
+	Stopped     string  `json:"stopped"`      // converged|maxreps
 	TargetRelCI float64 `json:"target_relci"` // requested relative half-width
 	RelCI       float64 `json:"relci"`        // achieved relative half-width (primary)
 
@@ -62,12 +62,13 @@ func us(t sim.Time) float64 { return float64(t) / float64(time.Microsecond) }
 // simulation: no wall-clock values enter the Result.
 type runner struct {
 	spec Spec
-	pool *cluster.Pool
 
-	// budget, when non-zero, bounds the wall clock spent repeating; an
-	// unconverged budget-stopped response is then machine-dependent, so
-	// servers that want strict byte-determinism leave it zero.
-	budget time.Duration
+	// The scenario's simulator configuration, parsed once from spec: cpu
+	// when Jobs is 0, tenancy otherwise. Each repetition runs a copy
+	// re-seeded by repSeed; the copies share the node specs, which no
+	// run writes.
+	cpu     bench.Config
+	tenancy workload.TenancyConfig
 
 	// slots is the server's worker semaphore, one slot of which the
 	// caller holds for the whole run. Each of the first MinReps
@@ -96,26 +97,65 @@ type metric struct {
 	v    float64
 }
 
+// newRunner parses a normalized spec into the simulator configuration
+// every repetition of its run copies. Normalize has vetted every field,
+// so no parse here can fail.
+func newRunner(spec Spec, pool *cluster.Pool, slots chan struct{}, hook func(rep int)) *runner {
+	r := &runner{spec: spec, slots: slots, hook: hook}
+	specs, _ := clusterSpecs(spec.Cluster, spec.Nodes)
+	algo, _ := coll.ParseAlgo(spec.Mode)
+	ts, _ := topo.ParseSpec(spec.Topo)
+	flt := fault.Config{Rule: fault.Rule{Drop: spec.Loss}} // no faults at loss 0
+	if spec.Jobs > 0 {
+		place, _ := workload.ParsePlacement(spec.Place)
+		r.tenancy = workload.TenancyConfig{
+			Specs:       specs,
+			Topo:        ts,
+			Fault:       flt,
+			Jobs:        spec.Jobs,
+			MeanArrival: sim.Time(spec.Arrival),
+			Iters:       spec.Iters,
+			Count:       spec.Count,
+			MaxSkew:     sim.Time(spec.Skew),
+			Style:       algo,
+			Place:       place,
+			Pool:        pool,
+		}
+		return r
+	}
+	engine, _ := cluster.ParseEngine(spec.Engine)
+	r.cpu = bench.Config{
+		Specs:     specs,
+		Count:     spec.Count,
+		Mode:      algo,
+		MaxSkew:   sim.Time(spec.Skew),
+		Iters:     spec.Iters,
+		Fault:     flt,
+		Topo:      ts,
+		TopoAware: spec.TopoAware,
+		LPs:       spec.LPs,
+		Engine:    engine,
+		Pool:      pool,
+	}
+	return r
+}
+
 // run executes the scenario: repeat the per-rep simulation under
 // rep-derived seeds until the primary metric's confidence interval
 // converges, then summarize every recorded metric over the reps.
 //
-// Without a wall budget, Converge draws repetitions 0…MinReps−1
-// whatever they return, so those are run up front, borrowing idle
-// worker slots (ahead); the rest run one at a time as Converge draws
-// them. Converge consumes every value in repetition order either way,
-// so the Result is the same at any worker count.
+// Converge draws repetitions 0…MinReps−1 whatever they return, so
+// those are run up front, borrowing idle worker slots (ahead); the
+// rest run one at a time as Converge draws them. Converge consumes
+// every value in repetition order, so the Result is the same at any
+// worker count.
 func (r *runner) run() (*Result, error) {
 	opts := stats.ConvergeOpts{
 		RelCI:   r.spec.RelCI,
 		MinReps: r.spec.MinReps,
 		MaxReps: r.spec.MaxReps,
-		Budget:  r.budget,
 	}
-	var outs []repOut
-	if r.budget == 0 {
-		outs = r.ahead(opts.Defaults().MinReps)
-	}
+	outs := r.ahead(opts.Defaults().MinReps)
 	var err error
 	conv := stats.Converge(opts, func(rep int) float64 {
 		if err != nil {
@@ -221,53 +261,24 @@ func (r *runner) rep(rep int) (out repOut) {
 	return r.cpuRep(rep)
 }
 
-// benchConfig assembles the per-repetition bench.Config for the CPU
-// scenario. Parse errors cannot occur here: Normalize already vetted
-// every field.
-func (r *runner) benchConfig(rep int) bench.Config {
-	s := r.spec
-	specs, err := clusterSpecs(s.Cluster, s.Nodes)
-	if err != nil {
-		panic("serve: " + err.Error())
-	}
-	algo, _ := coll.ParseAlgo(s.Mode)
-	ts, _ := topo.ParseSpec(s.Topo)
-	engine, _ := cluster.ParseEngine(s.Engine)
-	cfg := bench.Config{
-		Specs:     specs,
-		Count:     s.Count,
-		Mode:      algo,
-		MaxSkew:   sim.Time(s.Skew),
-		Iters:     s.Iters,
-		Seed:      repSeed(s.Seed, rep),
-		Topo:      ts,
-		TopoAware: s.TopoAware,
-		LPs:       s.LPs,
-		Engine:    engine,
-		Pool:      r.pool,
-	}
-	if s.Loss > 0 {
-		cfg.Fault = fault.Config{Seed: repSeed(s.FaultSeed, rep), Rule: fault.Rule{Drop: s.Loss}}
-	}
-	return cfg
-}
-
 // cpuRep runs one repetition of the CPU-utilization scenario; its
 // primary is the mean per-node reduction CPU, µs.
 func (r *runner) cpuRep(rep int) repOut {
-	res := bench.CPUUtil(r.benchConfig(rep))
+	cfg := r.cpu
+	cfg.Seed, cfg.Fault.Seed = repSeed(r.spec.Seed, rep), repSeed(r.spec.FaultSeed, rep)
+	res := bench.CPUUtil(cfg)
 	out := repOut{primary: us(res.AvgCPU), events: res.Events, metrics: []metric{
 		{"avg_cpu_us", us(res.AvgCPU)},
 		{"node_cpu_p99_us", us(res.Summary.P99)},
 		{"elapsed_us", us(res.Elapsed)},
 		{"signals", float64(res.Signals)},
 	}}
-	if ts, _ := topo.ParseSpec(r.spec.Topo); ts.Kind != topo.Crossbar {
+	if cfg.Topo.Kind != topo.Crossbar {
 		out.metrics = append(out.metrics,
 			metric{"link_waits", float64(res.LinkWaits)},
 			metric{"link_wait_us", us(res.LinkWait)})
 	}
-	if r.spec.Engine == "flow" {
+	if cfg.Engine == cluster.EngineFlow {
 		out.metrics = append(out.metrics, metric{"fct_p99_us", us(res.FCT.P99)})
 	}
 	if r.spec.Loss > 0 {
@@ -280,30 +291,8 @@ func (r *runner) cpuRep(rep int) repOut {
 // concurrent jobs with Poisson arrivals under the requested placement,
 // reported as per-job completion-time percentiles.
 func (r *runner) tenancyRep(rep int) repOut {
-	s := r.spec
-	specs, err := clusterSpecs(s.Cluster, s.Nodes)
-	if err != nil {
-		panic("serve: " + err.Error())
-	}
-	ts, _ := topo.ParseSpec(s.Topo)
-	place, _ := workload.ParsePlacement(s.Place)
-	algo, _ := coll.ParseAlgo(s.Mode)
-	cfg := workload.TenancyConfig{
-		Specs:       specs,
-		Topo:        ts,
-		Seed:        repSeed(s.Seed, rep),
-		Jobs:        s.Jobs,
-		MeanArrival: sim.Time(s.Arrival),
-		Iters:       s.Iters,
-		Count:       s.Count,
-		MaxSkew:     sim.Time(s.Skew),
-		Style:       algo,
-		Place:       place,
-		Pool:        r.pool,
-	}
-	if s.Loss > 0 {
-		cfg.Fault = fault.Config{Seed: repSeed(s.FaultSeed, rep), Rule: fault.Rule{Drop: s.Loss}}
-	}
+	cfg := r.tenancy
+	cfg.Seed, cfg.Fault.Seed = repSeed(r.spec.Seed, rep), repSeed(r.spec.FaultSeed, rep)
 	res := workload.Tenancy(cfg)
 	return repOut{primary: us(res.JCT.P50), events: res.Events, metrics: []metric{
 		{"jct_p50_us", us(res.JCT.P50)},

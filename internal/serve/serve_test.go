@@ -222,6 +222,8 @@ func TestMalformedSpec(t *testing.T) {
 		{"bad topo", `{"nodes":8,"topo":"torus:3"}`, "topo"},
 		{"bad skew", `{"nodes":8,"skew":"yesterday"}`, "bad spec"},
 		{"flow nic", `{"nodes":8,"engine":"flow","mode":"nic"}`, "flow engine does not model"},
+		{"flow count over eager", `{"nodes":64,"engine":"flow","count":4096,"iters":1,"minreps":1,"maxreps":1}`,
+			"flow engine models eager reductions only (Program.Count = 4096"},
 		{"tenancy on crossbar", `{"nodes":8,"jobs":2}`, "routed topo"},
 		{"tenancy lps", `{"nodes":16,"topo":"fattree:4","jobs":3,"lps":2}`, "no lps or topoaware"},
 		{"tenancy topoaware", `{"nodes":16,"topo":"fattree:4","jobs":3,"topoaware":true}`, "no lps or topoaware"},
@@ -257,6 +259,10 @@ func TestMalformedSpec(t *testing.T) {
 	}
 	if got := s.badSpecs.Load(); got != uint64(len(cases)) {
 		t.Fatalf("badSpecs = %d, want %d", got, len(cases))
+	}
+	// The largest eager count stays a flow scenario.
+	if _, err := (Spec{Nodes: 64, Engine: "flow", Count: 2048}).Normalize(Limits{}); err != nil {
+		t.Fatalf("flow count 2048 refused: %v", err)
 	}
 }
 

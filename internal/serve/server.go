@@ -25,7 +25,7 @@ type Options struct {
 	CacheSize int
 	// CacheDir, when non-empty, enables the on-disk result store.
 	CacheDir string
-	// Limits bound and default incoming specs (see Limits).
+	// Limits bound incoming specs (see Limits).
 	Limits Limits
 }
 
@@ -240,8 +240,7 @@ func (s *Server) compute(spec Spec, key string) ([]byte, error) {
 	defer func() { <-s.sem }()
 
 	start := time.Now()
-	rn := &runner{spec: spec, pool: s.pool, budget: s.opts.Limits.TimeBudget,
-		slots: s.sem, hook: s.testRep}
+	rn := newRunner(spec, s.pool, s.sem, s.testRep)
 	res, err := rn.run()
 	s.reps.Add(uint64(rn.ran))
 	s.borrowed.Add(uint64(rn.borrowed))

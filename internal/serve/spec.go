@@ -120,16 +120,16 @@ type Spec struct {
 
 	// RelCI is the convergence target: repetitions continue until the
 	// primary metric's CI95 half-width is below RelCI·mean (default
-	// set by the server, normally 0.05).
+	// 0.05).
 	RelCI float64 `json:"relci,omitempty"`
-	// MinReps/MaxReps bound the repetition count (defaults set by the
-	// server, normally 3 and 20).
+	// MinReps/MaxReps bound the repetition count (defaults 3 and the
+	// server's MaxReps, normally 20).
 	MinReps int `json:"minreps,omitempty"`
 	MaxReps int `json:"maxreps,omitempty"`
 }
 
-// defIters is the Iters a spec that leaves it 0 runs.
-const defIters = 20
+// The Iters, RelCI and MinReps a spec that leaves them 0 runs with.
+const defIters, defRelCI, defMinReps = 20, 0.05, 3
 
 // maxCount bounds Count, the doubles per reduction: 1<<16 elements,
 // 512 KiB per buffer. The packet interpreter allocates two such buffers
@@ -139,14 +139,11 @@ const defIters = 20
 // ablation (bench.AblationRendezvousAB).
 const maxCount = 1 << 16
 
-// Limits are the server-side bounds and defaults Normalize applies.
+// Limits are the admission bounds Normalize applies, sized to the host.
 type Limits struct {
-	MaxNodes   int           // largest accepted cluster (0 = 1<<20)
-	MaxReps    int           // repetition-budget ceiling and default (0 = 20)
-	MinReps    int           // default minimum repetitions (0 = 3)
-	RelCI      float64       // default convergence target (0 = 0.05)
-	MaxIters   int           // per-repetition iteration ceiling (0 = 1000)
-	TimeBudget time.Duration // wall budget per scenario (0 = none; breaks byte-determinism of unconverged responses)
+	MaxNodes int // largest accepted cluster (0 = 1<<20)
+	MaxReps  int // repetition-budget ceiling and default (0 = 20)
+	MaxIters int // per-repetition iteration ceiling (0 = 1000)
 }
 
 func (l Limits) withDefaults() Limits {
@@ -155,12 +152,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.MaxReps <= 0 {
 		l.MaxReps = 20
-	}
-	if l.MinReps <= 0 {
-		l.MinReps = 3
-	}
-	if l.RelCI <= 0 {
-		l.RelCI = 0.05
 	}
 	if l.MaxIters <= 0 {
 		l.MaxIters = 1000
@@ -225,11 +216,6 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 	if err != nil {
 		return s, err
 	}
-	if engine == cluster.EngineFlow {
-		if err := (&coll.Program{Algo: algo}).FlowRefusal(); err != nil {
-			return s, err
-		}
-	}
 	if s.LPs < 0 {
 		return s, fmt.Errorf("lps must be non-negative (got %d)", s.LPs)
 	}
@@ -241,6 +227,10 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 	}
 	if s.Count < 1 || s.Count > maxCount {
 		return s, fmt.Errorf("count must be in [1, %d] (got %d)", maxCount, s.Count)
+	}
+	prog := coll.Program{Algo: algo, Count: s.Count}
+	if err := prog.FlowRefusal(model.DefaultCosts().EagerThreshold); engine == cluster.EngineFlow && err != nil {
+		return s, err
 	}
 	if s.Iters == 0 {
 		s.Iters = defIters
@@ -305,13 +295,13 @@ func (s Spec) Normalize(lim Limits) (Spec, error) {
 		return s, fmt.Errorf("relci must be non-negative (got %g)", s.RelCI)
 	}
 	if s.RelCI == 0 {
-		s.RelCI = lim.RelCI
+		s.RelCI = defRelCI
 	}
 	if s.MinReps < 0 || s.MaxReps < 0 {
 		return s, fmt.Errorf("minreps/maxreps must be non-negative")
 	}
 	if s.MinReps == 0 {
-		s.MinReps = lim.MinReps
+		s.MinReps = defMinReps
 	}
 	if s.MaxReps == 0 {
 		s.MaxReps = lim.MaxReps

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // FloatSummary describes a float64 sample the same way Summary
 // describes a duration sample: one-pass Welford moments, nearest-rank
@@ -49,13 +46,11 @@ func (s FloatSummary) RelCI95() float64 {
 }
 
 // ConvergeOpts bounds a Converge run. The zero value means: 5% target
-// relative half-width, at least 3 and at most 32 repetitions, no wall
-// budget.
+// relative half-width, at least 3 and at most 32 repetitions.
 type ConvergeOpts struct {
-	RelCI   float64       // target CI95/|mean|; <= 0 means 0.05
-	MinReps int           // repetitions before convergence may be declared; <= 0 means 3
-	MaxReps int           // hard repetition budget; <= 0 means 32
-	Budget  time.Duration // wall-clock budget; 0 means unlimited
+	RelCI   float64 // target CI95/|mean|; <= 0 means 0.05
+	MinReps int     // repetitions before convergence may be declared; <= 0 means 3
+	MaxReps int     // hard repetition budget; <= 0 means 32
 }
 
 // Defaults returns o with unset fields replaced by the documented
@@ -80,7 +75,6 @@ func (o ConvergeOpts) Defaults() ConvergeOpts {
 const (
 	StopConverged = "converged" // relative CI95 half-width under target
 	StopMaxReps   = "maxreps"   // repetition budget exhausted first
-	StopBudget    = "budget"    // wall-clock budget exhausted first
 )
 
 // Convergence is the outcome of an adaptive-repetition run.
@@ -88,7 +82,7 @@ type Convergence struct {
 	Xs        []float64    // every sample drawn, in repetition order
 	Summary   FloatSummary // summary of Xs
 	Converged bool         // the target relative half-width was reached
-	Stopped   string       // StopConverged, StopMaxReps or StopBudget
+	Stopped   string       // StopConverged or StopMaxReps
 }
 
 // Converge repeats sample until the relative CI95 half-width of the
@@ -98,10 +92,8 @@ type Convergence struct {
 // defensible. sample(rep) must produce repetition rep's measurement
 // (typically a fresh run under a rep-derived seed); it is called
 // MinReps..MaxReps times, one at a time, with the interval re-tested
-// after each draw once MinReps have accumulated. A wall budget, when
-// set, is checked between repetitions, so one repetition beyond the
-// budget may still run to completion. Without a budget the first
-// MinReps draws happen whatever they return, so a caller may compute
+// after each draw once MinReps have accumulated. The first MinReps
+// draws always happen, whatever they return, so a caller may compute
 // them ahead, in parallel, and hand them over in order.
 //
 // With a deterministic sample function the entire trajectory — the
@@ -110,7 +102,6 @@ type Convergence struct {
 // cache converged responses byte-for-byte.
 func Converge(opts ConvergeOpts, sample func(rep int) float64) Convergence {
 	opts = opts.Defaults()
-	start := time.Now()
 	var c Convergence
 	for rep := 0; rep < opts.MaxReps; rep++ {
 		c.Xs = append(c.Xs, sample(rep))
@@ -121,11 +112,6 @@ func Converge(opts ConvergeOpts, sample func(rep int) float64) Convergence {
 				c.Stopped = StopConverged
 				return c
 			}
-		}
-		if opts.Budget > 0 && time.Since(start) >= opts.Budget {
-			c.Summary = SummarizeFloats(c.Xs)
-			c.Stopped = StopBudget
-			return c
 		}
 	}
 	c.Summary = SummarizeFloats(c.Xs)

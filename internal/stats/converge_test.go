@@ -66,26 +66,10 @@ func TestConvergeConstant(t *testing.T) {
 	}
 }
 
-// TestConvergeBudget: a wall budget stops a non-converging sample
-// between repetitions.
-func TestConvergeBudget(t *testing.T) {
-	c := Converge(ConvergeOpts{RelCI: 0.001, MinReps: 2, MaxReps: 1000, Budget: 30 * time.Millisecond},
-		func(rep int) float64 {
-			time.Sleep(5 * time.Millisecond)
-			return float64(1 + rep%2*1000)
-		})
-	if c.Converged || c.Stopped != StopBudget {
-		t.Fatalf("budgeted run: %+v", c)
-	}
-	if len(c.Xs) >= 1000 {
-		t.Fatalf("budget did not bound the repetitions: %d", len(c.Xs))
-	}
-}
-
 // TestConvergeDefaults pins the documented zero-value defaults.
 func TestConvergeDefaults(t *testing.T) {
 	d := ConvergeOpts{}.Defaults()
-	if d.RelCI != 0.05 || d.MinReps != 3 || d.MaxReps != 32 || d.Budget != 0 {
+	if d.RelCI != 0.05 || d.MinReps != 3 || d.MaxReps != 32 {
 		t.Fatalf("defaults = %+v", d)
 	}
 	if d = (ConvergeOpts{MinReps: 10, MaxReps: 5}).Defaults(); d.MaxReps != 10 {
